@@ -2,11 +2,14 @@
 
 Connectors are directed dependency links and always point from the hypergraph
 layer into the graph layer; the two dataclasses make the opposite direction
-unrepresentable.  ``serialize``/``deserialize`` round-trip the whole structure
-through a JSON document with sections ``hypernodes``, ``hyperedges``,
-``graph_nodes``, ``graph_edges``, ``connectors_v``, ``connectors_e``, and
-``meta`` (format version ``hg2/1``).  Ids are dense and first-seen ordered, so
-output is deterministic for a given structure.
+unrepresentable.  The container owns the hypernode payload index and the
+per-source anchor index; nothing else keeps identity state.
+
+``serialize``/``deserialize`` round-trip the whole structure through a JSON
+document with sections ``hypernodes``, ``hyperedges``, ``graph_nodes``,
+``graph_edges``, ``connectors_v``, ``connectors_e``, and ``meta`` (format
+version ``hg2/1``).  Ids are dense and first-seen ordered, so output is
+deterministic for a given structure.
 
 Hypernode payloads serialize in two shapes: :class:`NodePayload` instances
 carry an RDF term (kind ``uri``/``blank``/``literal``); anything else is
@@ -128,17 +131,22 @@ class Violation:
 
 
 class HG2:
-    """A hypergraph H, a schema graph G, and the connector sets between them."""
+    """A hypergraph H, a schema graph G, and the connector sets between them.
 
-    def __init__(self, h: Hypergraph | None = None, g: SchemaGraph | None = None):
-        self.h = h if h is not None else Hypergraph()
+    ``node_index`` maps each hashable payload to its first hypernode; it is
+    the only term identity table.  Each connector source has an anchor list
+    (graph nodes in insertion order) that deduplicates connectors and answers
+    :meth:`anchors_of_node`/:meth:`anchors_of_edge` without a scan.
+    """
+
+    def __init__(self, g: SchemaGraph | None = None):
+        self.h = Hypergraph()
         self.g = g if g is not None else SchemaGraph()
         self.connectors_v: list[NodeConnector] = []
         self.connectors_e: list[EdgeConnector] = []
-        self._connector_set: set[Connector] = set()
+        self._node_anchors: dict[int, list[int]] = {}
+        self._edge_anchors: dict[int, list[int]] = {}
         self.node_index: dict[Any, int] = {}
-        for node_id, payload in enumerate(self.h.nodes):
-            self._index_payload(payload, node_id)
         self.frozen = False
 
     def __eq__(self, other: object) -> bool:
@@ -150,12 +158,6 @@ class HG2:
             and self.connectors_v == other.connectors_v
             and self.connectors_e == other.connectors_e
         )
-
-    def _index_payload(self, payload: Any, node_id: int) -> None:
-        try:
-            self.node_index.setdefault(payload, node_id)
-        except TypeError:
-            pass  # unhashable opaque payloads stay unindexed
 
     def _check_mutable(self) -> None:
         if self.frozen:
@@ -175,7 +177,10 @@ class HG2:
                 return existing
         self._check_mutable()
         node_id = self.h.add_node(payload)
-        self._index_payload(payload, node_id)
+        try:
+            self.node_index.setdefault(payload, node_id)
+        except TypeError:
+            pass  # unhashable opaque payloads stay unindexed
         return node_id
 
     def find_node(self, payload: Any) -> int | None:
@@ -191,20 +196,20 @@ class HG2:
         if isinstance(connector, NodeConnector):
             if not 0 <= connector.hypernode < self.h.node_count:
                 raise UnknownHyperNodeError(connector.hypernode)
+            source, index, connectors = connector.hypernode, self._node_anchors, self.connectors_v
         elif isinstance(connector, EdgeConnector):
             if not 0 <= connector.hyperedge < self.h.edge_count:
                 raise UnknownHyperEdgeError(connector.hyperedge)
+            source, index, connectors = connector.hyperedge, self._edge_anchors, self.connectors_e
         else:
             raise TypeError(f"not a connector: {connector!r}")
         if not 0 <= connector.graph_node < self.g.node_count:
             raise UnknownGraphNodeError(connector.graph_node)
-        if connector in self._connector_set:
+        anchors = index.setdefault(source, [])
+        if connector.graph_node in anchors:
             return False
-        self._connector_set.add(connector)
-        if isinstance(connector, NodeConnector):
-            self.connectors_v.append(connector)
-        else:
-            self.connectors_e.append(connector)
+        anchors.append(connector.graph_node)
+        connectors.append(connector)
         return True
 
     @property
@@ -215,13 +220,13 @@ class HG2:
         """Graph nodes one connector hop away from a hypernode, in insertion order."""
         if not 0 <= node < self.h.node_count:
             raise UnknownHyperNodeError(node)
-        return [c.graph_node for c in self.connectors_v if c.hypernode == node]
+        return list(self._node_anchors.get(node, ()))
 
     def anchors_of_edge(self, edge: int) -> list[int]:
         """Graph nodes one connector hop away from a hyperedge, in insertion order."""
         if not 0 <= edge < self.h.edge_count:
             raise UnknownHyperEdgeError(edge)
-        return [c.graph_node for c in self.connectors_e if c.hyperedge == edge]
+        return list(self._edge_anchors.get(edge, ()))
 
 
 def validate_layering(hg2: HG2) -> list[Violation]:

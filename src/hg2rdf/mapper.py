@@ -6,7 +6,9 @@ rdfs:domain, rdfs:range) *and* both subject and object are IRIs; everything
 else — including rdf:type with a blank or literal participant — stays in the
 instance layer.  Instance statements become hyperedges with the predicate as
 the single head node and subject/object as tail positions 0/1; schema
-statements become labeled edges in the graph layer.
+statements become labeled edges in the graph layer.  Each distinct statement
+is mapped once, and hypernodes are interned by ``HG2.node_index`` alone, so
+one term is one hypernode and one statement is one hyperedge.
 
 Connector generation then ties the layers together: every hyperedge anchors to
 rdf:Statement, role occurrences anchor to rdf:subject / rdf:predicate /
@@ -26,7 +28,6 @@ from .hg2 import (
     PayloadKind,
     Violation,
 )
-from .hypergraph import Occurrence, UnknownNodeError
 from .ntriples import BlankLabel, IriRef, Literal, Statement, Term
 from .schema import (
     RDF_DATATYPE,
@@ -106,47 +107,18 @@ def term_of(payload: NodePayload) -> Term:
     return Literal(payload.lexical_form, payload.language_tag, datatype)
 
 
-class Interner:
-    """Shared term and edge-shape tables for one build.
-
-    Hands out one hypernode per distinct term (literals optionally exempt)
-    and one hyperedge per distinct (head ids, tail ids) shape, so feeding the
-    same statements twice leaves the structure unchanged.
-    """
-
-    def __init__(self, hg2: HG2, dedupe_literals: bool = True):
-        self.hg2 = hg2
-        self.dedupe_literals = dedupe_literals
-        self._edge_ids: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for edge in hg2.h.edges:
-            self._edge_ids.setdefault((tuple(edge.head), tuple(edge.tail)), edge.id)
-
-    def node_for(self, term: Term) -> int:
-        payload = payload_for(term)
-        intern = self.dedupe_literals or not isinstance(term, Literal)
-        return self.hg2.add_node(payload, intern=intern)
-
-    def edge_for(self, head: list[int], tail: list[int]) -> int:
-        key = (tuple(head), tuple(tail))
-        existing = self._edge_ids.get(key)
-        if existing is not None:
-            return existing
-        edge_id = self.hg2.h.add_hyperedge(head, tail)
-        self._edge_ids[key] = edge_id
-        return edge_id
-
-
-def map_statement(statement: Statement, interner: Interner) -> int:
-    """Record an instance statement as a hyperedge; returns its id.
+def map_statement(statement: Statement, hg2: HG2) -> int:
+    """Record an instance statement as a new hyperedge; returns its id.
 
     The predicate becomes the sole head node; the subject and object become
-    tail positions 0 and 1.  Terms are interned, so a repeated statement
-    returns the existing hyperedge.
+    tail positions 0 and 1.  Terms are interned through ``hg2.add_node``, so
+    a repeated term reuses its hypernode; repeated statements are dropped by
+    :func:`integrate` before they get here.
     """
-    subject = interner.node_for(statement.subject)
-    predicate = interner.node_for(statement.predicate)
-    objekt = interner.node_for(statement.object)
-    return interner.edge_for([predicate], [subject, objekt])
+    subject = hg2.add_node(payload_for(statement.subject))
+    predicate = hg2.add_node(payload_for(statement.predicate))
+    objekt = hg2.add_node(payload_for(statement.object))
+    return hg2.h.add_hyperedge([predicate], [subject, objekt])
 
 
 def statement_of(hg2: HG2, edge_id: int) -> Statement | None:
@@ -186,15 +158,15 @@ def map_schema_statement(statement: Statement, graph: SchemaGraph) -> bool:
     return graph.add_edge(src, dst, kind)
 
 
-def generate_connectors(hg2: HG2, role_connectors: bool = True) -> None:
+def generate_connectors(hg2: HG2) -> None:
     """Wire the hypergraph layer to the graph layer.
 
     Emits, deduplicated: one edge connector per hyperedge to rdf:Statement;
-    role connectors (when enabled) from head nodes to rdf:predicate and from
-    tail positions 0/1 to rdf:subject/rdf:object; a connector to rdf:datatype
-    from every datatyped literal node; and a typing connector from every
-    instance node whose IRI has a type edge in the graph layer to the class
-    node it points at.  Safe to run repeatedly: the second run adds nothing.
+    role connectors from head nodes to rdf:predicate and from tail positions
+    0/1 to rdf:subject/rdf:object; a connector to rdf:datatype from every
+    datatyped literal node; and a typing connector from every instance node
+    whose IRI has a type edge in the graph layer to the class node it points
+    at.  Safe to run repeatedly: the second run adds nothing.
     """
     anchors: dict[str, int] = {}
     for iri in ANCHOR_IRIS:
@@ -205,8 +177,6 @@ def generate_connectors(hg2: HG2, role_connectors: bool = True) -> None:
 
     for edge in hg2.h.edges:
         hg2.add_connector(EdgeConnector(edge.id, anchors[RDF_STATEMENT]))
-        if not role_connectors:
-            continue
         for node in edge.head:
             hg2.add_connector(NodeConnector(node, anchors[RDF_PREDICATE]))
         for position, node in enumerate(edge.tail):
@@ -232,24 +202,12 @@ def generate_connectors(hg2: HG2, role_connectors: bool = True) -> None:
                     hg2.add_connector(NodeConnector(node_id, class_node))
 
 
-@dataclass(frozen=True)
-class NodePlacement:
-    """Where one hypernode sits: its payload kind and every slot it occupies."""
-
-    node: int
-    kind: PayloadKind | None
-    occurrences: tuple[Occurrence, ...]
-
-    def positions(self) -> set[tuple[str, int]]:
-        return {(occ.slot, occ.position) for occ in self.occurrences}
-
-
-def classify_node(hg2: HG2, node: int) -> NodePlacement:
-    if not 0 <= node < hg2.h.node_count:
-        raise UnknownNodeError(node)
-    payload = hg2.h.nodes[node]
-    kind = payload.kind if isinstance(payload, NodePayload) else None
-    return NodePlacement(node, kind, tuple(hg2.h.incidence_of(node)))
+#: The payload field each term kind cannot do without.
+_REQUIRED_FIELD = {
+    PayloadKind.URI: "iri",
+    PayloadKind.BLANK: "blank_label",
+    PayloadKind.LITERAL: "lexical_form",
+}
 
 
 def validate_mapping(hg2: HG2) -> list[Violation]:
@@ -257,15 +215,26 @@ def validate_mapping(hg2: HG2) -> list[Violation]:
 
     A literal node may never sit in a head slot or in tail position 0, a
     blank node may never sit in a head slot, every statement-shaped hyperedge
-    has exactly one head and two tails, and a literal payload may not carry
-    both a language tag and a datatype.  Structures built purely through
-    map_statement satisfy all of these.
+    has exactly one head and two tails, a term payload must carry the field
+    its kind requires, and a literal payload may not carry both a language
+    tag and a datatype.  Structures built purely through map_statement
+    satisfy all of these.
     """
     violations: list[Violation] = []
     for node_id, payload in enumerate(hg2.h.nodes):
+        if not isinstance(payload, NodePayload):
+            continue
+        required = _REQUIRED_FIELD[payload.kind]
+        if getattr(payload, required) is None:
+            violations.append(
+                Violation(
+                    "IncompletePayload",
+                    f"{payload.kind.value} hypernode {node_id} has no {required}",
+                    node=node_id,
+                )
+            )
         if (
-            isinstance(payload, NodePayload)
-            and payload.kind is PayloadKind.LITERAL
+            payload.kind is PayloadKind.LITERAL
             and payload.language_tag is not None
             and payload.datatype_iri is not None
         ):
@@ -358,9 +327,12 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
         if len(edge.head) != 1 or len(edge.tail) != 2:
             continue
         head_payload = hg2.h.nodes[edge.head[0]]
-        if not isinstance(head_payload, NodePayload) or head_payload.kind is not PayloadKind.URI:
+        if (
+            not isinstance(head_payload, NodePayload)
+            or head_payload.kind is not PayloadKind.URI
+            or head_payload.iri is None  # reported by validate_mapping as IncompletePayload
+        ):
             continue
-        assert head_payload.iri is not None
         predicate_node = hg2.g.find(head_payload.iri)
         if predicate_node is None:
             continue
@@ -391,13 +363,6 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
                     )
                 )
     return warnings
-
-
-@dataclass
-class IntegrationOptions:
-    stratify_schema: bool = True
-    generate_role_connectors: bool = True
-    dedupe_literals: bool = True
 
 
 @dataclass
@@ -432,28 +397,26 @@ class IntegrationReport:
         }
 
 
-def integrate(
-    statements: list[Statement], options: IntegrationOptions | None = None
-) -> tuple[HG2, IntegrationReport]:
+def integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
     """Build a frozen two-layer structure from parsed statements.
 
-    Pipeline: load the built-in vocabulary, route each statement to its
-    layer, map it, generate connectors, then run the placement checks (their
-    findings land in the report as warnings).  Deterministic for a given
-    input and options; the result is frozen and safe to query concurrently.
+    Pipeline: load the built-in vocabulary, route each distinct statement to
+    its layer, map it, generate connectors, then run the placement checks
+    (their findings land in the report as warnings).  An RDF graph is a set
+    of triples, so a repeated statement is mapped once; first-seen order is
+    kept, which makes the result deterministic for a given input.  The
+    result is frozen and safe to query concurrently.
     """
-    opts = options if options is not None else IntegrationOptions()
     hg2 = HG2(g=load_builtin_vocabulary())
     report = IntegrationReport(statements_in=len(statements))
-    interner = Interner(hg2, dedupe_literals=opts.dedupe_literals)
-    for statement in statements:
-        if opts.stratify_schema and route_statement(statement) is Layer.SCHEMA:
+    for statement in dict.fromkeys(statements):
+        if route_statement(statement) is Layer.SCHEMA:
             if map_schema_statement(statement, hg2.g):
                 report.schema_edges_created += 1
         else:
-            map_statement(statement, interner)
+            map_statement(statement, hg2)
     report.hyperedges_created = hg2.h.edge_count
-    generate_connectors(hg2, role_connectors=opts.generate_role_connectors)
+    generate_connectors(hg2)
     report.connectors_v = len(hg2.connectors_v)
     report.connectors_e = len(hg2.connectors_e)
     report.warnings.extend(str(violation) for violation in validate_mapping(hg2))

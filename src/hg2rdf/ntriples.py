@@ -73,7 +73,7 @@ Term = IriRef | BlankLabel | Literal
 
 @dataclass(frozen=True)
 class Statement:
-    """One parsed triple.  ``line_no`` is provenance and does not affect equality."""
+    """One parsed triple.  ``line_no`` is the source line and does not affect equality."""
 
     subject: IriRef | BlankLabel
     predicate: IriRef
@@ -339,8 +339,9 @@ def parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
 def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]]:
     """Parse a whole document, recovering per line.
 
-    Accepts ``str`` or UTF-8 ``bytes``.  Undecodable bytes reject the whole
-    document: the result is ``([], [ParseError(..., INVALID_ENCODING, ...)])``.
+    Accepts ``str`` or UTF-8 ``bytes``; one leading byte order mark (U+FEFF)
+    is dropped.  Undecodable bytes reject the whole document: the result is
+    ``([], [ParseError(..., INVALID_ENCODING, ...)])``.
     Statements come back in source order; each malformed line contributes one
     error and is skipped.
     """
@@ -353,6 +354,7 @@ def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]
             return [], [
                 ParseError(line_no, ErrorCode.INVALID_ENCODING, f"not valid UTF-8: {exc.reason}")
             ]
+    text = text.removeprefix("\ufeff")
     statements: list[Statement] = []
     errors: list[ParseError] = []
     for line_no, line in enumerate(text.split("\n"), start=1):

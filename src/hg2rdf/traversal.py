@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 from .hg2 import HG2
 from .hypergraph import HEAD, TAIL
@@ -16,23 +15,15 @@ from .mapper import payload_for
 from .ntriples import IriRef
 
 
-class ResultKind(Enum):
-    NODE_SET = "nodes"
-    EDGE_SET = "edges"
-    PATH = "path"
-
-
 @dataclass(frozen=True)
 class QueryResult:
-    kind: ResultKind
+    """Hypernode or hyperedge ids answering a query, unique and sorted."""
+
     items: tuple[int, ...]
-    provenance: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if len(self.items) != len(set(self.items)):
             raise ValueError("query result items must be unique")
-        if len(self.items) != len(self.provenance):
-            raise ValueError("one provenance entry per item")
 
 
 @dataclass(frozen=True)
@@ -46,15 +37,11 @@ def _node_of(hg2: HG2, iri: IriRef | str) -> int | None:
     return hg2.find_node(payload_for(IriRef(value)))
 
 
-def _in_hypergraph(items: tuple[int, ...], kind: ResultKind) -> QueryResult:
-    return QueryResult(kind, items, ("hypergraph",) * len(items))
-
-
 def statements_about(hg2: HG2, subject_iri: IriRef | str) -> QueryResult:
     """All hyperedges whose subject slot (tail position 0) is the given IRI."""
     node = _node_of(hg2, subject_iri)
     if node is None:
-        return _in_hypergraph((), ResultKind.EDGE_SET)
+        return QueryResult(())
     edges = sorted(
         {
             occ.edge
@@ -62,7 +49,7 @@ def statements_about(hg2: HG2, subject_iri: IriRef | str) -> QueryResult:
             if occ.slot == TAIL and occ.position == 0
         }
     )
-    return _in_hypergraph(tuple(edges), ResultKind.EDGE_SET)
+    return QueryResult(tuple(edges))
 
 
 def instances_of(hg2: HG2, class_iri: IriRef | str) -> QueryResult:
@@ -70,20 +57,20 @@ def instances_of(hg2: HG2, class_iri: IriRef | str) -> QueryResult:
     value = class_iri.value if isinstance(class_iri, IriRef) else class_iri
     class_node = hg2.g.find(value)
     if class_node is None:
-        return _in_hypergraph((), ResultKind.NODE_SET)
+        return QueryResult(())
     closure = hg2.g.subclass_closure(class_node)
     nodes = sorted(
         {c.hypernode for c in hg2.connectors_v if c.graph_node in closure}
     )
-    return _in_hypergraph(tuple(nodes), ResultKind.NODE_SET)
+    return QueryResult(tuple(nodes))
 
 
 def reachable_from(hg2: HG2, iri: IriRef | str) -> QueryResult:
     """Hypernodes reachable from the IRI's node by firing hyperedges forward."""
     node = _node_of(hg2, iri)
     if node is None:
-        return _in_hypergraph((), ResultKind.NODE_SET)
-    return _in_hypergraph(tuple(sorted(hg2.h.forward_reachable(node))), ResultKind.NODE_SET)
+        return QueryResult(())
+    return QueryResult(tuple(sorted(hg2.h.forward_reachable(node))))
 
 
 def path_exists(hg2: HG2, from_iri: IriRef | str, to_iri: IriRef | str) -> PathResult:

@@ -95,6 +95,16 @@ def naive_instances(hg2: HG2, class_iri: str) -> set[int]:
     return result
 
 
+def naive_anchors(connectors: list[NodeConnector] | list[EdgeConnector], source: int) -> list[int]:
+    """Graph nodes of the connectors leaving ``source``, by a scan of the
+    whole connector list in insertion order."""
+    return [
+        c.graph_node
+        for c in connectors
+        if (c.hypernode if isinstance(c, NodeConnector) else c.hyperedge) == source
+    ]
+
+
 _WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 _LITERAL_TEXTS = ("x", "hello world", 'quote " mark', "tab\tchar", "café 世界", "")
 _SCHEMA_PREDICATES = (RDF_TYPE, RDFS_SUBCLASSOF, RDFS_DOMAIN, RDFS_RANGE)

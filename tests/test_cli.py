@@ -1,11 +1,21 @@
 """Command-line driver: subcommands, exit codes, stream discipline."""
 from __future__ import annotations
 
+import copy
 import json
+import random
 
 import pytest
 
-from hg2rdf import HG2, NodePayload, serialize
+from hg2rdf import (
+    HG2,
+    NodePayload,
+    SerializationError,
+    deserialize,
+    integrate,
+    parse_document,
+    serialize,
+)
 from hg2rdf.cli import main
 from conftest import CONSTRAINT_DATA, CONSTRAINT_SCHEMA, CONSTRAINT_TYPING, W3C_SAMPLE
 from oracles import check_dot
@@ -268,3 +278,86 @@ def test_parse_errors_go_to_stderr_with_positions(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "bad.nt:2" in captured.err
     assert "UnexpectedToken" in captured.err
+
+
+def test_bom_prefixed_nt_file_parses_cleanly(tmp_path, capsys):
+    data = tmp_path / "bom.nt"
+    data.write_bytes("﻿<urn:s> <urn:p> <urn:o> .\n".encode("utf-8"))
+    assert main(["stats", "--input", str(data)]) == 0
+    captured = capsys.readouterr()
+    assert "hyperedges: 1\n" in captured.out
+    assert captured.err == ""
+
+
+def test_validate_reports_a_predicate_without_an_iri(tmp_path, capsys):
+    statements, errors = parse_document(
+        "<urn:p> <http://www.w3.org/2000/01/rdf-schema#domain> <urn:C> .\n"
+        "<urn:s> <urn:p> <urn:o> .\n"
+    )
+    assert not errors
+    hg2, _ = integrate(statements)
+    document = json.loads(serialize(hg2))
+    record = next(r for r in document["hypernodes"] if r.get("iri") == "urn:p")
+    del record["iri"]
+    doc = tmp_path / "incomplete.json"
+    doc.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["validate", "--input", str(doc)]) == 1
+    captured = capsys.readouterr()
+    assert f"IncompletePayload: uri hypernode {record['id']} has no iri" in captured.out
+    assert "Traceback" not in captured.err
+
+
+MUTATION_BASE = (
+    "<urn:p> <http://www.w3.org/2000/01/rdf-schema#domain> <urn:C> .\n"
+    "<urn:p> <http://www.w3.org/2000/01/rdf-schema#range> <urn:C> .\n"
+    "<urn:D> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <urn:C> .\n"
+    "<urn:s> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:D> .\n"
+    "<urn:s> <urn:p> <urn:o> .\n"
+    "<urn:o> <urn:p> _:b .\n"
+    '_:b <urn:q> "5"^^<urn:int> .\n'
+    '<urn:s> <urn:q> "x"@en .\n'
+)
+MUTATION_VALUES = (
+    None, 0, 1, 2, -1, 10**9, True, 1.5, "", "urn:s", "uri", "blank", "literal",
+    "opaque", "Type", [], [0], [0, 1], [1, 1, 1], {},
+)
+SUBCOMMANDS = (
+    ["build"],
+    ["query", "--instances-of", "urn:C"],
+    ["query", "--statements-about", "urn:s"],
+    ["query", "--reachable", "urn:p"],
+    ["query", "--path", "urn:p", "urn:o"],
+    ["export", "--format", "json-doc"],
+    ["export", "--format", "dot"],
+    ["validate"],
+    ["stats"],
+)
+
+
+def test_single_field_mutations_never_crash_the_cli(tmp_path, capsys):
+    statements, _ = parse_document(MUTATION_BASE)
+    hg2, _ = integrate(statements)
+    base = json.loads(serialize(hg2))
+    rng = random.Random(4057)
+    doc = tmp_path / "mutant.json"
+    loaded = 0
+    for _ in range(200):
+        document = copy.deepcopy(base)
+        section = rng.choice(sorted(document))
+        record = document[section] if section == "meta" else rng.choice(document[section])
+        key = rng.choice(sorted(record))
+        if rng.random() < 0.25:
+            del record[key]
+        else:
+            record[key] = rng.choice(MUTATION_VALUES)
+        text = json.dumps(document)
+        try:
+            deserialize(text)
+        except SerializationError:
+            continue
+        loaded += 1
+        doc.write_text(text, encoding="utf-8")
+        for command in SUBCOMMANDS:
+            assert main([*command, "--input", str(doc)]) in (0, 1, 2), (command, text)
+            capsys.readouterr()
+    assert loaded > 20  # enough mutants load for the subcommands to be exercised

@@ -9,8 +9,6 @@ from hg2rdf import (
     ConstraintWarning,
     EdgeKind,
     GraphEdge,
-    IntegrationOptions,
-    Interner,
     IriRef,
     Layer,
     Literal,
@@ -21,7 +19,6 @@ from hg2rdf import (
     Statement,
     UnknownNodeError,
     check_domain_range,
-    classify_node,
     generate_connectors,
     integrate,
     load_builtin_vocabulary,
@@ -30,6 +27,7 @@ from hg2rdf import (
     parse_document,
     payload_for,
     route_statement,
+    serialize,
     statement_of,
     term_of,
     validate_mapping,
@@ -53,9 +51,8 @@ def iri(value: str) -> IriRef:
     return IriRef(value)
 
 
-def fresh() -> tuple[HG2, Interner]:
-    hg2 = HG2(g=load_builtin_vocabulary())
-    return hg2, Interner(hg2)
+def fresh() -> HG2:
+    return HG2(g=load_builtin_vocabulary())
 
 
 # ---------------------------------------------------------------- routing
@@ -110,9 +107,9 @@ def test_term_of_rejects_incomplete_payloads():
 # ------------------------------------------------------------ map_statement
 
 def test_map_statement_builds_head_predicate_tail_subject_object():
-    hg2, interner = fresh()
+    hg2 = fresh()
     statement = Statement(iri("urn:s"), iri("urn:p"), Literal("Dave Beckett"))
-    edge_id = map_statement(statement, interner)
+    edge_id = map_statement(statement, hg2)
     edge = hg2.h.edges[edge_id]
     assert hg2.h.nodes[edge.head[0]] == NodePayload.uri("urn:p")
     assert hg2.h.nodes[edge.tail[0]] == NodePayload.uri("urn:s")
@@ -121,77 +118,47 @@ def test_map_statement_builds_head_predicate_tail_subject_object():
 
 
 def test_interning_shares_nodes_across_statements(w3c_statements):
-    hg2, interner = fresh()
+    hg2 = fresh()
     for statement in w3c_statements:
-        map_statement(statement, interner)
+        map_statement(statement, hg2)
     assert hg2.h.edge_count == 3
     # 1 shared subject + 2 predicates + 3 objects
     assert hg2.h.node_count == 6
 
 
 def test_self_triple_uses_one_node_in_all_three_slots():
-    hg2, interner = fresh()
+    hg2 = fresh()
     statement = Statement(iri("urn:a"), iri("urn:a"), iri("urn:a"))
-    edge_id = map_statement(statement, interner)
+    edge_id = map_statement(statement, hg2)
     assert hg2.h.node_count == 1
     edge = hg2.h.edges[edge_id]
     assert edge.head == [0] and edge.tail == [0, 0]
 
 
 def test_duplicate_statements_reuse_the_hyperedge():
-    hg2, interner = fresh()
-    statement = Statement(iri("urn:s"), iri("urn:p"), iri("urn:o"))
-    first = map_statement(statement, interner)
-    second = map_statement(statement, interner)
-    assert first == second
+    statement = Statement(iri("urn:s"), iri("urn:p"), Literal("same"), line_no=1)
+    repeated = Statement(iri("urn:s"), iri("urn:p"), Literal("same"), line_no=2)
+    hg2, report = integrate([statement, repeated])
+    assert report.statements_in == 2
     assert hg2.h.edge_count == 1
+    assert hg2.h.node_count == 3  # equal literals share one hypernode
 
 
 def test_mapping_twice_adds_no_new_hypernodes(w3c_statements):
-    hg2, interner = fresh()
-    for statement in w3c_statements:
-        map_statement(statement, interner)
-    nodes_after_first = hg2.h.node_count
-    edges_after_first = hg2.h.edge_count
-    for statement in w3c_statements:
-        map_statement(statement, interner)
-    assert hg2.h.node_count == nodes_after_first
-    assert hg2.h.edge_count == edges_after_first
-
-
-def test_fresh_interner_still_deduplicates_existing_edges():
-    hg2, interner = fresh()
-    statement = Statement(iri("urn:s"), iri("urn:p"), iri("urn:o"))
-    map_statement(statement, interner)
-    relaunched = Interner(hg2)
-    map_statement(statement, relaunched)
-    assert hg2.h.edge_count == 1
-
-
-def test_literal_dedup_can_be_disabled():
-    hg2 = HG2(g=load_builtin_vocabulary())
-    interner = Interner(hg2, dedupe_literals=False)
-    statement = Statement(iri("urn:s"), iri("urn:p"), Literal("same"))
-    map_statement(statement, interner)
-    map_statement(statement, interner)
-    assert hg2.h.edge_count == 2  # fresh literal node each time, so fresh edges
-    literal_nodes = [
-        node
-        for node in hg2.h.nodes
-        if isinstance(node, NodePayload) and node.kind is PayloadKind.LITERAL
-    ]
-    assert len(literal_nodes) == 2
+    once, _ = integrate(w3c_statements)
+    twice, _ = integrate(w3c_statements + w3c_statements)
+    assert serialize(twice) == serialize(once)
 
 
 def test_statement_of_inverts_map_statement():
-    hg2, interner = fresh()
+    hg2 = fresh()
     statements = [
         Statement(iri("urn:s"), iri("urn:p"), iri("urn:o")),
         Statement(BlankLabel("b"), iri("urn:p"), Literal("x", language_tag="en")),
         Statement(iri("urn:s"), iri("urn:q"), Literal("5", datatype=iri("urn:int"))),
     ]
     for statement in statements:
-        assert statement_of(hg2, map_statement(statement, interner)) == statement
+        assert statement_of(hg2, map_statement(statement, hg2)) == statement
     assert statement_of(hg2, 999) is None
     hg2.h.add_hyperedge([0], [0, 0, 0])
     assert statement_of(hg2, hg2.h.edge_count - 1) is None
@@ -229,9 +196,9 @@ def test_duplicate_schema_statement_adds_nothing():
 # -------------------------------------------------------------- connectors
 
 def test_connector_generation_on_the_w3c_sample(w3c_statements):
-    hg2, interner = fresh()
+    hg2 = fresh()
     for statement in w3c_statements:
-        map_statement(statement, interner)
+        map_statement(statement, hg2)
     generate_connectors(hg2)
     assert len(hg2.connectors_e) == 3
     statement_anchor = hg2.g.find(RDF_STATEMENT)
@@ -247,9 +214,9 @@ def test_connector_generation_on_the_w3c_sample(w3c_statements):
 
 
 def test_connector_generation_is_idempotent(w3c_statements):
-    hg2, interner = fresh()
+    hg2 = fresh()
     for statement in w3c_statements:
-        map_statement(statement, interner)
+        map_statement(statement, hg2)
     generate_connectors(hg2)
     before = (list(hg2.connectors_v), list(hg2.connectors_e))
     generate_connectors(hg2)
@@ -257,7 +224,7 @@ def test_connector_generation_is_idempotent(w3c_statements):
 
 
 def test_empty_build_has_no_connectors():
-    hg2, _ = fresh()
+    hg2 = fresh()
     generate_connectors(hg2)
     assert hg2.connector_count == 0
 
@@ -290,48 +257,40 @@ def test_datatyped_literal_gets_a_datatype_connector():
     assert hg2.g.find("http://www.w3.org/1999/02/22-rdf-syntax-ns#datatype") in anchors
 
 
-def test_role_connectors_can_be_disabled():
-    statements, _ = parse_document('<urn:s> <urn:p> "5"^^<urn:int> .\n')
-    hg2, report = integrate(
-        statements, IntegrationOptions(generate_role_connectors=False)
-    )
-    assert report.connectors_e == 1  # statement anchor is always emitted
-    assert report.connectors_v == 1  # only the datatype connector remains
-
-
 # ------------------------------------------------------------ classification
 
-def test_classify_node_reports_kind_and_positions(w3c_statements):
-    hg2, interner = fresh()
+def positions(hg2: HG2, node: int) -> set[tuple[str, int]]:
+    return {(occ.slot, occ.position) for occ in hg2.h.incidence_of(node)}
+
+
+def test_incidence_and_payload_kind_place_a_node(w3c_statements):
+    hg2 = fresh()
     for statement in w3c_statements:
-        map_statement(statement, interner)
+        map_statement(statement, hg2)
     predicate = hg2.find_node(NodePayload.uri("http://purl.org/dc/elements/1.1/creator"))
-    placement = classify_node(hg2, predicate)
-    assert placement.kind is PayloadKind.URI
-    assert placement.positions() == {(HEAD, 0)}
+    assert hg2.h.nodes[predicate].kind is PayloadKind.URI
+    assert positions(hg2, predicate) == {(HEAD, 0)}
     literal = hg2.find_node(NodePayload.literal("Dave Beckett"))
-    placement = classify_node(hg2, literal)
-    assert placement.kind is PayloadKind.LITERAL
-    assert placement.positions() == {(TAIL, 1)}
+    assert hg2.h.nodes[literal].kind is PayloadKind.LITERAL
+    assert positions(hg2, literal) == {(TAIL, 1)}
     with pytest.raises(UnknownNodeError):
-        classify_node(hg2, 404)
+        hg2.h.incidence_of(404)
 
 
 def test_classify_blank_subject():
-    hg2, interner = fresh()
-    map_statement(Statement(BlankLabel("b"), iri("urn:p"), iri("urn:o")), interner)
+    hg2 = fresh()
+    map_statement(Statement(BlankLabel("b"), iri("urn:p"), iri("urn:o")), hg2)
     blank = hg2.find_node(NodePayload.blank("b"))
-    placement = classify_node(hg2, blank)
-    assert placement.kind is PayloadKind.BLANK
-    assert placement.positions() == {(TAIL, 0)}
+    assert hg2.h.nodes[blank].kind is PayloadKind.BLANK
+    assert positions(hg2, blank) == {(TAIL, 0)}
 
 
 # ---------------------------------------------------------- validate_mapping
 
 def test_mapper_output_always_validates_clean(w3c_statements):
-    hg2, interner = fresh()
+    hg2 = fresh()
     for statement in w3c_statements:
-        map_statement(statement, interner)
+        map_statement(statement, hg2)
     assert validate_mapping(hg2) == []
     assert validate_mapping(HG2()) == []
 
@@ -380,6 +339,20 @@ def test_contradictory_literal_payload_is_reported():
     violations = validate_mapping(hg2)
     assert [v.kind for v in violations] == ["LanguageTagOnTyped"]
     assert violations[0].node == node
+
+
+def test_incomplete_payloads_are_reported():
+    hg2 = HG2()
+    for kind in (PayloadKind.URI, PayloadKind.BLANK, PayloadKind.LITERAL):
+        hg2.add_node(NodePayload(kind), intern=False)
+    hg2.add_node("opaque payloads have no required field", intern=False)
+    violations = validate_mapping(hg2)
+    assert [(v.kind, v.node) for v in violations] == [
+        ("IncompletePayload", 0),
+        ("IncompletePayload", 1),
+        ("IncompletePayload", 2),
+    ]
+    assert str(violations[1]) == "IncompletePayload: blank hypernode 1 has no blank_label"
 
 
 # --------------------------------------------------------- check_domain_range
@@ -455,6 +428,15 @@ def test_untyped_iri_object_fails_a_class_range():
     assert [w.kind for w in warnings_of(hg2)] == ["RangeUnsatisfied"]
 
 
+def test_predicate_without_an_iri_is_skipped():
+    hg2 = HG2(g=load_builtin_vocabulary())
+    predicate = hg2.add_node(NodePayload(PayloadKind.URI), intern=False)
+    subject = hg2.add_node(NodePayload.uri("urn:s"))
+    hg2.h.add_hyperedge([predicate], [subject, subject])
+    assert check_domain_range(hg2) == []
+    assert [v.kind for v in validate_mapping(hg2)] == ["IncompletePayload"]
+
+
 def warnings_of(hg2: HG2) -> list[ConstraintWarning]:
     return check_domain_range(hg2)
 
@@ -491,19 +473,7 @@ def test_integrate_splits_schema_and_instance():
     assert report.schema_edges_created == 1
 
 
-def test_integrate_without_stratification_maps_everything_to_hyperedges():
-    statements, _ = parse_document(
-        "<urn:Dog> <" + RDFS_SUBCLASSOF + "> <urn:Animal> .\n"
-    )
-    hg2, report = integrate(statements, IntegrationOptions(stratify_schema=False))
-    assert report.hyperedges_created == 1
-    assert report.schema_edges_created == 0
-    assert hg2.g.node_count == 13  # vocabulary only, nothing added
-
-
 def test_integrate_output_is_frozen_and_deterministic(w3c_statements):
-    from hg2rdf import serialize
-
     first, _ = integrate(w3c_statements)
     second, _ = integrate(w3c_statements)
     assert serialize(first) == serialize(second)

@@ -150,6 +150,15 @@ def test_document_accepts_bytes():
     assert len(statements) == 1 and not errors
 
 
+def test_leading_byte_order_mark_is_dropped():
+    expected = [Statement(IriRef("urn:s"), IriRef("urn:p"), IriRef("urn:o"))]
+    assert parse_document("\ufeff<urn:s> <urn:p> <urn:o> .\n") == (expected, [])
+    assert parse_document("\ufeff<urn:s> <urn:p> <urn:o> .\n".encode("utf-8")) == (expected, [])
+    # only one leading mark is a byte order mark; a second one is content
+    _, errors = parse_document("\ufeff\ufeff<urn:s> <urn:p> <urn:o> .\n")
+    assert [e.code for e in errors] == [ErrorCode.UNEXPECTED_TOKEN]
+
+
 def test_invalid_utf8_is_an_error_value_not_an_exception():
     statements, errors = parse_document(b"<a:s> <a:p> <a:o> .\n\xff\xfe junk\n")
     assert statements == []

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +26,12 @@ from hg2rdf import (
     serialize,
     validate_mapping,
 )
-from hg2rdf import HG2, Interner
+from hg2rdf import HG2
 from hg2rdf.mapper import SCHEMA_PREDICATES
 from oracles import (
     canonical_form,
     matrix_closure,
+    naive_anchors,
     naive_reachable,
     random_class_graph,
     random_document,
@@ -89,6 +91,20 @@ def test_serialization_round_trip_on_random_structures(seed):
 
 @given(st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
+def test_anchor_index_agrees_with_the_connector_scan(seed):
+    built = random_structure(random.Random(seed))
+    for hg2 in (built, deserialize(serialize(built))):
+        for node in range(hg2.h.node_count):
+            assert hg2.anchors_of_node(node) == naive_anchors(hg2.connectors_v, node)
+        for edge in range(hg2.h.edge_count):
+            assert hg2.anchors_of_edge(edge) == naive_anchors(hg2.connectors_e, edge)
+        for connector in [*hg2.connectors_v, *hg2.connectors_e]:
+            assert hg2.add_connector(replace(connector)) is False
+        assert hg2 == built
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
 def test_reachability_agrees_with_the_fixpoint_oracle(seed):
     rng = random.Random(seed)
     hg2 = random_structure(rng)
@@ -142,12 +158,11 @@ def test_integration_is_order_stable(seed):
 def test_connector_generation_is_idempotent_on_random_builds(seed):
     corpus = random_document(random.Random(seed))
     hg2 = HG2(g=load_builtin_vocabulary())
-    interner = Interner(hg2)
-    for statement in corpus:
+    for statement in dict.fromkeys(corpus):
         if route_statement(statement) is Layer.SCHEMA:
             map_schema_statement(statement, hg2.g)
         else:
-            map_statement(statement, interner)
+            map_statement(statement, hg2)
     generate_connectors(hg2)
     snapshot = (list(hg2.connectors_v), list(hg2.connectors_e))
     generate_connectors(hg2)
@@ -158,12 +173,6 @@ def test_connector_generation_is_idempotent_on_random_builds(seed):
 @settings(max_examples=30, deadline=None)
 def test_double_integration_interns_to_the_same_structure(seed):
     corpus = random_document(random.Random(seed))
-    hg2 = HG2(g=load_builtin_vocabulary())
-    interner = Interner(hg2)
-    instance = [s for s in corpus if route_statement(s) is Layer.INSTANCE]
-    for statement in instance:
-        map_statement(statement, interner)
-    nodes, edges = hg2.h.node_count, hg2.h.edge_count
-    for statement in instance:
-        map_statement(statement, interner)
-    assert (hg2.h.node_count, hg2.h.edge_count) == (nodes, edges)
+    once, _ = integrate(corpus)
+    twice, _ = integrate(corpus + corpus)
+    assert canonical_form(twice) == canonical_form(once)

@@ -92,12 +92,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_file(path: str) -> str:
+def _read_file(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_document(path: str) -> HG2:
+    try:
+        text = _read_file(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
+    try:
+        return deserialize(text)
+    except SerializationError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _load_structure(args: argparse.Namespace) -> tuple[HG2, IntegrationReport | None, int]:
@@ -113,18 +124,14 @@ def _load_structure(args: argparse.Namespace) -> tuple[HG2, IntegrationReport | 
     if documents:
         if len(args.input) != 1 or args.schema:
             raise CliError("a serialized document must be the only input")
-        try:
-            hg2 = deserialize(_read_file(args.input[0]))
-        except SerializationError as exc:
-            raise CliError(f"{args.input[0]}: {exc}") from exc
+        hg2 = _read_document(args.input[0])
         hg2.freeze()
         return hg2, None, 0
 
     statements = []
     error_count = 0
     for path in [*args.schema, *args.input]:
-        text = _read_file(path)
-        parsed, errors = parse_document(text)
+        parsed, errors = parse_document(_read_file(path))
         for error in errors:
             print(
                 f"{path}:{error.line_no}: {error.code.value}: {error.message}",

@@ -2,8 +2,9 @@
 
 Connectors are directed dependency links and always point from the hypergraph
 layer into the graph layer; the two dataclasses make the opposite direction
-unrepresentable.  The container owns the hypernode payload index and the
-per-source anchor index; nothing else keeps identity state.
+unrepresentable.  The container owns the hypernode payload index, the
+per-source anchor index and its reverse (graph node to hypernodes); nothing
+else keeps identity state.
 
 ``serialize``/``deserialize`` round-trip the whole structure through a JSON
 document with sections ``hypernodes``, ``hyperedges``, ``graph_nodes``,
@@ -19,6 +20,7 @@ JSON-representable (e.g. tuples) will not round-trip identically.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -136,7 +138,10 @@ class HG2:
     ``node_index`` maps each hashable payload to its first hypernode; it is
     the only term identity table.  Each connector source has an anchor list
     (graph nodes in insertion order) that deduplicates connectors and answers
-    :meth:`anchors_of_node`/:meth:`anchors_of_edge` without a scan.
+    :meth:`anchors_of_node`/:meth:`anchors_of_edge` without a scan.  Each
+    graph node has the reverse list of the hypernodes anchored in it, which
+    answers :meth:`nodes_anchored_in` without a scan of ``connectors_v``.
+    All three indexes are filled by :meth:`add_node`/:meth:`add_connector`.
     """
 
     def __init__(self, g: SchemaGraph | None = None):
@@ -146,6 +151,7 @@ class HG2:
         self.connectors_e: list[EdgeConnector] = []
         self._node_anchors: dict[int, list[int]] = {}
         self._edge_anchors: dict[int, list[int]] = {}
+        self._anchored_nodes: dict[int, list[int]] = {}
         self.node_index: dict[Any, int] = {}
         self.frozen = False
 
@@ -210,6 +216,8 @@ class HG2:
             return False
         anchors.append(connector.graph_node)
         connectors.append(connector)
+        if isinstance(connector, NodeConnector):
+            self._anchored_nodes.setdefault(connector.graph_node, []).append(source)
         return True
 
     @property
@@ -227,6 +235,14 @@ class HG2:
         if not 0 <= edge < self.h.edge_count:
             raise UnknownHyperEdgeError(edge)
         return list(self._edge_anchors.get(edge, ()))
+
+    def nodes_anchored_in(self, graph_nodes: Iterable[int]) -> set[int]:
+        """Hypernodes with a node connector to any of the given graph nodes."""
+        return {
+            node
+            for graph_node in graph_nodes
+            for node in self._anchored_nodes.get(graph_node, ())
+        }
 
 
 def validate_layering(hg2: HG2) -> list[Violation]:
@@ -361,13 +377,16 @@ def _payload_from_json(record: dict[str, Any]) -> Any:
 def deserialize(text: str) -> HG2:
     """Rebuild an HG2 from its serialized document.
 
-    Raises :class:`SchemaViolation` for structural problems and
-    :class:`UnknownKind` when a kind discriminator is out of vocabulary.
+    Raises :class:`SchemaViolation` for structural problems (JSON nested
+    past the parser's depth limit included) and :class:`UnknownKind` when a
+    kind discriminator is out of vocabulary.
     """
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaViolation("JSON nesting exceeds the parser's depth limit") from None
     _require(isinstance(document, dict), "document root must be an object")
     meta = document.get("meta")
     _require(isinstance(meta, dict), "missing 'meta' section")

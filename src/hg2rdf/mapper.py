@@ -307,11 +307,6 @@ class ConstraintWarning:
         )
 
 
-def _typed_within(hg2: HG2, node: int, class_node: int) -> bool:
-    closure = hg2.g.subclass_closure(class_node)
-    return any(anchor in closure for anchor in hg2.anchors_of_node(node))
-
-
 def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
     """Soft-check rdfs:domain / rdfs:range declarations against the instances.
 
@@ -319,10 +314,27 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
     constraint C, the subject must carry a typing connector to C or to a
     descendant of C; symmetrically for range and the object, except that a
     literal object satisfies any range whose subclass closure contains
-    rdfs:Literal.  Produces warnings, never rejections.
+    rdfs:Literal.  Produces warnings, never rejections, in hyperedge order.
+
+    The cost is linear in hyperedges plus graph edges: constraints come
+    from the index behind ``SchemaGraph.constraint_of``, anchors from the
+    per-hypernode anchor lists, and each constraint class's subclass
+    closure is computed once per call and kept in a local dict.
     """
     warnings: list[ConstraintWarning] = []
     literal_class = hg2.g.find(RDFS_LITERAL)
+    closures: dict[int, set[int]] = {}
+
+    def closure_of(class_node: int) -> set[int]:
+        closure = closures.get(class_node)
+        if closure is None:
+            closure = closures[class_node] = hg2.g.subclass_closure(class_node)
+        return closure
+
+    def typed_within(node: int, class_node: int) -> bool:
+        closure = closure_of(class_node)
+        return any(anchor in closure for anchor in hg2.anchors_of_node(node))
+
     for edge in hg2.h.edges:
         if len(edge.head) != 1 or len(edge.tail) != 2:
             continue
@@ -338,7 +350,7 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
             continue
 
         domain = hg2.g.constraint_of(predicate_node, EdgeKind.DOMAIN)
-        if domain is not None and not _typed_within(hg2, edge.tail[0], domain):
+        if domain is not None and not typed_within(edge.tail[0], domain):
             warnings.append(
                 ConstraintWarning(
                     "DomainUnsatisfied", edge.tail[0], head_payload.iri, hg2.g.iri_of(domain)
@@ -350,12 +362,9 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
             object_node = edge.tail[1]
             object_payload = hg2.h.nodes[object_node]
             if isinstance(object_payload, NodePayload) and object_payload.kind is PayloadKind.LITERAL:
-                satisfied = (
-                    literal_class is not None
-                    and literal_class in hg2.g.subclass_closure(range_class)
-                )
+                satisfied = literal_class is not None and literal_class in closure_of(range_class)
             else:
-                satisfied = _typed_within(hg2, object_node, range_class)
+                satisfied = typed_within(object_node, range_class)
             if not satisfied:
                 warnings.append(
                     ConstraintWarning(

@@ -341,7 +341,8 @@ def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]
 
     Accepts ``str`` or UTF-8 ``bytes``; one leading byte order mark (U+FEFF)
     is dropped.  Undecodable bytes reject the whole document: the result is
-    ``([], [ParseError(..., INVALID_ENCODING, ...)])``.
+    ``([], [ParseError(..., INVALID_ENCODING, ...)])``.  A line ends at LF,
+    CR LF or a lone CR (the N-Triples EOL), as in a file read in text mode.
     Statements come back in source order; each malformed line contributes one
     error and is skipped.
     """
@@ -350,11 +351,12 @@ def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line_no = data[: exc.start].count(b"\n") + 1
+            prefix = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            line_no = prefix.count(b"\n") + 1
             return [], [
                 ParseError(line_no, ErrorCode.INVALID_ENCODING, f"not valid UTF-8: {exc.reason}")
             ]
-    text = text.removeprefix("\ufeff")
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     statements: list[Statement] = []
     errors: list[ParseError] = []
     for line_no, line in enumerate(text.split("\n"), start=1):

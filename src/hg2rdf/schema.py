@@ -57,6 +57,10 @@ class EdgeKind(Enum):
     RANGE = "r"
 
 
+#: The edge kinds that ``constraint_of`` answers for.
+_CONSTRAINT_KINDS = (EdgeKind.DOMAIN, EdgeKind.RANGE)
+
+
 @dataclass(frozen=True)
 class GraphEdge:
     src: int
@@ -65,7 +69,13 @@ class GraphEdge:
 
 
 class SchemaGraph:
-    """Interned IRI nodes plus deduplicated, insertion-ordered labeled edges."""
+    """Interned IRI nodes plus deduplicated, insertion-ordered labeled edges.
+
+    Edges are append-only.  ``add_edge`` also fills two indexes that the
+    lookups read instead of scanning ``edges``: the SubClassOf children of
+    each class, and the first Domain and the first Range target of each
+    node.
+    """
 
     def __init__(self) -> None:
         self.iris: list[str] = []
@@ -73,6 +83,7 @@ class SchemaGraph:
         self.edges: list[GraphEdge] = []
         self._edge_set: set[GraphEdge] = set()
         self._subclass_children: dict[int, list[int]] = {}
+        self._constraints: dict[tuple[int, EdgeKind], int] = {}
         self.frozen = False
 
     def __eq__(self, other: object) -> bool:
@@ -129,6 +140,8 @@ class SchemaGraph:
         self._edge_set.add(edge)
         if kind is EdgeKind.SUBCLASS_OF:
             self._subclass_children.setdefault(dst, []).append(src)
+        elif kind in _CONSTRAINT_KINDS:
+            self._constraints.setdefault((src, kind), dst)
         return True
 
     def subclass_closure(self, node: int) -> set[int]:
@@ -144,14 +157,16 @@ class SchemaGraph:
         return closure
 
     def constraint_of(self, node: int, kind: EdgeKind) -> int | None:
-        """Target of the first Domain or Range edge out of ``node``, if any."""
-        if kind not in (EdgeKind.DOMAIN, EdgeKind.RANGE):
+        """Target of the first Domain or Range edge out of ``node``, if any.
+
+        "First" is in edge insertion order.  The answer is one lookup in the
+        index that ``add_edge`` fills, so the cost does not grow with the
+        number of edges.
+        """
+        if kind not in _CONSTRAINT_KINDS:
             raise ValueError("constraint_of answers Domain or Range lookups only")
         self._check_node(node)
-        for edge in self.edges:
-            if edge.src == node and edge.kind is kind:
-                return edge.dst
-        return None
+        return self._constraints.get((node, kind))
 
 
 def load_builtin_vocabulary() -> SchemaGraph:

@@ -59,10 +59,7 @@ def instances_of(hg2: HG2, class_iri: IriRef | str) -> QueryResult:
     if class_node is None:
         return QueryResult(())
     closure = hg2.g.subclass_closure(class_node)
-    nodes = sorted(
-        {c.hypernode for c in hg2.connectors_v if c.graph_node in closure}
-    )
-    return QueryResult(tuple(nodes))
+    return QueryResult(tuple(sorted(hg2.nodes_anchored_in(closure))))
 
 
 def reachable_from(hg2: HG2, iri: IriRef | str) -> QueryResult:

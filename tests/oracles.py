@@ -13,6 +13,7 @@ import re
 from hg2rdf import (
     HG2,
     BlankLabel,
+    ConstraintWarning,
     EdgeConnector,
     EdgeKind,
     Hypergraph,
@@ -20,11 +21,12 @@ from hg2rdf import (
     Literal,
     NodeConnector,
     NodePayload,
+    PayloadKind,
     SchemaGraph,
     Statement,
     format_statement,
 )
-from hg2rdf.schema import RDF_TYPE, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBCLASSOF
+from hg2rdf.schema import RDF_TYPE, RDFS_DOMAIN, RDFS_LITERAL, RDFS_RANGE, RDFS_SUBCLASSOF
 
 
 def naive_reachable(hypergraph: Hypergraph, start: int) -> set[int]:
@@ -103,6 +105,77 @@ def naive_anchors(connectors: list[NodeConnector] | list[EdgeConnector], source:
         for c in connectors
         if (c.hypernode if isinstance(c, NodeConnector) else c.hyperedge) == source
     ]
+
+
+def scan_instances(hg2: HG2, class_iri: str) -> tuple[int, ...]:
+    """instances_of by a scan of every node connector against the class's
+    subclass closure, sorted."""
+    class_node = hg2.g.find(class_iri)
+    if class_node is None:
+        return ()
+    closure = hg2.g.subclass_closure(class_node)
+    return tuple(sorted({c.hypernode for c in hg2.connectors_v if c.graph_node in closure}))
+
+
+def naive_constraint_of(graph: SchemaGraph, node: int, kind: EdgeKind) -> int | None:
+    """Target of the first ``kind`` edge out of ``node``, by a scan of every
+    graph edge in insertion order."""
+    for edge in graph.edges:
+        if edge.src == node and edge.kind is kind:
+            return edge.dst
+    return None
+
+
+def naive_check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
+    """check_domain_range with an edge scan per constraint lookup and a fresh
+    subclass closure per hyperedge."""
+
+    def typed_within(node: int, class_node: int) -> bool:
+        closure = hg2.g.subclass_closure(class_node)
+        return any(anchor in closure for anchor in hg2.anchors_of_node(node))
+
+    warnings: list[ConstraintWarning] = []
+    literal_class = hg2.g.find(RDFS_LITERAL)
+    for edge in hg2.h.edges:
+        if len(edge.head) != 1 or len(edge.tail) != 2:
+            continue
+        head_payload = hg2.h.nodes[edge.head[0]]
+        if (
+            not isinstance(head_payload, NodePayload)
+            or head_payload.kind is not PayloadKind.URI
+            or head_payload.iri is None
+        ):
+            continue
+        predicate_node = hg2.g.find(head_payload.iri)
+        if predicate_node is None:
+            continue
+
+        domain = naive_constraint_of(hg2.g, predicate_node, EdgeKind.DOMAIN)
+        if domain is not None and not typed_within(edge.tail[0], domain):
+            warnings.append(
+                ConstraintWarning(
+                    "DomainUnsatisfied", edge.tail[0], head_payload.iri, hg2.g.iri_of(domain)
+                )
+            )
+
+        range_class = naive_constraint_of(hg2.g, predicate_node, EdgeKind.RANGE)
+        if range_class is not None:
+            object_node = edge.tail[1]
+            object_payload = hg2.h.nodes[object_node]
+            if isinstance(object_payload, NodePayload) and object_payload.kind is PayloadKind.LITERAL:
+                satisfied = (
+                    literal_class is not None
+                    and literal_class in hg2.g.subclass_closure(range_class)
+                )
+            else:
+                satisfied = typed_within(object_node, range_class)
+            if not satisfied:
+                warnings.append(
+                    ConstraintWarning(
+                        "RangeUnsatisfied", object_node, head_payload.iri, hg2.g.iri_of(range_class)
+                    )
+                )
+    return warnings
 
 
 _WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")

@@ -289,6 +289,42 @@ def test_bom_prefixed_nt_file_parses_cleanly(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_non_utf8_nt_file_is_a_parse_error(tmp_path, capsys):
+    data = tmp_path / "bad.nt"
+    data.write_bytes(b"\xff<urn:s> <urn:p> <urn:o> .\n")
+    assert main(["build", "--input", str(data)]) == 0
+    captured = capsys.readouterr()
+    assert "bad.nt:1: InvalidEncoding: not valid UTF-8" in captured.err
+    assert "statements in:        0" in captured.err
+    assert main(["build", "--strict", "--input", str(data)]) == 1
+    assert "aborting: 1 parse error(s)" in capsys.readouterr().err
+
+
+def test_non_utf8_document_is_an_input_error(tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_bytes(b"\xff{}")
+    assert main(["validate", "--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "bad.json: not valid UTF-8" in captured.err
+
+
+def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert main(["stats", "--input", str(doc)]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_lone_cr_line_endings_split_lines_as_lf_does(tmp_path, capsys):
+    data = tmp_path / "cr.nt"
+    data.write_bytes(W3C_SAMPLE.encode("utf-8").replace(b"\n", b"\r"))
+    assert main(["stats", "--input", str(data)]) == 0
+    captured = capsys.readouterr()
+    assert "hyperedges: 3\n" in captured.out
+    assert captured.err == ""
+
+
 def test_validate_reports_a_predicate_without_an_iri(tmp_path, capsys):
     statements, errors = parse_document(
         "<urn:p> <http://www.w3.org/2000/01/rdf-schema#domain> <urn:C> .\n"

@@ -220,6 +220,11 @@ def test_deserialize_rejects_non_json_and_non_objects():
     assert issubclass(UnknownKind, SerializationError)
 
 
+def test_deserialize_rejects_nesting_past_the_json_depth_limit():
+    with pytest.raises(SchemaViolation, match="nesting"):
+        deserialize("[" * 200_000 + "]" * 200_000)
+
+
 def test_structural_equality_of_containers():
     a = small()
     b = small()

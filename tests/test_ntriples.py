@@ -160,16 +160,19 @@ def test_leading_byte_order_mark_is_dropped():
 
 
 def test_invalid_utf8_is_an_error_value_not_an_exception():
-    statements, errors = parse_document(b"<a:s> <a:p> <a:o> .\n\xff\xfe junk\n")
-    assert statements == []
-    assert len(errors) == 1
-    assert errors[0].code is ErrorCode.INVALID_ENCODING
-    assert errors[0].line_no == 2
+    for eol in (b"\n", b"\r\n", b"\r"):
+        statements, errors = parse_document(b"<a:s> <a:p> <a:o> ." + eol + b"\xff\xfe junk" + eol)
+        assert statements == []
+        assert len(errors) == 1
+        assert errors[0].code is ErrorCode.INVALID_ENCODING
+        assert errors[0].line_no == 2
 
 
 def test_crlf_documents_parse():
-    statements, errors = parse_document("<a:s> <a:p> <a:o> .\r\n<a:s> <a:p> \"x\" .\r\n")
-    assert len(statements) == 2 and not errors
+    for eol in ("\r\n", "\r"):
+        statements, errors = parse_document(f"<a:s> <a:p> <a:o> .{eol}<a:s> <a:p> \"x\" .{eol}")
+        assert not errors
+        assert [s.line_no for s in statements] == [1, 2]
 
 
 def test_language_tag_is_case_normalized():

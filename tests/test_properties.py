@@ -17,6 +17,7 @@ from hg2rdf import (
     deserialize,
     format_statement,
     generate_connectors,
+    instances_of,
     integrate,
     load_builtin_vocabulary,
     map_schema_statement,
@@ -32,10 +33,12 @@ from oracles import (
     canonical_form,
     matrix_closure,
     naive_anchors,
+    naive_instances,
     naive_reachable,
     random_class_graph,
     random_document,
     random_structure,
+    scan_instances,
 )
 
 iri_terms = st.text(min_size=1, max_size=24).map(IriRef)
@@ -101,6 +104,17 @@ def test_anchor_index_agrees_with_the_connector_scan(seed):
         for connector in [*hg2.connectors_v, *hg2.connectors_e]:
             assert hg2.add_connector(replace(connector)) is False
         assert hg2 == built
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_instances_of_agrees_with_the_connector_scan(seed):
+    built = random_structure(random.Random(seed))
+    for hg2 in (built, deserialize(serialize(built))):
+        for iri in hg2.g.iris:
+            items = instances_of(hg2, iri).items
+            assert items == scan_instances(hg2, iri)
+            assert set(items) == naive_instances(hg2, iri)
 
 
 @given(st.integers(0, 2**32))

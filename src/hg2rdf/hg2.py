@@ -20,6 +20,7 @@ JSON-representable (e.g. tuples) will not round-trip identically.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -329,6 +330,29 @@ def serialize(hg2: HG2) -> str:
     return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
 
 
+# A JSON escape of a code point in U+D800..U+DFFF.  Valid pairs decode to one
+# character, so only a document that has such an escape can hold a lone one.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _holds_surrogate(value: Any) -> bool:
+    """Whether any string in a decoded JSON value, keys included, holds a
+    surrogate code point; iterative, so nesting depth costs no stack."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            if _SURROGATE_RE.search(item):
+                return True
+        elif isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+    return False
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaViolation(message)
@@ -379,7 +403,9 @@ def deserialize(text: str) -> HG2:
 
     Raises :class:`SchemaViolation` for structural problems (JSON nested
     past the parser's depth limit included) and :class:`UnknownKind` when a
-    kind discriminator is out of vocabulary.
+    kind discriminator is out of vocabulary.  A string holding a lone
+    surrogate (a ``\\uD800``..``\\uDFFF`` escape that is not half of a pair)
+    is a :class:`SchemaViolation` too, since it cannot be written as UTF-8.
     """
     try:
         document = json.loads(text)
@@ -387,6 +413,8 @@ def deserialize(text: str) -> HG2:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaViolation("JSON nesting exceeds the parser's depth limit") from None
+    if _SURROGATE_ESCAPE_RE.search(text) and _holds_surrogate(document):
+        raise SchemaViolation("a string holds a lone surrogate code point")
     _require(isinstance(document, dict), "document root must be an object")
     meta = document.get("meta")
     _require(isinstance(meta, dict), "missing 'meta' section")

@@ -10,6 +10,20 @@ object is ``<IRI>``, ``_:label``, or a quoted literal with an optional
 character is ``#`` are skipped.  Malformed lines never abort a document: each
 one is reported as a :class:`ParseError` value and parsing continues with the
 next line.
+
+A ``\\uXXXX`` escape, in an IRI or in a literal, must not name a surrogate
+code point (U+D800 to U+DFFF): such a code point cannot be encoded as UTF-8,
+so it is a ``BadEscape`` error at the backslash.
+
+Each line is parsed in one of two ways.  The fast path is one compiled
+regular expression, ``_LINE_RE``, matched against the whole line; it accepts
+well-formed lines whose IRIs hold no ``\\u`` escape (literal escapes are
+matched as pairs and decoded by :func:`unescape_literal`), which is nearly
+every line of real data.  A line the expression does not match, or whose
+literal holds a bad escape, goes to the character scanner ``_Scanner``, which
+accepts the full grammar above.  The scanner is the only code that builds a
+line's :class:`ParseError`, so error codes, messages and columns do not depend
+on which path a line took first.
 """
 from __future__ import annotations
 
@@ -23,8 +37,24 @@ _WS = " \t\r"
 _SIMPLE_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
 _REVERSE_ESCAPES = {"\n": "\\n", "\r": "\\r", "\t": "\\t", '"': '\\"', "\\": "\\\\"}
 
-_BLANK_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_LANG_TAG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
+_BLANK_LABEL = r"[A-Za-z][A-Za-z0-9]*"
+_LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_BLANK_LABEL_RE = re.compile(_BLANK_LABEL)
+_LANG_TAG_RE = re.compile(_LANG_TAG)
+
+# The scanner's grammar minus ``\u`` escapes in IRIs.  An IRI character is
+# what scan_iri accepts without an escape; literal content is what
+# scan_literal collects (a backslash takes the next character with it).
+# Labels and tags are matched greedily by the scanner and are always followed
+# here by whitespace or '.', so backtracking cannot pick a different split.
+_IRI = r"<([^\x00-\x20<>\\]+)>"
+_LINE_RE = re.compile(
+    rf"[ \t\r]*(?:{_IRI}|_:({_BLANK_LABEL}))[ \t\r]+"
+    rf"{_IRI}[ \t\r]+"
+    rf"(?:{_IRI}|_:({_BLANK_LABEL})"
+    rf'|"([^"\\]*(?:\\.[^"\\]*)*)"(?:@({_LANG_TAG})|\^\^{_IRI})?)'
+    r"[ \t\r]*\.[ \t\r]*"
+)
 
 
 class ErrorCode(Enum):
@@ -97,6 +127,9 @@ class ParseError:
         return f"{where}: {self.code.value}: {self.message}"
 
 
+_SURROGATE_MESSAGE = "\\u escape names a surrogate code point"
+
+
 class BadEscape(ValueError):
     """Undefined or malformed backslash escape; ``offset`` indexes the raw text."""
 
@@ -108,8 +141,9 @@ class BadEscape(ValueError):
 def unescape_literal(raw: str) -> str:
     """Decode ``\\n \\r \\t \\" \\\\`` and ``\\uXXXX`` escapes in literal content.
 
-    Any other backslash sequence raises :class:`BadEscape` carrying the offset
-    of the offending backslash within ``raw``.
+    Any other backslash sequence, and a ``\\u`` escape naming a surrogate
+    code point (U+D800 to U+DFFF), raises :class:`BadEscape` carrying the
+    offset of the offending backslash within ``raw``.
     """
     if "\\" not in raw:
         return raw
@@ -132,7 +166,10 @@ def unescape_literal(raw: str) -> str:
             digits = raw[i + 2 : i + 6]
             if len(digits) < 4 or any(d not in _HEX_DIGITS for d in digits):
                 raise BadEscape(i, "\\u requires four hex digits")
-            out.append(chr(int(digits, 16)))
+            code_point = int(digits, 16)
+            if 0xD800 <= code_point <= 0xDFFF:
+                raise BadEscape(i, _SURROGATE_MESSAGE)
+            out.append(chr(code_point))
             i += 6
             continue
         raise BadEscape(i, f"undefined escape '\\{esc}'")
@@ -199,7 +236,10 @@ class _Scanner:
                     d not in _HEX_DIGITS for d in digits
                 ):
                     raise _Halt(ErrorCode.BAD_ESCAPE, "bad escape in IRI", self.pos + 1)
-                out.append(chr(int(digits, 16)))
+                code_point = int(digits, 16)
+                if 0xD800 <= code_point <= 0xDFFF:
+                    raise _Halt(ErrorCode.BAD_ESCAPE, _SURROGATE_MESSAGE, self.pos + 1)
+                out.append(chr(code_point))
                 self.pos += 6
                 continue
             out.append(ch)
@@ -328,8 +368,37 @@ def _parse_line(line: str, line_no: int) -> Statement:
     return Statement(subject, predicate, obj, line_no=line_no)
 
 
+def _match_line(match: re.Match[str], line_no: int) -> Statement:
+    """Build the statement of a ``_LINE_RE`` match; raises BadEscape."""
+    s_iri, s_blank, p_iri, o_iri, o_blank, raw, tag, dt_iri = match.groups()
+    subject = IriRef(s_iri) if s_iri is not None else BlankLabel(s_blank)
+    if o_iri is not None:
+        obj: Term = IriRef(o_iri)
+    elif o_blank is not None:
+        obj = BlankLabel(o_blank)
+    elif tag is not None:
+        obj = Literal(unescape_literal(raw), language_tag=tag.lower())
+    elif dt_iri is not None:
+        obj = Literal(unescape_literal(raw), datatype=IriRef(dt_iri))
+    else:
+        obj = Literal(unescape_literal(raw))
+    return Statement(subject, IriRef(p_iri), obj, line_no=line_no)
+
+
 def parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
-    """Parse one line; returns a Statement or a ParseError value, never raises."""
+    """Parse one line; returns a Statement or a ParseError value, never raises.
+
+    The whole-line expression ``_LINE_RE`` is tried first.  A line it does
+    not match, or whose literal holds a bad escape, is parsed again by the
+    scanner, which then builds the ParseError; both paths give the same
+    result on every line the expression matches.
+    """
+    match = _LINE_RE.fullmatch(line)
+    if match is not None:
+        try:
+            return _match_line(match, line_no)
+        except BadEscape:
+            pass
     try:
         return _parse_line(line, line_no)
     except _Halt as halt:

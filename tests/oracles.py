@@ -21,12 +21,23 @@ from hg2rdf import (
     Literal,
     NodeConnector,
     NodePayload,
+    ParseError,
     PayloadKind,
     SchemaGraph,
     Statement,
     format_statement,
 )
+from hg2rdf.ntriples import _Halt, _parse_line
 from hg2rdf.schema import RDF_TYPE, RDFS_DOMAIN, RDFS_LITERAL, RDFS_RANGE, RDFS_SUBCLASSOF
+
+
+def scanner_parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
+    """parse_line by the character scanner alone, without the whole-line
+    expression tried first."""
+    try:
+        return _parse_line(line, line_no)
+    except _Halt as halt:
+        return ParseError(line_no, halt.code, halt.message, halt.column)
 
 
 def naive_reachable(hypergraph: Hypergraph, start: int) -> set[int]:

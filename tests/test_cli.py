@@ -1,11 +1,15 @@
 """Command-line driver: subcommands, exit codes, stream discipline."""
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hg2rdf import (
     HG2,
@@ -18,7 +22,7 @@ from hg2rdf import (
 )
 from hg2rdf.cli import main
 from conftest import CONSTRAINT_DATA, CONSTRAINT_SCHEMA, CONSTRAINT_TYPING, W3C_SAMPLE
-from oracles import check_dot
+from oracles import check_dot, random_structure
 
 
 @pytest.fixture
@@ -397,3 +401,106 @@ def test_single_field_mutations_never_crash_the_cli(tmp_path, capsys):
             assert main([*command, "--input", str(doc)]) in (0, 1, 2), (command, text)
             capsys.readouterr()
     assert loaded > 20  # enough mutants load for the subcommands to be exercised
+
+
+def run_strict(argv: list[str]) -> tuple[int, str]:
+    """Run the CLI with standard output as strict UTF-8, as on a terminal or
+    a pipe (StringIO never encodes, so it would hide a string that cannot be
+    written), and standard error with Python's backslashreplace; returns the
+    exit code and the standard error text."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+        stdout.flush()
+        stderr.flush()
+    return code, stderr.buffer.getvalue().decode()
+
+
+def test_surrogate_escapes_in_nt_files_are_parse_errors(tmp_path):
+    data = tmp_path / "surrogate.nt"
+    data.write_text(
+        '<urn:s> <urn:p> "fine" .\n'
+        '<urn:s> <urn:p> "x\\uD800y" .\n'
+        "<urn:s\\uDC00> <urn:p> <urn:o> .\n",
+        encoding="utf-8",
+    )
+    for command in SUBCOMMANDS:
+        code, err = run_strict([*command, "--input", str(data)])
+        assert code == 0, command
+        assert "surrogate.nt:2: BadEscape: \\u escape names a surrogate code point" in err
+        assert "surrogate.nt:3: BadEscape" in err
+    assert run_strict(["build", "--strict", "--input", str(data)])[0] == 1
+
+
+def test_lone_surrogate_in_a_document_is_an_input_error(tmp_path):
+    statements, _ = parse_document('<urn:s> <urn:p> "x" .\n')
+    document = json.loads(serialize(integrate(statements)[0]))
+    record = next(r for r in document["hypernodes"] if r["kind"] == "literal")
+    record["lexical_form"] = "x\ud800y"
+    doc = tmp_path / "surrogate.json"
+    doc.write_text(json.dumps(document), encoding="utf-8")
+    assert "\\ud800" in doc.read_text(encoding="utf-8")
+    for command in SUBCOMMANDS:
+        code, err = run_strict([*command, "--input", str(doc)])
+        assert code == 2, command
+        assert "lone surrogate" in err
+    # an escaped pair is one character, not a surrogate
+    record["lexical_form"] = "x\U0001F600y"
+    assert deserialize(json.dumps(document)).h.nodes[record["id"]].lexical_form == "x\U0001F600y"
+
+
+# Replacement values for one field: every JSON type, the kind names, ids in
+# and out of range, and strings that may hold lone surrogates.
+_STRINGS = st.text(
+    st.one_of(st.characters(categories=["Cs"]), st.sampled_from("az:/")), min_size=1, max_size=4
+)
+_IDS = st.integers(-1, 12)
+_FIELD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["uri", "blank", "literal", "opaque", "Type", "SubClassOf", "hg2/1",
+                     "urn:class:0", "http://example.org/n0"]),
+    _STRINGS,
+    _IDS,
+    st.lists(_IDS, max_size=3),
+    st.dictionaries(st.sampled_from(["id", "kind", "iri", "from"]), _IDS, max_size=2),
+)
+
+
+def _values_like(value: object) -> st.SearchStrategy[object]:
+    """Values of the field's own JSON type, which the loader is likelier to accept."""
+    if isinstance(value, str):
+        return _STRINGS
+    if isinstance(value, list):
+        return st.lists(_IDS, min_size=1, max_size=3)
+    return _IDS
+
+
+@given(seed=st.integers(0, 2**32), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_documents_are_rejected_or_never_crash_the_cli(tmp_path_factory, seed, data):
+    document = json.loads(serialize(random_structure(random.Random(seed))))
+    sections = sorted(k for k, v in document.items() if v)
+    # The CLI writes hypernode strings back out, so half the draws go there.
+    if "hypernodes" in sections:
+        sections += ["hypernodes"] * (len(sections) - 1)
+    section = data.draw(st.sampled_from(sections))
+    record = document[section]
+    if section != "meta":
+        record = record[data.draw(st.integers(0, len(record) - 1))]
+    key = data.draw(st.sampled_from(sorted(record)))
+    if data.draw(st.integers(0, 4)) == 0:
+        del record[key]
+    else:
+        record[key] = data.draw(st.one_of(_values_like(record[key]), _FIELD_VALUES))
+    text = json.dumps(document)
+    try:
+        deserialize(text)
+    except SerializationError:
+        return
+    doc = tmp_path_factory.mktemp("mutant") / "doc.json"
+    doc.write_text(text, encoding="utf-8")
+    for command in SUBCOMMANDS:
+        assert run_strict([*command, "--input", str(doc)])[0] in (0, 1, 2), (command, text)

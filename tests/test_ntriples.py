@@ -95,6 +95,9 @@ def test_unescape_literal_rejects_unknown_escape():
     assert info.value.offset == 3
     with pytest.raises(BadEscape):
         unescape_literal("tail\\")
+    with pytest.raises(BadEscape) as info:
+        unescape_literal("ab\\uDBFF")
+    assert info.value.offset == 2
 
 
 @pytest.mark.parametrize(
@@ -124,6 +127,45 @@ def test_malformed_lines_become_error_values(line, code):
     assert isinstance(result, ParseError)
     assert result.code is code
     assert result.line_no == 7
+
+
+# One representative line per ErrorCode with the exact column and message of
+# its error; InvalidEncoding comes from undecodable bytes, so its line is bytes.
+ERROR_POSITIONS = {
+    ErrorCode.MISSING_TERMINAL_DOT: ("<a:s> <a:p> <a:o>", 18, "statement must end with '.'"),
+    ErrorCode.UNTERMINATED_IRI: ("<a:s> <a:p> <a:o", 13, "IRI not closed by '>'"),
+    ErrorCode.UNTERMINATED_LITERAL: ('<a:s> <a:p> "open .', 13, "literal not closed by '\"'"),
+    ErrorCode.LITERAL_AS_SUBJECT: ('  "text" <a:p> <a:o> .', 3, "a literal is not allowed as subject"),
+    ErrorCode.BLANK_AS_PREDICATE: (
+        "<a:s> _:b <a:o> .", 7, "a blank node is not allowed as predicate"
+    ),
+    ErrorCode.BAD_ESCAPE: ('<a:s> <a:p> "ok\\qno" .', 16, "undefined escape '\\q' at offset 2"),
+    ErrorCode.MISSING_OBJECT: ("<a:s> <a:p> .", 13, "statement has no object term"),
+    ErrorCode.UNEXPECTED_TOKEN: ("<a:s><a:p> <a:o> .", 6, "whitespace required after subject"),
+    ErrorCode.INVALID_ENCODING: (b'<a:s> <a:p> "\xff" .', 0, "not valid UTF-8: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("code", list(ErrorCode), ids=lambda code: code.value)
+def test_every_error_code_has_a_pinned_column_and_message(code):
+    line, column, message = ERROR_POSITIONS[code]
+    assert parse_document(line) == ([], [ParseError(1, code, message, column)])
+
+
+def test_surrogate_escapes_are_bad_escapes_at_the_backslash():
+    for line, column in (
+        ('<a:s> <a:p> "x\\uD800y" .', 15),
+        ('<a:s> <a:p> "x\\udfffy"@en .', 15),
+        ("<http://a/s\\uDC00> <a:p> <a:o> .", 12),
+        ('<a:s> <a:p> "x"^^<a:\\uDBFF> .', 21),
+    ):
+        result = parse_line(line)
+        assert isinstance(result, ParseError), line
+        assert (result.code, result.column) == (ErrorCode.BAD_ESCAPE, column), line
+    # the code points on either side of the surrogate block are characters
+    statement = parse_line('<a:\\uD7FF> <a:p> "\\uE000" .')
+    assert isinstance(statement, Statement)
+    assert (statement.subject, statement.object) == (IriRef("a:\ud7ff"), Literal("\ue000"))
 
 
 def test_parse_error_str_mentions_position():

@@ -22,10 +22,9 @@ from .mapper import (
     check_domain_range,
     integrate,
     statement_of,
-    term_of,
     validate_mapping,
 )
-from .ntriples import IriRef, format_statement, format_term, parse_document
+from .ntriples import format_statement, format_term, parse_document
 from .traversal import instances_of, path_exists, reachable_from, statements_about
 
 
@@ -154,10 +153,10 @@ def _write_output(text: str, output: str | None) -> None:
         raise CliError(f"cannot write {output}: {exc}") from exc
 
 
-def _as_iri(text: str) -> IriRef:
+def _as_iri(text: str) -> str:
     if text.startswith("<") and text.endswith(">"):
-        text = text[1:-1]
-    return IriRef(text)
+        return text[1:-1]
+    return text
 
 
 def _edge_line(hg2: HG2, edge_id: int) -> str:
@@ -170,7 +169,7 @@ def _edge_line(hg2: HG2, edge_id: int) -> str:
 def _node_line(hg2: HG2, node_id: int) -> str:
     payload = hg2.h.nodes[node_id]
     try:
-        return format_term(term_of(payload))
+        return format_term(payload)
     except (TypeError, ValueError, AttributeError):
         return f"hypernode {node_id}"
 

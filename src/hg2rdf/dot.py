@@ -8,9 +8,8 @@ dashed links.
 """
 from __future__ import annotations
 
-from .hg2 import HG2, NodePayload
-from .mapper import term_of
-from .ntriples import format_term
+from .hg2 import HG2
+from .ntriples import NodePayload, format_term
 
 
 def _escape(text: str) -> str:
@@ -20,7 +19,7 @@ def _escape(text: str) -> str:
 def _node_label(payload: object) -> str:
     if isinstance(payload, NodePayload):
         try:
-            return format_term(term_of(payload))
+            return format_term(payload)
         except ValueError:
             pass
     return str(payload)

@@ -12,10 +12,11 @@ document with sections ``hypernodes``, ``hyperedges``, ``graph_nodes``,
 version ``hg2/1``).  Ids are dense and first-seen ordered, so output is
 deterministic for a given structure.
 
-Hypernode payloads serialize in two shapes: :class:`NodePayload` instances
-carry an RDF term (kind ``uri``/``blank``/``literal``); anything else is
-written as kind ``opaque`` with its JSON value, so payloads that are not
-JSON-representable (e.g. tuples) will not round-trip identically.
+Hypernode payloads serialize in two shapes: :class:`NodePayload` instances,
+the parser's RDF terms (kind ``uri``/``blank``/``literal``), write their
+fields; anything else is written as kind ``opaque`` with its JSON value, so
+payloads that are not JSON-representable (e.g. tuples) will not round-trip
+identically.
 """
 from __future__ import annotations
 
@@ -23,10 +24,10 @@ import json
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any
 
-from .hypergraph import Hypergraph
+from .hypergraph import Freezable, Hypergraph
+from .ntriples import NodePayload, PayloadKind
 from .schema import EdgeKind, SchemaGraph
 
 FORMAT_VERSION = "hg2/1"
@@ -54,53 +55,6 @@ class SchemaViolation(SerializationError):
 
 class UnknownKind(SerializationError):
     """A kind discriminator holds a value outside its vocabulary."""
-
-
-class PayloadKind(Enum):
-    URI = "uri"
-    BLANK = "blank"
-    LITERAL = "literal"
-
-
-@dataclass(frozen=True)
-class NodePayload:
-    """RDF term data attached to a hypernode.
-
-    Built through the :meth:`uri`/:meth:`blank`/:meth:`literal` factories,
-    which populate exactly the fields of one kind.  Direct construction is
-    unchecked so that loaded documents can be inspected by validators.
-    """
-
-    kind: PayloadKind
-    iri: str | None = None
-    blank_label: str | None = None
-    lexical_form: str | None = None
-    language_tag: str | None = None
-    datatype_iri: str | None = None
-
-    @classmethod
-    def uri(cls, iri: str) -> NodePayload:
-        return cls(PayloadKind.URI, iri=iri)
-
-    @classmethod
-    def blank(cls, label: str) -> NodePayload:
-        return cls(PayloadKind.BLANK, blank_label=label)
-
-    @classmethod
-    def literal(
-        cls,
-        lexical_form: str,
-        language_tag: str | None = None,
-        datatype_iri: str | None = None,
-    ) -> NodePayload:
-        if language_tag is not None and datatype_iri is not None:
-            raise ValueError("a literal cannot carry both a language tag and a datatype")
-        return cls(
-            PayloadKind.LITERAL,
-            lexical_form=lexical_form,
-            language_tag=language_tag,
-            datatype_iri=datatype_iri,
-        )
 
 
 @dataclass(frozen=True)
@@ -133,7 +87,7 @@ class Violation:
         return f"{self.kind}: {self.message}"
 
 
-class HG2:
+class HG2(Freezable):
     """A hypergraph H, a schema graph G, and the connector sets between them.
 
     ``node_index`` maps each hashable payload to its first hypernode; it is
@@ -154,7 +108,6 @@ class HG2:
         self._edge_anchors: dict[int, list[int]] = {}
         self._anchored_nodes: dict[int, list[int]] = {}
         self.node_index: dict[Any, int] = {}
-        self.frozen = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HG2):
@@ -166,20 +119,16 @@ class HG2:
             and self.connectors_e == other.connectors_e
         )
 
-    def _check_mutable(self) -> None:
-        if self.frozen:
-            raise RuntimeError("HG2 is frozen")
-
     def freeze(self) -> None:
         """Make the structure read-only; queries remain safe for concurrent use."""
-        self.frozen = True
+        super().freeze()
         self.h.freeze()
         self.g.freeze()
 
     def add_node(self, payload: Any, intern: bool = True) -> int:
         """Add a hypernode; with ``intern`` a repeated payload reuses its node."""
         if intern:
-            existing = self.node_index.get(payload)
+            existing = self.find_node(payload)
             if existing is not None:
                 return existing
         self._check_mutable()

@@ -34,14 +34,26 @@ class HyperEdge:
     tail: list[int]
 
 
-class Hypergraph:
+class Freezable:
+    """One-way switch to read-only; mutators call :meth:`_check_mutable` first."""
+
+    frozen = False
+
+    def freeze(self) -> None:
+        self.frozen = True
+
+    def _check_mutable(self) -> None:
+        if self.frozen:
+            raise RuntimeError(f"{type(self).__name__} is frozen")
+
+
+class Hypergraph(Freezable):
     """Append-only store of nodes and head/tail-partitioned hyperedges."""
 
     def __init__(self) -> None:
         self.nodes: list[Any] = []
         self.edges: list[HyperEdge] = []
         self._incidence: list[list[Occurrence]] = []
-        self.frozen = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -56,16 +68,9 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def _check_mutable(self) -> None:
-        if self.frozen:
-            raise RuntimeError("hypergraph is frozen")
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self.nodes):
             raise UnknownNodeError(node)
-
-    def freeze(self) -> None:
-        self.frozen = True
 
     def add_node(self, payload: Any) -> int:
         """Append a node and return its id (equal to the previous node count)."""

@@ -6,9 +6,11 @@ rdfs:domain, rdfs:range) *and* both subject and object are IRIs; everything
 else — including rdf:type with a blank or literal participant — stays in the
 instance layer.  Instance statements become hyperedges with the predicate as
 the single head node and subject/object as tail positions 0/1; schema
-statements become labeled edges in the graph layer.  Each distinct statement
-is mapped once, and hypernodes are interned by ``HG2.node_index`` alone, so
-one term is one hypernode and one statement is one hyperedge.
+statements become labeled edges in the graph layer.  The parser's terms are
+:class:`NodePayload` values and become hypernode payloads unconverted.  Each
+distinct statement is mapped once, and hypernodes are interned by
+``HG2.node_index`` alone, so one term is one hypernode and one statement is
+one hyperedge.
 
 Connector generation then ties the layers together: every hyperedge anchors to
 rdf:Statement, role occurrences anchor to rdf:subject / rdf:predicate /
@@ -20,15 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .hg2 import (
-    HG2,
-    EdgeConnector,
-    NodeConnector,
-    NodePayload,
-    PayloadKind,
-    Violation,
-)
-from .ntriples import BlankLabel, IriRef, Literal, Statement, Term
+from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
+from .ntriples import NodePayload, PayloadKind, Statement
 from .schema import (
     RDF_DATATYPE,
     RDF_OBJECT,
@@ -71,61 +66,57 @@ class MissingAnchorError(LookupError):
 def route_statement(statement: Statement) -> Layer:
     """Decide which layer a statement belongs to."""
     if (
-        isinstance(statement.subject, IriRef)
-        and isinstance(statement.object, IriRef)
-        and statement.predicate.value in SCHEMA_PREDICATES
+        statement.subject.kind is PayloadKind.URI
+        and statement.object.kind is PayloadKind.URI
+        and statement.predicate.iri in SCHEMA_PREDICATES
     ):
         return Layer.SCHEMA
     return Layer.INSTANCE
-
-
-def payload_for(term: Term) -> NodePayload:
-    """Hypernode payload carrying the given term."""
-    if isinstance(term, IriRef):
-        return NodePayload.uri(term.value)
-    if isinstance(term, BlankLabel):
-        return NodePayload.blank(term.label)
-    if isinstance(term, Literal):
-        datatype = term.datatype.value if term.datatype is not None else None
-        return NodePayload.literal(term.lexical_form, term.language_tag, datatype)
-    raise TypeError(f"not an RDF term: {term!r}")
-
-
-def term_of(payload: NodePayload) -> Term:
-    """Inverse of payload_for; raises ValueError on incomplete payloads."""
-    if payload.kind is PayloadKind.URI:
-        if payload.iri is None:
-            raise ValueError("uri payload without an iri")
-        return IriRef(payload.iri)
-    if payload.kind is PayloadKind.BLANK:
-        if payload.blank_label is None:
-            raise ValueError("blank payload without a label")
-        return BlankLabel(payload.blank_label)
-    if payload.lexical_form is None:
-        raise ValueError("literal payload without a lexical form")
-    datatype = IriRef(payload.datatype_iri) if payload.datatype_iri is not None else None
-    return Literal(payload.lexical_form, payload.language_tag, datatype)
 
 
 def map_statement(statement: Statement, hg2: HG2) -> int:
     """Record an instance statement as a new hyperedge; returns its id.
 
     The predicate becomes the sole head node; the subject and object become
-    tail positions 0 and 1.  Terms are interned through ``hg2.add_node``, so
-    a repeated term reuses its hypernode; repeated statements are dropped by
-    :func:`integrate` before they get here.
+    tail positions 0 and 1.  The statement's terms become the payloads as
+    they are, interned through ``hg2.add_node``, so a repeated term reuses
+    its hypernode; repeated statements are dropped by :func:`integrate`
+    before they get here.
     """
-    subject = hg2.add_node(payload_for(statement.subject))
-    predicate = hg2.add_node(payload_for(statement.predicate))
-    objekt = hg2.add_node(payload_for(statement.object))
+    subject = hg2.add_node(statement.subject)
+    predicate = hg2.add_node(statement.predicate)
+    objekt = hg2.add_node(statement.object)
     return hg2.h.add_hyperedge([predicate], [subject, objekt])
+
+
+#: The payload field each term kind cannot do without.
+_REQUIRED_FIELD = {
+    PayloadKind.URI: "iri",
+    PayloadKind.BLANK: "blank_label",
+    PayloadKind.LITERAL: "lexical_form",
+}
+
+
+def _is_term(payload: object) -> bool:
+    """Whether a payload is a complete RDF term: a NodePayload carrying the
+    field its kind requires, and not a literal with both a tag and a datatype."""
+    if not isinstance(payload, NodePayload):
+        return False
+    if getattr(payload, _REQUIRED_FIELD[payload.kind]) is None:
+        return False
+    return not (
+        payload.kind is PayloadKind.LITERAL
+        and payload.language_tag is not None
+        and payload.datatype_iri is not None
+    )
 
 
 def statement_of(hg2: HG2, edge_id: int) -> Statement | None:
     """Reconstruct the statement a hyperedge encodes, if it is statement-shaped.
 
-    Returns None for hyperedges that were not produced by map_statement
-    (wrong arity, opaque payloads, or payloads that do not form valid terms).
+    Returns None for hyperedges that were not produced by map_statement:
+    wrong arity, an opaque or incomplete payload, a literal with both a
+    language tag and a datatype, a literal subject or a non-IRI predicate.
     """
     if not 0 <= edge_id < hg2.h.edge_count:
         return None
@@ -133,15 +124,10 @@ def statement_of(hg2: HG2, edge_id: int) -> Statement | None:
     if len(edge.head) != 1 or len(edge.tail) != 2:
         return None
     payloads = [hg2.h.nodes[n] for n in (edge.tail[0], edge.head[0], edge.tail[1])]
-    if not all(isinstance(p, NodePayload) for p in payloads):
+    if not all(_is_term(p) for p in payloads):
         return None
-    try:
-        subject, predicate, objekt = (term_of(p) for p in payloads)
-    except ValueError:
-        return None
-    if not isinstance(predicate, IriRef):
-        return None
-    if isinstance(subject, Literal):
+    subject, predicate, objekt = payloads
+    if subject.kind is PayloadKind.LITERAL or predicate.kind is not PayloadKind.URI:
         return None
     return Statement(subject, predicate, objekt)
 
@@ -152,9 +138,9 @@ def map_schema_statement(statement: Statement, graph: SchemaGraph) -> bool:
     For rdfs:subClassOf this realizes the child → parent direction.  Returns
     True when a new edge was added, False on an exact duplicate.
     """
-    kind = SCHEMA_PREDICATES[statement.predicate.value]
-    src = graph.intern(statement.subject.value)
-    dst = graph.intern(statement.object.value)
+    kind = SCHEMA_PREDICATES[statement.predicate.iri]
+    src = graph.intern(statement.subject.iri)
+    dst = graph.intern(statement.object.iri)
     return graph.add_edge(src, dst, kind)
 
 
@@ -200,14 +186,6 @@ def generate_connectors(hg2: HG2) -> None:
             if graph_node is not None:
                 for class_node in class_nodes.get(graph_node, ()):
                     hg2.add_connector(NodeConnector(node_id, class_node))
-
-
-#: The payload field each term kind cannot do without.
-_REQUIRED_FIELD = {
-    PayloadKind.URI: "iri",
-    PayloadKind.BLANK: "blank_label",
-    PayloadKind.LITERAL: "lexical_form",
-}
 
 
 def validate_mapping(hg2: HG2) -> list[Violation]:

@@ -11,6 +11,10 @@ character is ``#`` are skipped.  Malformed lines never abort a document: each
 one is reported as a :class:`ParseError` value and parsing continues with the
 next line.
 
+Every term is a :class:`NodePayload`, the one RDF term type of the package:
+the hypergraph layer stores the parser's terms as hypernode payloads as they
+are, and :func:`format_term` renders them back.
+
 A ``\\uXXXX`` escape, in an IRI or in a literal, must not name a surrogate
 code point (U+D800 to U+DFFF): such a code point cannot be encoded as UTF-8,
 so it is a ``BadEscape`` error at the backslash.
@@ -71,43 +75,62 @@ class ErrorCode(Enum):
     INVALID_ENCODING = "InvalidEncoding"
 
 
-@dataclass(frozen=True)
-class IriRef:
-    """An absolute IRI, stored verbatim; equality is exact string equality."""
-
-    value: str
-
-
-@dataclass(frozen=True)
-class BlankLabel:
-    """A blank node label; identity is only meaningful within one document."""
-
-    label: str
+class PayloadKind(Enum):
+    URI = "uri"
+    BLANK = "blank"
+    LITERAL = "literal"
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A string object term, optionally language-tagged or datatyped."""
+@dataclass(frozen=True, slots=True)
+class NodePayload:
+    """An RDF term: an IRI, a blank node label or a literal.
 
-    lexical_form: str
+    The parser builds every term, and a hypernode carries the term as its
+    payload, so this is the only term type.  Built through the
+    :meth:`uri`/:meth:`blank`/:meth:`literal` factories, which populate
+    exactly the fields of one kind.  Direct construction is unchecked so that
+    loaded documents can be inspected by validators.
+    """
+
+    kind: PayloadKind
+    iri: str | None = None
+    blank_label: str | None = None
+    lexical_form: str | None = None
     language_tag: str | None = None
-    datatype: IriRef | None = None
+    datatype_iri: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.language_tag is not None and self.datatype is not None:
+    @classmethod
+    def uri(cls, iri: str) -> NodePayload:
+        return cls(PayloadKind.URI, iri=iri)
+
+    @classmethod
+    def blank(cls, label: str) -> NodePayload:
+        return cls(PayloadKind.BLANK, blank_label=label)
+
+    @classmethod
+    def literal(
+        cls,
+        lexical_form: str,
+        language_tag: str | None = None,
+        datatype_iri: str | None = None,
+    ) -> NodePayload:
+        if language_tag is not None and datatype_iri is not None:
             raise ValueError("a literal cannot carry both a language tag and a datatype")
-
-
-Term = IriRef | BlankLabel | Literal
+        return cls(
+            PayloadKind.LITERAL,
+            lexical_form=lexical_form,
+            language_tag=language_tag,
+            datatype_iri=datatype_iri,
+        )
 
 
 @dataclass(frozen=True)
 class Statement:
     """One parsed triple.  ``line_no`` is the source line and does not affect equality."""
 
-    subject: IriRef | BlankLabel
-    predicate: IriRef
-    object: Term
+    subject: NodePayload
+    predicate: NodePayload
+    object: NodePayload
     line_no: int = field(default=0, compare=False)
 
 
@@ -211,7 +234,7 @@ class _Scanner:
                 self.pos + 1,
             )
 
-    def scan_iri(self) -> IriRef:
+    def scan_iri(self) -> str:
         # caller guarantees the scanner sits on '<'
         open_pos = self.pos
         self.pos += 1
@@ -247,9 +270,9 @@ class _Scanner:
         value = "".join(out)
         if not value:
             raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "empty IRI", open_pos + 1)
-        return IriRef(value)
+        return value
 
-    def scan_blank(self) -> BlankLabel:
+    def scan_blank(self) -> NodePayload:
         start = self.pos
         if self.line[self.pos : self.pos + 2] != "_:":
             raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "'_' must introduce '_:label'", start + 1)
@@ -257,9 +280,9 @@ class _Scanner:
         if not match:
             raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "invalid blank node label", start + 1)
         self.pos = match.end()
-        return BlankLabel(match.group())
+        return NodePayload.blank(match.group())
 
-    def scan_literal(self) -> Literal:
+    def scan_literal(self) -> NodePayload:
         open_pos = self.pos
         self.pos += 1
         raw: list[str] = []
@@ -290,7 +313,7 @@ class _Scanner:
             if not match:
                 raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "malformed language tag", tag_pos + 1)
             self.pos = match.end()
-            return Literal(lexical, language_tag=match.group().lower())
+            return NodePayload.literal(lexical, language_tag=match.group().lower())
         if self.peek() == "^":
             caret_pos = self.pos
             if self.line[self.pos : self.pos + 2] != "^^":
@@ -300,8 +323,8 @@ class _Scanner:
                 raise _Halt(
                     ErrorCode.UNEXPECTED_TOKEN, "datatype requires an IRI", self.pos + 1
                 )
-            return Literal(lexical, datatype=self.scan_iri())
-        return Literal(lexical)
+            return NodePayload.literal(lexical, datatype_iri=self.scan_iri())
+        return NodePayload.literal(lexical)
 
 
 def _parse_line(line: str, line_no: int) -> Statement:
@@ -310,7 +333,7 @@ def _parse_line(line: str, line_no: int) -> Statement:
 
     ch = scanner.peek()
     if ch == "<":
-        subject: IriRef | BlankLabel = scanner.scan_iri()
+        subject = NodePayload.uri(scanner.scan_iri())
     elif ch == "_":
         subject = scanner.scan_blank()
     elif ch == '"':
@@ -325,7 +348,7 @@ def _parse_line(line: str, line_no: int) -> Statement:
 
     ch = scanner.peek()
     if ch == "<":
-        predicate = scanner.scan_iri()
+        predicate = NodePayload.uri(scanner.scan_iri())
     elif ch == "_":
         raise _Halt(
             ErrorCode.BLANK_AS_PREDICATE,
@@ -340,7 +363,7 @@ def _parse_line(line: str, line_no: int) -> Statement:
 
     ch = scanner.peek()
     if ch == "<":
-        obj: Term = scanner.scan_iri()
+        obj = NodePayload.uri(scanner.scan_iri())
     elif ch == "_":
         obj = scanner.scan_blank()
     elif ch == '"':
@@ -371,18 +394,14 @@ def _parse_line(line: str, line_no: int) -> Statement:
 def _match_line(match: re.Match[str], line_no: int) -> Statement:
     """Build the statement of a ``_LINE_RE`` match; raises BadEscape."""
     s_iri, s_blank, p_iri, o_iri, o_blank, raw, tag, dt_iri = match.groups()
-    subject = IriRef(s_iri) if s_iri is not None else BlankLabel(s_blank)
+    subject = NodePayload.uri(s_iri) if s_iri is not None else NodePayload.blank(s_blank)
     if o_iri is not None:
-        obj: Term = IriRef(o_iri)
+        obj = NodePayload.uri(o_iri)
     elif o_blank is not None:
-        obj = BlankLabel(o_blank)
-    elif tag is not None:
-        obj = Literal(unescape_literal(raw), language_tag=tag.lower())
-    elif dt_iri is not None:
-        obj = Literal(unescape_literal(raw), datatype=IriRef(dt_iri))
+        obj = NodePayload.blank(o_blank)
     else:
-        obj = Literal(unescape_literal(raw))
-    return Statement(subject, IriRef(p_iri), obj, line_no=line_no)
+        obj = NodePayload.literal(unescape_literal(raw), None if tag is None else tag.lower(), dt_iri)
+    return Statement(subject, NodePayload.uri(p_iri), obj, line_no=line_no)
 
 
 def parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
@@ -462,17 +481,29 @@ def _escape_iri(text: str) -> str:
     return "".join(out)
 
 
-def format_term(term: Term) -> str:
-    """Render a term in canonical N-Triples syntax (re-parseable)."""
-    if isinstance(term, IriRef):
-        return f"<{_escape_iri(term.value)}>"
-    if isinstance(term, BlankLabel):
-        return f"_:{term.label}"
+def format_term(term: NodePayload) -> str:
+    """Render a term in canonical N-Triples syntax (re-parseable).
+
+    Raises ValueError when the term lacks the field its kind requires, or is
+    a literal with both a language tag and a datatype.
+    """
+    if term.kind is PayloadKind.URI:
+        if term.iri is None:
+            raise ValueError("uri payload without an iri")
+        return f"<{_escape_iri(term.iri)}>"
+    if term.kind is PayloadKind.BLANK:
+        if term.blank_label is None:
+            raise ValueError("blank payload without a label")
+        return f"_:{term.blank_label}"
+    if term.lexical_form is None:
+        raise ValueError("literal payload without a lexical form")
     text = f'"{_escape_literal(term.lexical_form)}"'
     if term.language_tag is not None:
+        if term.datatype_iri is not None:
+            raise ValueError("a literal cannot carry both a language tag and a datatype")
         return f"{text}@{term.language_tag}"
-    if term.datatype is not None:
-        return f"{text}^^<{_escape_iri(term.datatype.value)}>"
+    if term.datatype_iri is not None:
+        return f"{text}^^<{_escape_iri(term.datatype_iri)}>"
     return text
 
 

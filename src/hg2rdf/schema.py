@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .hypergraph import UnknownNodeError
+from .hypergraph import Freezable, UnknownNodeError
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -68,7 +68,7 @@ class GraphEdge:
     kind: EdgeKind
 
 
-class SchemaGraph:
+class SchemaGraph(Freezable):
     """Interned IRI nodes plus deduplicated, insertion-ordered labeled edges.
 
     Edges are append-only.  ``add_edge`` also fills two indexes that the
@@ -84,7 +84,6 @@ class SchemaGraph:
         self._edge_set: set[GraphEdge] = set()
         self._subclass_children: dict[int, list[int]] = {}
         self._constraints: dict[tuple[int, EdgeKind], int] = {}
-        self.frozen = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SchemaGraph):
@@ -99,16 +98,9 @@ class SchemaGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def _check_mutable(self) -> None:
-        if self.frozen:
-            raise RuntimeError("schema graph is frozen")
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self.iris):
             raise UnknownNodeError(node)
-
-    def freeze(self) -> None:
-        self.frozen = True
 
     def intern(self, iri: str) -> int:
         """Return the node id for ``iri``, creating it on first sight."""

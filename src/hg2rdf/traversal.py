@@ -1,8 +1,8 @@
 """Read-only cross-layer queries over a built structure.
 
-Every query resolves IRIs to hypernodes through the payload index, returns
-ids in a deterministic order, and never mutates: a structure serialized
-before and after any of these calls is byte-identical.
+Every query takes IRIs as plain strings, resolves them to hypernodes through
+the payload index, returns ids in a deterministic order, and never mutates: a
+structure serialized before and after any of these calls is byte-identical.
 """
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from .hg2 import HG2
 from .hypergraph import HEAD, TAIL
-from .mapper import payload_for
-from .ntriples import IriRef
+from .ntriples import NodePayload
 
 
 @dataclass(frozen=True)
@@ -32,37 +31,38 @@ class PathResult:
     edges: tuple[int, ...]
 
 
-def _node_of(hg2: HG2, iri: IriRef | str) -> int | None:
-    value = iri.value if isinstance(iri, IriRef) else iri
-    return hg2.find_node(payload_for(IriRef(value)))
+def _node_of(hg2: HG2, iri: str) -> int | None:
+    return hg2.find_node(NodePayload.uri(iri))
 
 
-def statements_about(hg2: HG2, subject_iri: IriRef | str) -> QueryResult:
-    """All hyperedges whose subject slot (tail position 0) is the given IRI."""
+def statements_about(hg2: HG2, subject_iri: str) -> QueryResult:
+    """All hyperedges whose subject slot (tail position 0) is the given IRI.
+
+    Incidences come in edge-id order, and a node fills tail position 0 of an
+    edge at most once, so the edges need no sorting or deduplication.
+    """
     node = _node_of(hg2, subject_iri)
     if node is None:
         return QueryResult(())
-    edges = sorted(
-        {
+    return QueryResult(
+        tuple(
             occ.edge
             for occ in hg2.h.incidence_of(node)
             if occ.slot == TAIL and occ.position == 0
-        }
+        )
     )
-    return QueryResult(tuple(edges))
 
 
-def instances_of(hg2: HG2, class_iri: IriRef | str) -> QueryResult:
+def instances_of(hg2: HG2, class_iri: str) -> QueryResult:
     """All hypernodes typed as the class or any class in its subclass closure."""
-    value = class_iri.value if isinstance(class_iri, IriRef) else class_iri
-    class_node = hg2.g.find(value)
+    class_node = hg2.g.find(class_iri)
     if class_node is None:
         return QueryResult(())
     closure = hg2.g.subclass_closure(class_node)
     return QueryResult(tuple(sorted(hg2.nodes_anchored_in(closure))))
 
 
-def reachable_from(hg2: HG2, iri: IriRef | str) -> QueryResult:
+def reachable_from(hg2: HG2, iri: str) -> QueryResult:
     """Hypernodes reachable from the IRI's node by firing hyperedges forward."""
     node = _node_of(hg2, iri)
     if node is None:
@@ -70,7 +70,7 @@ def reachable_from(hg2: HG2, iri: IriRef | str) -> QueryResult:
     return QueryResult(tuple(sorted(hg2.h.forward_reachable(node))))
 
 
-def path_exists(hg2: HG2, from_iri: IriRef | str, to_iri: IriRef | str) -> PathResult:
+def path_exists(hg2: HG2, from_iri: str, to_iri: str) -> PathResult:
     """Is the target forward-reachable from the source?  Includes a witness.
 
     Reflexive by convention: a term reaches itself through the empty path
@@ -90,8 +90,9 @@ def path_exists(hg2: HG2, from_iri: IriRef | str, to_iri: IriRef | str) -> PathR
     queue: deque[int] = deque([source])
     while queue:
         current = queue.popleft()
-        fired = sorted(
-            {occ.edge for occ in hg2.h.incidence_of(current) if occ.slot == HEAD}
+        # incidences are in edge-id order; a node may head one edge twice
+        fired = dict.fromkeys(
+            occ.edge for occ in hg2.h.incidence_of(current) if occ.slot == HEAD
         )
         for edge_id in fired:
             for node in hg2.h.edges[edge_id].tail:

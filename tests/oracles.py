@@ -12,13 +12,10 @@ import re
 
 from hg2rdf import (
     HG2,
-    BlankLabel,
     ConstraintWarning,
     EdgeConnector,
     EdgeKind,
     Hypergraph,
-    IriRef,
-    Literal,
     NodeConnector,
     NodePayload,
     ParseError,
@@ -195,29 +192,29 @@ _SCHEMA_PREDICATES = (RDF_TYPE, RDFS_SUBCLASSOF, RDFS_DOMAIN, RDFS_RANGE)
 
 
 def random_statement(rng: random.Random) -> Statement:
-    def iri() -> IriRef:
-        return IriRef(f"http://example.org/{rng.choice(_WORDS)}{rng.randrange(6)}")
+    def iri() -> NodePayload:
+        return NodePayload.uri(f"http://example.org/{rng.choice(_WORDS)}{rng.randrange(6)}")
 
-    def blank() -> BlankLabel:
-        return BlankLabel(f"b{rng.randrange(5)}")
+    def blank() -> NodePayload:
+        return NodePayload.blank(f"b{rng.randrange(5)}")
 
-    def literal() -> Literal:
+    def literal() -> NodePayload:
         text = rng.choice(_LITERAL_TEXTS)
         roll = rng.random()
         if roll < 0.34:
-            return Literal(text)
+            return NodePayload.literal(text)
         if roll < 0.67:
-            return Literal(text, language_tag=rng.choice(("en", "en-us", "de")))
-        return Literal(text, datatype=iri())
+            return NodePayload.literal(text, language_tag=rng.choice(("en", "en-us", "de")))
+        return NodePayload.literal(text, datatype_iri=iri().iri)
 
     subject = iri() if rng.random() < 0.8 else blank()
     if rng.random() < 0.25:
-        predicate = IriRef(rng.choice(_SCHEMA_PREDICATES))
+        predicate = NodePayload.uri(rng.choice(_SCHEMA_PREDICATES))
     else:
         predicate = iri()
     roll = rng.random()
     if roll < 0.5:
-        objekt: IriRef | BlankLabel | Literal = iri()
+        objekt = iri()
     elif roll < 0.65:
         objekt = blank()
     else:

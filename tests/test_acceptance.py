@@ -13,10 +13,9 @@ from hg2rdf import (
     HG2,
     EdgeConnector,
     IntegrationReport,
-    IriRef,
     Layer,
-    Literal,
     NodeConnector,
+    NodePayload,
     Statement,
     check_domain_range,
     deserialize,
@@ -65,12 +64,12 @@ def test_01_sample_document_parses_to_the_three_exact_statements():
     statements, errors = parse_document(W3C_SAMPLE)
     assert errors == []
     assert len(statements) == 3
-    subject = IriRef("http://www.w3.org/2001/sw/RDFCore/ntriples/")
-    creator = IriRef("http://purl.org/dc/elements/1.1/creator")
-    publisher = IriRef("http://purl.org/dc/elements/1.1/publisher")
-    assert statements[0] == Statement(subject, creator, Literal("Dave Beckett"))
-    assert statements[1] == Statement(subject, creator, Literal("Art Barstow"))
-    assert statements[2] == Statement(subject, publisher, IriRef("http://www.w3.org/"))
+    subject = NodePayload.uri("http://www.w3.org/2001/sw/RDFCore/ntriples/")
+    creator = NodePayload.uri("http://purl.org/dc/elements/1.1/creator")
+    publisher = NodePayload.uri("http://purl.org/dc/elements/1.1/publisher")
+    assert statements[0] == Statement(subject, creator, NodePayload.literal("Dave Beckett"))
+    assert statements[1] == Statement(subject, creator, NodePayload.literal("Art Barstow"))
+    assert statements[2] == Statement(subject, publisher, NodePayload.uri("http://www.w3.org/"))
     assert statements[0].object.lexical_form == "Dave Beckett"
     print("PASS  1: sample document parses to the three exact statements")
 

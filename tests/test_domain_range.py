@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from hg2rdf import (
     EdgeKind,
-    IriRef,
-    Literal,
+    NodePayload,
     SchemaGraph,
     Statement,
     check_domain_range,
@@ -83,21 +82,21 @@ def test_first_declaration_wins_and_a_subclass_cycle_terminates():
 def _many_hyperedges(rng: random.Random) -> list[Statement]:
     """Ten constrained properties over a ten-class chain, 3000 instance
     statements, a third of the subjects untyped."""
-    classes = [IriRef(f"urn:C{i}") for i in range(10)]
-    properties = [IriRef(f"urn:p{i}") for i in range(10)]
+    classes = [NodePayload.uri(f"urn:C{i}") for i in range(10)]
+    properties = [NodePayload.uri(f"urn:p{i}") for i in range(10)]
     statements = [
-        Statement(child, IriRef(RDFS_SUBCLASSOF), parent)
+        Statement(child, NodePayload.uri(RDFS_SUBCLASSOF), parent)
         for child, parent in zip(classes[1:], classes)
     ]
     for index, prop in enumerate(properties):
-        statements.append(Statement(prop, IriRef(RDFS_DOMAIN), classes[index]))
-        statements.append(Statement(prop, IriRef(RDFS_RANGE), classes[(index * 3) % 10]))
-    entities = [IriRef(f"urn:e{i}") for i in range(300)]
+        statements.append(Statement(prop, NodePayload.uri(RDFS_DOMAIN), classes[index]))
+        statements.append(Statement(prop, NodePayload.uri(RDFS_RANGE), classes[(index * 3) % 10]))
+    entities = [NodePayload.uri(f"urn:e{i}") for i in range(300)]
     for entity in entities:
         if rng.random() < 0.67:
-            statements.append(Statement(entity, IriRef(RDF_TYPE), rng.choice(classes)))
+            statements.append(Statement(entity, NodePayload.uri(RDF_TYPE), rng.choice(classes)))
     for _ in range(3000):
-        objekt = rng.choice(entities) if rng.random() < 0.8 else Literal("x")
+        objekt = rng.choice(entities) if rng.random() < 0.8 else NodePayload.literal("x")
         statements.append(Statement(rng.choice(entities), rng.choice(properties), objekt))
     return statements
 

@@ -62,6 +62,13 @@ def test_unhashable_payloads_are_allowed_but_unindexed():
     assert hg2.find_node(["not", "hashable"]) is None
 
 
+def test_interning_add_node_treats_an_unhashable_payload_as_absent():
+    hg2 = HG2()
+    first = hg2.add_node(["x"])
+    assert hg2.add_node(["x"]) == first + 1  # never indexed, so never reused
+    assert hg2.find_node(["x"]) is None
+
+
 def test_connectors_validate_endpoints_and_deduplicate():
     hg2 = small()
     assert hg2.add_connector(NodeConnector(0, 0)) is True

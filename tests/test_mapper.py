@@ -5,13 +5,10 @@ import pytest
 
 from hg2rdf import (
     HG2,
-    BlankLabel,
     ConstraintWarning,
     EdgeKind,
     GraphEdge,
-    IriRef,
     Layer,
-    Literal,
     MissingAnchorError,
     NodePayload,
     PayloadKind,
@@ -19,17 +16,18 @@ from hg2rdf import (
     Statement,
     UnknownNodeError,
     check_domain_range,
+    format_statement,
+    format_term,
     generate_connectors,
     integrate,
     load_builtin_vocabulary,
     map_schema_statement,
     map_statement,
     parse_document,
-    payload_for,
+    parse_line,
     route_statement,
     serialize,
     statement_of,
-    term_of,
     validate_mapping,
 )
 from hg2rdf.hypergraph import HEAD, TAIL
@@ -45,10 +43,11 @@ from hg2rdf.schema import (
     RDFS_SUBCLASSOF,
 )
 from conftest import CONSTRAINT_DATA, CONSTRAINT_SCHEMA, CONSTRAINT_TYPING
+from test_acceptance import fuzz_corpus
 
 
-def iri(value: str) -> IriRef:
-    return IriRef(value)
+def iri(value: str) -> NodePayload:
+    return NodePayload.uri(value)
 
 
 def fresh() -> HG2:
@@ -63,14 +62,14 @@ def test_vocabulary_statement_routes_to_schema_layer():
 
 
 def test_ordinary_predicate_routes_to_instance_layer():
-    statement = Statement(iri("urn:d1"), iri("urn:creator"), Literal("X"))
+    statement = Statement(iri("urn:d1"), iri("urn:creator"), NodePayload.literal("X"))
     assert route_statement(statement) is Layer.INSTANCE
 
 
 def test_typing_with_blank_participant_stays_in_instance_layer():
-    assert route_statement(Statement(iri("urn:d1"), iri(RDF_TYPE), BlankLabel("b"))) is Layer.INSTANCE
-    assert route_statement(Statement(BlankLabel("b"), iri(RDF_TYPE), iri("urn:C"))) is Layer.INSTANCE
-    assert route_statement(Statement(iri("urn:d1"), iri(RDF_TYPE), Literal("C"))) is Layer.INSTANCE
+    assert route_statement(Statement(iri("urn:d1"), iri(RDF_TYPE), NodePayload.blank("b"))) is Layer.INSTANCE
+    assert route_statement(Statement(NodePayload.blank("b"), iri(RDF_TYPE), iri("urn:C"))) is Layer.INSTANCE
+    assert route_statement(Statement(iri("urn:d1"), iri(RDF_TYPE), NodePayload.literal("C"))) is Layer.INSTANCE
 
 
 def test_every_vocabulary_predicate_routes_when_both_ends_are_iris():
@@ -82,33 +81,36 @@ def test_every_vocabulary_predicate_routes_when_both_ends_are_iris():
 # ------------------------------------------------------------- payloads
 
 def test_payload_round_trip_for_each_term_kind():
-    terms = [
-        iri("urn:x"),
-        BlankLabel("b7"),
-        Literal("plain"),
-        Literal("tagged", language_tag="en"),
-        Literal("5", datatype=iri("urn:int")),
-    ]
-    for term in terms:
-        assert term_of(payload_for(term)) == term
+    terms = {
+        "<urn:x>": iri("urn:x"),
+        "_:b7": NodePayload.blank("b7"),
+        '"plain"': NodePayload.literal("plain"),
+        '"tagged"@en': NodePayload.literal("tagged", language_tag="en"),
+        '"5"^^<urn:int>': NodePayload.literal("5", datatype_iri="urn:int"),
+    }
+    for text, term in terms.items():
+        parsed = parse_line(f"<urn:s> <urn:p> {text} .").object
+        assert parsed == term
+        assert format_term(parsed) == text
+        assert parse_line(f"<urn:s> <urn:p> {format_term(parsed)} .").object == term
 
 
-def test_term_of_rejects_incomplete_payloads():
-    with pytest.raises(ValueError):
-        term_of(NodePayload(PayloadKind.URI))
-    with pytest.raises(ValueError):
-        term_of(NodePayload(PayloadKind.BLANK))
-    with pytest.raises(ValueError):
-        term_of(NodePayload(PayloadKind.LITERAL))
-    with pytest.raises(TypeError):
-        payload_for("bare string")
+def test_format_term_rejects_incomplete_payloads():
+    for payload in (
+        NodePayload(PayloadKind.URI),
+        NodePayload(PayloadKind.BLANK),
+        NodePayload(PayloadKind.LITERAL),
+        NodePayload(PayloadKind.LITERAL, lexical_form="x", language_tag="en", datatype_iri="urn:t"),
+    ):
+        with pytest.raises(ValueError):
+            format_term(payload)
 
 
 # ------------------------------------------------------------ map_statement
 
 def test_map_statement_builds_head_predicate_tail_subject_object():
     hg2 = fresh()
-    statement = Statement(iri("urn:s"), iri("urn:p"), Literal("Dave Beckett"))
+    statement = Statement(iri("urn:s"), iri("urn:p"), NodePayload.literal("Dave Beckett"))
     edge_id = map_statement(statement, hg2)
     edge = hg2.h.edges[edge_id]
     assert hg2.h.nodes[edge.head[0]] == NodePayload.uri("urn:p")
@@ -136,8 +138,8 @@ def test_self_triple_uses_one_node_in_all_three_slots():
 
 
 def test_duplicate_statements_reuse_the_hyperedge():
-    statement = Statement(iri("urn:s"), iri("urn:p"), Literal("same"), line_no=1)
-    repeated = Statement(iri("urn:s"), iri("urn:p"), Literal("same"), line_no=2)
+    statement = Statement(iri("urn:s"), iri("urn:p"), NodePayload.literal("same"), line_no=1)
+    repeated = Statement(iri("urn:s"), iri("urn:p"), NodePayload.literal("same"), line_no=2)
     hg2, report = integrate([statement, repeated])
     assert report.statements_in == 2
     assert hg2.h.edge_count == 1
@@ -154,14 +156,39 @@ def test_statement_of_inverts_map_statement():
     hg2 = fresh()
     statements = [
         Statement(iri("urn:s"), iri("urn:p"), iri("urn:o")),
-        Statement(BlankLabel("b"), iri("urn:p"), Literal("x", language_tag="en")),
-        Statement(iri("urn:s"), iri("urn:q"), Literal("5", datatype=iri("urn:int"))),
+        Statement(NodePayload.blank("b"), iri("urn:p"), NodePayload.literal("x", language_tag="en")),
+        Statement(iri("urn:s"), iri("urn:q"), NodePayload.literal("5", datatype_iri="urn:int")),
     ]
     for statement in statements:
         assert statement_of(hg2, map_statement(statement, hg2)) == statement
+    unrecoverable = [
+        Statement(NodePayload.literal("x"), iri("urn:p"), iri("urn:o")),
+        Statement(iri("urn:s"), NodePayload.blank("b"), iri("urn:o")),
+        Statement(iri("urn:s"), iri("urn:p"), NodePayload(PayloadKind.URI)),
+        Statement(
+            iri("urn:s"),
+            iri("urn:p"),
+            NodePayload(PayloadKind.LITERAL, lexical_form="x", language_tag="en", datatype_iri="urn:t"),
+        ),
+    ]
+    for statement in unrecoverable:
+        assert statement_of(hg2, map_statement(statement, hg2)) is None
     assert statement_of(hg2, 999) is None
     hg2.h.add_hyperedge([0], [0, 0, 0])
     assert statement_of(hg2, hg2.h.edge_count - 1) is None
+
+
+def test_statement_of_recovers_every_parsed_statement_of_the_acceptance_corpus():
+    edges = 0
+    for document in fuzz_corpus():
+        statements, errors = parse_document("".join(format_statement(s) + "\n" for s in document))
+        assert errors == []
+        hg2, _ = integrate(statements)
+        instance = [s for s in dict.fromkeys(statements) if route_statement(s) is Layer.INSTANCE]
+        assert [statement_of(hg2, edge) for edge in range(hg2.h.edge_count)] == instance
+        edges += len(instance)
+    # Pinned so that a corpus without instance statements cannot pass vacuously.
+    assert edges == 7893
 
 
 # ----------------------------------------------------- map_schema_statement
@@ -279,7 +306,7 @@ def test_incidence_and_payload_kind_place_a_node(w3c_statements):
 
 def test_classify_blank_subject():
     hg2 = fresh()
-    map_statement(Statement(BlankLabel("b"), iri("urn:p"), iri("urn:o")), hg2)
+    map_statement(Statement(NodePayload.blank("b"), iri("urn:p"), iri("urn:o")), hg2)
     blank = hg2.find_node(NodePayload.blank("b"))
     assert hg2.h.nodes[blank].kind is PayloadKind.BLANK
     assert positions(hg2, blank) == {(TAIL, 0)}

@@ -5,10 +5,8 @@ import pytest
 
 from hg2rdf import (
     BadEscape,
-    BlankLabel,
     ErrorCode,
-    IriRef,
-    Literal,
+    NodePayload,
     ParseError,
     Statement,
     format_statement,
@@ -19,14 +17,17 @@ from hg2rdf import (
 )
 
 
+uri, blank, literal = NodePayload.uri, NodePayload.blank, NodePayload.literal
+
+
 def test_w3c_sample_parses_to_three_exact_statements(w3c_sample_text):
     statements, errors = parse_document(w3c_sample_text)
     assert errors == []
-    subject = IriRef("http://www.w3.org/2001/sw/RDFCore/ntriples/")
+    subject = uri("http://www.w3.org/2001/sw/RDFCore/ntriples/")
     assert statements == [
-        Statement(subject, IriRef("http://purl.org/dc/elements/1.1/creator"), Literal("Dave Beckett")),
-        Statement(subject, IriRef("http://purl.org/dc/elements/1.1/creator"), Literal("Art Barstow")),
-        Statement(subject, IriRef("http://purl.org/dc/elements/1.1/publisher"), IriRef("http://www.w3.org/")),
+        Statement(subject, uri("http://purl.org/dc/elements/1.1/creator"), literal("Dave Beckett")),
+        Statement(subject, uri("http://purl.org/dc/elements/1.1/creator"), literal("Art Barstow")),
+        Statement(subject, uri("http://purl.org/dc/elements/1.1/publisher"), uri("http://www.w3.org/")),
     ]
     assert [s.line_no for s in statements] == [1, 2, 3]
 
@@ -42,13 +43,13 @@ def test_comments_and_blank_lines_are_skipped():
 @pytest.mark.parametrize(
     "line,subject,objekt",
     [
-        ("_:alice <a:knows> _:bob .", BlankLabel("alice"), BlankLabel("bob")),
-        ('<a:s> <a:p> "plain" .', IriRef("a:s"), Literal("plain")),
-        ('<a:s> <a:p> "chat"@FR .', IriRef("a:s"), Literal("chat", language_tag="fr")),
+        ("_:alice <a:knows> _:bob .", blank("alice"), blank("bob")),
+        ('<a:s> <a:p> "plain" .', uri("a:s"), literal("plain")),
+        ('<a:s> <a:p> "chat"@FR .', uri("a:s"), literal("chat", language_tag="fr")),
         (
             '<a:s> <a:p> "5"^^<x:int> .',
-            IriRef("a:s"),
-            Literal("5", datatype=IriRef("x:int")),
+            uri("a:s"),
+            literal("5", datatype_iri="x:int"),
         ),
     ],
 )
@@ -62,13 +63,13 @@ def test_term_forms(line, subject, objekt):
 def test_literal_escapes_decode():
     statement = parse_line('<a:s> <a:p> "a\\tb\\nc\\r\\"d\\\\e\\u00E9" .')
     assert isinstance(statement, Statement)
-    assert statement.object == Literal('a\tb\nc\r"d\\eé')
+    assert statement.object == literal('a\tb\nc\r"d\\eé')
 
 
 def test_iri_unicode_escape_decodes():
     statement = parse_line("<a:caf\\u00E9> <a:p> <a:o> .")
     assert isinstance(statement, Statement)
-    assert statement.subject == IriRef("a:café")
+    assert statement.subject == uri("a:café")
 
 
 def test_unescape_literal_table():
@@ -165,7 +166,7 @@ def test_surrogate_escapes_are_bad_escapes_at_the_backslash():
     # the code points on either side of the surrogate block are characters
     statement = parse_line('<a:\\uD7FF> <a:p> "\\uE000" .')
     assert isinstance(statement, Statement)
-    assert (statement.subject, statement.object) == (IriRef("a:\ud7ff"), Literal("\ue000"))
+    assert (statement.subject, statement.object) == (uri("a:\ud7ff"), literal("\ue000"))
 
 
 def test_parse_error_str_mentions_position():
@@ -193,7 +194,7 @@ def test_document_accepts_bytes():
 
 
 def test_leading_byte_order_mark_is_dropped():
-    expected = [Statement(IriRef("urn:s"), IriRef("urn:p"), IriRef("urn:o"))]
+    expected = [Statement(uri("urn:s"), uri("urn:p"), uri("urn:o"))]
     assert parse_document("\ufeff<urn:s> <urn:p> <urn:o> .\n") == (expected, [])
     assert parse_document("\ufeff<urn:s> <urn:p> <urn:o> .\n".encode("utf-8")) == (expected, [])
     # only one leading mark is a byte order mark; a second one is content
@@ -225,23 +226,23 @@ def test_language_tag_is_case_normalized():
 
 def test_literal_cannot_have_both_tag_and_datatype():
     with pytest.raises(ValueError):
-        Literal("x", language_tag="en", datatype=IriRef("a:t"))
+        literal("x", language_tag="en", datatype_iri="a:t")
 
 
 def test_format_round_trip_is_identity():
     cases = [
-        Statement(IriRef("a:s"), IriRef("a:p"), IriRef("a:o")),
-        Statement(BlankLabel("b1"), IriRef("a:p"), BlankLabel("b2")),
-        Statement(IriRef("a:s"), IriRef("a:p"), Literal('tricky " \\ \n\t value')),
-        Statement(IriRef("a:s"), IriRef("a:p"), Literal("chat", language_tag="fr")),
-        Statement(IriRef("a:s"), IriRef("a:p"), Literal("5", datatype=IriRef("x:int"))),
-        Statement(IriRef("a:s with space"), IriRef("a:p"), IriRef("a:o>")),
+        Statement(uri("a:s"), uri("a:p"), uri("a:o")),
+        Statement(blank("b1"), uri("a:p"), blank("b2")),
+        Statement(uri("a:s"), uri("a:p"), literal('tricky " \\ \n\t value')),
+        Statement(uri("a:s"), uri("a:p"), literal("chat", language_tag="fr")),
+        Statement(uri("a:s"), uri("a:p"), literal("5", datatype_iri="x:int")),
+        Statement(uri("a:s with space"), uri("a:p"), uri("a:o>")),
     ]
     for statement in cases:
         assert parse_line(format_statement(statement)) == statement
 
 
 def test_format_term_escapes_iri_delimiters():
-    rendered = format_term(IriRef("a:x>y z"))
+    rendered = format_term(uri("a:x>y z"))
     assert ">" not in rendered[1:-1]
     assert " " not in rendered

@@ -13,9 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hg2rdf import (
-    BlankLabel,
-    IriRef,
-    Literal,
+    NodePayload,
     ParseError,
     Statement,
     format_statement,
@@ -132,22 +130,22 @@ class _NoScanner:
 # IRIs format without a \u escape when they avoid controls, space, <, > and \.
 _plain_iris = st.text(
     st.characters(exclude_characters="<>\\", min_codepoint=0x21), min_size=1, max_size=16
-).map(IriRef)
+).map(NodePayload.uri)
 _statements = st.builds(
     Statement,
     subject=st.one_of(
-        _plain_iris, st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,6}", fullmatch=True).map(BlankLabel)
+        _plain_iris, st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,6}", fullmatch=True).map(NodePayload.blank)
     ),
     predicate=_plain_iris,
     object=st.one_of(
         _plain_iris,
-        st.builds(Literal, st.text(max_size=16)),
+        st.builds(NodePayload.literal, st.text(max_size=16)),
         st.builds(
-            lambda text, tag: Literal(text, language_tag=tag),
+            lambda text, tag: NodePayload.literal(text, language_tag=tag),
             st.text(max_size=16),
             st.from_regex(r"[a-z]{1,3}(?:-[a-z0-9]{1,3})?", fullmatch=True),
         ),
-        st.builds(lambda text, dt: Literal(text, datatype=dt), st.text(max_size=16), _plain_iris),
+        st.builds(lambda text, dt: NodePayload.literal(text, datatype_iri=dt.iri), st.text(max_size=16), _plain_iris),
     ),
 )
 

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hg2rdf import (
-    BlankLabel,
-    IriRef,
     Layer,
-    Literal,
+    NodePayload,
     ParseError,
+    PayloadKind,
     Statement,
     deserialize,
     format_statement,
@@ -41,17 +40,17 @@ from oracles import (
     scan_instances,
 )
 
-iri_terms = st.text(min_size=1, max_size=24).map(IriRef)
-blank_terms = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,9}", fullmatch=True).map(BlankLabel)
+iri_terms = st.text(min_size=1, max_size=24).map(NodePayload.uri)
+blank_terms = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,9}", fullmatch=True).map(NodePayload.blank)
 language_tags = st.from_regex(r"[a-z]{1,4}(?:-[a-z0-9]{1,4}){0,2}", fullmatch=True)
-plain_literals = st.text(max_size=24).map(Literal)
+plain_literals = st.text(max_size=24).map(NodePayload.literal)
 tagged_literals = st.builds(
-    lambda text, tag: Literal(text, language_tag=tag),
+    lambda text, tag: NodePayload.literal(text, language_tag=tag),
     st.text(max_size=24),
     language_tags,
 )
 typed_literals = st.builds(
-    lambda text, dt: Literal(text, datatype=dt), st.text(max_size=24), iri_terms
+    lambda text, dt: NodePayload.literal(text, datatype_iri=dt.iri), st.text(max_size=24), iri_terms
 )
 literal_terms = st.one_of(plain_literals, tagged_literals, typed_literals)
 
@@ -78,9 +77,9 @@ def test_parse_line_is_total(line):
 def test_routing_is_total_and_matches_the_rule(statement):
     layer = route_statement(statement)
     expected_schema = (
-        isinstance(statement.subject, IriRef)
-        and isinstance(statement.object, IriRef)
-        and statement.predicate.value in SCHEMA_PREDICATES
+        statement.subject.kind is PayloadKind.URI
+        and statement.object.kind is PayloadKind.URI
+        and statement.predicate.iri in SCHEMA_PREDICATES
     )
     assert layer is (Layer.SCHEMA if expected_schema else Layer.INSTANCE)
 

@@ -40,6 +40,17 @@ def test_intern_is_idempotent():
     assert graph.iris == ["urn:a", "urn:b"]
 
 
+def test_freeze_blocks_mutation_but_not_lookups():
+    graph = chain(["urn:a", "urn:b"])
+    graph.freeze()
+    assert graph.intern("urn:a") == 0  # an existing IRI is a lookup
+    with pytest.raises(RuntimeError):
+        graph.intern("urn:new")
+    with pytest.raises(RuntimeError):
+        graph.add_edge(1, 0, EdgeKind.SUBCLASS_OF)
+    assert graph.subclass_closure(1) == {0, 1}
+
+
 def test_find_and_iri_of():
     graph = SchemaGraph()
     a = graph.intern("urn:a")

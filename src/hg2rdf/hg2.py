@@ -2,9 +2,9 @@
 
 Connectors are directed dependency links and always point from the hypergraph
 layer into the graph layer; the two dataclasses make the opposite direction
-unrepresentable.  The container owns the hypernode payload index, the
-per-source anchor index and its reverse (graph node to hypernodes); nothing
-else keeps identity state.
+unrepresentable.  The container owns the hypernode payload index, one
+insertion-ordered store per connector kind, and two node-connector indexes
+(hypernode to graph nodes and its reverse); nothing else keeps identity state.
 
 ``serialize``/``deserialize`` round-trip the whole structure through a JSON
 document with sections ``hypernodes``, ``hyperedges``, ``graph_nodes``,
@@ -26,7 +26,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
-from .hypergraph import Freezable, Hypergraph
+from .hypergraph import Freezable, Hypergraph, _check_ids
 from .ntriples import NodePayload, PayloadKind
 from .schema import EdgeKind, SchemaGraph
 
@@ -57,7 +57,7 @@ class UnknownKind(SerializationError):
     """A kind discriminator holds a value outside its vocabulary."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeConnector:
     """Dependency link from a hypernode to a graph node (c-v)."""
 
@@ -65,7 +65,7 @@ class NodeConnector:
     graph_node: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeConnector:
     """Dependency link from a hyperedge to a graph node (c-e)."""
 
@@ -91,21 +91,20 @@ class HG2(Freezable):
     """A hypergraph H, a schema graph G, and the connector sets between them.
 
     ``node_index`` maps each hashable payload to its first hypernode; it is
-    the only term identity table.  Each connector source has an anchor list
-    (graph nodes in insertion order) that deduplicates connectors and answers
-    :meth:`anchors_of_node`/:meth:`anchors_of_edge` without a scan.  Each
-    graph node has the reverse list of the hypernodes anchored in it, which
-    answers :meth:`nodes_anchored_in` without a scan of ``connectors_v``.
-    All three indexes are filled by :meth:`add_node`/:meth:`add_connector`.
+    the only term identity table.  Each connector kind is stored once, as the
+    keys of an insertion-ordered dict that is both the order ``serialize``
+    and ``to_dot`` replay and the duplicate check; ``connectors_v`` and
+    ``connectors_e`` expose it as read-only tuples.  Node connectors also
+    fill hypernode → graph nodes (:meth:`anchors_of_node`) and its reverse
+    (:meth:`nodes_anchored_in`).  Only :meth:`add_connector` writes these.
     """
 
     def __init__(self, g: SchemaGraph | None = None):
         self.h = Hypergraph()
         self.g = g if g is not None else SchemaGraph()
-        self.connectors_v: list[NodeConnector] = []
-        self.connectors_e: list[EdgeConnector] = []
+        self._connectors_v: dict[NodeConnector, None] = {}
+        self._connectors_e: dict[EdgeConnector, None] = {}
         self._node_anchors: dict[int, list[int]] = {}
-        self._edge_anchors: dict[int, list[int]] = {}
         self._anchored_nodes: dict[int, list[int]] = {}
         self.node_index: dict[Any, int] = {}
 
@@ -147,44 +146,49 @@ class HG2(Freezable):
             return None
 
     def add_connector(self, connector: Connector) -> bool:
-        """Record a connector; exact duplicates are dropped.  Returns True if new."""
+        """Record a connector of in-range int ids; False if it is a duplicate."""
         self._check_mutable()
         if isinstance(connector, NodeConnector):
-            if not 0 <= connector.hypernode < self.h.node_count:
-                raise UnknownHyperNodeError(connector.hypernode)
-            source, index, connectors = connector.hypernode, self._node_anchors, self.connectors_v
+            source, store = connector.hypernode, self._connectors_v
+            _check_ids(source, connector.graph_node)
+            if not 0 <= source < self.h.node_count:
+                raise UnknownHyperNodeError(source)
         elif isinstance(connector, EdgeConnector):
-            if not 0 <= connector.hyperedge < self.h.edge_count:
-                raise UnknownHyperEdgeError(connector.hyperedge)
-            source, index, connectors = connector.hyperedge, self._edge_anchors, self.connectors_e
+            source, store = connector.hyperedge, self._connectors_e
+            _check_ids(source, connector.graph_node)
+            if not 0 <= source < self.h.edge_count:
+                raise UnknownHyperEdgeError(source)
         else:
             raise TypeError(f"not a connector: {connector!r}")
         if not 0 <= connector.graph_node < self.g.node_count:
             raise UnknownGraphNodeError(connector.graph_node)
-        anchors = index.setdefault(source, [])
-        if connector.graph_node in anchors:
+        if connector in store:
             return False
-        anchors.append(connector.graph_node)
-        connectors.append(connector)
-        if isinstance(connector, NodeConnector):
+        store[connector] = None
+        if store is self._connectors_v:
+            self._node_anchors.setdefault(source, []).append(connector.graph_node)
             self._anchored_nodes.setdefault(connector.graph_node, []).append(source)
         return True
 
     @property
+    def connectors_v(self) -> tuple[NodeConnector, ...]:
+        """Node connectors (C_v) in insertion order."""
+        return tuple(self._connectors_v)
+
+    @property
+    def connectors_e(self) -> tuple[EdgeConnector, ...]:
+        """Edge connectors (C_e) in insertion order."""
+        return tuple(self._connectors_e)
+
+    @property
     def connector_count(self) -> int:
-        return len(self.connectors_v) + len(self.connectors_e)
+        return len(self._connectors_v) + len(self._connectors_e)
 
     def anchors_of_node(self, node: int) -> list[int]:
         """Graph nodes one connector hop away from a hypernode, in insertion order."""
         if not 0 <= node < self.h.node_count:
             raise UnknownHyperNodeError(node)
         return list(self._node_anchors.get(node, ()))
-
-    def anchors_of_edge(self, edge: int) -> list[int]:
-        """Graph nodes one connector hop away from a hyperedge, in insertion order."""
-        if not 0 <= edge < self.h.edge_count:
-            raise UnknownHyperEdgeError(edge)
-        return list(self._edge_anchors.get(edge, ()))
 
     def nodes_anchored_in(self, graph_nodes: Iterable[int]) -> set[int]:
         """Hypernodes with a node connector to any of the given graph nodes."""
@@ -199,44 +203,28 @@ def validate_layering(hg2: HG2) -> list[Violation]:
     """Check that every connector endpoint exists in its layer.
 
     Connectors originating in the graph layer cannot be represented at all,
-    so the only reportable defect is a dangling endpoint (possible after
-    loading a corrupted document).  Never mutates; violations are values.
+    and ``add_connector`` range-checks every endpoint, so the only reportable
+    defect is a dangling endpoint in a store filled around it.  Never
+    mutates; violations are values.
     """
     violations: list[Violation] = []
-    for connector in hg2.connectors_v:
-        if not 0 <= connector.hypernode < hg2.h.node_count:
-            violations.append(
-                Violation(
-                    "DanglingEndpoint",
-                    f"connector references missing hypernode {connector.hypernode}",
-                    node=connector.hypernode,
-                )
-            )
-        if not 0 <= connector.graph_node < hg2.g.node_count:
-            violations.append(
-                Violation(
-                    "DanglingEndpoint",
-                    f"connector references missing graph node {connector.graph_node}",
-                    node=connector.graph_node,
-                )
-            )
-    for connector in hg2.connectors_e:
-        if not 0 <= connector.hyperedge < hg2.h.edge_count:
-            violations.append(
-                Violation(
-                    "DanglingEndpoint",
-                    f"connector references missing hyperedge {connector.hyperedge}",
-                    edge=connector.hyperedge,
-                )
-            )
-        if not 0 <= connector.graph_node < hg2.g.node_count:
-            violations.append(
-                Violation(
+    for connectors, layer, count in (
+        (hg2.connectors_v, "hypernode", hg2.h.node_count),
+        (hg2.connectors_e, "hyperedge", hg2.h.edge_count),
+    ):
+        for connector in connectors:
+            source = getattr(connector, layer)
+            if not 0 <= source < count:
+                where = {"node": source} if layer == "hypernode" else {"edge": source}
+                violations.append(Violation(
+                    "DanglingEndpoint", f"connector references missing {layer} {source}", **where
+                ))
+            if not 0 <= connector.graph_node < hg2.g.node_count:
+                violations.append(Violation(
                     "DanglingEndpoint",
                     f"connector references missing graph node {connector.graph_node}",
                     node=connector.graph_node,
-                )
-            )
+                ))
     return violations
 
 
@@ -352,9 +340,10 @@ def deserialize(text: str) -> HG2:
 
     Raises :class:`SchemaViolation` for structural problems (JSON nested
     past the parser's depth limit included) and :class:`UnknownKind` when a
-    kind discriminator is out of vocabulary.  A string holding a lone
-    surrogate (a ``\\uD800``..``\\uDFFF`` escape that is not half of a pair)
-    is a :class:`SchemaViolation` too, since it cannot be written as UTF-8.
+    kind discriminator is out of vocabulary.  A non-int id, a repeated graph
+    node IRI, graph edge or connector, and a string holding a lone surrogate
+    (a ``\\uD800``..``\\uDFFF`` escape that is not half of a pair, which
+    cannot be written as UTF-8) are each a :class:`SchemaViolation` too.
     """
     try:
         document = json.loads(text)
@@ -383,11 +372,8 @@ def deserialize(text: str) -> HG2:
         _require(isinstance(head, list) and isinstance(tail, list),
                  f"hyperedge {index} needs 'head' and 'tail' lists")
         try:
-            hg2.h.add_hyperedge(
-                [_as_int(n, "hyperedge head entry") for n in head],
-                [_as_int(n, "hyperedge tail entry") for n in tail],
-            )
-        except (LookupError, ValueError) as exc:
+            hg2.h.add_hyperedge(head, tail)
+        except (LookupError, TypeError, ValueError) as exc:
             raise SchemaViolation(f"hyperedge {index} is malformed: {exc}") from exc
 
     graph_node_records = _as_records(document, "graph_nodes")
@@ -404,22 +390,16 @@ def deserialize(text: str) -> HG2:
         except ValueError:
             raise UnknownKind(f"unknown graph edge kind {record.get('kind')!r}") from None
         try:
-            hg2.g.add_edge(
-                _as_int(record.get("from"), "graph edge 'from'"),
-                _as_int(record.get("to"), "graph edge 'to'"),
-                kind,
-            )
-        except LookupError as exc:
+            added = hg2.g.add_edge(record.get("from"), record.get("to"), kind)
+        except (LookupError, TypeError) as exc:
             raise SchemaViolation(f"graph edge {index} is malformed: {exc}") from exc
+        _require(added, f"graph_edges entry {index} is a duplicate")
 
     for section, factory in (("connectors_v", NodeConnector), ("connectors_e", EdgeConnector)):
         for index, record in enumerate(_as_records(document, section)):
-            connector = factory(
-                _as_int(record.get("from"), f"{section} 'from'"),
-                _as_int(record.get("to"), f"{section} 'to'"),
-            )
             try:
-                hg2.add_connector(connector)
-            except LookupError as exc:
-                raise SchemaViolation(f"{section} entry {index} is dangling: {exc}") from exc
+                added = hg2.add_connector(factory(record.get("from"), record.get("to")))
+            except (LookupError, TypeError) as exc:
+                raise SchemaViolation(f"{section} entry {index} is malformed or dangling: {exc}") from exc
+            _require(added, f"{section} entry {index} is a duplicate")
     return hg2

@@ -34,6 +34,13 @@ class HyperEdge:
     tail: list[int]
 
 
+def _check_ids(*ids: object) -> None:
+    """Reject any id that is not a plain int; bool is refused, as hg2/1 does."""
+    for value in ids:
+        if type(value) is not int:
+            raise TypeError(f"ids must be int, got {value!r}")
+
+
 class Freezable:
     """One-way switch to read-only; mutators call :meth:`_check_mutable` first."""
 
@@ -86,6 +93,7 @@ class Hypergraph(Freezable):
         tail = list(tail)
         if not head or not tail:
             raise EmptySlotError("head and tail must each name at least one node")
+        _check_ids(*head, *tail)
         for node in (*head, *tail):
             self._check_node(node)
         edge_id = len(self.edges)

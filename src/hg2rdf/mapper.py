@@ -152,7 +152,9 @@ def generate_connectors(hg2: HG2) -> None:
     0/1 to rdf:subject/rdf:object; a connector to rdf:datatype from every
     datatyped literal node; and a typing connector from every instance node
     whose IRI has a type edge in the graph layer to the class node it points
-    at.  Safe to run repeatedly: the second run adds nothing.
+    at.  Node connectors are collected first, in first-offer order, so each
+    distinct one reaches ``add_connector`` once.  Safe to run repeatedly: the
+    second run adds nothing.
     """
     anchors: dict[str, int] = {}
     for iri in ANCHOR_IRIS:
@@ -161,15 +163,14 @@ def generate_connectors(hg2: HG2) -> None:
             raise MissingAnchorError(f"graph layer has no node for <{iri}>; load the built-in vocabulary first")
         anchors[iri] = node
 
+    offers: dict[tuple[int, int], None] = {}
+    tail_roles = (anchors[RDF_SUBJECT], anchors[RDF_OBJECT])
     for edge in hg2.h.edges:
         hg2.add_connector(EdgeConnector(edge.id, anchors[RDF_STATEMENT]))
         for node in edge.head:
-            hg2.add_connector(NodeConnector(node, anchors[RDF_PREDICATE]))
-        for position, node in enumerate(edge.tail):
-            if position == 0:
-                hg2.add_connector(NodeConnector(node, anchors[RDF_SUBJECT]))
-            elif position == 1:
-                hg2.add_connector(NodeConnector(node, anchors[RDF_OBJECT]))
+            offers[node, anchors[RDF_PREDICATE]] = None
+        for node, role in zip(edge.tail, tail_roles):
+            offers[node, role] = None
 
     class_nodes: dict[int, list[int]] = {}
     for graph_edge in hg2.g.edges:
@@ -180,12 +181,15 @@ def generate_connectors(hg2: HG2) -> None:
         if not isinstance(payload, NodePayload):
             continue
         if payload.kind is PayloadKind.LITERAL and payload.datatype_iri is not None:
-            hg2.add_connector(NodeConnector(node_id, anchors[RDF_DATATYPE]))
+            offers[node_id, anchors[RDF_DATATYPE]] = None
         elif payload.kind is PayloadKind.URI and payload.iri is not None:
             graph_node = hg2.g.find(payload.iri)
             if graph_node is not None:
                 for class_node in class_nodes.get(graph_node, ()):
-                    hg2.add_connector(NodeConnector(node_id, class_node))
+                    offers[node_id, class_node] = None
+
+    for node_id, graph_node in offers:
+        hg2.add_connector(NodeConnector(node_id, graph_node))
 
 
 def validate_mapping(hg2: HG2) -> list[Violation]:

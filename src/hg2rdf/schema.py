@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .hypergraph import Freezable, UnknownNodeError
+from .hypergraph import Freezable, UnknownNodeError, _check_ids
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -123,6 +123,7 @@ class SchemaGraph(Freezable):
     def add_edge(self, src: int, dst: int, kind: EdgeKind) -> bool:
         """Record an edge; exact duplicates are dropped.  Returns True if new."""
         self._check_mutable()
+        _check_ids(src, dst)
         self._check_node(src)
         self._check_node(dst)
         edge = GraphEdge(src, dst, kind)

@@ -11,6 +11,7 @@ import random
 import re
 
 from hg2rdf import (
+    ANCHOR_IRIS,
     HG2,
     ConstraintWarning,
     EdgeConnector,
@@ -25,7 +26,18 @@ from hg2rdf import (
     format_statement,
 )
 from hg2rdf.ntriples import _Halt, _parse_line
-from hg2rdf.schema import RDF_TYPE, RDFS_DOMAIN, RDFS_LITERAL, RDFS_RANGE, RDFS_SUBCLASSOF
+from hg2rdf.schema import (
+    RDF_DATATYPE,
+    RDF_OBJECT,
+    RDF_PREDICATE,
+    RDF_STATEMENT,
+    RDF_SUBJECT,
+    RDF_TYPE,
+    RDFS_DOMAIN,
+    RDFS_LITERAL,
+    RDFS_RANGE,
+    RDFS_SUBCLASSOF,
+)
 
 
 def scanner_parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
@@ -105,14 +117,43 @@ def naive_instances(hg2: HG2, class_iri: str) -> set[int]:
     return result
 
 
-def naive_anchors(connectors: list[NodeConnector] | list[EdgeConnector], source: int) -> list[int]:
-    """Graph nodes of the connectors leaving ``source``, by a scan of the
-    whole connector list in insertion order."""
-    return [
-        c.graph_node
-        for c in connectors
-        if (c.hypernode if isinstance(c, NodeConnector) else c.hyperedge) == source
-    ]
+def naive_anchors(connectors: tuple[NodeConnector, ...], node: int) -> list[int]:
+    """Graph nodes of the connectors leaving hypernode ``node``, by a scan of
+    the whole connector sequence in insertion order."""
+    return [c.graph_node for c in connectors if c.hypernode == node]
+
+
+def naive_generate_connectors(hg2: HG2) -> None:
+    """generate_connectors offering each connector at every occurrence: one
+    ``add_connector`` call per hyperedge and per head or tail slot, in edge
+    order, then the datatype and typing connectors per node, leaving the
+    deduplication to ``add_connector``."""
+    anchors = {iri: hg2.g.find(iri) for iri in ANCHOR_IRIS}
+    for edge in hg2.h.edges:
+        hg2.add_connector(EdgeConnector(edge.id, anchors[RDF_STATEMENT]))
+        for node in edge.head:
+            hg2.add_connector(NodeConnector(node, anchors[RDF_PREDICATE]))
+        for position, node in enumerate(edge.tail):
+            if position == 0:
+                hg2.add_connector(NodeConnector(node, anchors[RDF_SUBJECT]))
+            elif position == 1:
+                hg2.add_connector(NodeConnector(node, anchors[RDF_OBJECT]))
+
+    class_nodes: dict[int, list[int]] = {}
+    for graph_edge in hg2.g.edges:
+        if graph_edge.kind is EdgeKind.TYPE:
+            class_nodes.setdefault(graph_edge.src, []).append(graph_edge.dst)
+
+    for node_id, payload in enumerate(hg2.h.nodes):
+        if not isinstance(payload, NodePayload):
+            continue
+        if payload.kind is PayloadKind.LITERAL and payload.datatype_iri is not None:
+            hg2.add_connector(NodeConnector(node_id, anchors[RDF_DATATYPE]))
+        elif payload.kind is PayloadKind.URI and payload.iri is not None:
+            graph_node = hg2.g.find(payload.iri)
+            if graph_node is not None:
+                for class_node in class_nodes.get(graph_node, ()):
+                    hg2.add_connector(NodeConnector(node_id, class_node))
 
 
 def scan_instances(hg2: HG2, class_iri: str) -> tuple[int, ...]:

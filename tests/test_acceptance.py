@@ -91,16 +91,16 @@ def test_02_seven_node_example_rebuilds_with_the_exact_inventory():
     assert names(edges[1].head) == {3, 4} and names(edges[1].tail) == {5, 6}
     assert names(edges[2].head) == {4, 5} and names(edges[2].tail) == {7}
     assert names(edges[3].head) == {5, 6} and names(edges[3].tail) == {7}
-    assert hg2.connectors_v == [
+    assert hg2.connectors_v == (
         NodeConnector(node[1], graph["a"]),
         NodeConnector(node[6], graph["b"]),
         NodeConnector(node[2], graph["d"]),
-    ]
-    assert hg2.connectors_e == [
+    )
+    assert hg2.connectors_e == (
         EdgeConnector(0, graph["c"]),
         EdgeConnector(2, graph["e"]),
         EdgeConnector(3, graph["f"]),
-    ]
+    )
     print("PASS  2: seven-node example rebuilds with the exact inventory")
 
 
@@ -168,6 +168,19 @@ def test_08_connectors_can_only_originate_in_the_hypergraph_layer():
         raise AssertionError("arbitrary objects must be rejected")
     except TypeError:
         pass
+    # the connector sets are read-only views: nothing bypasses add_connector
+    for name in ("connectors_v", "connectors_e"):
+        try:
+            getattr(hg2, name).append(NodeConnector(0, 0))
+            raise AssertionError(f"{name} must not accept an append")
+        except AttributeError:
+            pass
+        try:
+            setattr(hg2, name, [])
+            raise AssertionError(f"{name} must not accept an assignment")
+        except AttributeError:
+            pass
+    assert len(hg2.connectors_v) == len(hg2.connectors_e) == 3
     for _, built, _ in fuzz_builds():
         assert validate_layering(built) == []
     print("PASS  8: connectors only originate in the hypergraph layer")

@@ -271,6 +271,19 @@ def test_corrupt_document_is_rejected(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_stats_rejects_a_document_with_a_repeated_connector(sample_file, tmp_path, capsys):
+    doc = tmp_path / "built.json"
+    main(["build", "--input", sample_file, "--output", str(doc)])
+    document = json.loads(doc.read_text(encoding="utf-8"))
+    document["connectors_v"].append(document["connectors_v"][0])
+    doc.write_text(json.dumps(document), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", "--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "connectors_v entry 6 is a duplicate" in captured.err
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -74,8 +74,8 @@ def test_connectors_validate_endpoints_and_deduplicate():
     assert hg2.add_connector(NodeConnector(0, 0)) is True
     assert hg2.add_connector(NodeConnector(0, 0)) is False
     assert hg2.add_connector(EdgeConnector(0, 0)) is True
-    assert hg2.connectors_v == [NodeConnector(0, 0)]
-    assert hg2.connectors_e == [EdgeConnector(0, 0)]
+    assert hg2.connectors_v == (NodeConnector(0, 0),)
+    assert hg2.connectors_e == (EdgeConnector(0, 0),)
     assert hg2.connector_count == 2
     with pytest.raises(UnknownHyperNodeError):
         hg2.add_connector(NodeConnector(9, 0))
@@ -95,12 +95,32 @@ def test_anchors_come_back_in_insertion_order():
     hg2.add_connector(NodeConnector(1, 0))
     assert hg2.anchors_of_node(0) == [extra, 0]
     assert hg2.anchors_of_node(2) == []
-    hg2.add_connector(EdgeConnector(0, 0))
-    assert hg2.anchors_of_edge(0) == [0]
     with pytest.raises(UnknownHyperNodeError):
         hg2.anchors_of_node(42)
-    with pytest.raises(UnknownHyperEdgeError):
-        hg2.anchors_of_edge(42)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "0", None])
+def test_mutators_reject_ids_that_are_not_plain_ints(bad):
+    hg2 = small()
+    hg2.add_connector(NodeConnector(0, 0))
+    before = serialize(hg2)
+    incidence = [hg2.h.incidence_of(node) for node in range(hg2.h.node_count)]
+    for mutate in (
+        lambda: hg2.add_connector(NodeConnector(bad, 0)),
+        lambda: hg2.add_connector(NodeConnector(1, bad)),
+        lambda: hg2.add_connector(EdgeConnector(bad, 0)),
+        lambda: hg2.add_connector(EdgeConnector(0, bad)),
+        lambda: hg2.h.add_hyperedge([bad], [0]),
+        lambda: hg2.h.add_hyperedge([1], [0, bad]),
+        lambda: hg2.g.add_edge(bad, 0, EdgeKind.TYPE),
+        lambda: hg2.g.add_edge(0, bad, EdgeKind.TYPE),
+    ):
+        with pytest.raises(TypeError):
+            mutate()
+    assert serialize(hg2) == before
+    assert incidence == [hg2.h.incidence_of(node) for node in range(hg2.h.node_count)]
+    assert hg2.anchors_of_node(1) == [] and hg2.connector_count == 1
+    assert deserialize(before) == hg2
 
 
 def test_freeze_propagates_to_both_layers():
@@ -122,9 +142,9 @@ def test_validate_layering_is_empty_for_api_built_structures():
 
 def test_validate_layering_reports_dangling_endpoints():
     hg2 = small()
-    # bypass the guarded API to simulate a corrupted structure
-    hg2.connectors_v.append(NodeConnector(99, 0))
-    hg2.connectors_e.append(EdgeConnector(0, 55))
+    # plant connectors in the private stores to simulate a corrupted structure
+    hg2._connectors_v[NodeConnector(99, 0)] = None
+    hg2._connectors_e[EdgeConnector(0, 55)] = None
     kinds = [v.kind for v in validate_layering(hg2)]
     assert kinds == ["DanglingEndpoint", "DanglingEndpoint"]
     messages = [v.message for v in validate_layering(hg2)]
@@ -218,6 +238,18 @@ def test_deserialize_rejects_malformed_documents(mutate, exception):
         deserialize(json.dumps(document))
 
 
+@pytest.mark.parametrize("section", ["graph_edges", "connectors_v", "connectors_e"])
+def test_deserialize_rejects_a_repeated_entry(section):
+    hg2 = small()
+    hg2.g.add_edge(0, 0, EdgeKind.TYPE)
+    hg2.add_connector(NodeConnector(0, 0))
+    hg2.add_connector(EdgeConnector(0, 0))
+    document = json.loads(serialize(hg2))
+    document[section].append(dict(document[section][0]))
+    with pytest.raises(SchemaViolation, match=f"{section} entry 1 is a duplicate"):
+        deserialize(json.dumps(document))
+
+
 def test_deserialize_rejects_non_json_and_non_objects():
     with pytest.raises(SchemaViolation):
         deserialize("this is not json")
@@ -239,3 +271,8 @@ def test_structural_equality_of_containers():
     b.add_connector(NodeConnector(0, 0))
     assert a != b
     assert a != "something else"
+    # connector order is part of the structure, since serialize replays it
+    a.add_connector(NodeConnector(1, 0))
+    a.add_connector(NodeConnector(0, 0))
+    b.add_connector(NodeConnector(1, 0))
+    assert a != b and serialize(a) != serialize(b)

@@ -10,6 +10,7 @@ from hg2rdf import (
     GraphEdge,
     Layer,
     MissingAnchorError,
+    NodeConnector,
     NodePayload,
     PayloadKind,
     SchemaGraph,
@@ -245,9 +246,33 @@ def test_connector_generation_is_idempotent(w3c_statements):
     for statement in w3c_statements:
         map_statement(statement, hg2)
     generate_connectors(hg2)
-    before = (list(hg2.connectors_v), list(hg2.connectors_e))
+    before = (hg2.connectors_v, hg2.connectors_e)
     generate_connectors(hg2)
     assert (hg2.connectors_v, hg2.connectors_e) == before
+
+
+def test_integrate_offers_each_connector_once(monkeypatch):
+    offered = []
+    add_connector = HG2.add_connector
+
+    def counted(self, connector):
+        offered.append(connector)
+        return add_connector(self, connector)
+
+    monkeypatch.setattr(HG2, "add_connector", counted)
+    # <urn:d> is typed as rdf:subject, the anchor its subject role also
+    # reaches, so one pair is offered by both the role and the typing pass
+    typed_as_a_role, errors = parse_document(
+        f"<urn:d> <{RDF_TYPE}> <{RDF_SUBJECT}> .\n<urn:d> <urn:p> <urn:d> .\n"
+    )
+    assert not errors
+    hg2, _ = integrate(typed_as_a_role)
+    assert NodeConnector(0, hg2.g.find(RDF_SUBJECT)) in hg2.connectors_v
+    assert len(offered) == hg2.connector_count
+    for corpus in fuzz_corpus()[:200]:
+        offered.clear()
+        hg2, _ = integrate(corpus)
+        assert len(offered) == hg2.connector_count
 
 
 def test_empty_build_has_no_connectors():

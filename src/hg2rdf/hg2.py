@@ -152,16 +152,16 @@ class HG2(Freezable):
             source, store = connector.hypernode, self._connectors_v
             _check_ids(source, connector.graph_node)
             if not 0 <= source < self.h.node_count:
-                raise UnknownHyperNodeError(source)
+                raise UnknownHyperNodeError(f"hypernode {source} does not exist")
         elif isinstance(connector, EdgeConnector):
             source, store = connector.hyperedge, self._connectors_e
             _check_ids(source, connector.graph_node)
             if not 0 <= source < self.h.edge_count:
-                raise UnknownHyperEdgeError(source)
+                raise UnknownHyperEdgeError(f"hyperedge {source} does not exist")
         else:
             raise TypeError(f"not a connector: {connector!r}")
         if not 0 <= connector.graph_node < self.g.node_count:
-            raise UnknownGraphNodeError(connector.graph_node)
+            raise UnknownGraphNodeError(f"graph node {connector.graph_node} does not exist")
         if connector in store:
             return False
         store[connector] = None
@@ -187,7 +187,7 @@ class HG2(Freezable):
     def anchors_of_node(self, node: int) -> list[int]:
         """Graph nodes one connector hop away from a hypernode, in insertion order."""
         if not 0 <= node < self.h.node_count:
-            raise UnknownHyperNodeError(node)
+            raise UnknownHyperNodeError(f"hypernode {node} does not exist")
         return list(self._node_anchors.get(node, ()))
 
     def nodes_anchored_in(self, graph_nodes: Iterable[int]) -> set[int]:

@@ -2,15 +2,15 @@
 
 Node payloads are opaque at this layer; ids are dense integers assigned in
 first-insertion order.  Head and tail are ordered lists so callers can assign
-positional roles; the same node may appear on both sides of one edge.
+positional roles; the same node may appear on both sides of one edge.  Each
+node lists the ids of the edges it sits in and, apart, of those it heads (its
+forward star); one breadth-first search is the only code that fires edges.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple
-
-HEAD = "head"
-TAIL = "tail"
+from typing import Any, Iterable
 
 
 class UnknownNodeError(LookupError):
@@ -19,12 +19,6 @@ class UnknownNodeError(LookupError):
 
 class EmptySlotError(ValueError):
     """A hyperedge needs at least one head node and one tail node."""
-
-
-class Occurrence(NamedTuple):
-    edge: int
-    slot: str
-    position: int
 
 
 @dataclass
@@ -60,7 +54,8 @@ class Hypergraph(Freezable):
     def __init__(self) -> None:
         self.nodes: list[Any] = []
         self.edges: list[HyperEdge] = []
-        self._incidence: list[list[Occurrence]] = []
+        self._incidence: list[list[int]] = []
+        self._heads: list[list[int]] = []
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -75,15 +70,16 @@ class Hypergraph(Freezable):
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def _check_node(self, node: int) -> None:
+    def _check_node(self, node: int, role: str = "hypernode") -> None:
         if not 0 <= node < len(self.nodes):
-            raise UnknownNodeError(node)
+            raise UnknownNodeError(f"{role} {node} does not exist")
 
     def add_node(self, payload: Any) -> int:
         """Append a node and return its id (equal to the previous node count)."""
         self._check_mutable()
         self.nodes.append(payload)
         self._incidence.append([])
+        self._heads.append([])
         return len(self.nodes) - 1
 
     def add_hyperedge(self, head: Iterable[int], tail: Iterable[int]) -> int:
@@ -94,38 +90,67 @@ class Hypergraph(Freezable):
         if not head or not tail:
             raise EmptySlotError("head and tail must each name at least one node")
         _check_ids(*head, *tail)
-        for node in (*head, *tail):
-            self._check_node(node)
+        for node in head:
+            self._check_node(node, "head hypernode")
+        for node in tail:
+            self._check_node(node, "tail hypernode")
         edge_id = len(self.edges)
         self.edges.append(HyperEdge(edge_id, head, tail))
-        for position, node in enumerate(head):
-            self._incidence[node].append(Occurrence(edge_id, HEAD, position))
-        for position, node in enumerate(tail):
-            self._incidence[node].append(Occurrence(edge_id, TAIL, position))
+        for node in set(head):
+            self._heads[node].append(edge_id)
+        for node in {*head, *tail}:
+            self._incidence[node].append(edge_id)
         return edge_id
 
-    def incidence_of(self, node: int) -> list[Occurrence]:
-        """Every (edge, slot, position) occurrence of ``node``, in edge-id order."""
+    def incidence_of(self, node: int) -> list[int]:
+        """Ids of the edges ``node`` sits in, each once, in ascending order."""
         self._check_node(node)
         return list(self._incidence[node])
+
+    def _search(self, start: int, target: int | None = None) -> dict[int, tuple[int, int]]:
+        """Map each node reached from ``start`` to the (edge, node) that reached it.
+
+        An edge fires as soon as any one of its head nodes is reached; firing
+        reaches every tail node.  Nodes fire in the order reached, each its
+        edges in ascending id order.  Stops once ``target`` is reached.
+        """
+        self._check_node(start)
+        reached: dict[int, tuple[int, int]] = {}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for edge_id in self._heads[node]:
+                for tail_node in self.edges[edge_id].tail:
+                    if tail_node not in reached:
+                        reached[tail_node] = (edge_id, node)
+                        if tail_node == target:
+                            return reached
+                        queue.append(tail_node)
+        return reached
 
     def forward_reachable(self, start: int) -> set[int]:
         """Nodes reachable by repeatedly firing edges headed by a reached node.
 
-        An edge fires as soon as any one of its head nodes is reached; firing
-        reaches every tail node.  ``start`` seeds the process but is only part
-        of the result if some fired edge reaches it again.
+        ``start`` seeds the process but is only part of the result if some
+        fired edge reaches it again.
         """
-        self._check_node(start)
-        reached: set[int] = set()
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for occurrence in self._incidence[node]:
-                if occurrence.slot != HEAD:
-                    continue
-                for target in self.edges[occurrence.edge].tail:
-                    if target not in reached:
-                        reached.add(target)
-                        frontier.append(target)
-        return reached
+        return set(self._search(start))
+
+    def forward_path(self, start: int, target: int) -> tuple[int, ...] | None:
+        """Edge ids of a firing path from ``start`` to ``target``, or None.
+
+        A node reaches itself through the empty path ``()``.  The path is the
+        breadth-first one, so it is deterministic and shortest in edge count.
+        """
+        self._check_node(target)
+        if start == target:
+            return ()
+        reached = self._search(start, target)
+        if target not in reached:
+            return None
+        path: list[int] = []
+        node = target
+        while node != start:
+            edge_id, node = reached[node]
+            path.append(edge_id)
+        return tuple(reversed(path))

@@ -100,7 +100,7 @@ class SchemaGraph(Freezable):
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self.iris):
-            raise UnknownNodeError(node)
+            raise UnknownNodeError(f"graph node {node} does not exist")
 
     def intern(self, iri: str) -> int:
         """Return the node id for ``iri``, creating it on first sight."""

@@ -68,6 +68,32 @@ def naive_reachable(hypergraph: Hypergraph, start: int) -> set[int]:
             return reached
 
 
+def naive_path(hypergraph: Hypergraph, start: int, target: int) -> tuple[int, ...] | None:
+    """Breadth-first witness: each dequeued node scans every edge in id order
+    for edges it heads; ``()`` for start == target, None when unreachable."""
+    if start == target:
+        return ()
+    parents: dict[int, tuple[int, int]] = {}
+    seen = {start}
+    queue = [start]
+    for current in queue:
+        for edge in hypergraph.edges:
+            if current not in edge.head:
+                continue
+            for node in edge.tail:
+                if node not in seen:
+                    seen.add(node)
+                    parents[node] = (edge.id, current)
+                    queue.append(node)
+    if target not in parents:
+        return None
+    path: list[int] = []
+    while target != start:
+        edge_id, target = parents[target]
+        path.append(edge_id)
+    return tuple(reversed(path))
+
+
 def matrix_reachability(graph: SchemaGraph) -> list[list[bool]]:
     """Reflexive-transitive reachability over SubClassOf edges, by
     Floyd-Warshall on the full adjacency matrix."""

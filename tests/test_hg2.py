@@ -250,6 +250,35 @@ def test_deserialize_rejects_a_repeated_entry(section):
         deserialize(json.dumps(document))
 
 
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda d: d["hyperedges"][0].update(head=[42]),
+         "hyperedge 0 is malformed: head hypernode 42 does not exist"),
+        (lambda d: d["hyperedges"][0].update(tail=[0, 99]),
+         "hyperedge 0 is malformed: tail hypernode 99 does not exist"),
+        (lambda d: d["graph_edges"][0].update(to=9),
+         "graph edge 0 is malformed: graph node 9 does not exist"),
+        (lambda d: d["connectors_v"][0].update({"from": 77}),
+         "connectors_v entry 0 is malformed or dangling: hypernode 77 does not exist"),
+        (lambda d: d["connectors_e"][0].update({"from": 5}),
+         "connectors_e entry 0 is malformed or dangling: hyperedge 5 does not exist"),
+        (lambda d: d["connectors_e"][0].update(to=44),
+         "connectors_e entry 0 is malformed or dangling: graph node 44 does not exist"),
+    ],
+)
+def test_deserialize_names_the_missing_endpoint(mutate, message):
+    hg2 = small()
+    hg2.g.add_edge(0, 0, EdgeKind.TYPE)
+    hg2.add_connector(NodeConnector(0, 0))
+    hg2.add_connector(EdgeConnector(0, 0))
+    document = json.loads(serialize(hg2))
+    mutate(document)
+    with pytest.raises(SchemaViolation) as excinfo:
+        deserialize(json.dumps(document))
+    assert str(excinfo.value) == message
+
+
 def test_deserialize_rejects_non_json_and_non_objects():
     with pytest.raises(SchemaViolation):
         deserialize("this is not json")

@@ -5,15 +5,8 @@ import random
 
 import pytest
 
-from hg2rdf import (
-    HEAD,
-    TAIL,
-    EmptySlotError,
-    Hypergraph,
-    Occurrence,
-    UnknownNodeError,
-)
-from oracles import naive_reachable
+from hg2rdf import EmptySlotError, Hypergraph, UnknownNodeError
+from oracles import naive_path, naive_reachable
 
 
 def build(n_nodes: int) -> Hypergraph:
@@ -50,28 +43,29 @@ def test_add_hyperedge_copies_input_lists():
 
 
 def test_incidence_records_every_occurrence():
+    # each incident edge once, in ascending id order, whatever its slots
     h = build(3)
     h.add_hyperedge([0], [1, 2])
     h.add_hyperedge([1, 0], [0])
-    assert h.incidence_of(0) == [
-        Occurrence(0, HEAD, 0),
-        Occurrence(1, HEAD, 1),
-        Occurrence(1, TAIL, 0),
-    ]
-    assert h.incidence_of(2) == [Occurrence(0, TAIL, 1)]
+    h.add_hyperedge([1], [1])
+    assert h.incidence_of(0) == [0, 1]
+    assert h.incidence_of(1) == [0, 1, 2]
+    assert h.incidence_of(2) == [0]
 
 
 def test_incidence_of_returns_a_copy():
     h = build(2)
     h.add_hyperedge([0], [1])
     h.incidence_of(0).clear()
-    assert h.incidence_of(0) == [Occurrence(0, HEAD, 0)]
+    assert h.incidence_of(0) == [0]
 
 
 def test_same_node_may_sit_in_head_and_both_tail_slots():
     h = build(1)
     h.add_hyperedge([0], [0, 0])
-    assert len(h.incidence_of(0)) == 3
+    assert h.incidence_of(0) == [0]
+    assert (h.edges[0].head, h.edges[0].tail) == ([0], [0, 0])
+    assert h.forward_reachable(0) == {0}
 
 
 def test_empty_slots_are_rejected():
@@ -91,6 +85,12 @@ def test_unknown_node_ids_are_rejected():
         h.incidence_of(2)
     with pytest.raises(UnknownNodeError):
         h.forward_reachable(-1)
+    with pytest.raises(UnknownNodeError):
+        h.forward_path(2, 0)
+    with pytest.raises(UnknownNodeError):
+        h.forward_path(0, 2)
+    with pytest.raises(UnknownNodeError):
+        h.forward_path(-1, -1)
 
 
 def test_forward_reachable_chain():
@@ -123,6 +123,7 @@ def test_forward_reachable_excludes_start_unless_re_reached():
 
 def test_forward_reachable_matches_fixpoint_oracle_on_random_instances():
     rng = random.Random(90125)
+    cycle_starts = 0  # starts that a fired edge reaches again
     for _ in range(60):
         n = rng.randrange(1, 14)
         h = build(n)
@@ -131,7 +132,26 @@ def test_forward_reachable_matches_fixpoint_oracle_on_random_instances():
             tail = [rng.randrange(n) for _ in range(rng.randrange(1, 4))]
             h.add_hyperedge(head, tail)
         for start in range(n):
-            assert h.forward_reachable(start) == naive_reachable(h, start)
+            reached = h.forward_reachable(start)
+            assert reached == naive_reachable(h, start)
+            cycle_starts += start in reached
+            for target in range(n):
+                assert h.forward_path(start, target) == naive_path(h, start, target)
+    assert cycle_starts > 0
+
+
+def test_forward_path_is_the_breadth_first_witness():
+    h = build(5)
+    h.add_hyperedge([0], [1])
+    h.add_hyperedge([1], [2])
+    h.add_hyperedge([2], [3])
+    h.add_hyperedge([0, 4], [4, 2])
+    assert h.forward_path(0, 0) == ()
+    assert h.forward_path(0, 2) == (3,)
+    assert h.forward_path(0, 3) == (3, 2)
+    assert h.forward_path(3, 0) is None
+    assert h.forward_path(4, 4) == ()
+    assert h.forward_path(4, 3) == (3, 2)
 
 
 def test_freeze_blocks_mutation_but_not_queries():
@@ -143,7 +163,8 @@ def test_freeze_blocks_mutation_but_not_queries():
     with pytest.raises(RuntimeError):
         h.add_hyperedge([0], [1])
     assert h.forward_reachable(0) == {1}
-    assert h.incidence_of(1) == [Occurrence(0, TAIL, 0)]
+    assert h.forward_path(0, 1) == (0,)
+    assert h.incidence_of(1) == [0]
 
 
 def test_equality_is_structural():

@@ -31,7 +31,6 @@ from hg2rdf import (
     statement_of,
     validate_mapping,
 )
-from hg2rdf.hypergraph import HEAD, TAIL
 from hg2rdf.schema import (
     RDF_OBJECT,
     RDF_PREDICATE,
@@ -312,7 +311,14 @@ def test_datatyped_literal_gets_a_datatype_connector():
 # ------------------------------------------------------------ classification
 
 def positions(hg2: HG2, node: int) -> set[tuple[str, int]]:
-    return {(occ.slot, occ.position) for occ in hg2.h.incidence_of(node)}
+    """Every (slot, position) the node fills, read from the edges it sits in."""
+    return {
+        (slot, position)
+        for edge_id in hg2.h.incidence_of(node)
+        for slot in ("head", "tail")
+        for position, member in enumerate(getattr(hg2.h.edges[edge_id], slot))
+        if member == node
+    }
 
 
 def test_incidence_and_payload_kind_place_a_node(w3c_statements):
@@ -321,10 +327,10 @@ def test_incidence_and_payload_kind_place_a_node(w3c_statements):
         map_statement(statement, hg2)
     predicate = hg2.find_node(NodePayload.uri("http://purl.org/dc/elements/1.1/creator"))
     assert hg2.h.nodes[predicate].kind is PayloadKind.URI
-    assert positions(hg2, predicate) == {(HEAD, 0)}
+    assert positions(hg2, predicate) == {("head", 0)}
     literal = hg2.find_node(NodePayload.literal("Dave Beckett"))
     assert hg2.h.nodes[literal].kind is PayloadKind.LITERAL
-    assert positions(hg2, literal) == {(TAIL, 1)}
+    assert positions(hg2, literal) == {("tail", 1)}
     with pytest.raises(UnknownNodeError):
         hg2.h.incidence_of(404)
 
@@ -334,7 +340,7 @@ def test_classify_blank_subject():
     map_statement(Statement(NodePayload.blank("b"), iri("urn:p"), iri("urn:o")), hg2)
     blank = hg2.find_node(NodePayload.blank("b"))
     assert hg2.h.nodes[blank].kind is PayloadKind.BLANK
-    assert positions(hg2, blank) == {(TAIL, 0)}
+    assert positions(hg2, blank) == {("tail", 0)}
 
 
 # ---------------------------------------------------------- validate_mapping

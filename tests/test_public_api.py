@@ -1,9 +1,76 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: the exported names, and that each resolves."""
 from __future__ import annotations
 
 import hg2rdf
 import hg2rdf.hg2
 import hg2rdf.ntriples
+
+#: Every name ``hg2rdf.__all__`` exports, sorted; an API change shows up here.
+PUBLIC_NAMES = (
+    "ANCHOR_IRIS",
+    "BUILTIN_VOCABULARY",
+    "BadEscape",
+    "ConstraintWarning",
+    "EdgeConnector",
+    "EdgeKind",
+    "EmptySlotError",
+    "ErrorCode",
+    "FORMAT_VERSION",
+    "GraphEdge",
+    "HG2",
+    "HyperEdge",
+    "Hypergraph",
+    "IntegrationReport",
+    "Layer",
+    "MissingAnchorError",
+    "NodeConnector",
+    "NodePayload",
+    "ParseError",
+    "PathResult",
+    "PayloadKind",
+    "QueryResult",
+    "RDFS_NS",
+    "RDF_NS",
+    "SCHEMA_PREDICATES",
+    "SchemaGraph",
+    "SchemaViolation",
+    "SerializationError",
+    "Statement",
+    "UnknownGraphNodeError",
+    "UnknownHyperEdgeError",
+    "UnknownHyperNodeError",
+    "UnknownKind",
+    "UnknownNodeError",
+    "Violation",
+    "__version__",
+    "check_domain_range",
+    "deserialize",
+    "format_statement",
+    "format_term",
+    "generate_connectors",
+    "instances_of",
+    "integrate",
+    "load_builtin_vocabulary",
+    "map_schema_statement",
+    "map_statement",
+    "parse_document",
+    "parse_line",
+    "path_exists",
+    "reachable_from",
+    "route_statement",
+    "serialize",
+    "statement_of",
+    "statements_about",
+    "to_dot",
+    "unescape_literal",
+    "validate_layering",
+    "validate_mapping",
+)
+
+
+def test_the_exported_names_are_pinned():
+    assert PUBLIC_NAMES == tuple(sorted(PUBLIC_NAMES))
+    assert tuple(sorted(hg2rdf.__all__)) == PUBLIC_NAMES
 
 
 def test_every_exported_name_resolves():

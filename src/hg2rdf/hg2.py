@@ -16,7 +16,17 @@ Hypernode payloads serialize in two shapes: :class:`NodePayload` instances,
 the parser's RDF terms (kind ``uri``/``blank``/``literal``), write their
 fields; anything else is written as kind ``opaque`` with its JSON value, so
 payloads that are not JSON-representable (e.g. tuples) will not round-trip
-identically.
+identically.  A non-finite float cannot be written (``NaN`` and ``Infinity``
+are not JSON, so other platforms could not read the document), and
+``deserialize`` refuses those tokens.
+
+``serialize`` writes each record from a fixed template, with the string
+escaper of :mod:`json`, and gives the bytes ``json.dumps(..., indent=2)``
+gives.  ``deserialize`` checks the ids, slots, endpoints and duplicates of
+each section in one pass before it stores any record of it, and then
+appends the records through the private helpers that the public mutators
+end in.  A section that fails the check goes through the checked mutators,
+so a bad record raises the exception class and message they give.
 """
 from __future__ import annotations
 
@@ -24,11 +34,13 @@ import json
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring as _quote
 from typing import Any
 
 from .hypergraph import Freezable, Hypergraph, _check_ids
 from .ntriples import NodePayload, PayloadKind
-from .schema import EdgeKind, SchemaGraph
+from .schema import EdgeKind, GraphEdge, SchemaGraph
 
 FORMAT_VERSION = "hg2/1"
 
@@ -96,7 +108,8 @@ class HG2(Freezable):
     and ``to_dot`` replay and the duplicate check; ``connectors_v`` and
     ``connectors_e`` expose it as read-only tuples.  Node connectors also
     fill hypernode → graph nodes (:meth:`anchors_of_node`) and its reverse
-    (:meth:`nodes_anchored_in`).  Only :meth:`add_connector` writes these.
+    (:meth:`nodes_anchored_in`).  Only ``_append_connector``, behind
+    :meth:`add_connector` and ``deserialize``, writes these.
     """
 
     def __init__(self, g: SchemaGraph | None = None):
@@ -164,11 +177,19 @@ class HG2(Freezable):
             raise UnknownGraphNodeError(f"graph node {connector.graph_node} does not exist")
         if connector in store:
             return False
-        store[connector] = None
-        if store is self._connectors_v:
-            self._node_anchors.setdefault(source, []).append(connector.graph_node)
-            self._anchored_nodes.setdefault(connector.graph_node, []).append(source)
+        self._append_connector(connector)
         return True
+
+    def _append_connector(self, connector: Connector) -> None:
+        """Store a new connector between existing endpoints; the only writer
+        of the connector stores and of the two node-connector indexes."""
+        if isinstance(connector, NodeConnector):
+            self._connectors_v[connector] = None
+            source, target = connector.hypernode, connector.graph_node
+            self._node_anchors.setdefault(source, []).append(target)
+            self._anchored_nodes.setdefault(target, []).append(source)
+        else:
+            self._connectors_e[connector] = None
 
     @property
     def connectors_v(self) -> tuple[NodeConnector, ...]:
@@ -230,41 +251,90 @@ def validate_layering(hg2: HG2) -> list[Violation]:
 
 _PAYLOAD_FIELDS = ("iri", "blank_label", "lexical_form", "language_tag", "datatype_iri")
 
+# serialize writes what ``json.dumps(document, indent=2, ensure_ascii=False)``
+# would, one record at a time: record fields sit six spaces deep, and
+# ``_quote`` is the escaper ``json.dumps`` itself uses for strings.
+_FIELD = "\n      "
+_NEXT_FIELD = "," + _FIELD
 
-def _payload_to_json(node_id: int, payload: Any) -> dict[str, Any]:
-    if isinstance(payload, NodePayload):
-        record: dict[str, Any] = {"id": node_id, "kind": payload.kind.value}
-        for name in _PAYLOAD_FIELDS:
-            value = getattr(payload, name)
-            if value is not None:
-                record[name] = value
-        return record
-    return {"id": node_id, "kind": "opaque", "value": payload}
+
+def _json(value: Any) -> str:
+    """A record field's value as it appears in the document."""
+    if isinstance(value, str):
+        return _quote(value)
+    text = json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
+    return text.replace("\n", _FIELD)
+
+
+def _id_list(ids: list[int]) -> str:
+    if not ids:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, ids)) + "\n      ]"
+
+
+def _record(*fields: str) -> str:
+    """One object of a section, from its fields rendered as ``"key": value``."""
+    return "    {" + _FIELD + _NEXT_FIELD.join(fields) + "\n    }"
+
+
+def _hypernode_record(node_id: int, payload: Any) -> str:
+    if not isinstance(payload, NodePayload):
+        return _record(f'"id": {node_id}', '"kind": "opaque"', f'"value": {_json(payload)}')
+    return _record(
+        f'"id": {node_id}',
+        f'"kind": {_json(payload.kind.value)}',
+        *(
+            f'"{name}": {_json(value)}'
+            for name in _PAYLOAD_FIELDS
+            if (value := getattr(payload, name)) is not None
+        ),
+    )
+
+
+def _section(name: str, records: list[str]) -> str:
+    if not records:
+        return f',\n  "{name}": []'
+    return f',\n  "{name}": [\n' + ",\n".join(records) + "\n  ]"
 
 
 def serialize(hg2: HG2) -> str:
-    """Render the structure as a deterministic, human-readable JSON document."""
-    document = {
-        "meta": {"format": FORMAT_VERSION},
-        "hypernodes": [
-            _payload_to_json(node_id, payload) for node_id, payload in enumerate(hg2.h.nodes)
-        ],
-        "hyperedges": [
-            {"id": edge.id, "head": list(edge.head), "tail": list(edge.tail)}
+    """Render the structure as a deterministic, human-readable JSON document.
+
+    The text is what ``json.dumps(document, indent=2, ensure_ascii=False)``
+    writes for the section layout, built record by record without the
+    intermediate document.  A non-finite float anywhere in a payload is a
+    ``ValueError``: ``NaN`` and ``Infinity`` are not JSON, and parsers other
+    than Python's refuse them.
+    """
+    sections = (
+        ("hypernodes", [
+            _hypernode_record(node_id, payload) for node_id, payload in enumerate(hg2.h.nodes)
+        ]),
+        ("hyperedges", [
+            _record(f'"id": {edge.id}', f'"head": {_id_list(edge.head)}',
+                    f'"tail": {_id_list(edge.tail)}')
             for edge in hg2.h.edges
-        ],
-        "graph_nodes": [{"id": node_id, "iri": iri} for node_id, iri in enumerate(hg2.g.iris)],
-        "graph_edges": [
-            {"from": edge.src, "to": edge.dst, "kind": edge.kind.value} for edge in hg2.g.edges
-        ],
-        "connectors_v": [
-            {"from": c.hypernode, "to": c.graph_node} for c in hg2.connectors_v
-        ],
-        "connectors_e": [
-            {"from": c.hyperedge, "to": c.graph_node} for c in hg2.connectors_e
-        ],
-    }
-    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+        ]),
+        ("graph_nodes", [
+            _record(f'"id": {node_id}', f'"iri": {_json(iri)}')
+            for node_id, iri in enumerate(hg2.g.iris)
+        ]),
+        ("graph_edges", [
+            _record(f'"from": {edge.src}', f'"to": {edge.dst}', f'"kind": {_json(edge.kind.value)}')
+            for edge in hg2.g.edges
+        ]),
+        ("connectors_v", [
+            _record(f'"from": {c.hypernode}', f'"to": {c.graph_node}') for c in hg2._connectors_v
+        ]),
+        ("connectors_e", [
+            _record(f'"from": {c.hyperedge}', f'"to": {c.graph_node}') for c in hg2._connectors_e
+        ]),
+    )
+    return (
+        f'{{\n  "meta": {{\n    "format": {_json(FORMAT_VERSION)}\n  }}'
+        + "".join(_section(name, records) for name, records in sections)
+        + "\n}\n"
+    )
 
 
 # A JSON escape of a code point in U+D800..U+DFFF.  Valid pairs decode to one
@@ -290,31 +360,40 @@ def _holds_surrogate(value: Any) -> bool:
     return False
 
 
+def _reject_constant(name: str) -> float:
+    raise SchemaViolation(f"{name} is not a JSON number")
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaViolation(message)
 
 
-def _as_int(value: Any, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaViolation(f"{context} must be an integer, got {value!r}")
-    return value
+def _all_ids(values: list[Any], count: int) -> bool:
+    """Whether every value is a plain int in ``range(count)``; a bool is not."""
+    return not values or (
+        set(map(type, values)) == {int} and min(values) >= 0 and max(values) < count
+    )
 
 
 def _as_records(document: dict[str, Any], section: str) -> list[dict[str, Any]]:
     _require(section in document, f"missing section '{section}'")
     records = document[section]
     _require(isinstance(records, list), f"section '{section}' must be a list")
-    for record in records:
-        _require(isinstance(record, dict), f"entries of '{section}' must be objects")
+    _require(set(map(type, records)) <= {dict}, f"entries of '{section}' must be objects")
     return records
 
 
 def _check_dense_ids(records: list[dict[str, Any]], section: str) -> None:
+    ids = [record.get("id") for record in records]
+    if ids == list(range(len(ids))) and _all_ids(ids, len(ids)):
+        return
     for index, record in enumerate(records):
         _require("id" in record, f"entry {index} of '{section}' has no id")
-        if _as_int(record["id"], f"{section} id") != index:
-            raise SchemaViolation(f"ids in '{section}' must be dense and ordered")
+        value = record["id"]
+        if type(value) is not int:
+            raise SchemaViolation(f"{section} id must be an integer, got {value!r}")
+        _require(value == index, f"ids in '{section}' must be dense and ordered")
 
 
 def _payload_from_json(record: dict[str, Any]) -> Any:
@@ -335,18 +414,91 @@ def _payload_from_json(record: dict[str, Any]) -> Any:
     return NodePayload(payload_kind, **fields)
 
 
+# Each section below is checked whole first, with passes that run in C where
+# they can, and then appended through the containers' private append helpers,
+# the code the public mutators end in.  A section that fails its check is
+# loaded record by record through the public mutators instead; the first
+# record they refuse raises, and the message names that record.
+
+
+def _load_hyperedges(hg2: HG2, records: list[dict[str, Any]]) -> None:
+    heads = [record.get("head") for record in records]
+    tails = [record.get("tail") for record in records]
+    slots = heads + tails
+    if set(map(type, slots)) <= {list} and all(slots) and _all_ids(
+        list(chain.from_iterable(slots)), hg2.h.node_count
+    ):
+        for head, tail in zip(heads, tails):
+            hg2.h._append_edge(head, tail)
+        return
+    for index, (head, tail) in enumerate(zip(heads, tails)):
+        _require(isinstance(head, list) and isinstance(tail, list),
+                 f"hyperedge {index} needs 'head' and 'tail' lists")
+        try:
+            hg2.h.add_hyperedge(head, tail)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise SchemaViolation(f"hyperedge {index} is malformed: {exc}") from exc
+
+
+_EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
+
+
+def _load_graph_edges(hg2: HG2, records: list[dict[str, Any]]) -> None:
+    sources = [record.get("from") for record in records]
+    targets = [record.get("to") for record in records]
+    kinds = [record.get("kind") for record in records]
+    count = hg2.g.node_count
+    if set(map(type, kinds)) <= {str} and set(kinds) <= _EDGE_KINDS.keys() \
+            and _all_ids(sources, count) and _all_ids(targets, count):
+        edges = list(map(GraphEdge, sources, targets, map(_EDGE_KINDS.__getitem__, kinds)))
+        if len(set(edges)) == len(edges):
+            for edge in edges:
+                hg2.g._append_edge(edge)
+            return
+    for index, record in enumerate(records):
+        try:
+            kind = EdgeKind(record.get("kind"))
+        except ValueError:
+            raise UnknownKind(f"unknown graph edge kind {record.get('kind')!r}") from None
+        try:
+            added = hg2.g.add_edge(record.get("from"), record.get("to"), kind)
+        except (LookupError, TypeError) as exc:
+            raise SchemaViolation(f"graph edge {index} is malformed: {exc}") from exc
+        _require(added, f"graph_edges entry {index} is a duplicate")
+
+
+def _load_connectors(
+    hg2: HG2, records: list[dict[str, Any]], section: str, factory: type, source_count: int
+) -> None:
+    sources = [record.get("from") for record in records]
+    targets = [record.get("to") for record in records]
+    if _all_ids(sources, source_count) and _all_ids(targets, hg2.g.node_count) \
+            and len(set(zip(sources, targets))) == len(records):
+        for connector in map(factory, sources, targets):
+            hg2._append_connector(connector)
+        return
+    for index, record in enumerate(records):
+        try:
+            added = hg2.add_connector(factory(record.get("from"), record.get("to")))
+        except (LookupError, TypeError) as exc:
+            raise SchemaViolation(f"{section} entry {index} is malformed or dangling: {exc}") from exc
+        _require(added, f"{section} entry {index} is a duplicate")
+
+
 def deserialize(text: str) -> HG2:
     """Rebuild an HG2 from its serialized document.
 
     Raises :class:`SchemaViolation` for structural problems (JSON nested
     past the parser's depth limit included) and :class:`UnknownKind` when a
     kind discriminator is out of vocabulary.  A non-int id, a repeated graph
-    node IRI, graph edge or connector, and a string holding a lone surrogate
-    (a ``\\uD800``..``\\uDFFF`` escape that is not half of a pair, which
-    cannot be written as UTF-8) are each a :class:`SchemaViolation` too.
+    node IRI, graph edge or connector, a ``NaN``, ``Infinity`` or
+    ``-Infinity`` token (not JSON), and a string holding a lone surrogate (a
+    ``\\uD800``..``\\uDFFF`` escape that is not half of a pair, which cannot
+    be written as UTF-8) are each a :class:`SchemaViolation` too.  Sections
+    load in document order, each checked whole before it is stored.
     """
     try:
-        document = json.loads(text)
+        document = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
     except RecursionError:
@@ -366,15 +518,7 @@ def deserialize(text: str) -> HG2:
 
     edge_records = _as_records(document, "hyperedges")
     _check_dense_ids(edge_records, "hyperedges")
-    for index, record in enumerate(edge_records):
-        head = record.get("head")
-        tail = record.get("tail")
-        _require(isinstance(head, list) and isinstance(tail, list),
-                 f"hyperedge {index} needs 'head' and 'tail' lists")
-        try:
-            hg2.h.add_hyperedge(head, tail)
-        except (LookupError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"hyperedge {index} is malformed: {exc}") from exc
+    _load_hyperedges(hg2, edge_records)
 
     graph_node_records = _as_records(document, "graph_nodes")
     _check_dense_ids(graph_node_records, "graph_nodes")
@@ -384,22 +528,9 @@ def deserialize(text: str) -> HG2:
         if hg2.g.intern(iri) != index:
             raise SchemaViolation(f"duplicate graph node iri {iri!r}")
 
-    for index, record in enumerate(_as_records(document, "graph_edges")):
-        try:
-            kind = EdgeKind(record.get("kind"))
-        except ValueError:
-            raise UnknownKind(f"unknown graph edge kind {record.get('kind')!r}") from None
-        try:
-            added = hg2.g.add_edge(record.get("from"), record.get("to"), kind)
-        except (LookupError, TypeError) as exc:
-            raise SchemaViolation(f"graph edge {index} is malformed: {exc}") from exc
-        _require(added, f"graph_edges entry {index} is a duplicate")
-
-    for section, factory in (("connectors_v", NodeConnector), ("connectors_e", EdgeConnector)):
-        for index, record in enumerate(_as_records(document, section)):
-            try:
-                added = hg2.add_connector(factory(record.get("from"), record.get("to")))
-            except (LookupError, TypeError) as exc:
-                raise SchemaViolation(f"{section} entry {index} is malformed or dangling: {exc}") from exc
-            _require(added, f"{section} entry {index} is a duplicate")
+    _load_graph_edges(hg2, _as_records(document, "graph_edges"))
+    _load_connectors(hg2, _as_records(document, "connectors_v"), "connectors_v",
+                     NodeConnector, hg2.h.node_count)
+    _load_connectors(hg2, _as_records(document, "connectors_e"), "connectors_e",
+                     EdgeConnector, hg2.h.edge_count)
     return hg2

@@ -94,6 +94,11 @@ class Hypergraph(Freezable):
             self._check_node(node, "head hypernode")
         for node in tail:
             self._check_node(node, "tail hypernode")
+        return self._append_edge(head, tail)
+
+    def _append_edge(self, head: list[int], tail: list[int]) -> int:
+        """Store an edge whose slots are already checked; the only code that
+        appends to the edge list and files edge ids in the per-node indexes."""
         edge_id = len(self.edges)
         self.edges.append(HyperEdge(edge_id, head, tail))
         for node in set(head):

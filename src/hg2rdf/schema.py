@@ -129,13 +129,18 @@ class SchemaGraph(Freezable):
         edge = GraphEdge(src, dst, kind)
         if edge in self._edge_set:
             return False
+        self._append_edge(edge)
+        return True
+
+    def _append_edge(self, edge: GraphEdge) -> None:
+        """Store a new edge between existing nodes; the only writer of the
+        edge list, the duplicate set and both lookup indexes."""
         self.edges.append(edge)
         self._edge_set.add(edge)
-        if kind is EdgeKind.SUBCLASS_OF:
-            self._subclass_children.setdefault(dst, []).append(src)
-        elif kind in _CONSTRAINT_KINDS:
-            self._constraints.setdefault((src, kind), dst)
-        return True
+        if edge.kind is EdgeKind.SUBCLASS_OF:
+            self._subclass_children.setdefault(edge.dst, []).append(edge.src)
+        elif edge.kind in _CONSTRAINT_KINDS:
+            self._constraints.setdefault((edge.src, edge.kind), edge.dst)
 
     def subclass_closure(self, node: int) -> set[int]:
         """The class itself plus all its SubClassOf descendants; cycle-safe."""

@@ -7,11 +7,14 @@ reproducible from a seed.
 """
 from __future__ import annotations
 
+import json
 import random
 import re
+from typing import Any
 
 from hg2rdf import (
     ANCHOR_IRIS,
+    FORMAT_VERSION,
     HG2,
     ConstraintWarning,
     EdgeConnector,
@@ -22,7 +25,9 @@ from hg2rdf import (
     ParseError,
     PayloadKind,
     SchemaGraph,
+    SchemaViolation,
     Statement,
+    UnknownKind,
     format_statement,
 )
 from hg2rdf.ntriples import _Halt, _parse_line
@@ -442,3 +447,195 @@ def check_dot(text: str) -> list[str]:
     if depth != 0:
         problems.append(f"unbalanced braces: {depth} left open")
     return problems
+
+
+def assert_same_indexes(a: HG2, b: HG2) -> None:
+    """Every identity table and index of two structures agrees, key order
+    included; ``HG2.__eq__`` compares only what ``serialize`` writes."""
+    assert list(a.node_index.items()) == list(b.node_index.items())
+    assert a.h._incidence == b.h._incidence
+    assert a.h._heads == b.h._heads
+    assert list(a._node_anchors.items()) == list(b._node_anchors.items())
+    assert list(a._anchored_nodes.items()) == list(b._anchored_nodes.items())
+    assert list(a.g._ids.items()) == list(b.g._ids.items())
+    assert a.g._edge_set == b.g._edge_set
+    assert list(a.g._subclass_children.items()) == list(b.g._subclass_children.items())
+    assert list(a.g._constraints.items()) == list(b.g._constraints.items())
+
+
+# The hg2/1 reader and writer as they were before they were rewritten for
+# speed: the writer builds the whole document and hands it to json.dumps, and
+# the reader adds every record through the checked public mutators.  The only
+# change is that both refuse non-finite floats.
+
+_PAYLOAD_FIELDS = ("iri", "blank_label", "lexical_form", "language_tag", "datatype_iri")
+
+
+def _payload_to_json(node_id: int, payload: Any) -> dict[str, Any]:
+    if isinstance(payload, NodePayload):
+        record: dict[str, Any] = {"id": node_id, "kind": payload.kind.value}
+        for name in _PAYLOAD_FIELDS:
+            value = getattr(payload, name)
+            if value is not None:
+                record[name] = value
+        return record
+    return {"id": node_id, "kind": "opaque", "value": payload}
+
+
+def oracle_serialize(hg2: HG2) -> str:
+    """Render the structure as a deterministic, human-readable JSON document."""
+    document = {
+        "meta": {"format": FORMAT_VERSION},
+        "hypernodes": [
+            _payload_to_json(node_id, payload) for node_id, payload in enumerate(hg2.h.nodes)
+        ],
+        "hyperedges": [
+            {"id": edge.id, "head": list(edge.head), "tail": list(edge.tail)}
+            for edge in hg2.h.edges
+        ],
+        "graph_nodes": [{"id": node_id, "iri": iri} for node_id, iri in enumerate(hg2.g.iris)],
+        "graph_edges": [
+            {"from": edge.src, "to": edge.dst, "kind": edge.kind.value} for edge in hg2.g.edges
+        ],
+        "connectors_v": [
+            {"from": c.hypernode, "to": c.graph_node} for c in hg2.connectors_v
+        ],
+        "connectors_e": [
+            {"from": c.hyperedge, "to": c.graph_node} for c in hg2.connectors_e
+        ],
+    }
+    return json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+# A JSON escape of a code point in U+D800..U+DFFF.  Valid pairs decode to one
+# character, so only a document that has such an escape can hold a lone one.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _holds_surrogate(value: Any) -> bool:
+    """Whether any string in a decoded JSON value, keys included, holds a
+    surrogate code point; iterative, so nesting depth costs no stack."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            if _SURROGATE_RE.search(item):
+                return True
+        elif isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+    return False
+
+
+def _reject_constant(name: str) -> float:
+    raise SchemaViolation(f"{name} is not a JSON number")
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise SchemaViolation(message)
+
+
+def _as_int(value: Any, context: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaViolation(f"{context} must be an integer, got {value!r}")
+    return value
+
+
+def _as_records(document: dict[str, Any], section: str) -> list[dict[str, Any]]:
+    _require(section in document, f"missing section '{section}'")
+    records = document[section]
+    _require(isinstance(records, list), f"section '{section}' must be a list")
+    for record in records:
+        _require(isinstance(record, dict), f"entries of '{section}' must be objects")
+    return records
+
+
+def _check_dense_ids(records: list[dict[str, Any]], section: str) -> None:
+    for index, record in enumerate(records):
+        _require("id" in record, f"entry {index} of '{section}' has no id")
+        if _as_int(record["id"], f"{section} id") != index:
+            raise SchemaViolation(f"ids in '{section}' must be dense and ordered")
+
+
+def _payload_from_json(record: dict[str, Any]) -> Any:
+    kind = record.get("kind")
+    if kind == "opaque":
+        _require("value" in record, "opaque hypernode has no value")
+        return record["value"]
+    try:
+        payload_kind = PayloadKind(kind)
+    except ValueError:
+        raise UnknownKind(f"unknown hypernode kind {kind!r}") from None
+    fields = {}
+    for name in _PAYLOAD_FIELDS:
+        value = record.get(name)
+        if value is not None:
+            _require(isinstance(value, str), f"hypernode field '{name}' must be a string")
+        fields[name] = value
+    return NodePayload(payload_kind, **fields)
+
+
+def oracle_deserialize(text: str) -> HG2:
+    """Rebuild an HG2 from its serialized document, one checked record at a time."""
+    try:
+        document = json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaViolation("JSON nesting exceeds the parser's depth limit") from None
+    if _SURROGATE_ESCAPE_RE.search(text) and _holds_surrogate(document):
+        raise SchemaViolation("a string holds a lone surrogate code point")
+    _require(isinstance(document, dict), "document root must be an object")
+    meta = document.get("meta")
+    _require(isinstance(meta, dict), "missing 'meta' section")
+    _require(meta.get("format") == FORMAT_VERSION, f"unsupported format {meta.get('format')!r}")
+
+    hg2 = HG2()
+    node_records = _as_records(document, "hypernodes")
+    _check_dense_ids(node_records, "hypernodes")
+    for record in node_records:
+        hg2.add_node(_payload_from_json(record), intern=False)
+
+    edge_records = _as_records(document, "hyperedges")
+    _check_dense_ids(edge_records, "hyperedges")
+    for index, record in enumerate(edge_records):
+        head = record.get("head")
+        tail = record.get("tail")
+        _require(isinstance(head, list) and isinstance(tail, list),
+                 f"hyperedge {index} needs 'head' and 'tail' lists")
+        try:
+            hg2.h.add_hyperedge(head, tail)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise SchemaViolation(f"hyperedge {index} is malformed: {exc}") from exc
+
+    graph_node_records = _as_records(document, "graph_nodes")
+    _check_dense_ids(graph_node_records, "graph_nodes")
+    for index, record in enumerate(graph_node_records):
+        iri = record.get("iri")
+        _require(isinstance(iri, str), f"graph node {index} needs a string iri")
+        if hg2.g.intern(iri) != index:
+            raise SchemaViolation(f"duplicate graph node iri {iri!r}")
+
+    for index, record in enumerate(_as_records(document, "graph_edges")):
+        try:
+            kind = EdgeKind(record.get("kind"))
+        except ValueError:
+            raise UnknownKind(f"unknown graph edge kind {record.get('kind')!r}") from None
+        try:
+            added = hg2.g.add_edge(record.get("from"), record.get("to"), kind)
+        except (LookupError, TypeError) as exc:
+            raise SchemaViolation(f"graph edge {index} is malformed: {exc}") from exc
+        _require(added, f"graph_edges entry {index} is a duplicate")
+
+    for section, factory in (("connectors_v", NodeConnector), ("connectors_e", EdgeConnector)):
+        for index, record in enumerate(_as_records(document, section)):
+            try:
+                added = hg2.add_connector(factory(record.get("from"), record.get("to")))
+            except (LookupError, TypeError) as exc:
+                raise SchemaViolation(f"{section} entry {index} is malformed or dangling: {exc}") from exc
+            _require(added, f"{section} entry {index} is a duplicate")
+    return hg2

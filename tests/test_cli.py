@@ -5,7 +5,11 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +244,17 @@ def test_stats_prints_six_counts(sample_file, capsys):
         "node connectors: 6\n"
         "edge connectors: 3\n"
     )
+
+
+def test_python_dash_m_runs_the_cli(sample_file):
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "hg2rdf", "stats", "-i", sample_file],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("hypernodes: 6\n")
 
 
 def test_stats_on_empty_input(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -277,6 +278,24 @@ def test_deserialize_names_the_missing_endpoint(mutate, message):
     with pytest.raises(SchemaViolation) as excinfo:
         deserialize(json.dumps(document))
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, {"x": -float("inf")}]])
+def test_serialize_refuses_a_non_finite_float(value):
+    hg2 = HG2()
+    hg2.add_node(value, intern=False)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        serialize(hg2)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_deserialize_refuses_non_finite_number_tokens(token):
+    hg2 = HG2()
+    hg2.add_node(1.5, intern=False)
+    text = serialize(hg2)
+    assert '"value": 1.5' in text
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(token)} is not a JSON number$"):
+        deserialize(text.replace("1.5", token))
 
 
 def test_deserialize_rejects_non_json_and_non_objects():

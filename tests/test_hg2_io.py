@@ -1,0 +1,201 @@
+"""hg2/1 reader and writer against the oracles they replaced.
+
+``serialize`` must write the oracle's bytes, and ``deserialize`` must build
+the same structure with the same indexes, or raise the same exception with
+the same message.  Inputs: hypothesis structures with awkward payloads, the
+seeded benchmark corpora, and a seeded mutation fuzz over documents.
+"""
+from __future__ import annotations
+
+import importlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hg2rdf import (
+    HG2,
+    EdgeConnector,
+    EdgeKind,
+    NodeConnector,
+    NodePayload,
+    SerializationError,
+    deserialize,
+    instances_of,
+    integrate,
+    parse_document,
+    path_exists,
+    reachable_from,
+    serialize,
+    statements_about,
+)
+from oracles import assert_same_indexes, oracle_deserialize, oracle_serialize, random_structure
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# Characters JSON escapes or that UTF-8 and JavaScript treat specially.
+_AWKWARD = ('"', "\\", "\x00", "\x08", "\t", "\n", "\x1f", "\x7f", "\u2028", "\u2029",
+            "é", "\U0001f600", "\ud800", "\udfff")
+texts = st.text(st.one_of(st.characters(), st.sampled_from(_AWKWARD)), max_size=6)
+opaque_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=8,
+)
+payloads = st.one_of(
+    st.builds(NodePayload.uri, texts),
+    st.builds(NodePayload.blank, texts),
+    st.builds(NodePayload.literal, texts, st.none() | texts),
+    st.builds(lambda form, datatype: NodePayload.literal(form, datatype_iri=datatype), texts, texts),
+    opaque_values,
+)
+
+
+@st.composite
+def structures(draw) -> HG2:
+    hg2 = HG2()
+    for payload in draw(st.lists(payloads, max_size=6)):
+        hg2.add_node(payload, intern=False)
+    if hg2.h.node_count:
+        slot = st.lists(st.integers(0, hg2.h.node_count - 1), min_size=1, max_size=3)
+        for head, tail in draw(st.lists(st.tuples(slot, slot), max_size=5)):
+            hg2.h.add_hyperedge(head, tail)
+    for iri in draw(st.lists(texts, max_size=5, unique=True)):
+        hg2.g.intern(iri)
+    if hg2.g.node_count:
+        graph_node = st.integers(0, hg2.g.node_count - 1)
+        for src, dst, kind in draw(st.lists(
+                st.tuples(graph_node, graph_node, st.sampled_from(EdgeKind)), max_size=5)):
+            hg2.g.add_edge(src, dst, kind)
+        for count, factory in ((hg2.h.node_count, NodeConnector),
+                               (hg2.h.edge_count, EdgeConnector)):
+            if count:
+                pairs = st.tuples(st.integers(0, count - 1), graph_node)
+                for source, target in draw(st.lists(pairs, max_size=5)):
+                    hg2.add_connector(factory(source, target))
+    return hg2
+
+
+def outcome(load, text: str):
+    """The structure ``load`` builds, or the class and message it raises."""
+    try:
+        return load(text)
+    except Exception as exc:  # compared, never swallowed: see assert_same_outcome
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(text: str) -> None:
+    new, old = outcome(deserialize, text), outcome(oracle_deserialize, text)
+    if isinstance(old, HG2):
+        assert isinstance(new, HG2), new
+        assert new == old
+        assert_same_indexes(new, old)
+    else:
+        assert new == old
+        assert issubclass(new[0], SerializationError), new
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures())
+def test_serialize_writes_the_oracles_bytes(hg2):
+    text = serialize(hg2)
+    assert text == oracle_serialize(hg2)
+    assert_same_outcome(text)
+
+
+def test_serialize_writes_the_oracles_bytes_for_empty_sections_and_opaque_containers():
+    hg2 = HG2()
+    assert serialize(hg2) == oracle_serialize(hg2)
+    for payload in ([], {}, [[], {}], {"k": [1, {"x": None}], "": "\u2028"}, -0.0, 10**30):
+        hg2.add_node(payload, intern=False)
+    hg2.h.add_hyperedge([0, 1, 2], [2])
+    assert serialize(hg2) == oracle_serialize(hg2)
+    assert_same_outcome(serialize(hg2))
+
+
+_BAD_VALUES = (None, True, 1.5, -1, 10**30, "x", [0], {"a": 0}, "\ud800", float("nan"))
+
+
+def mutate(document: dict, rng: random.Random) -> None:
+    """Replace one field or one section, or drop one key, in place."""
+    sections = [name for name, value in document.items() if isinstance(value, list) and value]
+    roll = rng.random()
+    if roll < 0.15 or not sections:
+        document[rng.choice(list(document))] = rng.choice(_BAD_VALUES)
+        return
+    record = rng.choice(document[rng.choice(sections)])
+    key = rng.choice(list(record))
+    if roll < 0.3:
+        del record[key]
+    elif isinstance(record[key], list) and record[key] and roll < 0.6:
+        record[key][rng.randrange(len(record[key]))] = rng.choice(_BAD_VALUES)
+    else:
+        record[key] = rng.choice(_BAD_VALUES)
+
+
+def test_mutated_documents_fail_alike_in_both_readers():
+    rng = random.Random(8088)
+    failures = 0
+    for _ in range(1500):
+        document = json.loads(serialize(random_structure(rng)))
+        mutate(document, rng)
+        text = json.dumps(document)
+        assert_same_outcome(text)
+        failures += not isinstance(outcome(deserialize, text), HG2)
+    assert failures > 1000  # the fuzz reaches the error paths, not just valid loads
+
+
+@pytest.fixture(scope="module")
+def bench_corpora() -> dict[str, object]:
+    """Seed-1 benchmark corpora by workload, generated by ``bench/corpus.py``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCH))
+        corpus = importlib.import_module("corpus")
+    return {name: corpus.generate(corpus.SHAPES[name], 1) for name in ("ingest", "validate", "query")}
+
+
+@pytest.fixture(scope="module")
+def loads(bench_corpora) -> dict[str, tuple[HG2, str, HG2, HG2]]:
+    """Per workload: the built structure, its document, and the document
+    loaded by ``deserialize`` and by the oracle."""
+    result = {}
+    for name, corpus in bench_corpora.items():
+        statements = []
+        for file_name in [*corpus.schema_inputs, *corpus.inputs]:
+            statements += parse_document(corpus.files[file_name])[0]
+        hg2 = integrate(statements)[0]
+        text = serialize(hg2)
+        result[name] = hg2, text, deserialize(text), oracle_deserialize(text)
+    return result
+
+
+@pytest.mark.parametrize("workload", ["ingest", "validate", "query"])
+def test_bench_corpora_write_and_load_as_the_oracles_do(loads, workload):
+    hg2, text, new, old = loads[workload]
+    assert text == oracle_serialize(hg2)
+    assert new == old == hg2
+    assert_same_indexes(new, old)
+
+
+def test_queries_answer_alike_on_both_loads_of_the_query_corpus(bench_corpora, loads):
+    corpus = bench_corpora["query"]
+    _, _, new, old = loads["query"]
+    entities, properties = corpus.entities, corpus.properties
+    queries = [
+        *((statements_about, iri) for iri in entities[::25]),
+        *((instances_of, iri) for iri in corpus.classes[::4]),
+        *((reachable_from, iri) for iri in [*properties, *entities[::100]]),
+        *((path_exists, source, entities[i * 37 % len(entities)])
+          for i, source in enumerate(properties)),
+        *((path_exists, source, target) for source, target in zip(properties, properties[1:])),
+    ]
+    found = 0
+    for query, *args in queries:
+        answer = query(new, *args)
+        assert answer == query(old, *args), (query.__name__, args)
+        found += bool(answer.edges if query is path_exists else answer.items)
+    assert found > len(queries) // 2

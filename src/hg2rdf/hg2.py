@@ -2,9 +2,10 @@
 
 Connectors are directed dependency links and always point from the hypergraph
 layer into the graph layer; the two dataclasses make the opposite direction
-unrepresentable.  The container owns the hypernode payload index, one
-insertion-ordered store per connector kind, and two node-connector indexes
-(hypernode to graph nodes and its reverse); nothing else keeps identity state.
+unrepresentable.  Each layer interns its own nodes (hypernode payloads in
+:class:`Hypergraph`, IRIs in :class:`SchemaGraph`); the container owns only
+what crosses the layers: one insertion-ordered store per connector kind, and
+two node-connector indexes (hypernode to graph nodes and its reverse).
 
 ``serialize``/``deserialize`` round-trip the whole structure through a JSON
 document with sections ``hypernodes``, ``hyperedges``, ``graph_nodes``,
@@ -31,6 +32,7 @@ so a bad record raises the exception class and message they give.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -45,15 +47,7 @@ from .schema import EdgeKind, GraphEdge, SchemaGraph
 FORMAT_VERSION = "hg2/1"
 
 
-class UnknownHyperNodeError(LookupError):
-    pass
-
-
 class UnknownHyperEdgeError(LookupError):
-    pass
-
-
-class UnknownGraphNodeError(LookupError):
     pass
 
 
@@ -102,8 +96,8 @@ class Violation:
 class HG2(Freezable):
     """A hypergraph H, a schema graph G, and the connector sets between them.
 
-    ``node_index`` maps each hashable payload to its first hypernode; it is
-    the only term identity table.  Each connector kind is stored once, as the
+    Nodes are added and found through the layers (``h.add_node``/``h.find``,
+    ``g.intern``/``g.find``).  Each connector kind is stored once, as the
     keys of an insertion-ordered dict that is both the order ``serialize``
     and ``to_dot`` replay and the duplicate check; ``connectors_v`` and
     ``connectors_e`` expose it as read-only tuples.  Node connectors also
@@ -119,7 +113,6 @@ class HG2(Freezable):
         self._connectors_e: dict[EdgeConnector, None] = {}
         self._node_anchors: dict[int, list[int]] = {}
         self._anchored_nodes: dict[int, list[int]] = {}
-        self.node_index: dict[Any, int] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HG2):
@@ -137,35 +130,13 @@ class HG2(Freezable):
         self.h.freeze()
         self.g.freeze()
 
-    def add_node(self, payload: Any, intern: bool = True) -> int:
-        """Add a hypernode; with ``intern`` a repeated payload reuses its node."""
-        if intern:
-            existing = self.find_node(payload)
-            if existing is not None:
-                return existing
-        self._check_mutable()
-        node_id = self.h.add_node(payload)
-        try:
-            self.node_index.setdefault(payload, node_id)
-        except TypeError:
-            pass  # unhashable opaque payloads stay unindexed
-        return node_id
-
-    def find_node(self, payload: Any) -> int | None:
-        """Node id of the first hypernode carrying ``payload``, if any."""
-        try:
-            return self.node_index.get(payload)
-        except TypeError:
-            return None
-
     def add_connector(self, connector: Connector) -> bool:
         """Record a connector of in-range int ids; False if it is a duplicate."""
         self._check_mutable()
         if isinstance(connector, NodeConnector):
             source, store = connector.hypernode, self._connectors_v
             _check_ids(source, connector.graph_node)
-            if not 0 <= source < self.h.node_count:
-                raise UnknownHyperNodeError(f"hypernode {source} does not exist")
+            self.h._check_node(source)
         elif isinstance(connector, EdgeConnector):
             source, store = connector.hyperedge, self._connectors_e
             _check_ids(source, connector.graph_node)
@@ -173,8 +144,7 @@ class HG2(Freezable):
                 raise UnknownHyperEdgeError(f"hyperedge {source} does not exist")
         else:
             raise TypeError(f"not a connector: {connector!r}")
-        if not 0 <= connector.graph_node < self.g.node_count:
-            raise UnknownGraphNodeError(f"graph node {connector.graph_node} does not exist")
+        self.g._check_node(connector.graph_node)
         if connector in store:
             return False
         self._append_connector(connector)
@@ -207,8 +177,7 @@ class HG2(Freezable):
 
     def anchors_of_node(self, node: int) -> list[int]:
         """Graph nodes one connector hop away from a hypernode, in insertion order."""
-        if not 0 <= node < self.h.node_count:
-            raise UnknownHyperNodeError(f"hypernode {node} does not exist")
+        self.h._check_node(node)
         return list(self._node_anchors.get(node, ()))
 
     def nodes_anchored_in(self, graph_nodes: Iterable[int]) -> set[int]:
@@ -364,6 +333,13 @@ def _reject_constant(name: str) -> float:
     raise SchemaViolation(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaViolation(f"number {text} overflows a float")
+    return value
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaViolation(message)
@@ -492,13 +468,15 @@ def deserialize(text: str) -> HG2:
     past the parser's depth limit included) and :class:`UnknownKind` when a
     kind discriminator is out of vocabulary.  A non-int id, a repeated graph
     node IRI, graph edge or connector, a ``NaN``, ``Infinity`` or
-    ``-Infinity`` token (not JSON), and a string holding a lone surrogate (a
-    ``\\uD800``..``\\uDFFF`` escape that is not half of a pair, which cannot
-    be written as UTF-8) are each a :class:`SchemaViolation` too.  Sections
-    load in document order, each checked whole before it is stored.
+    ``-Infinity`` token (not JSON), a number that overflows a float (it
+    would load as infinity, which ``serialize`` cannot write), and a string
+    holding a lone surrogate (a ``\\uD800``..``\\uDFFF`` escape that is not
+    half of a pair, which cannot be written as UTF-8) are each a
+    :class:`SchemaViolation` too.  Sections load in document order, each
+    checked whole before it is stored.
     """
     try:
-        document = json.loads(text, parse_constant=_reject_constant)
+        document = json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
     except RecursionError:
@@ -514,7 +492,7 @@ def deserialize(text: str) -> HG2:
     node_records = _as_records(document, "hypernodes")
     _check_dense_ids(node_records, "hypernodes")
     for record in node_records:
-        hg2.add_node(_payload_from_json(record), intern=False)
+        hg2.h._append_node(_payload_from_json(record))
 
     edge_records = _as_records(document, "hyperedges")
     _check_dense_ids(edge_records, "hyperedges")

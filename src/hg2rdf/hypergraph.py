@@ -1,10 +1,12 @@
 """Directed hypergraph with ordered head/tail slots per hyperedge.
 
 Node payloads are opaque at this layer; ids are dense integers assigned in
-first-insertion order.  Head and tail are ordered lists so callers can assign
-positional roles; the same node may appear on both sides of one edge.  Each
-node lists the ids of the edges it sits in and, apart, of those it heads (its
-forward star); one breadth-first search is the only code that fires edges.
+first-insertion order, and a repeated hashable payload names its first node,
+as an IRI names one node of :class:`~hg2rdf.schema.SchemaGraph`.  Head and
+tail are ordered lists so callers can assign positional roles; the same node
+may appear on both sides of one edge.  Each node lists the ids of the edges
+it sits in and, apart, of those it heads (its forward star); one
+breadth-first search is the only code that fires edges.
 """
 from __future__ import annotations
 
@@ -49,13 +51,18 @@ class Freezable:
 
 
 class Hypergraph(Freezable):
-    """Append-only store of nodes and head/tail-partitioned hyperedges."""
+    """Append-only store of interned nodes and head/tail-partitioned hyperedges.
+
+    ``_index`` maps each hashable payload to the first node that carries it;
+    an unhashable payload gets a new node each time and is never found.
+    """
 
     def __init__(self) -> None:
         self.nodes: list[Any] = []
         self.edges: list[HyperEdge] = []
         self._incidence: list[list[int]] = []
         self._heads: list[list[int]] = []
+        self._index: dict[Any, int] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -75,12 +82,32 @@ class Hypergraph(Freezable):
             raise UnknownNodeError(f"{role} {node} does not exist")
 
     def add_node(self, payload: Any) -> int:
-        """Append a node and return its id (equal to the previous node count)."""
+        """Return the node carrying ``payload``, appending it on first sight."""
+        existing = self.find(payload)
+        if existing is not None:
+            return existing
         self._check_mutable()
+        return self._append_node(payload)
+
+    def find(self, payload: Any) -> int | None:
+        """Id of the first node carrying ``payload``, if any."""
+        try:
+            return self._index.get(payload)
+        except TypeError:
+            return None
+
+    def _append_node(self, payload: Any) -> int:
+        """Append a node without interning; the only writer of the node list,
+        its per-node edge lists and the payload index (the first node wins)."""
+        node_id = len(self.nodes)
         self.nodes.append(payload)
         self._incidence.append([])
         self._heads.append([])
-        return len(self.nodes) - 1
+        try:
+            self._index.setdefault(payload, node_id)
+        except TypeError:
+            pass  # unhashable payloads stay unindexed
+        return node_id
 
     def add_hyperedge(self, head: Iterable[int], tail: Iterable[int]) -> int:
         """Append an edge joining existing nodes; head and tail order is kept."""

@@ -8,8 +8,8 @@ instance layer.  Instance statements become hyperedges with the predicate as
 the single head node and subject/object as tail positions 0/1; schema
 statements become labeled edges in the graph layer.  The parser's terms are
 :class:`NodePayload` values and become hypernode payloads unconverted.  Each
-distinct statement is mapped once, and hypernodes are interned by
-``HG2.node_index`` alone, so one term is one hypernode and one statement is
+distinct statement is mapped once, and hypernodes are interned by the
+hypergraph layer alone, so one term is one hypernode and one statement is
 one hyperedge.
 
 Connector generation then ties the layers together: every hyperedge anchors to
@@ -79,13 +79,13 @@ def map_statement(statement: Statement, hg2: HG2) -> int:
 
     The predicate becomes the sole head node; the subject and object become
     tail positions 0 and 1.  The statement's terms become the payloads as
-    they are, interned through ``hg2.add_node``, so a repeated term reuses
+    they are, interned through ``hg2.h.add_node``, so a repeated term reuses
     its hypernode; repeated statements are dropped by :func:`integrate`
     before they get here.
     """
-    subject = hg2.add_node(statement.subject)
-    predicate = hg2.add_node(statement.predicate)
-    objekt = hg2.add_node(statement.object)
+    subject = hg2.h.add_node(statement.subject)
+    predicate = hg2.h.add_node(statement.predicate)
+    objekt = hg2.h.add_node(statement.object)
     return hg2.h.add_hyperedge([predicate], [subject, objekt])
 
 

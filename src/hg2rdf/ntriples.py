@@ -39,7 +39,16 @@ _HEX_DIGITS = set("0123456789abcdefABCDEF")
 _WS = " \t\r"
 
 _SIMPLE_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
-_REVERSE_ESCAPES = {"\n": "\\n", "\r": "\\r", "\t": "\\t", '"': '\\"', "\\": "\\\\"}
+# format_term's escapes: a literal writes its five simple escapes and \uXXXX
+# for any other control character; an IRI writes \uXXXX for a character at
+# or below space and for <, > and a backslash.
+_LITERAL_ESCAPES = str.maketrans({
+    **{chr(code): f"\\u{code:04X}" for code in range(0x20)},
+    **{char: f"\\{name}" for name, char in _SIMPLE_ESCAPES.items()},
+})
+_IRI_ESCAPES = str.maketrans({
+    char: f"\\u{ord(char):04X}" for char in (*map(chr, range(0x21)), "<", ">", "\\")
+})
 
 _BLANK_LABEL = r"[A-Za-z][A-Za-z0-9]*"
 _LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
@@ -124,7 +133,7 @@ class NodePayload:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """One parsed triple.  ``line_no`` is the source line and does not affect equality."""
 
@@ -459,28 +468,6 @@ def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]
     return statements, errors
 
 
-def _escape_literal(text: str) -> str:
-    out: list[str] = []
-    for ch in text:
-        if ch in _REVERSE_ESCAPES:
-            out.append(_REVERSE_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def _escape_iri(text: str) -> str:
-    out: list[str] = []
-    for ch in text:
-        if ch in "<>\\" or ord(ch) <= 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def format_term(term: NodePayload) -> str:
     """Render a term in canonical N-Triples syntax (re-parseable).
 
@@ -490,20 +477,20 @@ def format_term(term: NodePayload) -> str:
     if term.kind is PayloadKind.URI:
         if term.iri is None:
             raise ValueError("uri payload without an iri")
-        return f"<{_escape_iri(term.iri)}>"
+        return f"<{term.iri.translate(_IRI_ESCAPES)}>"
     if term.kind is PayloadKind.BLANK:
         if term.blank_label is None:
             raise ValueError("blank payload without a label")
         return f"_:{term.blank_label}"
     if term.lexical_form is None:
         raise ValueError("literal payload without a lexical form")
-    text = f'"{_escape_literal(term.lexical_form)}"'
+    text = f'"{term.lexical_form.translate(_LITERAL_ESCAPES)}"'
     if term.language_tag is not None:
         if term.datatype_iri is not None:
             raise ValueError("a literal cannot carry both a language tag and a datatype")
         return f"{text}@{term.language_tag}"
     if term.datatype_iri is not None:
-        return f"{text}^^<{_escape_iri(term.datatype_iri)}>"
+        return f"{text}^^<{term.datatype_iri.translate(_IRI_ESCAPES)}>"
     return text
 
 

@@ -1,8 +1,8 @@
 """Read-only cross-layer queries over a built structure.
 
 Every query takes IRIs as plain strings, resolves them to hypernodes through
-the payload index, returns ids in a deterministic order, and never mutates: a
-structure serialized before and after any of these calls is byte-identical.
+``Hypergraph.find``, returns ids in a deterministic order, and never mutates:
+a structure serialized before and after any of these calls is byte-identical.
 The searches themselves live in :class:`~hg2rdf.hypergraph.Hypergraph`; this
 module resolves IRIs and shapes the answers.
 """
@@ -32,7 +32,7 @@ class PathResult:
 
 
 def _node_of(hg2: HG2, iri: str) -> int | None:
-    return hg2.find_node(NodePayload.uri(iri))
+    return hg2.h.find(NodePayload.uri(iri))
 
 
 def statements_about(hg2: HG2, subject_iri: str) -> QueryResult:

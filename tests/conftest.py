@@ -39,7 +39,7 @@ def build_demo_structure() -> tuple[HG2, dict[int, int], dict[str, int]]:
     """Hand-built seven-node example: four hyperedges over nodes 1..7, six
     graph nodes a..f, three node connectors and three edge connectors."""
     hg2 = HG2()
-    node = {name: hg2.add_node(name, intern=False) for name in range(1, 8)}
+    node = {name: hg2.h.add_node(name) for name in range(1, 8)}
     edge = [
         hg2.h.add_hyperedge([node[1], node[2]], [node[3]]),
         hg2.h.add_hyperedge([node[3], node[4]], [node[5], node[6]]),

@@ -8,6 +8,7 @@ reproducible from a seed.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from typing import Any
@@ -52,6 +53,34 @@ def scanner_parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
         return _parse_line(line, line_no)
     except _Halt as halt:
         return ParseError(line_no, halt.code, halt.message, halt.column)
+
+
+_REVERSE_ESCAPES = {"\n": "\\n", "\r": "\\r", "\t": "\\t", '"': '\\"', "\\": "\\\\"}
+
+
+def loop_escape_literal(text: str) -> str:
+    """A literal's lexical form as format_term wrote it, one character at a
+    time, before the escaping became a translation table."""
+    out: list[str] = []
+    for ch in text:
+        if ch in _REVERSE_ESCAPES:
+            out.append(_REVERSE_ESCAPES[ch])
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def loop_escape_iri(text: str) -> str:
+    """An IRI as format_term wrote it, one character at a time."""
+    out: list[str] = []
+    for ch in text:
+        if ch in "<>\\" or ord(ch) <= 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
 
 
 def naive_reachable(hypergraph: Hypergraph, start: int) -> set[int]:
@@ -327,7 +356,7 @@ def random_structure(rng: random.Random) -> HG2:
             payload = NodePayload.literal(f"v{i}", datatype_iri="http://example.org/dt")
         else:
             payload = f"opaque-{i}"
-        hg2.add_node(payload, intern=False)
+        hg2.h._append_node(payload)
     edge_count = rng.randrange(0, 8) if node_count else 0
     for _ in range(edge_count):
         head = [rng.randrange(node_count) for _ in range(rng.randrange(1, 3))]
@@ -452,7 +481,7 @@ def check_dot(text: str) -> list[str]:
 def assert_same_indexes(a: HG2, b: HG2) -> None:
     """Every identity table and index of two structures agrees, key order
     included; ``HG2.__eq__`` compares only what ``serialize`` writes."""
-    assert list(a.node_index.items()) == list(b.node_index.items())
+    assert list(a.h._index.items()) == list(b.h._index.items())
     assert a.h._incidence == b.h._incidence
     assert a.h._heads == b.h._heads
     assert list(a._node_anchors.items()) == list(b._node_anchors.items())
@@ -534,6 +563,13 @@ def _reject_constant(name: str) -> float:
     raise SchemaViolation(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaViolation(f"number {text} overflows a float")
+    return value
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaViolation(message)
@@ -582,7 +618,7 @@ def _payload_from_json(record: dict[str, Any]) -> Any:
 def oracle_deserialize(text: str) -> HG2:
     """Rebuild an HG2 from its serialized document, one checked record at a time."""
     try:
-        document = json.loads(text, parse_constant=_reject_constant)
+        document = json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
     except RecursionError:
@@ -598,7 +634,7 @@ def oracle_deserialize(text: str) -> HG2:
     node_records = _as_records(document, "hypernodes")
     _check_dense_ids(node_records, "hypernodes")
     for record in node_records:
-        hg2.add_node(_payload_from_json(record), intern=False)
+        hg2.h._append_node(_payload_from_json(record))
 
     edge_records = _as_records(document, "hyperedges")
     _check_dense_ids(edge_records, "hyperedges")

@@ -208,8 +208,8 @@ def test_validate_clean_build(sample_file, capsys):
 
 def test_validate_reports_injected_violations(tmp_path, capsys):
     hg2 = HG2()
-    lit = hg2.add_node(NodePayload.literal("v"))
-    other = hg2.add_node(NodePayload.uri("urn:x"))
+    lit = hg2.h.add_node(NodePayload.literal("v"))
+    other = hg2.h.add_node(NodePayload.uri("urn:x"))
     hg2.h.add_hyperedge([lit], [other, other])
     doc = tmp_path / "broken.json"
     doc.write_text(serialize(hg2), encoding="utf-8")
@@ -284,6 +284,17 @@ def test_corrupt_document_is_rejected(tmp_path, capsys):
     doc.write_text("{not json", encoding="utf-8")
     assert main(["stats", "--input", str(doc)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_export_of_a_document_with_an_overflowing_number_is_an_input_error(tmp_path, capsys):
+    hg2 = HG2()
+    hg2.h.add_node(1.5)
+    doc = tmp_path / "overflow.json"
+    doc.write_text(serialize(hg2).replace("1.5", "1e400"), encoding="utf-8")
+    assert main(["export", "--input", str(doc), "--format", "json-doc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {doc}: number 1e400 overflows a float"]
 
 
 def test_stats_rejects_a_document_with_a_repeated_connector(sample_file, tmp_path, capsys):

@@ -17,10 +17,9 @@ from hg2rdf import (
     PayloadKind,
     SchemaViolation,
     SerializationError,
-    UnknownGraphNodeError,
     UnknownHyperEdgeError,
-    UnknownHyperNodeError,
     UnknownKind,
+    UnknownNodeError,
     deserialize,
     serialize,
     validate_layering,
@@ -30,9 +29,9 @@ from oracles import random_structure
 
 def small() -> HG2:
     hg2 = HG2()
-    hg2.add_node(NodePayload.uri("urn:s"))
-    hg2.add_node(NodePayload.uri("urn:p"))
-    hg2.add_node(NodePayload.literal("v", language_tag="en"))
+    hg2.h.add_node(NodePayload.uri("urn:s"))
+    hg2.h.add_node(NodePayload.uri("urn:p"))
+    hg2.h.add_node(NodePayload.literal("v", language_tag="en"))
     hg2.h.add_hyperedge([1], [0, 2])
     hg2.g.intern("urn:class")
     return hg2
@@ -49,25 +48,25 @@ def test_payload_factories_populate_one_kind():
 
 def test_add_node_interns_by_payload():
     hg2 = HG2()
-    a = hg2.add_node(NodePayload.uri("urn:x"))
-    assert hg2.add_node(NodePayload.uri("urn:x")) == a
-    assert hg2.add_node(NodePayload.uri("urn:x"), intern=False) == a + 1
-    assert hg2.find_node(NodePayload.uri("urn:x")) == a
-    assert hg2.find_node(NodePayload.uri("urn:missing")) is None
+    a = hg2.h.add_node(NodePayload.uri("urn:x"))
+    assert hg2.h.add_node(NodePayload.uri("urn:x")) == a
+    assert hg2.h._append_node(NodePayload.uri("urn:x")) == a + 1
+    assert hg2.h.find(NodePayload.uri("urn:x")) == a
+    assert hg2.h.find(NodePayload.uri("urn:missing")) is None
 
 
 def test_unhashable_payloads_are_allowed_but_unindexed():
     hg2 = HG2()
-    node = hg2.add_node(["not", "hashable"], intern=False)
+    node = hg2.h.add_node(["not", "hashable"])
     assert hg2.h.nodes[node] == ["not", "hashable"]
-    assert hg2.find_node(["not", "hashable"]) is None
+    assert hg2.h.find(["not", "hashable"]) is None
 
 
 def test_interning_add_node_treats_an_unhashable_payload_as_absent():
     hg2 = HG2()
-    first = hg2.add_node(["x"])
-    assert hg2.add_node(["x"]) == first + 1  # never indexed, so never reused
-    assert hg2.find_node(["x"]) is None
+    first = hg2.h.add_node(["x"])
+    assert hg2.h.add_node(["x"]) == first + 1  # never indexed, so never reused
+    assert hg2.h.find(["x"]) is None
 
 
 def test_connectors_validate_endpoints_and_deduplicate():
@@ -78,11 +77,11 @@ def test_connectors_validate_endpoints_and_deduplicate():
     assert hg2.connectors_v == (NodeConnector(0, 0),)
     assert hg2.connectors_e == (EdgeConnector(0, 0),)
     assert hg2.connector_count == 2
-    with pytest.raises(UnknownHyperNodeError):
+    with pytest.raises(UnknownNodeError, match="^hypernode 9 does not exist$"):
         hg2.add_connector(NodeConnector(9, 0))
     with pytest.raises(UnknownHyperEdgeError):
         hg2.add_connector(EdgeConnector(3, 0))
-    with pytest.raises(UnknownGraphNodeError):
+    with pytest.raises(UnknownNodeError, match="^graph node 7 does not exist$"):
         hg2.add_connector(NodeConnector(0, 7))
     with pytest.raises(TypeError):
         hg2.add_connector(("node", 0, 0))
@@ -96,7 +95,7 @@ def test_anchors_come_back_in_insertion_order():
     hg2.add_connector(NodeConnector(1, 0))
     assert hg2.anchors_of_node(0) == [extra, 0]
     assert hg2.anchors_of_node(2) == []
-    with pytest.raises(UnknownHyperNodeError):
+    with pytest.raises(UnknownNodeError, match="^hypernode 42 does not exist$"):
         hg2.anchors_of_node(42)
 
 
@@ -129,7 +128,7 @@ def test_freeze_propagates_to_both_layers():
     hg2.freeze()
     assert hg2.h.frozen and hg2.g.frozen
     with pytest.raises(RuntimeError):
-        hg2.add_node(NodePayload.uri("urn:new"))
+        hg2.h.add_node(NodePayload.uri("urn:new"))
     with pytest.raises(RuntimeError):
         hg2.add_connector(NodeConnector(0, 0))
 
@@ -186,8 +185,8 @@ def test_round_trip_identity_on_handmade_structures():
 
 def test_round_trip_preserves_opaque_payloads():
     hg2 = HG2()
-    hg2.add_node("just a string", intern=False)
-    hg2.add_node(17, intern=False)
+    hg2.h.add_node("just a string")
+    hg2.h.add_node(17)
     restored = deserialize(serialize(hg2))
     assert restored.h.nodes == ["just a string", 17]
     assert restored == hg2
@@ -283,7 +282,7 @@ def test_deserialize_names_the_missing_endpoint(mutate, message):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, {"x": -float("inf")}]])
 def test_serialize_refuses_a_non_finite_float(value):
     hg2 = HG2()
-    hg2.add_node(value, intern=False)
+    hg2.h.add_node(value)
     with pytest.raises(ValueError, match="not JSON compliant"):
         serialize(hg2)
 
@@ -291,11 +290,20 @@ def test_serialize_refuses_a_non_finite_float(value):
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_deserialize_refuses_non_finite_number_tokens(token):
     hg2 = HG2()
-    hg2.add_node(1.5, intern=False)
+    hg2.h.add_node(1.5)
     text = serialize(hg2)
     assert '"value": 1.5' in text
     with pytest.raises(SchemaViolation, match=f"^{re.escape(token)} is not a JSON number$"):
         deserialize(text.replace("1.5", token))
+
+
+@pytest.mark.parametrize("number", ["1e400", "-1e400"])
+def test_deserialize_refuses_a_number_that_overflows_a_float(number):
+    hg2 = HG2()
+    hg2.h.add_node(1.5)
+    text = serialize(hg2).replace("1.5", number)
+    with pytest.raises(SchemaViolation, match=f"^number {re.escape(number)} overflows a float$"):
+        deserialize(text)
 
 
 def test_deserialize_rejects_non_json_and_non_objects():

@@ -22,6 +22,7 @@ from hg2rdf import (
     EdgeKind,
     NodeConnector,
     NodePayload,
+    SchemaViolation,
     SerializationError,
     deserialize,
     instances_of,
@@ -59,7 +60,7 @@ payloads = st.one_of(
 def structures(draw) -> HG2:
     hg2 = HG2()
     for payload in draw(st.lists(payloads, max_size=6)):
-        hg2.add_node(payload, intern=False)
+        hg2.h._append_node(payload)
     if hg2.h.node_count:
         slot = st.lists(st.integers(0, hg2.h.node_count - 1), min_size=1, max_size=3)
         for head, tail in draw(st.lists(st.tuples(slot, slot), max_size=5)):
@@ -111,10 +112,20 @@ def test_serialize_writes_the_oracles_bytes_for_empty_sections_and_opaque_contai
     hg2 = HG2()
     assert serialize(hg2) == oracle_serialize(hg2)
     for payload in ([], {}, [[], {}], {"k": [1, {"x": None}], "": "\u2028"}, -0.0, 10**30):
-        hg2.add_node(payload, intern=False)
+        hg2.h.add_node(payload)
     hg2.h.add_hyperedge([0, 1, 2], [2])
     assert serialize(hg2) == oracle_serialize(hg2)
     assert_same_outcome(serialize(hg2))
+
+
+@pytest.mark.parametrize("number", ["1e400", "-1e400"])
+def test_both_readers_refuse_a_number_that_overflows_a_float(number):
+    hg2 = HG2()
+    hg2.h.add_node([1.5])
+    text = serialize(hg2).replace("1.5", number)
+    refused = (SchemaViolation, f"number {number} overflows a float")
+    assert outcome(oracle_deserialize, text) == refused
+    assert outcome(deserialize, text) == refused
 
 
 _BAD_VALUES = (None, True, 1.5, -1, 10**30, "x", [0], {"a": 0}, "\ud800", float("nan"))

@@ -282,7 +282,7 @@ def test_empty_build_has_no_connectors():
 
 def test_generate_connectors_requires_the_vocabulary():
     hg2 = HG2()  # bare graph layer, no anchors
-    hg2.add_node(NodePayload.uri("urn:s"))
+    hg2.h.add_node(NodePayload.uri("urn:s"))
     with pytest.raises(MissingAnchorError):
         generate_connectors(hg2)
 
@@ -295,7 +295,7 @@ def test_typing_connector_links_instance_node_to_its_class():
     statements, errors = parse_document(text)
     assert not errors
     hg2, _ = integrate(statements)
-    node = hg2.find_node(NodePayload.uri("urn:d"))
+    node = hg2.h.find(NodePayload.uri("urn:d"))
     class_node = hg2.g.find("urn:Doc")
     assert class_node in hg2.anchors_of_node(node)
 
@@ -303,7 +303,7 @@ def test_typing_connector_links_instance_node_to_its_class():
 def test_datatyped_literal_gets_a_datatype_connector():
     statements, _ = parse_document('<urn:s> <urn:p> "5"^^<urn:int> .\n')
     hg2, _ = integrate(statements)
-    literal_node = hg2.find_node(NodePayload.literal("5", datatype_iri="urn:int"))
+    literal_node = hg2.h.find(NodePayload.literal("5", datatype_iri="urn:int"))
     anchors = hg2.anchors_of_node(literal_node)
     assert hg2.g.find("http://www.w3.org/1999/02/22-rdf-syntax-ns#datatype") in anchors
 
@@ -325,10 +325,10 @@ def test_incidence_and_payload_kind_place_a_node(w3c_statements):
     hg2 = fresh()
     for statement in w3c_statements:
         map_statement(statement, hg2)
-    predicate = hg2.find_node(NodePayload.uri("http://purl.org/dc/elements/1.1/creator"))
+    predicate = hg2.h.find(NodePayload.uri("http://purl.org/dc/elements/1.1/creator"))
     assert hg2.h.nodes[predicate].kind is PayloadKind.URI
     assert positions(hg2, predicate) == {("head", 0)}
-    literal = hg2.find_node(NodePayload.literal("Dave Beckett"))
+    literal = hg2.h.find(NodePayload.literal("Dave Beckett"))
     assert hg2.h.nodes[literal].kind is PayloadKind.LITERAL
     assert positions(hg2, literal) == {("tail", 1)}
     with pytest.raises(UnknownNodeError):
@@ -338,7 +338,7 @@ def test_incidence_and_payload_kind_place_a_node(w3c_statements):
 def test_classify_blank_subject():
     hg2 = fresh()
     map_statement(Statement(NodePayload.blank("b"), iri("urn:p"), iri("urn:o")), hg2)
-    blank = hg2.find_node(NodePayload.blank("b"))
+    blank = hg2.h.find(NodePayload.blank("b"))
     assert hg2.h.nodes[blank].kind is PayloadKind.BLANK
     assert positions(hg2, blank) == {("tail", 0)}
 
@@ -355,8 +355,8 @@ def test_mapper_output_always_validates_clean(w3c_statements):
 
 def test_injected_literal_in_head_is_reported():
     hg2 = HG2()
-    lit = hg2.add_node(NodePayload.literal("v"))
-    other = hg2.add_node(NodePayload.uri("urn:x"))
+    lit = hg2.h.add_node(NodePayload.literal("v"))
+    other = hg2.h.add_node(NodePayload.uri("urn:x"))
     hg2.h.add_hyperedge([lit], [other, other])
     kinds = [v.kind for v in validate_mapping(hg2)]
     assert kinds == ["LiteralInHead"]
@@ -364,24 +364,24 @@ def test_injected_literal_in_head_is_reported():
 
 def test_injected_blank_in_head_is_reported():
     hg2 = HG2()
-    blank = hg2.add_node(NodePayload.blank("b"))
-    other = hg2.add_node(NodePayload.uri("urn:x"))
+    blank = hg2.h.add_node(NodePayload.blank("b"))
+    other = hg2.h.add_node(NodePayload.uri("urn:x"))
     hg2.h.add_hyperedge([blank], [other, other])
     assert [v.kind for v in validate_mapping(hg2)] == ["BlankInHead"]
 
 
 def test_injected_literal_subject_is_reported():
     hg2 = HG2()
-    lit = hg2.add_node(NodePayload.literal("v"))
-    pred = hg2.add_node(NodePayload.uri("urn:p"))
+    lit = hg2.h.add_node(NodePayload.literal("v"))
+    pred = hg2.h.add_node(NodePayload.uri("urn:p"))
     hg2.h.add_hyperedge([pred], [lit, pred])
     assert [v.kind for v in validate_mapping(hg2)] == ["LiteralAsSubject"]
 
 
 def test_wrong_arity_is_reported():
     hg2 = HG2()
-    a = hg2.add_node(NodePayload.uri("urn:a"))
-    b = hg2.add_node(NodePayload.uri("urn:b"))
+    a = hg2.h.add_node(NodePayload.uri("urn:a"))
+    b = hg2.h.add_node(NodePayload.uri("urn:b"))
     hg2.h.add_hyperedge([a], [b, b, b])
     hg2.h.add_hyperedge([a, b], [b, a])
     kinds = [v.kind for v in validate_mapping(hg2)]
@@ -390,9 +390,8 @@ def test_wrong_arity_is_reported():
 
 def test_contradictory_literal_payload_is_reported():
     hg2 = HG2()
-    node = hg2.add_node(
+    node = hg2.h.add_node(
         NodePayload(PayloadKind.LITERAL, lexical_form="x", language_tag="en", datatype_iri="urn:dt"),
-        intern=False,
     )
     violations = validate_mapping(hg2)
     assert [v.kind for v in violations] == ["LanguageTagOnTyped"]
@@ -402,8 +401,8 @@ def test_contradictory_literal_payload_is_reported():
 def test_incomplete_payloads_are_reported():
     hg2 = HG2()
     for kind in (PayloadKind.URI, PayloadKind.BLANK, PayloadKind.LITERAL):
-        hg2.add_node(NodePayload(kind), intern=False)
-    hg2.add_node("opaque payloads have no required field", intern=False)
+        hg2.h.add_node(NodePayload(kind))
+    hg2.h.add_node("opaque payloads have no required field")
     violations = validate_mapping(hg2)
     assert [(v.kind, v.node) for v in violations] == [
         ("IncompletePayload", 0),
@@ -488,8 +487,8 @@ def test_untyped_iri_object_fails_a_class_range():
 
 def test_predicate_without_an_iri_is_skipped():
     hg2 = HG2(g=load_builtin_vocabulary())
-    predicate = hg2.add_node(NodePayload(PayloadKind.URI), intern=False)
-    subject = hg2.add_node(NodePayload.uri("urn:s"))
+    predicate = hg2.h.add_node(NodePayload(PayloadKind.URI))
+    subject = hg2.h.add_node(NodePayload.uri("urn:s"))
     hg2.h.add_hyperedge([predicate], [subject, subject])
     assert check_domain_range(hg2) == []
     assert [v.kind for v in validate_mapping(hg2)] == ["IncompletePayload"]
@@ -536,7 +535,7 @@ def test_integrate_output_is_frozen_and_deterministic(w3c_statements):
     second, _ = integrate(w3c_statements)
     assert serialize(first) == serialize(second)
     with pytest.raises(RuntimeError):
-        first.add_node(NodePayload.uri("urn:late"))
+        first.h.add_node(NodePayload.uri("urn:late"))
 
 
 def test_report_summary_and_dict(w3c_statements):

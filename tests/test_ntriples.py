@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hg2rdf import (
     BadEscape,
@@ -15,6 +17,7 @@ from hg2rdf import (
     parse_line,
     unescape_literal,
 )
+from oracles import loop_escape_iri, loop_escape_literal
 
 
 uri, blank, literal = NodePayload.uri, NodePayload.blank, NodePayload.literal
@@ -30,6 +33,15 @@ def test_w3c_sample_parses_to_three_exact_statements(w3c_sample_text):
         Statement(subject, uri("http://purl.org/dc/elements/1.1/publisher"), uri("http://www.w3.org/")),
     ]
     assert [s.line_no for s in statements] == [1, 2, 3]
+
+
+def test_statement_is_slotted_and_ignores_line_no_in_equality():
+    first = Statement(uri("a:s"), uri("a:p"), uri("a:o"), line_no=1)
+    again = Statement(uri("a:s"), uri("a:p"), uri("a:o"), line_no=7)
+    assert first == again and hash(first) == hash(again)
+    assert not hasattr(first, "__dict__")
+    with pytest.raises(AttributeError):
+        first.line_no = 2
 
 
 def test_comments_and_blank_lines_are_skipped():
@@ -240,6 +252,22 @@ def test_format_round_trip_is_identity():
     ]
     for statement in cases:
         assert parse_line(format_statement(statement)) == statement
+
+
+# Control characters, the characters either escaping treats apart, space,
+# DEL, and non-ASCII characters from the BMP and beyond it.
+_ESCAPE_PROBES = (*map(chr, range(0x21)), "\x7f", "<", ">", '"', "\\", "é", "\u2028",
+                  "\uffff", "\U0001f600")
+
+
+@settings(max_examples=500)
+@given(st.text(st.one_of(st.characters(), st.sampled_from(_ESCAPE_PROBES)), max_size=12))
+def test_format_term_escapes_as_the_per_character_loops_did(text):
+    assert format_term(uri(text)) == f"<{loop_escape_iri(text)}>"
+    assert format_term(literal(text)) == f'"{loop_escape_literal(text)}"'
+    assert format_term(literal(text, datatype_iri=text)) == (
+        f'"{loop_escape_literal(text)}"^^<{loop_escape_iri(text)}>'
+    )
 
 
 def test_format_term_escapes_iri_delimiters():

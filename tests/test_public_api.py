@@ -1,6 +1,8 @@
 """The package's public surface: the exported names, and that each resolves."""
 from __future__ import annotations
 
+import inspect
+
 import hg2rdf
 import hg2rdf.hg2
 import hg2rdf.ntriples
@@ -36,9 +38,7 @@ PUBLIC_NAMES = (
     "SchemaViolation",
     "SerializationError",
     "Statement",
-    "UnknownGraphNodeError",
     "UnknownHyperEdgeError",
-    "UnknownHyperNodeError",
     "UnknownKind",
     "UnknownNodeError",
     "Violation",
@@ -71,6 +71,13 @@ PUBLIC_NAMES = (
 def test_the_exported_names_are_pinned():
     assert PUBLIC_NAMES == tuple(sorted(PUBLIC_NAMES))
     assert tuple(sorted(hg2rdf.__all__)) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 56
+
+
+def test_hypernode_identity_belongs_to_the_hypergraph_layer():
+    for name in ("add_node", "find_node", "node_index"):
+        assert not hasattr(hg2rdf.HG2, name) and not hasattr(hg2rdf.HG2(), name)
+    assert list(inspect.signature(hg2rdf.Hypergraph.add_node).parameters) == ["self", "payload"]
 
 
 def test_every_exported_name_resolves():

@@ -4,6 +4,7 @@ from __future__ import annotations
 from hg2rdf import (
     HG2,
     NodePayload,
+    deserialize,
     instances_of,
     integrate,
     parse_document,
@@ -34,6 +35,25 @@ def test_statements_about_finds_all_three_sample_edges(w3c_sample_text):
     assert subjects == {SUBJECT}
 
 
+def test_a_node_added_through_the_hypergraph_layer_is_found_by_every_reader():
+    hg2 = HG2()
+    subject = hg2.h.add_node(NodePayload.uri("urn:s"))
+    predicate = hg2.h.add_node(NodePayload.uri("urn:p"))
+    edge = hg2.h.add_hyperedge([predicate], [subject, subject])
+
+    def answers(structure: HG2) -> tuple:
+        return (
+            structure.h.find(NodePayload.uri("urn:s")),
+            statements_about(structure, "urn:s").items,
+            structure.h.add_node(NodePayload.uri("urn:s")),
+            structure.h.node_count,
+        )
+
+    before = answers(hg2)
+    assert before == (subject, (edge,), subject, 2)
+    assert answers(deserialize(serialize(hg2))) == before
+
+
 def test_statements_about_unknown_iri_is_empty(w3c_sample_text):
     hg2 = build(w3c_sample_text)
     assert statements_about(hg2, "urn:absent").items == ()
@@ -56,7 +76,7 @@ def test_instances_of_walks_the_subclass_closure():
         "<urn:rex> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:Dog> .\n"
         '<urn:rex> <urn:name> "Rex" .\n'
     )
-    rex = hg2.find_node(NodePayload.uri("urn:rex"))
+    rex = hg2.h.find(NodePayload.uri("urn:rex"))
     assert instances_of(hg2, "urn:Animal").items == (rex,)
     assert instances_of(hg2, "urn:Dog").items == (rex,)
     assert set(instances_of(hg2, "urn:Animal").items) == naive_instances(hg2, "urn:Animal")
@@ -97,7 +117,7 @@ def test_path_exists_follows_hyperedges_forward():
 
 def test_path_witness_on_the_seven_node_example():
     hg2 = HG2()
-    node = {i: hg2.add_node(NodePayload.uri(f"urn:n{i}")) for i in range(1, 8)}
+    node = {i: hg2.h.add_node(NodePayload.uri(f"urn:n{i}")) for i in range(1, 8)}
     hg2.h.add_hyperedge([node[1], node[2]], [node[3]])
     hg2.h.add_hyperedge([node[3], node[4]], [node[5], node[6]])
     hg2.h.add_hyperedge([node[4], node[5]], [node[7]])
@@ -135,7 +155,7 @@ def test_reachable_from_matches_forward_reachable():
         "<urn:s> <urn:p> <urn:o> .\n"
         "<urn:o2> <urn:o> <urn:z> .\n"  # o in a head slot
     )
-    start = hg2.find_node(NodePayload.uri("urn:p"))
+    start = hg2.h.find(NodePayload.uri("urn:p"))
     expected = tuple(sorted(hg2.h.forward_reachable(start)))
     assert reachable_from(hg2, "urn:p").items == expected
     assert reachable_from(hg2, "urn:nowhere").items == ()

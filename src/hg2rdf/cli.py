@@ -232,8 +232,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"hyperedges: {hg2.h.edge_count}")
     print(f"graph nodes: {hg2.g.node_count}")
     print(f"graph edges: {hg2.g.edge_count}")
-    print(f"node connectors: {len(hg2.connectors_v)}")
-    print(f"edge connectors: {len(hg2.connectors_e)}")
+    print(f"node connectors: {len(hg2._connectors_v)}")
+    print(f"edge connectors: {len(hg2._connectors_e)}")
     return 0
 
 

@@ -51,10 +51,10 @@ def to_dot(hg2: HG2) -> str:
         )
     lines.append("  }")
 
-    for connector in hg2.connectors_v:
-        lines.append(f"  h{connector.hypernode} -> g{connector.graph_node} [style=dashed];")
-    for connector in hg2.connectors_e:
-        lines.append(f"  e{connector.hyperedge} -> g{connector.graph_node} [style=dashed];")
+    for node, graph_node in hg2._connectors_v:
+        lines.append(f"  h{node} -> g{graph_node} [style=dashed];")
+    for edge_id, graph_node in hg2._connectors_e:
+        lines.append(f"  e{edge_id} -> g{graph_node} [style=dashed];")
 
     lines.append("}")
     return "\n".join(lines) + "\n"

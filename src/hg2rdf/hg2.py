@@ -4,8 +4,9 @@ Connectors are directed dependency links and always point from the hypergraph
 layer into the graph layer; the two dataclasses make the opposite direction
 unrepresentable.  Each layer interns its own nodes (hypernode payloads in
 :class:`Hypergraph`, IRIs in :class:`SchemaGraph`); the container owns only
-what crosses the layers: one insertion-ordered store per connector kind, and
-two node-connector indexes (hypernode to graph nodes and its reverse).
+what crosses the layers: one insertion-ordered store of ``(source, graph
+node)`` int pairs per connector kind, and two node-connector indexes
+(hypernode to graph nodes and its reverse).
 
 ``serialize``/``deserialize`` round-trip the whole structure through a JSON
 document with sections ``hypernodes``, ``hyperedges``, ``graph_nodes``,
@@ -15,11 +16,12 @@ deterministic for a given structure.
 
 Hypernode payloads serialize in two shapes: :class:`NodePayload` instances,
 the parser's RDF terms (kind ``uri``/``blank``/``literal``), write their
-fields; anything else is written as kind ``opaque`` with its JSON value, so
-payloads that are not JSON-representable (e.g. tuples) will not round-trip
-identically.  A non-finite float cannot be written (``NaN`` and ``Infinity``
-are not JSON, so other platforms could not read the document), and
-``deserialize`` refuses those tokens.
+fields, and the loader builds them back positionally; anything else is
+written as kind ``opaque`` with its JSON value, so payloads that are not
+JSON-representable (e.g. tuples) will not round-trip identically.  A
+non-finite float cannot be written (``NaN`` and ``Infinity`` are not JSON,
+so other platforms could not read the document), and ``deserialize``
+refuses those tokens.
 
 ``serialize`` writes each record from a fixed template, with the string
 escaper of :mod:`json`, and gives the bytes ``json.dumps(..., indent=2)``
@@ -36,11 +38,11 @@ import math
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
 from json.encoder import encode_basestring as _quote
 from typing import Any
 
-from .hypergraph import Freezable, Hypergraph, _check_ids
+from .hypergraph import Freezable, Hypergraph, _check_id
 from .ntriples import NodePayload, PayloadKind
 from .schema import EdgeKind, GraphEdge, SchemaGraph
 
@@ -98,19 +100,21 @@ class HG2(Freezable):
 
     Nodes are added and found through the layers (``h.add_node``/``h.find``,
     ``g.intern``/``g.find``).  Each connector kind is stored once, as the
-    keys of an insertion-ordered dict that is both the order ``serialize``
-    and ``to_dot`` replay and the duplicate check; ``connectors_v`` and
-    ``connectors_e`` expose it as read-only tuples.  Node connectors also
-    fill hypernode → graph nodes (:meth:`anchors_of_node`) and its reverse
-    (:meth:`nodes_anchored_in`).  Only ``_append_connector``, behind
+    ``(source, graph node)`` int pairs keyed in an insertion-ordered dict
+    that is both the order ``serialize`` and ``to_dot`` replay and the
+    duplicate check; the pairs hash in C and the collector does not track
+    them.  ``connectors_v`` and ``connectors_e`` build read-only tuples of
+    the connector dataclasses when called.  Node connectors also fill
+    hypernode → graph nodes (:meth:`anchors_of_node`) and its reverse
+    (:meth:`nodes_anchored_in`).  Only ``_append_connectors``, behind
     :meth:`add_connector` and ``deserialize``, writes these.
     """
 
     def __init__(self, g: SchemaGraph | None = None):
         self.h = Hypergraph()
         self.g = g if g is not None else SchemaGraph()
-        self._connectors_v: dict[NodeConnector, None] = {}
-        self._connectors_e: dict[EdgeConnector, None] = {}
+        self._connectors_v: dict[tuple[int, int], None] = {}
+        self._connectors_e: dict[tuple[int, int], None] = {}
         self._node_anchors: dict[int, list[int]] = {}
         self._anchored_nodes: dict[int, list[int]] = {}
 
@@ -120,8 +124,8 @@ class HG2(Freezable):
         return (
             self.h == other.h
             and self.g == other.g
-            and self.connectors_v == other.connectors_v
-            and self.connectors_e == other.connectors_e
+            and list(self._connectors_v) == list(other._connectors_v)
+            and list(self._connectors_e) == list(other._connectors_e)
         )
 
     def freeze(self) -> None:
@@ -134,42 +138,47 @@ class HG2(Freezable):
         """Record a connector of in-range int ids; False if it is a duplicate."""
         self._check_mutable()
         if isinstance(connector, NodeConnector):
-            source, store = connector.hypernode, self._connectors_v
-            _check_ids(source, connector.graph_node)
+            kind, source, store = NodeConnector, connector.hypernode, self._connectors_v
             self.h._check_node(source)
         elif isinstance(connector, EdgeConnector):
-            source, store = connector.hyperedge, self._connectors_e
-            _check_ids(source, connector.graph_node)
-            if not 0 <= source < self.h.edge_count:
+            kind, source, store = EdgeConnector, connector.hyperedge, self._connectors_e
+            if type(source) is not int or not 0 <= source < self.h.edge_count:
+                _check_id(source)
                 raise UnknownHyperEdgeError(f"hyperedge {source} does not exist")
         else:
             raise TypeError(f"not a connector: {connector!r}")
         self.g._check_node(connector.graph_node)
-        if connector in store:
+        pair = (source, connector.graph_node)
+        if pair in store:
             return False
-        self._append_connector(connector)
+        self._append_connectors(kind, (pair,))
         return True
 
-    def _append_connector(self, connector: Connector) -> None:
-        """Store a new connector between existing endpoints; the only writer
-        of the connector stores and of the two node-connector indexes."""
-        if isinstance(connector, NodeConnector):
-            self._connectors_v[connector] = None
-            source, target = connector.hypernode, connector.graph_node
-            self._node_anchors.setdefault(source, []).append(target)
-            self._anchored_nodes.setdefault(target, []).append(source)
-        else:
-            self._connectors_e[connector] = None
+    def _append_connectors(self, kind: type[Connector], pairs: Iterable[tuple[int, int]]) -> None:
+        """Store new ``(source, graph node)`` pairs of one connector kind
+        between existing endpoints; the only writer of the connector stores
+        and of the two node-connector indexes."""
+        if kind is EdgeConnector:
+            store = self._connectors_e
+            for pair in pairs:
+                store[pair] = None
+            return
+        store, anchors, anchored = self._connectors_v, self._node_anchors, self._anchored_nodes
+        for pair in pairs:
+            store[pair] = None
+            source, target = pair
+            anchors.setdefault(source, []).append(target)
+            anchored.setdefault(target, []).append(source)
 
     @property
     def connectors_v(self) -> tuple[NodeConnector, ...]:
         """Node connectors (C_v) in insertion order."""
-        return tuple(self._connectors_v)
+        return tuple(starmap(NodeConnector, self._connectors_v))
 
     @property
     def connectors_e(self) -> tuple[EdgeConnector, ...]:
         """Edge connectors (C_e) in insertion order."""
-        return tuple(self._connectors_e)
+        return tuple(starmap(EdgeConnector, self._connectors_e))
 
     @property
     def connector_count(self) -> int:
@@ -198,22 +207,21 @@ def validate_layering(hg2: HG2) -> list[Violation]:
     mutates; violations are values.
     """
     violations: list[Violation] = []
-    for connectors, layer, count in (
-        (hg2.connectors_v, "hypernode", hg2.h.node_count),
-        (hg2.connectors_e, "hyperedge", hg2.h.edge_count),
+    for store, layer, count in (
+        (hg2._connectors_v, "hypernode", hg2.h.node_count),
+        (hg2._connectors_e, "hyperedge", hg2.h.edge_count),
     ):
-        for connector in connectors:
-            source = getattr(connector, layer)
+        for source, graph_node in store:
             if not 0 <= source < count:
                 where = {"node": source} if layer == "hypernode" else {"edge": source}
                 violations.append(Violation(
                     "DanglingEndpoint", f"connector references missing {layer} {source}", **where
                 ))
-            if not 0 <= connector.graph_node < hg2.g.node_count:
+            if not 0 <= graph_node < hg2.g.node_count:
                 violations.append(Violation(
                     "DanglingEndpoint",
-                    f"connector references missing graph node {connector.graph_node}",
-                    node=connector.graph_node,
+                    f"connector references missing graph node {graph_node}",
+                    node=graph_node,
                 ))
     return violations
 
@@ -293,10 +301,10 @@ def serialize(hg2: HG2) -> str:
             for edge in hg2.g.edges
         ]),
         ("connectors_v", [
-            _record(f'"from": {c.hypernode}', f'"to": {c.graph_node}') for c in hg2._connectors_v
+            _record(f'"from": {source}', f'"to": {target}') for source, target in hg2._connectors_v
         ]),
         ("connectors_e", [
-            _record(f'"from": {c.hyperedge}', f'"to": {c.graph_node}') for c in hg2._connectors_e
+            _record(f'"from": {source}', f'"to": {target}') for source, target in hg2._connectors_e
         ]),
     )
     return (
@@ -372,22 +380,22 @@ def _check_dense_ids(records: list[dict[str, Any]], section: str) -> None:
         _require(value == index, f"ids in '{section}' must be dense and ordered")
 
 
+_PAYLOAD_KINDS = {kind.value: kind for kind in PayloadKind}
+
+
 def _payload_from_json(record: dict[str, Any]) -> Any:
     kind = record.get("kind")
     if kind == "opaque":
         _require("value" in record, "opaque hypernode has no value")
         return record["value"]
-    try:
-        payload_kind = PayloadKind(kind)
-    except ValueError:
-        raise UnknownKind(f"unknown hypernode kind {kind!r}") from None
-    fields = {}
-    for name in _PAYLOAD_FIELDS:
-        value = record.get(name)
+    payload_kind = _PAYLOAD_KINDS.get(kind) if type(kind) is str else None
+    if payload_kind is None:
+        raise UnknownKind(f"unknown hypernode kind {kind!r}")
+    fields = [record.get(name) for name in _PAYLOAD_FIELDS]
+    for name, value in zip(_PAYLOAD_FIELDS, fields):
         if value is not None:
             _require(isinstance(value, str), f"hypernode field '{name}' must be a string")
-        fields[name] = value
-    return NodePayload(payload_kind, **fields)
+    return tuple.__new__(NodePayload, (payload_kind, *fields))
 
 
 # Each section below is checked whole first, with passes that run in C where
@@ -448,11 +456,11 @@ def _load_connectors(
 ) -> None:
     sources = [record.get("from") for record in records]
     targets = [record.get("to") for record in records]
-    if _all_ids(sources, source_count) and _all_ids(targets, hg2.g.node_count) \
-            and len(set(zip(sources, targets))) == len(records):
-        for connector in map(factory, sources, targets):
-            hg2._append_connector(connector)
-        return
+    if _all_ids(sources, source_count) and _all_ids(targets, hg2.g.node_count):
+        pairs = list(zip(sources, targets))
+        if len(set(pairs)) == len(pairs):
+            hg2._append_connectors(factory, pairs)
+            return
     for index, record in enumerate(records):
         try:
             added = hg2.add_connector(factory(record.get("from"), record.get("to")))

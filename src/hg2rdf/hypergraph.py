@@ -30,11 +30,10 @@ class HyperEdge:
     tail: list[int]
 
 
-def _check_ids(*ids: object) -> None:
-    """Reject any id that is not a plain int; bool is refused, as hg2/1 does."""
-    for value in ids:
-        if type(value) is not int:
-            raise TypeError(f"ids must be int, got {value!r}")
+def _check_id(value: object) -> None:
+    """Reject an id that is not a plain int; bool is refused, as hg2/1 does."""
+    if type(value) is not int:
+        raise TypeError(f"ids must be int, got {value!r}")
 
 
 class Freezable:
@@ -55,6 +54,9 @@ class Hypergraph(Freezable):
 
     ``_index`` maps each hashable payload to the first node that carries it;
     an unhashable payload gets a new node each time and is never found.
+    Payloads are interned by equality, and an RDF term is a tuple of its
+    fields, so a plain tuple equal to a term names the term's node (a loaded
+    document cannot hold one: JSON has no tuples).
     """
 
     def __init__(self) -> None:
@@ -78,7 +80,9 @@ class Hypergraph(Freezable):
         return len(self.edges)
 
     def _check_node(self, node: int, role: str = "hypernode") -> None:
-        if not 0 <= node < len(self.nodes):
+        """Refuse a non-int id (TypeError) and an absent node (UnknownNodeError)."""
+        if type(node) is not int or not 0 <= node < len(self.nodes):
+            _check_id(node)
             raise UnknownNodeError(f"{role} {node} does not exist")
 
     def add_node(self, payload: Any) -> int:
@@ -116,7 +120,6 @@ class Hypergraph(Freezable):
         tail = list(tail)
         if not head or not tail:
             raise EmptySlotError("head and tail must each name at least one node")
-        _check_ids(*head, *tail)
         for node in head:
             self._check_node(node, "head hypernode")
         for node in tail:

@@ -299,9 +299,10 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
     rdfs:Literal.  Produces warnings, never rejections, in hyperedge order.
 
     The cost is linear in hyperedges plus graph edges: constraints come
-    from the index behind ``SchemaGraph.constraint_of``, anchors from the
-    per-hypernode anchor lists, and each constraint class's subclass
-    closure is computed once per call and kept in a local dict.
+    from the index behind ``SchemaGraph.constraint_of``, anchors are read
+    in place from the per-hypernode anchor lists, and each constraint
+    class's subclass closure is computed once per call and kept in a local
+    dict.
     """
     warnings: list[ConstraintWarning] = []
     literal_class = hg2.g.find(RDFS_LITERAL)
@@ -313,9 +314,10 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
             closure = closures[class_node] = hg2.g.subclass_closure(class_node)
         return closure
 
+    node_anchors = hg2._node_anchors
+
     def typed_within(node: int, class_node: int) -> bool:
-        closure = closure_of(class_node)
-        return any(anchor in closure for anchor in hg2.anchors_of_node(node))
+        return not closure_of(class_node).isdisjoint(node_anchors.get(node, ()))
 
     for edge in hg2.h.edges:
         if len(edge.head) != 1 or len(edge.tail) != 2:
@@ -408,8 +410,8 @@ def integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
             map_statement(statement, hg2)
     report.hyperedges_created = hg2.h.edge_count
     generate_connectors(hg2)
-    report.connectors_v = len(hg2.connectors_v)
-    report.connectors_e = len(hg2.connectors_e)
+    report.connectors_v = len(hg2._connectors_v)
+    report.connectors_e = len(hg2._connectors_e)
     report.warnings.extend(str(violation) for violation in validate_mapping(hg2))
     hg2.freeze()
     return hg2, report

@@ -11,9 +11,10 @@ character is ``#`` are skipped.  Malformed lines never abort a document: each
 one is reported as a :class:`ParseError` value and parsing continues with the
 next line.
 
-Every term is a :class:`NodePayload`, the one RDF term type of the package:
-the hypergraph layer stores the parser's terms as hypernode payloads as they
-are, and :func:`format_term` renders them back.
+Every term is a :class:`NodePayload`, the one RDF term type of the package,
+a named tuple of six fields: the hypergraph layer stores the parser's terms
+as hypernode payloads as they are, and :func:`format_term` renders them
+back.
 
 A ``\\uXXXX`` escape, in an IRI or in a literal, must not name a surrogate
 code point (U+D800 to U+DFFF): such a code point cannot be encoded as UTF-8,
@@ -34,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
 _WS = " \t\r"
@@ -89,16 +91,24 @@ class PayloadKind(Enum):
     BLANK = "blank"
     LITERAL = "literal"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality and runs in C; Enum's own hashes the name in
+    # Python.  No output depends on hash order.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True, slots=True)
-class NodePayload:
+
+class NodePayload(NamedTuple):
     """An RDF term: an IRI, a blank node label or a literal.
 
     The parser builds every term, and a hypernode carries the term as its
-    payload, so this is the only term type.  Built through the
-    :meth:`uri`/:meth:`blank`/:meth:`literal` factories, which populate
-    exactly the fields of one kind.  Direct construction is unchecked so that
-    loaded documents can be inspected by validators.
+    payload, so this is the only term type.  A term is a tuple of its six
+    fields, so it is immutable, has no ``__dict__``, and is built, hashed
+    and compared in C; it equals the plain tuple of the same fields.  Built
+    through the :meth:`uri`/:meth:`blank`/:meth:`literal` factories, which
+    populate exactly the fields of one kind and build the tuple positionally
+    (``tuple.__new__``), skipping the keyword handling of the generated
+    constructor.  Direct construction is unchecked so that loaded documents
+    can be inspected by validators.
     """
 
     kind: PayloadKind
@@ -110,11 +120,11 @@ class NodePayload:
 
     @classmethod
     def uri(cls, iri: str) -> NodePayload:
-        return cls(PayloadKind.URI, iri=iri)
+        return tuple.__new__(cls, (PayloadKind.URI, iri, None, None, None, None))
 
     @classmethod
     def blank(cls, label: str) -> NodePayload:
-        return cls(PayloadKind.BLANK, blank_label=label)
+        return tuple.__new__(cls, (PayloadKind.BLANK, None, label, None, None, None))
 
     @classmethod
     def literal(
@@ -125,11 +135,8 @@ class NodePayload:
     ) -> NodePayload:
         if language_tag is not None and datatype_iri is not None:
             raise ValueError("a literal cannot carry both a language tag and a datatype")
-        return cls(
-            PayloadKind.LITERAL,
-            lexical_form=lexical_form,
-            language_tag=language_tag,
-            datatype_iri=datatype_iri,
+        return tuple.__new__(
+            cls, (PayloadKind.LITERAL, None, None, lexical_form, language_tag, datatype_iri)
         )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .hypergraph import Freezable, UnknownNodeError, _check_ids
+from .hypergraph import Freezable, UnknownNodeError, _check_id
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -99,7 +99,9 @@ class SchemaGraph(Freezable):
         return len(self.edges)
 
     def _check_node(self, node: int) -> None:
-        if not 0 <= node < len(self.iris):
+        """Refuse a non-int id (TypeError) and an absent node (UnknownNodeError)."""
+        if type(node) is not int or not 0 <= node < len(self.iris):
+            _check_id(node)
             raise UnknownNodeError(f"graph node {node} does not exist")
 
     def intern(self, iri: str) -> int:
@@ -123,7 +125,6 @@ class SchemaGraph(Freezable):
     def add_edge(self, src: int, dst: int, kind: EdgeKind) -> bool:
         """Record an edge; exact duplicates are dropped.  Returns True if new."""
         self._check_mutable()
-        _check_ids(src, dst)
         self._check_node(src)
         self._check_node(dst)
         edge = GraphEdge(src, dst, kind)

@@ -11,6 +11,8 @@ import json
 import math
 import random
 import re
+from dataclasses import dataclass
+from enum import Enum
 from typing import Any
 
 from hg2rdf import (
@@ -81,6 +83,52 @@ def loop_escape_iri(text: str) -> str:
         else:
             out.append(ch)
     return "".join(out)
+
+
+# The term and the connector store as they were before both became tuples:
+# a frozen slotted dataclass, whose kind hashed through Enum.__hash__, and one
+# insertion-ordered dict per connector kind keyed by the connector dataclasses.
+
+_EnumHashedKind = Enum("_EnumHashedKind", {kind.name: kind.value for kind in PayloadKind})
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassPayload:
+    """A NodePayload's fields as the frozen dataclass term held them."""
+
+    kind: _EnumHashedKind
+    iri: str | None = None
+    blank_label: str | None = None
+    lexical_form: str | None = None
+    language_tag: str | None = None
+    datatype_iri: str | None = None
+
+    @classmethod
+    def of(cls, term: NodePayload) -> DataclassPayload:
+        return cls(_EnumHashedKind[term.kind.name], *term[1:])
+
+
+class DataclassConnectorStore:
+    """HG2's connector stores keyed by the connector dataclasses; ids are
+    taken as valid, so only the duplicate check and the order are modelled."""
+
+    def __init__(self) -> None:
+        self._stores: dict[type, dict[Any, None]] = {NodeConnector: {}, EdgeConnector: {}}
+
+    def add_connector(self, connector: NodeConnector | EdgeConnector) -> bool:
+        store = self._stores[type(connector)]
+        if connector in store:
+            return False
+        store[connector] = None
+        return True
+
+    @property
+    def connectors_v(self) -> tuple[NodeConnector, ...]:
+        return tuple(self._stores[NodeConnector])
+
+    @property
+    def connectors_e(self) -> tuple[EdgeConnector, ...]:
+        return tuple(self._stores[EdgeConnector])
 
 
 def naive_reachable(hypergraph: Hypergraph, start: int) -> set[int]:

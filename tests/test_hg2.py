@@ -123,6 +123,22 @@ def test_mutators_reject_ids_that_are_not_plain_ints(bad):
     assert deserialize(before) == hg2
 
 
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_readers_reject_ids_that_are_not_plain_ints(bad):
+    hg2 = small()
+    hg2.add_connector(NodeConnector(0, 0))
+    for read in (
+        lambda: hg2.anchors_of_node(bad),
+        lambda: hg2.h.incidence_of(bad),
+        lambda: hg2.h.forward_reachable(bad),
+        lambda: hg2.h.forward_path(bad, 0),
+        lambda: hg2.h.forward_path(0, bad),
+        lambda: hg2.g.iri_of(bad),
+    ):
+        with pytest.raises(TypeError, match=f"^ids must be int, got {bad!r}$"):
+            read()
+
+
 def test_freeze_propagates_to_both_layers():
     hg2 = small()
     hg2.freeze()
@@ -142,9 +158,10 @@ def test_validate_layering_is_empty_for_api_built_structures():
 
 def test_validate_layering_reports_dangling_endpoints():
     hg2 = small()
-    # plant connectors in the private stores to simulate a corrupted structure
-    hg2._connectors_v[NodeConnector(99, 0)] = None
-    hg2._connectors_e[EdgeConnector(0, 55)] = None
+    # plant (source, graph node) pairs in the private stores to simulate a
+    # corrupted structure
+    hg2._connectors_v[99, 0] = None
+    hg2._connectors_e[0, 55] = None
     kinds = [v.kind for v in validate_layering(hg2)]
     assert kinds == ["DanglingEndpoint", "DanglingEndpoint"]
     messages = [v.message for v in validate_layering(hg2)]

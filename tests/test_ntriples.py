@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hg2rdf import (
     BadEscape,
     ErrorCode,
+    Hypergraph,
     NodePayload,
     ParseError,
+    PayloadKind,
     Statement,
     format_statement,
     format_term,
@@ -42,6 +44,21 @@ def test_statement_is_slotted_and_ignores_line_no_in_equality():
     assert not hasattr(first, "__dict__")
     with pytest.raises(AttributeError):
         first.line_no = 2
+
+
+def test_a_term_is_a_tuple_of_its_six_fields():
+    term = literal("v", language_tag="en")
+    assert not hasattr(term, "__dict__")
+    with pytest.raises(AttributeError):
+        term.lexical_form = "w"
+    fields = (PayloadKind.LITERAL, None, None, "v", "en", None)
+    assert term == fields and hash(term) == hash(fields)
+    assert NodePayload(PayloadKind.LITERAL, lexical_form="v", language_tag="en") == term
+    # a hypernode payload is interned by equality, so an opaque tuple of the
+    # same fields names the term's node (JSON cannot produce a tuple)
+    graph = Hypergraph()
+    node = graph.add_node(term)
+    assert graph.add_node(fields) == node and graph.find(fields) == node
 
 
 def test_comments_and_blank_lines_are_skipped():

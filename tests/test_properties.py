@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hg2rdf import (
+    EdgeConnector,
     Layer,
+    NodeConnector,
     NodePayload,
     ParseError,
     PayloadKind,
@@ -29,6 +31,8 @@ from hg2rdf import (
 from hg2rdf import HG2
 from hg2rdf.mapper import SCHEMA_PREDICATES
 from oracles import (
+    DataclassConnectorStore,
+    DataclassPayload,
     canonical_form,
     matrix_closure,
     naive_anchors,
@@ -83,6 +87,41 @@ def test_routing_is_total_and_matches_the_rule(statement):
         and statement.predicate.iri in SCHEMA_PREDICATES
     )
     assert layer is (Layer.SCHEMA if expected_schema else Layer.INSTANCE)
+
+
+# Few field values, and half the pairs a term and its copy, so that equal and
+# unequal pairs both occur often.
+_fields = st.sampled_from([None, "", "a", "b"])
+_terms = st.builds(NodePayload, st.sampled_from(PayloadKind), _fields, _fields, _fields,
+                   _fields, _fields)
+term_pairs = st.one_of(st.tuples(_terms, _terms), _terms.map(lambda t: (t, NodePayload(*t))))
+
+
+@given(term_pairs)
+def test_terms_compare_and_hash_as_the_dataclass_terms_did(pair):
+    a, b = pair
+    old_a, old_b = DataclassPayload.of(a), DataclassPayload.of(b)
+    assert (a == b) is (old_a == old_b)
+    assert (hash(a) == hash(b)) is (hash(old_a) == hash(old_b))
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 2)), max_size=40))
+def test_connector_stores_agree_with_the_dataclass_keyed_store(offers):
+    hg2 = HG2()
+    for node in range(4):
+        hg2.h.add_node(node)
+        hg2.g.intern(f"urn:g{node}")
+    for node in range(4):
+        hg2.h.add_hyperedge([node], [(node + 1) % 4])
+    oracle = DataclassConnectorStore()
+    for is_edge, source, target in offers:
+        connector = (EdgeConnector if is_edge else NodeConnector)(source, target)
+        assert hg2.add_connector(connector) is oracle.add_connector(connector)
+    assert hg2.connectors_v == oracle.connectors_v
+    assert hg2.connectors_e == oracle.connectors_e
+    for node in range(4):
+        assert hg2.anchors_of_node(node) == naive_anchors(oracle.connectors_v, node)
+    assert deserialize(serialize(hg2)) == hg2
 
 
 @given(st.integers(0, 2**32))

@@ -5,8 +5,9 @@ first-insertion order, and a repeated hashable payload names its first node,
 as an IRI names one node of :class:`~hg2rdf.schema.SchemaGraph`.  Head and
 tail are ordered lists so callers can assign positional roles; the same node
 may appear on both sides of one edge.  Each node lists the ids of the edges
-it sits in and, apart, of those it heads (its forward star); one
-breadth-first search is the only code that fires edges.
+it sits in and keeps its forward star: a map from each distinct node that an
+edge it heads has in its tail to the first such edge.  One breadth-first
+search over the forward stars is the only code that fires edges.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ class Hypergraph(Freezable):
         self.nodes: list[Any] = []
         self.edges: list[HyperEdge] = []
         self._incidence: list[list[int]] = []
-        self._heads: list[list[int]] = []
+        self._forward: list[dict[int, int]] = []
         self._index: dict[Any, int] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -102,11 +103,11 @@ class Hypergraph(Freezable):
 
     def _append_node(self, payload: Any) -> int:
         """Append a node without interning; the only writer of the node list,
-        its per-node edge lists and the payload index (the first node wins)."""
+        its per-node indexes and the payload index (the first node wins)."""
         node_id = len(self.nodes)
         self.nodes.append(payload)
         self._incidence.append([])
-        self._heads.append([])
+        self._forward.append({})
         try:
             self._index.setdefault(payload, node_id)
         except TypeError:
@@ -128,11 +129,19 @@ class Hypergraph(Freezable):
 
     def _append_edge(self, head: list[int], tail: list[int]) -> int:
         """Store an edge whose slots are already checked; the only code that
-        appends to the edge list and files edge ids in the per-node indexes."""
+        appends to the edge list and files edge ids in the per-node indexes.
+
+        Edges arrive in id order, so each forward star keeps, for every tail
+        node, the lowest-id edge that reaches it, and its keys in the order a
+        scan of the node's edges by id, each tail by position, first meets
+        them.  The stars hold only ints, so the cyclic collector skips them.
+        """
         edge_id = len(self.edges)
         self.edges.append(HyperEdge(edge_id, head, tail))
-        for node in set(head):
-            self._heads[node].append(edge_id)
+        for node in head:
+            forward = self._forward[node]
+            for tail_node in tail:
+                forward.setdefault(tail_node, edge_id)
         for node in {*head, *tail}:
             self._incidence[node].append(edge_id)
         return edge_id
@@ -142,25 +151,27 @@ class Hypergraph(Freezable):
         self._check_node(node)
         return list(self._incidence[node])
 
-    def _search(self, start: int, target: int | None = None) -> dict[int, tuple[int, int]]:
-        """Map each node reached from ``start`` to the (edge, node) that reached it.
+    def _search(self, start: int, target: int | None = None) -> dict[int, int]:
+        """Map each node reached from ``start`` to the node whose edge reached it.
 
         An edge fires as soon as any one of its head nodes is reached; firing
         reaches every tail node.  Nodes fire in the order reached, each its
-        edges in ascending id order.  Stops once ``target`` is reached.
+        edges in ascending id order, so the witness edge of ``node`` reached
+        from ``previous`` is ``self._forward[previous][node]``.  Stops once
+        ``target`` is reached.
         """
         self._check_node(start)
-        reached: dict[int, tuple[int, int]] = {}
+        forward = self._forward
+        reached: dict[int, int] = {}
         queue = deque([start])
         while queue:
             node = queue.popleft()
-            for edge_id in self._heads[node]:
-                for tail_node in self.edges[edge_id].tail:
-                    if tail_node not in reached:
-                        reached[tail_node] = (edge_id, node)
-                        if tail_node == target:
-                            return reached
-                        queue.append(tail_node)
+            for tail_node in forward[node]:
+                if tail_node not in reached:
+                    reached[tail_node] = node
+                    if tail_node == target:
+                        return reached
+                    queue.append(tail_node)
         return reached
 
     def forward_reachable(self, start: int) -> set[int]:
@@ -186,6 +197,7 @@ class Hypergraph(Freezable):
         path: list[int] = []
         node = target
         while node != start:
-            edge_id, node = reached[node]
-            path.append(edge_id)
+            previous = reached[node]
+            path.append(self._forward[previous][node])
+            node = previous
         return tuple(reversed(path))

@@ -11,6 +11,7 @@ import json
 import math
 import random
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -174,6 +175,30 @@ def naive_path(hypergraph: Hypergraph, start: int, target: int) -> tuple[int, ..
         edge_id, target = parents[target]
         path.append(edge_id)
     return tuple(reversed(path))
+
+
+def head_list_search(
+    hypergraph: Hypergraph, start: int, target: int | None = None
+) -> dict[int, tuple[int, int]]:
+    """The firing search as it was before forward stars: each node lists the
+    ids of the edges it heads, every repeat of a tail is visited, and each
+    reached node maps to the (edge, node) that reached it first."""
+    heads: list[list[int]] = [[] for _ in hypergraph.nodes]
+    for edge in hypergraph.edges:
+        for node in set(edge.head):
+            heads[node].append(edge.id)
+    reached: dict[int, tuple[int, int]] = {}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for edge_id in heads[node]:
+            for tail_node in hypergraph.edges[edge_id].tail:
+                if tail_node not in reached:
+                    reached[tail_node] = (edge_id, node)
+                    if tail_node == target:
+                        return reached
+                    queue.append(tail_node)
+    return reached
 
 
 def matrix_reachability(graph: SchemaGraph) -> list[list[bool]]:
@@ -531,7 +556,7 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
     included; ``HG2.__eq__`` compares only what ``serialize`` writes."""
     assert list(a.h._index.items()) == list(b.h._index.items())
     assert a.h._incidence == b.h._incidence
-    assert a.h._heads == b.h._heads
+    assert [list(f.items()) for f in a.h._forward] == [list(f.items()) for f in b.h._forward]
     assert list(a._node_anchors.items()) == list(b._node_anchors.items())
     assert list(a._anchored_nodes.items()) == list(b._anchored_nodes.items())
     assert list(a.g._ids.items()) == list(b.g._ids.items())

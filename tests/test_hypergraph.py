@@ -1,11 +1,12 @@
 """Hypergraph store: ids, incidence, firing semantics, freeze discipline."""
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
-from hg2rdf import EmptySlotError, Hypergraph, UnknownNodeError
+from hg2rdf import HG2, EmptySlotError, Hypergraph, UnknownNodeError, deserialize, serialize
 from oracles import naive_path, naive_reachable
 
 
@@ -152,6 +153,48 @@ def test_forward_path_is_the_breadth_first_witness():
     assert h.forward_path(3, 0) is None
     assert h.forward_path(4, 4) == ()
     assert h.forward_path(4, 3) == (3, 2)
+
+
+def test_repeated_head_tail_pair_keeps_the_lowest_edge_id_as_witness():
+    h = build(3)
+    h.add_hyperedge([0], [1])
+    h.add_hyperedge([0], [2, 1])
+    h.add_hyperedge([0, 0], [1])
+    assert list(h._forward[0].items()) == [(1, 0), (2, 1)]
+    assert h.forward_path(0, 1) == (0,)
+    assert h.forward_path(0, 2) == (1,)
+
+
+def test_tail_repeated_within_one_edge_is_reached_once():
+    h = build(3)
+    h.add_hyperedge([0], [1, 2, 1])
+    assert list(h._forward[0].items()) == [(1, 0), (2, 0)]
+    assert list(h._search(0)) == [1, 2]
+
+
+def test_node_heading_and_tailing_one_edge_reaches_itself_through_that_edge():
+    h = build(2)
+    h.add_hyperedge([0], [1, 0])
+    h.add_hyperedge([1], [0])
+    assert h._search(0) == {1: 0, 0: 0}
+    assert h._forward[0][0] == 0
+    assert h.forward_path(0, 0) == ()
+    loop = build(1)
+    loop.add_hyperedge([0], [0])
+    assert loop.forward_reachable(0) == {0}
+    assert loop._search(0) == {0: 0}
+
+
+def test_forward_stars_are_untracked_by_the_cyclic_collector():
+    hg2 = HG2()
+    for i in range(4):
+        hg2.h.add_node(f"n{i}")
+    hg2.h.add_hyperedge([0], [1, 2])
+    hg2.h.add_hyperedge([1, 2], [0, 3, 3])
+    hg2.h.add_hyperedge([3], [3])
+    for h in (hg2.h, deserialize(serialize(hg2)).h):
+        assert h._forward[3] == {3: 2}
+        assert all(gc.is_tracked(star) is False for star in h._forward)
 
 
 def test_freeze_blocks_mutation_but_not_queries():

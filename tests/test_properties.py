@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hg2rdf import (
     EdgeConnector,
+    Hypergraph,
     Layer,
     NodeConnector,
     NodePayload,
@@ -34,6 +35,7 @@ from oracles import (
     DataclassConnectorStore,
     DataclassPayload,
     canonical_form,
+    head_list_search,
     matrix_closure,
     naive_anchors,
     naive_generate_connectors,
@@ -161,6 +163,51 @@ def test_reachability_agrees_with_the_fixpoint_oracle(seed):
     hg2 = random_structure(rng)
     for start in range(hg2.h.node_count):
         assert hg2.h.forward_reachable(start) == naive_reachable(hg2.h, start)
+
+
+# Few nodes, so ids repeat within a slot, across head and tail, and across edges.
+small_hypergraphs = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=4),
+            ),
+            max_size=12,
+        ),
+    )
+)
+
+
+@given(small_hypergraphs)
+def test_forward_star_search_agrees_with_the_head_list_search(graph):
+    n, edges = graph
+    h = Hypergraph()
+    for node in range(n):
+        h.add_node(node)
+    for head, tail in edges:
+        h.add_hyperedge(head, tail)
+    for start in range(n):
+        for target in (None, *range(n)):
+            expected = head_list_search(h, start, target)
+            reached = h._search(start, target)
+            assert list(reached) == list(expected)
+            for node, previous in reached.items():
+                assert (h._forward[previous][node], previous) == expected[node]
+            if target is None:
+                continue
+            path: tuple[int, ...] | None = ()
+            if target != start:
+                path = None
+                if target in expected:
+                    edge_ids = []
+                    node = target
+                    while node != start:
+                        edge_id, node = expected[node]
+                        edge_ids.append(edge_id)
+                    path = tuple(reversed(edge_ids))
+            assert h.forward_path(start, target) == path
 
 
 @given(st.integers(0, 2**32))

@@ -190,12 +190,13 @@ class HG2(Freezable):
         return list(self._node_anchors.get(node, ()))
 
     def nodes_anchored_in(self, graph_nodes: Iterable[int]) -> set[int]:
-        """Hypernodes with a node connector to any of the given graph nodes."""
-        return {
-            node
-            for graph_node in graph_nodes
-            for node in self._anchored_nodes.get(graph_node, ())
-        }
+        """Hypernodes with a node connector to any of the given graph nodes;
+        each id is checked as :meth:`anchors_of_node` checks its own."""
+        nodes: set[int] = set()
+        for graph_node in graph_nodes:
+            self.g._check_node(graph_node)
+            nodes.update(self._anchored_nodes.get(graph_node, ()))
+        return nodes
 
 
 def validate_layering(hg2: HG2) -> list[Violation]:

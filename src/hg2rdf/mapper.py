@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
+from .hypergraph import _check_id
 from .ntriples import NodePayload, PayloadKind, Statement
 from .schema import (
     RDF_DATATYPE,
@@ -114,10 +115,12 @@ def _is_term(payload: object) -> bool:
 def statement_of(hg2: HG2, edge_id: int) -> Statement | None:
     """Reconstruct the statement a hyperedge encodes, if it is statement-shaped.
 
-    Returns None for hyperedges that were not produced by map_statement:
-    wrong arity, an opaque or incomplete payload, a literal with both a
-    language tag and a datatype, a literal subject or a non-IRI predicate.
+    Returns None for an absent edge id and for hyperedges that were not
+    produced by map_statement: wrong arity, an opaque or incomplete payload,
+    a literal with both a language tag and a datatype, a literal subject or
+    a non-IRI predicate.  An id that is not a plain int raises TypeError.
     """
+    _check_id(edge_id)
     if not 0 <= edge_id < hg2.h.edge_count:
         return None
     edge = hg2.h.edges[edge_id]

@@ -6,10 +6,11 @@ The accepted grammar is the line-delimited subset
 
 where a subject is ``<IRI>`` or ``_:label``, a predicate is ``<IRI>``, and an
 object is ``<IRI>``, ``_:label``, or a quoted literal with an optional
-``@lang`` or ``^^<IRI>`` suffix.  Blank lines and lines whose first non-space
-character is ``#`` are skipped.  Malformed lines never abort a document: each
-one is reported as a :class:`ParseError` value and parsing continues with the
-next line.
+``@lang`` or ``^^<IRI>`` suffix; ``ws`` is space, tab or CR.  Lines of ``ws``
+alone, or whose first other character is ``#``, are skipped.  A malformed
+line never aborts a document: it becomes a :class:`ParseError` value with
+its line number, and parsing goes on.  A parsed line is a :class:`Statement`,
+the named tuple ``(subject, predicate, object)``, and keeps no line number.
 
 Every term is a :class:`NodePayload`, the one RDF term type of the package,
 a named tuple of six fields: the hypergraph layer stores the parser's terms
@@ -33,7 +34,7 @@ on which path a line took first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -140,14 +141,12 @@ class NodePayload(NamedTuple):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Statement:
-    """One parsed triple.  ``line_no`` is the source line and does not affect equality."""
+class Statement(NamedTuple):
+    """One RDF triple; equal to the plain 3-tuple and without a source line."""
 
     subject: NodePayload
     predicate: NodePayload
     object: NodePayload
-    line_no: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -343,7 +342,7 @@ class _Scanner:
         return NodePayload.literal(lexical)
 
 
-def _parse_line(line: str, line_no: int) -> Statement:
+def _parse_line(line: str) -> Statement:
     scanner = _Scanner(line)
     scanner.skip_ws()
 
@@ -404,10 +403,10 @@ def _parse_line(line: str, line_no: int) -> Statement:
             "unexpected text after terminating '.'",
             scanner.pos + 1,
         )
-    return Statement(subject, predicate, obj, line_no=line_no)
+    return tuple.__new__(Statement, (subject, predicate, obj))
 
 
-def _match_line(match: re.Match[str], line_no: int) -> Statement:
+def _match_line(match: re.Match[str]) -> Statement:
     """Build the statement of a ``_LINE_RE`` match; raises BadEscape."""
     s_iri, s_blank, p_iri, o_iri, o_blank, raw, tag, dt_iri = match.groups()
     subject = NodePayload.uri(s_iri) if s_iri is not None else NodePayload.blank(s_blank)
@@ -417,7 +416,7 @@ def _match_line(match: re.Match[str], line_no: int) -> Statement:
         obj = NodePayload.blank(o_blank)
     else:
         obj = NodePayload.literal(unescape_literal(raw), None if tag is None else tag.lower(), dt_iri)
-    return Statement(subject, NodePayload.uri(p_iri), obj, line_no=line_no)
+    return tuple.__new__(Statement, (subject, NodePayload.uri(p_iri), obj))
 
 
 def parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
@@ -431,11 +430,11 @@ def parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
     match = _LINE_RE.fullmatch(line)
     if match is not None:
         try:
-            return _match_line(match, line_no)
+            return _match_line(match)
         except BadEscape:
             pass
     try:
-        return _parse_line(line, line_no)
+        return _parse_line(line)
     except _Halt as halt:
         return ParseError(line_no, halt.code, halt.message, halt.column)
 
@@ -464,7 +463,7 @@ def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]
     statements: list[Statement] = []
     errors: list[ParseError] = []
     for line_no, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
+        stripped = line.strip(_WS)
         if not stripped or stripped.startswith("#"):
             continue
         result = parse_line(line, line_no)

@@ -53,7 +53,7 @@ def scanner_parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
     """parse_line by the character scanner alone, without the whole-line
     expression tried first."""
     try:
-        return _parse_line(line, line_no)
+        return _parse_line(line)
     except _Halt as halt:
         return ParseError(line_no, halt.code, halt.message, halt.column)
 

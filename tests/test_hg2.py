@@ -21,6 +21,9 @@ from hg2rdf import (
     UnknownKind,
     UnknownNodeError,
     deserialize,
+    integrate,
+    instances_of,
+    parse_document,
     serialize,
     validate_layering,
 )
@@ -137,6 +140,26 @@ def test_readers_reject_ids_that_are_not_plain_ints(bad):
     ):
         with pytest.raises(TypeError, match=f"^ids must be int, got {bad!r}$"):
             read()
+
+
+def test_nodes_anchored_in_checks_each_graph_node_id():
+    statements, _ = parse_document(
+        "<urn:rex> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:Dog> .\n"
+        '<urn:rex> <urn:name> "Rex" .\n'
+    )
+    hg2, _ = integrate(statements)
+    dog, rex = hg2.g.find("urn:Dog"), hg2.h.find(NodePayload.uri("urn:rex"))
+    assert hg2.nodes_anchored_in([dog]) == {rex} == set(instances_of(hg2, "urn:Dog").items)
+    assert hg2.nodes_anchored_in([]) == set()
+    # each id is refused as anchors_of_node refuses its own
+    for bad in (float(dog), True):
+        with pytest.raises(TypeError, match=f"^ids must be int, got {bad!r}$"):
+            hg2.nodes_anchored_in([dog, bad])
+    absent = 10**9
+    with pytest.raises(UnknownNodeError, match=f"^graph node {absent} does not exist$"):
+        hg2.nodes_anchored_in([absent])
+    with pytest.raises(UnknownNodeError, match="^graph node -1 does not exist$"):
+        hg2.nodes_anchored_in([-1])
 
 
 def test_freeze_propagates_to_both_layers():

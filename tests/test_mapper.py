@@ -138,8 +138,9 @@ def test_self_triple_uses_one_node_in_all_three_slots():
 
 
 def test_duplicate_statements_reuse_the_hyperedge():
-    statement = Statement(iri("urn:s"), iri("urn:p"), NodePayload.literal("same"), line_no=1)
-    repeated = Statement(iri("urn:s"), iri("urn:p"), NodePayload.literal("same"), line_no=2)
+    statement = Statement(iri("urn:s"), iri("urn:p"), NodePayload.literal("same"))
+    repeated = Statement(iri("urn:s"), iri("urn:p"), NodePayload.literal("same"))
+    assert repeated is not statement and repeated == statement
     hg2, report = integrate([statement, repeated])
     assert report.statements_in == 2
     assert hg2.h.edge_count == 1
@@ -150,6 +151,19 @@ def test_mapping_twice_adds_no_new_hypernodes(w3c_statements):
     once, _ = integrate(w3c_statements)
     twice, _ = integrate(w3c_statements + w3c_statements)
     assert serialize(twice) == serialize(once)
+
+
+def test_statement_of_refuses_ids_that_are_not_plain_ints():
+    hg2 = fresh()
+    statement = Statement(iri("urn:s"), iri("urn:p"), iri("urn:o"))
+    map_statement(statement, hg2)
+    map_statement(Statement(iri("urn:t"), iri("urn:p"), iri("urn:o")), hg2)
+    assert statement_of(hg2, 0) == statement
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match=f"^ids must be int, got {bad!r}$"):
+            statement_of(hg2, bad)
+    # an int that names no hyperedge is still not an error
+    assert statement_of(hg2, -1) is None and statement_of(hg2, hg2.h.edge_count) is None
 
 
 def test_statement_of_inverts_map_statement():

@@ -34,16 +34,25 @@ def test_w3c_sample_parses_to_three_exact_statements(w3c_sample_text):
         Statement(subject, uri("http://purl.org/dc/elements/1.1/creator"), literal("Art Barstow")),
         Statement(subject, uri("http://purl.org/dc/elements/1.1/publisher"), uri("http://www.w3.org/")),
     ]
-    assert [s.line_no for s in statements] == [1, 2, 3]
+    assert all(type(s) is Statement for s in statements)
+    publisher = uri("http://purl.org/dc/elements/1.1/publisher")
+    assert statements[2] == (subject, publisher, uri("http://www.w3.org/"))
 
 
 def test_statement_is_slotted_and_ignores_line_no_in_equality():
-    first = Statement(uri("a:s"), uri("a:p"), uri("a:o"), line_no=1)
-    again = Statement(uri("a:s"), uri("a:p"), uri("a:o"), line_no=7)
-    assert first == again and hash(first) == hash(again)
-    assert not hasattr(first, "__dict__")
+    # a statement is the triple alone: the line number given to parse_line
+    # reaches only a ParseError
+    first = parse_line("<a:s> <a:p> <a:o> .", 1)
+    again = parse_line("<a:s> <a:p> <a:o> .", 7)
+    triple = (uri("a:s"), uri("a:p"), uri("a:o"))
+    assert type(first) is Statement and Statement._fields == ("subject", "predicate", "object")
+    assert first == again == Statement(*triple) == triple
+    assert hash(first) == hash(again) == hash(triple)
+    assert not hasattr(first, "__dict__") and not hasattr(first, "line_no")
     with pytest.raises(AttributeError):
-        first.line_no = 2
+        first.object = uri("a:x")
+    with pytest.raises(TypeError):
+        Statement(*triple, line_no=1)
 
 
 def test_a_term_is_a_tuple_of_its_six_fields():
@@ -62,11 +71,24 @@ def test_a_term_is_a_tuple_of_its_six_fields():
 
 
 def test_comments_and_blank_lines_are_skipped():
-    text = "# leading comment\n\n   \n<a:s> <a:p> <a:o> .\n  # indented comment\n"
+    text = "# leading comment\n\n   \n<a:s> <a:p> <a:o> .\n  # indented comment\njunk\n"
     statements, errors = parse_document(text)
-    assert len(statements) == 1
-    assert errors == []
-    assert statements[0].line_no == 4
+    assert statements == [(uri("a:s"), uri("a:p"), uri("a:o"))]
+    # skipped lines still count: the junk line is line 6
+    assert [e.line_no for e in errors] == [6]
+
+
+@pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\xa0", "\u3000"])
+def test_only_the_grammar_whitespace_makes_a_line_blank(space):
+    # ws is space, tab and CR: any other whitespace is content, so a line of
+    # it is one scanner error, not a blank line or a comment
+    text = f"{space}\n{space}# c\n{space}<a:s> <a:p> <a:o> .\n \t\n  # c\n"
+    statements, errors = parse_document(text)
+    assert statements == []
+    assert [(e.line_no, e.code, e.column) for e in errors] == [
+        (line_no, ErrorCode.UNEXPECTED_TOKEN, 1) for line_no in (1, 2, 3)
+    ]
+    assert errors == [parse_line(line, n) for n, line in enumerate(text.split("\n")[:3], start=1)]
 
 
 @pytest.mark.parametrize(
@@ -242,9 +264,14 @@ def test_invalid_utf8_is_an_error_value_not_an_exception():
 
 def test_crlf_documents_parse():
     for eol in ("\r\n", "\r"):
-        statements, errors = parse_document(f"<a:s> <a:p> <a:o> .{eol}<a:s> <a:p> \"x\" .{eol}")
-        assert not errors
-        assert [s.line_no for s in statements] == [1, 2]
+        statements, errors = parse_document(
+            f"<a:s> <a:p> <a:o> .{eol}<a:s> <a:p> \"x\" .{eol}junk{eol}"
+        )
+        assert statements == [
+            (uri("a:s"), uri("a:p"), uri("a:o")),
+            (uri("a:s"), uri("a:p"), literal("x")),
+        ]
+        assert [e.line_no for e in errors] == [3]
 
 
 def test_language_tag_is_case_normalized():

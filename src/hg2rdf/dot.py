@@ -11,8 +11,13 @@ from __future__ import annotations
 from .hg2 import HG2
 from .ntriples import NodePayload, format_term
 
+# Control characters other than newline, as the \uXXXX escapes format_term writes.
+_CONTROL_ESCAPES = {code: f"\\u{code:04X}" for code in range(0x20) if code != 0x0A}
+
 
 def _escape(text: str) -> str:
+    if not text.isprintable():
+        text = text.translate(_CONTROL_ESCAPES)
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
@@ -33,12 +38,12 @@ def to_dot(hg2: HG2) -> str:
     lines.append('    label="hypergraph layer";')
     for node_id, payload in enumerate(hg2.h.nodes):
         lines.append(f'    h{node_id} [label="{_escape(_node_label(payload))}"];')
-    for edge in hg2.h.edges:
-        lines.append(f'    e{edge.id} [shape=box, label="E{edge.id}"];')
+    for edge_id, edge in enumerate(hg2.h.edges):
+        lines.append(f'    e{edge_id} [shape=box, label="E{edge_id}"];')
         for node in edge.head:
-            lines.append(f"    h{node} -> e{edge.id} [style=bold];")
+            lines.append(f"    h{node} -> e{edge_id} [style=bold];")
         for node in edge.tail:
-            lines.append(f"    e{edge.id} -> h{node};")
+            lines.append(f"    e{edge_id} -> h{node};")
     lines.append("  }")
 
     lines.append("  subgraph cluster_graph {")

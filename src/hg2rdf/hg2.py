@@ -289,9 +289,9 @@ def serialize(hg2: HG2) -> str:
             _hypernode_record(node_id, payload) for node_id, payload in enumerate(hg2.h.nodes)
         ]),
         ("hyperedges", [
-            _record(f'"id": {edge.id}', f'"head": {_id_list(edge.head)}',
+            _record(f'"id": {edge_id}', f'"head": {_id_list(edge.head)}',
                     f'"tail": {_id_list(edge.tail)}')
-            for edge in hg2.h.edges
+            for edge_id, edge in enumerate(hg2.h.edges)
         ]),
         ("graph_nodes", [
             _record(f'"id": {node_id}', f'"iri": {_json(iri)}')

@@ -1,10 +1,10 @@
 """Directed hypergraph with ordered head/tail slots per hyperedge.
 
-Node payloads are opaque at this layer; ids are dense integers assigned in
-first-insertion order, and a repeated hashable payload names its first node,
-as an IRI names one node of :class:`~hg2rdf.schema.SchemaGraph`.  Head and
-tail are ordered lists so callers can assign positional roles; the same node
-may appear on both sides of one edge.  Each node lists the ids of the edges
+Node payloads are opaque at this layer; a node's or a hyperedge's id is its
+position in ``nodes`` or ``edges``, and a repeated hashable payload names its
+first node, as an IRI names one node of :class:`~hg2rdf.schema.SchemaGraph`.
+Head and tail are ordered lists so callers can assign positional roles; the
+same node may appear on both sides of one edge.  Each node lists the ids of the edges
 it sits in and keeps its forward star: a map from each distinct node that an
 edge it heads has in its tail to the first such edge.  One breadth-first
 search over the forward stars is the only code that fires edges.
@@ -26,7 +26,6 @@ class EmptySlotError(ValueError):
 
 @dataclass
 class HyperEdge:
-    id: int
     head: list[int]
     tail: list[int]
 
@@ -137,7 +136,7 @@ class Hypergraph(Freezable):
         them.  The stars hold only ints, so the cyclic collector skips them.
         """
         edge_id = len(self.edges)
-        self.edges.append(HyperEdge(edge_id, head, tail))
+        self.edges.append(HyperEdge(head, tail))
         for node in head:
             forward = self._forward[node]
             for tail_node in tail:

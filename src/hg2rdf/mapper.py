@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
 
 from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
 from .hypergraph import _check_id
@@ -98,41 +99,24 @@ _REQUIRED_FIELD = {
 }
 
 
-def _is_term(payload: object) -> bool:
-    """Whether a payload is a complete RDF term: a NodePayload carrying the
-    field its kind requires, and not a literal with both a tag and a datatype."""
-    if not isinstance(payload, NodePayload):
-        return False
-    if getattr(payload, _REQUIRED_FIELD[payload.kind]) is None:
-        return False
-    return not (
-        payload.kind is PayloadKind.LITERAL
-        and payload.language_tag is not None
-        and payload.datatype_iri is not None
-    )
-
-
 def statement_of(hg2: HG2, edge_id: int) -> Statement | None:
     """Reconstruct the statement a hyperedge encodes, if it is statement-shaped.
 
-    Returns None for an absent edge id and for hyperedges that were not
-    produced by map_statement: wrong arity, an opaque or incomplete payload,
-    a literal with both a language tag and a datatype, a literal subject or
-    a non-IRI predicate.  An id that is not a plain int raises TypeError.
+    Returns None for an absent edge id, for a hyperedge or one of its nodes
+    that breaks a placement rule of :func:`validate_mapping`, and for a
+    hyperedge with an opaque payload, so exactly the hyperedges that those
+    rules pass come back.  An id that is not a plain int raises TypeError.
     """
     _check_id(edge_id)
     if not 0 <= edge_id < hg2.h.edge_count:
         return None
     edge = hg2.h.edges[edge_id]
-    if len(edge.head) != 1 or len(edge.tail) != 2:
+    if _placement_violations(hg2, {*edge.head, *edge.tail}, (edge_id,)):
         return None
     payloads = [hg2.h.nodes[n] for n in (edge.tail[0], edge.head[0], edge.tail[1])]
-    if not all(_is_term(p) for p in payloads):
+    if not all(isinstance(p, NodePayload) for p in payloads):
         return None
-    subject, predicate, objekt = payloads
-    if subject.kind is PayloadKind.LITERAL or predicate.kind is not PayloadKind.URI:
-        return None
-    return Statement(subject, predicate, objekt)
+    return Statement(*payloads)
 
 
 def map_schema_statement(statement: Statement, graph: SchemaGraph) -> bool:
@@ -168,8 +152,8 @@ def generate_connectors(hg2: HG2) -> None:
 
     offers: dict[tuple[int, int], None] = {}
     tail_roles = (anchors[RDF_SUBJECT], anchors[RDF_OBJECT])
-    for edge in hg2.h.edges:
-        hg2.add_connector(EdgeConnector(edge.id, anchors[RDF_STATEMENT]))
+    for edge_id, edge in enumerate(hg2.h.edges):
+        hg2.add_connector(EdgeConnector(edge_id, anchors[RDF_STATEMENT]))
         for node in edge.head:
             offers[node, anchors[RDF_PREDICATE]] = None
         for node, role in zip(edge.tail, tail_roles):
@@ -203,10 +187,18 @@ def validate_mapping(hg2: HG2) -> list[Violation]:
     has exactly one head and two tails, a term payload must carry the field
     its kind requires, and a literal payload may not carry both a language
     tag and a datatype.  Structures built purely through map_statement
-    satisfy all of these.
+    satisfy all of these, and :func:`statement_of` reads the same rules.
     """
+    return _placement_violations(hg2, range(hg2.h.node_count), range(hg2.h.edge_count))
+
+
+def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[int]) -> list[Violation]:
+    """The placement rules over the given hypernodes, then the given
+    hyperedges, each in the order given."""
+    nodes, edges = hg2.h.nodes, hg2.h.edges
     violations: list[Violation] = []
-    for node_id, payload in enumerate(hg2.h.nodes):
+    for node_id in node_ids:
+        payload = nodes[node_id]
         if not isinstance(payload, NodePayload):
             continue
         required = _REQUIRED_FIELD[payload.kind]
@@ -232,17 +224,18 @@ def validate_mapping(hg2: HG2) -> list[Violation]:
             )
 
     def kind_of(node: int) -> PayloadKind | None:
-        payload = hg2.h.nodes[node]
+        payload = nodes[node]
         return payload.kind if isinstance(payload, NodePayload) else None
 
-    for edge in hg2.h.edges:
+    for edge_id in edge_ids:
+        edge = edges[edge_id]
         if len(edge.head) != 1 or len(edge.tail) != 2:
             violations.append(
                 Violation(
                     "EdgeArityViolation",
-                    f"hyperedge {edge.id} has |head|={len(edge.head)}, "
+                    f"hyperedge {edge_id} has |head|={len(edge.head)}, "
                     f"|tail|={len(edge.tail)}; statements need 1 and 2",
-                    edge=edge.id,
+                    edge=edge_id,
                 )
             )
         for node in edge.head:
@@ -251,27 +244,27 @@ def validate_mapping(hg2: HG2) -> list[Violation]:
                 violations.append(
                     Violation(
                         "LiteralInHead",
-                        f"literal hypernode {node} occupies a head slot of hyperedge {edge.id}",
+                        f"literal hypernode {node} occupies a head slot of hyperedge {edge_id}",
                         node=node,
-                        edge=edge.id,
+                        edge=edge_id,
                     )
                 )
             elif kind is PayloadKind.BLANK:
                 violations.append(
                     Violation(
                         "BlankInHead",
-                        f"blank hypernode {node} occupies a head slot of hyperedge {edge.id}",
+                        f"blank hypernode {node} occupies a head slot of hyperedge {edge_id}",
                         node=node,
-                        edge=edge.id,
+                        edge=edge_id,
                     )
                 )
         if edge.tail and kind_of(edge.tail[0]) is PayloadKind.LITERAL:
             violations.append(
                 Violation(
                     "LiteralAsSubject",
-                    f"literal hypernode {edge.tail[0]} occupies tail position 0 of hyperedge {edge.id}",
+                    f"literal hypernode {edge.tail[0]} occupies tail position 0 of hyperedge {edge_id}",
                     node=edge.tail[0],
-                    edge=edge.id,
+                    edge=edge_id,
                 )
             )
     return violations

@@ -19,7 +19,8 @@ back.
 
 A ``\\uXXXX`` escape, in an IRI or in a literal, must not name a surrogate
 code point (U+D800 to U+DFFF): such a code point cannot be encoded as UTF-8,
-so it is a ``BadEscape`` error at the backslash.
+so it is a ``BadEscape`` error at the backslash, and a lone surrogate
+character in a line is an ``InvalidEncoding`` error at its column.
 
 Each line is parsed in one of two ways.  The fast path is one compiled
 regular expression, ``_LINE_RE``, matched against the whole line; it accepts
@@ -58,17 +59,17 @@ _LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _BLANK_LABEL_RE = re.compile(_BLANK_LABEL)
 _LANG_TAG_RE = re.compile(_LANG_TAG)
 
-# The scanner's grammar minus ``\u`` escapes in IRIs.  An IRI character is
-# what scan_iri accepts without an escape; literal content is what
-# scan_literal collects (a backslash takes the next character with it).
+# The scanner's grammar minus ``\u`` escapes in IRIs and lone surrogates.  An
+# IRI character is what scan_iri accepts without an escape; literal content is
+# what scan_literal collects (a backslash takes the next character with it).
 # Labels and tags are matched greedily by the scanner and are always followed
 # here by whitespace or '.', so backtracking cannot pick a different split.
-_IRI = r"<([^\x00-\x20<>\\]+)>"
+_IRI = r"<([^\x00-\x20<>\\\ud800-\udfff]+)>"
 _LINE_RE = re.compile(
     rf"[ \t\r]*(?:{_IRI}|_:({_BLANK_LABEL}))[ \t\r]+"
     rf"{_IRI}[ \t\r]+"
     rf"(?:{_IRI}|_:({_BLANK_LABEL})"
-    rf'|"([^"\\]*(?:\\.[^"\\]*)*)"(?:@({_LANG_TAG})|\^\^{_IRI})?)'
+    rf'|"([^"\\\ud800-\udfff]*(?:\\.[^"\\\ud800-\udfff]*)*)"(?:@({_LANG_TAG})|\^\^{_IRI})?)'
     r"[ \t\r]*\.[ \t\r]*"
 )
 
@@ -166,6 +167,7 @@ class ParseError:
 
 
 _SURROGATE_MESSAGE = "\\u escape names a surrogate code point"
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class BadEscape(ValueError):
@@ -343,6 +345,10 @@ class _Scanner:
 
 
 def _parse_line(line: str) -> Statement:
+    surrogate = _SURROGATE_RE.search(line)
+    if surrogate is not None:
+        message = f"not valid UTF-8: lone surrogate U+{ord(surrogate[0]):04X}"
+        raise _Halt(ErrorCode.INVALID_ENCODING, message, surrogate.start() + 1)
     scanner = _Scanner(line)
     scanner.skip_ws()
 

@@ -2,7 +2,8 @@
 
 Nodes are interned IRIs (one node per distinct IRI); edges carry one of four
 kinds, abbreviated s/t/d/r: SubClassOf, Type, Domain, Range.  SubClassOf edges
-point from the subclass to its parent.
+point from the subclass to its parent.  The edges are one insertion-ordered
+dict keyed by :class:`GraphEdge`, which holds their order and uniqueness.
 """
 from __future__ import annotations
 
@@ -71,24 +72,24 @@ class GraphEdge:
 class SchemaGraph(Freezable):
     """Interned IRI nodes plus deduplicated, insertion-ordered labeled edges.
 
-    Edges are append-only.  ``add_edge`` also fills two indexes that the
-    lookups read instead of scanning ``edges``: the SubClassOf children of
-    each class, and the first Domain and the first Range target of each
-    node.
+    Edges are append-only; ``edges`` maps each to None in insertion order,
+    and graphs are equal only with their edges in the same order.
+    ``add_edge`` also fills two indexes that the lookups read instead of
+    scanning ``edges``: the SubClassOf children of each class, and the first
+    Domain and the first Range target of each node.
     """
 
     def __init__(self) -> None:
         self.iris: list[str] = []
         self._ids: dict[str, int] = {}
-        self.edges: list[GraphEdge] = []
-        self._edge_set: set[GraphEdge] = set()
+        self.edges: dict[GraphEdge, None] = {}
         self._subclass_children: dict[int, list[int]] = {}
         self._constraints: dict[tuple[int, EdgeKind], int] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SchemaGraph):
             return NotImplemented
-        return self.iris == other.iris and self.edges == other.edges
+        return self.iris == other.iris and list(self.edges) == list(other.edges)
 
     @property
     def node_count(self) -> int:
@@ -128,16 +129,15 @@ class SchemaGraph(Freezable):
         self._check_node(src)
         self._check_node(dst)
         edge = GraphEdge(src, dst, kind)
-        if edge in self._edge_set:
+        if edge in self.edges:
             return False
         self._append_edge(edge)
         return True
 
     def _append_edge(self, edge: GraphEdge) -> None:
         """Store a new edge between existing nodes; the only writer of the
-        edge list, the duplicate set and both lookup indexes."""
-        self.edges.append(edge)
-        self._edge_set.add(edge)
+        edge store and both lookup indexes."""
+        self.edges[edge] = None
         if edge.kind is EdgeKind.SUBCLASS_OF:
             self._subclass_children.setdefault(edge.dst, []).append(edge.src)
         elif edge.kind in _CONSTRAINT_KINDS:

@@ -20,10 +20,6 @@ class QueryResult:
 
     items: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.items) != len(set(self.items)):
-            raise ValueError("query result items must be unique")
-
 
 @dataclass(frozen=True)
 class PathResult:

@@ -34,6 +34,7 @@ from hg2rdf import (
     UnknownKind,
     format_statement,
 )
+from hg2rdf.hypergraph import _check_id
 from hg2rdf.ntriples import _Halt, _parse_line
 from hg2rdf.schema import (
     RDF_DATATYPE,
@@ -132,6 +133,49 @@ class DataclassConnectorStore:
         return tuple(self._stores[EdgeConnector])
 
 
+# statement_of as it was before it read the placement rules of
+# validate_mapping: its own term test and its own subject and predicate checks.
+
+_REQUIRED_FIELD = {
+    PayloadKind.URI: "iri",
+    PayloadKind.BLANK: "blank_label",
+    PayloadKind.LITERAL: "lexical_form",
+}
+
+
+def _is_term(payload: object) -> bool:
+    """Whether a payload is a complete RDF term: a NodePayload carrying the
+    field its kind requires, and not a literal with both a tag and a datatype."""
+    if not isinstance(payload, NodePayload):
+        return False
+    if getattr(payload, _REQUIRED_FIELD[payload.kind]) is None:
+        return False
+    return not (
+        payload.kind is PayloadKind.LITERAL
+        and payload.language_tag is not None
+        and payload.datatype_iri is not None
+    )
+
+
+def oracle_statement_of(hg2: HG2, edge_id: int) -> Statement | None:
+    """The statement a hyperedge encodes, or None for an absent edge id, wrong
+    arity, an opaque or incomplete payload, a literal with both a language
+    tag and a datatype, a literal subject or a non-IRI predicate."""
+    _check_id(edge_id)
+    if not 0 <= edge_id < hg2.h.edge_count:
+        return None
+    edge = hg2.h.edges[edge_id]
+    if len(edge.head) != 1 or len(edge.tail) != 2:
+        return None
+    payloads = [hg2.h.nodes[n] for n in (edge.tail[0], edge.head[0], edge.tail[1])]
+    if not all(_is_term(p) for p in payloads):
+        return None
+    subject, predicate, objekt = payloads
+    if subject.kind is PayloadKind.LITERAL or predicate.kind is not PayloadKind.URI:
+        return None
+    return Statement(subject, predicate, objekt)
+
+
 def naive_reachable(hypergraph: Hypergraph, start: int) -> set[int]:
     """Fixpoint reachability: any edge with a triggered head node fires fully.
 
@@ -160,13 +204,13 @@ def naive_path(hypergraph: Hypergraph, start: int, target: int) -> tuple[int, ..
     seen = {start}
     queue = [start]
     for current in queue:
-        for edge in hypergraph.edges:
+        for edge_id, edge in enumerate(hypergraph.edges):
             if current not in edge.head:
                 continue
             for node in edge.tail:
                 if node not in seen:
                     seen.add(node)
-                    parents[node] = (edge.id, current)
+                    parents[node] = (edge_id, current)
                     queue.append(node)
     if target not in parents:
         return None
@@ -184,9 +228,9 @@ def head_list_search(
     ids of the edges it heads, every repeat of a tail is visited, and each
     reached node maps to the (edge, node) that reached it first."""
     heads: list[list[int]] = [[] for _ in hypergraph.nodes]
-    for edge in hypergraph.edges:
+    for edge_id, edge in enumerate(hypergraph.edges):
         for node in set(edge.head):
-            heads[node].append(edge.id)
+            heads[node].append(edge_id)
     reached: dict[int, tuple[int, int]] = {}
     queue = deque([start])
     while queue:
@@ -262,8 +306,8 @@ def naive_generate_connectors(hg2: HG2) -> None:
     order, then the datatype and typing connectors per node, leaving the
     deduplication to ``add_connector``."""
     anchors = {iri: hg2.g.find(iri) for iri in ANCHOR_IRIS}
-    for edge in hg2.h.edges:
-        hg2.add_connector(EdgeConnector(edge.id, anchors[RDF_STATEMENT]))
+    for edge_id, edge in enumerate(hg2.h.edges):
+        hg2.add_connector(EdgeConnector(edge_id, anchors[RDF_STATEMENT]))
         for node in edge.head:
             hg2.add_connector(NodeConnector(node, anchors[RDF_PREDICATE]))
         for position, node in enumerate(edge.tail):
@@ -480,7 +524,7 @@ def canonical_form(hg2: HG2) -> tuple:
 
     return (
         tuple(sorted(payloads)),
-        tuple(sorted(edge_shape(e.id) for e in hg2.h.edges)),
+        tuple(sorted(edge_shape(e) for e in range(hg2.h.edge_count))),
         tuple(sorted(hg2.g.iris)),
         tuple(
             sorted(
@@ -560,7 +604,7 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
     assert list(a._node_anchors.items()) == list(b._node_anchors.items())
     assert list(a._anchored_nodes.items()) == list(b._anchored_nodes.items())
     assert list(a.g._ids.items()) == list(b.g._ids.items())
-    assert a.g._edge_set == b.g._edge_set
+    assert list(a.g.edges) == list(b.g.edges)
     assert list(a.g._subclass_children.items()) == list(b.g._subclass_children.items())
     assert list(a.g._constraints.items()) == list(b.g._constraints.items())
 
@@ -592,8 +636,8 @@ def oracle_serialize(hg2: HG2) -> str:
             _payload_to_json(node_id, payload) for node_id, payload in enumerate(hg2.h.nodes)
         ],
         "hyperedges": [
-            {"id": edge.id, "head": list(edge.head), "tail": list(edge.tail)}
-            for edge in hg2.h.edges
+            {"id": edge_id, "head": list(edge.head), "tail": list(edge.tail)}
+            for edge_id, edge in enumerate(hg2.h.edges)
         ],
         "graph_nodes": [{"id": node_id, "iri": iri} for node_id, iri in enumerate(hg2.g.iris)],
         "graph_edges": [

@@ -64,3 +64,18 @@ def test_integrated_build_renders_valid_dot(w3c_sample_text):
 def test_output_is_deterministic(demo_structure):
     hg2, _, _ = demo_structure
     assert to_dot(hg2) == to_dot(hg2)
+
+
+def test_control_characters_in_labels_are_written_as_visible_escapes():
+    statements, errors = parse_document(
+        "<urn:x\\u0000y\\u000Dz> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <urn:C> .\n"
+    )
+    assert not errors
+    hg2, _ = integrate(statements)
+    opaque = HG2()
+    opaque.h.add_node("tab\there")
+    for text in (to_dot(hg2), to_dot(opaque)):
+        assert not any(ord(ch) < 0x20 for ch in text.replace("\n", ""))
+        assert check_dot(text) == []
+    assert '    g13 [label="urn:x\\\\u0000y\\\\u000Dz"];\n' in to_dot(hg2)
+    assert '    h0 [label="tab\\\\u0009here"];\n' in to_dot(opaque)

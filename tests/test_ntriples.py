@@ -19,7 +19,7 @@ from hg2rdf import (
     parse_line,
     unescape_literal,
 )
-from oracles import loop_escape_iri, loop_escape_literal
+from oracles import loop_escape_iri, loop_escape_literal, scanner_parse_line
 
 
 uri, blank, literal = NodePayload.uri, NodePayload.blank, NodePayload.literal
@@ -218,6 +218,23 @@ def test_surrogate_escapes_are_bad_escapes_at_the_backslash():
     statement = parse_line('<a:\\uD7FF> <a:p> "\\uE000" .')
     assert isinstance(statement, Statement)
     assert (statement.subject, statement.object) == (uri("a:\ud7ff"), literal("\ue000"))
+
+
+def test_lone_surrogates_in_str_input_are_invalid_encoding_at_their_column():
+    for line, column in (
+        ("<urn:a\ud800> <urn:p> <urn:o> .", 7),
+        ('<a:s> <a:p> "x\udfffy"@en .', 15),
+        ('<a:s> <a:p> "x\\\udc00" .', 16),
+        ('<a:s> <a:p> "x"^^<a:\udbff> .', 21),
+        ("<a:\\u0041\udbff> <a:p> <a:o> .", 10),
+    ):
+        code_point = ord(line[column - 1])
+        error = ParseError(
+            1, ErrorCode.INVALID_ENCODING, f"not valid UTF-8: lone surrogate U+{code_point:04X}", column
+        )
+        assert parse_line(line) == error, line
+        assert scanner_parse_line(line) == error, line
+        assert parse_document(line + "\n") == ([], [error]), line
 
 
 def test_parse_error_str_mentions_position():

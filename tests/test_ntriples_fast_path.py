@@ -127,9 +127,12 @@ class _NoScanner:
         raise AssertionError(f"the scanner ran on {line!r}")
 
 
-# IRIs format without a \u escape when they avoid controls, space, <, > and \.
+# IRIs format without a \u escape when they avoid controls, space, <, > and \;
+# a lone surrogate has no UTF-8 encoding and makes no well-formed line.
 _plain_iris = st.text(
-    st.characters(exclude_characters="<>\\", min_codepoint=0x21), min_size=1, max_size=16
+    st.characters(exclude_characters="<>\\", min_codepoint=0x21, codec="utf-8"),
+    min_size=1,
+    max_size=16,
 ).map(NodePayload.uri)
 _statements = st.builds(
     Statement,

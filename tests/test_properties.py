@@ -27,6 +27,7 @@ from hg2rdf import (
     parse_line,
     route_statement,
     serialize,
+    statement_of,
     validate_mapping,
 )
 from hg2rdf import HG2
@@ -41,6 +42,7 @@ from oracles import (
     naive_generate_connectors,
     naive_instances,
     naive_reachable,
+    oracle_statement_of,
     random_class_graph,
     random_document,
     random_structure,
@@ -105,6 +107,34 @@ def test_terms_compare_and_hash_as_the_dataclass_terms_did(pair):
     old_a, old_b = DataclassPayload.of(a), DataclassPayload.of(b)
     assert (a == b) is (old_a == old_b)
     assert (hash(a) == hash(b)) is (hash(old_a) == hash(old_b))
+
+
+# Complete and incomplete terms, tag-plus-datatype literals and opaque
+# payloads, joined by hyperedges with one to three nodes per slot.  Half the
+# payloads are IRIs and half the edges statement-shaped, so that statements
+# and each reason for None occur often.
+_other_payloads = st.one_of(blank_terms, literal_terms, _terms, st.sampled_from(["opaque", 7, None]))
+_payloads = st.booleans().flatmap(lambda iri: iri_terms if iri else _other_payloads)
+
+
+@st.composite
+def placement_structures(draw) -> HG2:
+    hg2 = HG2()
+    for payload in draw(st.lists(_payloads, min_size=1, max_size=6)):
+        hg2.h._append_node(payload)
+    node = st.integers(0, hg2.h.node_count - 1)
+    slot = st.lists(node, min_size=1, max_size=3)
+    shaped = st.tuples(st.lists(node, min_size=1, max_size=1), st.lists(node, min_size=2, max_size=2))
+    for head, tail in draw(st.lists(st.one_of(shaped, st.tuples(slot, slot)), max_size=8)):
+        hg2.h.add_hyperedge(head, tail)
+    return hg2
+
+
+@given(placement_structures())
+@settings(max_examples=300, deadline=None)
+def test_statement_of_agrees_with_its_old_checks(hg2):
+    for edge_id in range(-1, hg2.h.edge_count + 1):
+        assert statement_of(hg2, edge_id) == oracle_statement_of(hg2, edge_id)
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 2)), max_size=40))

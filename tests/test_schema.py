@@ -72,6 +72,35 @@ def test_add_edge_deduplicates_but_keeps_distinct_kinds():
         graph.add_edge(a, 17, EdgeKind.TYPE)
 
 
+def test_edges_keep_first_insertion_order_and_one_copy():
+    graph = SchemaGraph()
+    a, b, c = (graph.intern(iri) for iri in ("urn:a", "urn:b", "urn:c"))
+    graph.add_edge(b, c, EdgeKind.TYPE)
+    graph.add_edge(a, b, EdgeKind.SUBCLASS_OF)
+    assert graph.add_edge(b, c, EdgeKind.TYPE) is False
+    graph.add_edge(a, c, EdgeKind.RANGE)
+    assert list(graph.edges) == [
+        GraphEdge(b, c, EdgeKind.TYPE),
+        GraphEdge(a, b, EdgeKind.SUBCLASS_OF),
+        GraphEdge(a, c, EdgeKind.RANGE),
+    ]
+    assert graph.edge_count == 3
+
+
+def test_graph_equality_is_order_sensitive():
+    def build(order: list[tuple[int, int, EdgeKind]]) -> SchemaGraph:
+        graph = SchemaGraph()
+        graph.intern("urn:a")
+        graph.intern("urn:b")
+        for edge in order:
+            graph.add_edge(*edge)
+        return graph
+
+    forward = [(0, 1, EdgeKind.SUBCLASS_OF), (1, 0, EdgeKind.TYPE)]
+    assert build(forward) == build(forward)
+    assert build(forward) != build(forward[::-1])
+
+
 def test_edge_kind_serial_letters():
     assert {k.value for k in EdgeKind} == {"s", "t", "d", "r"}
 

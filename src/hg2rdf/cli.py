@@ -7,13 +7,17 @@ vocabulary can be supplied separately from instance data.  Blank node labels
 share one scope across all files of a build.
 
 Reports and errors go to standard error; results and documents go to
-standard output (or ``--output``).  Exit codes: 0 success, 1 parse errors
+standard output (or ``--output``), written as they are produced, so a large
+document or digraph is never held whole.  Exit codes: 0 success, 1 parse errors
 under ``--strict`` or validation violations, 2 usage and I/O failures.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
+from typing import TextIO
 
 from .dot import to_dot
 from .hg2 import HG2, SerializationError, deserialize, serialize, validate_layering
@@ -100,12 +104,12 @@ def _read_file(path: str) -> bytes:
 
 
 def _read_document(path: str) -> HG2:
+    # No local keeps the bytes or the text, so ``deserialize`` can drop the
+    # text once it is parsed.
     try:
-        text = _read_file(path).decode("utf-8")
+        return deserialize(_read_file(path).decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
-    try:
-        return deserialize(text)
     except SerializationError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -142,15 +146,17 @@ def _load_structure(args: argparse.Namespace) -> tuple[HG2, IntegrationReport | 
     return hg2, report, error_count
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The handle results are written to: ``path``, or standard output."""
+    if path is None:
+        yield sys.stdout
         return
     try:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
-        raise CliError(f"cannot write {output}: {exc}") from exc
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _as_iri(text: str) -> str:
@@ -179,7 +185,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.strict and error_count:
         print(f"aborting: {error_count} parse error(s)", file=sys.stderr)
         return 1
-    _write_output(serialize(hg2), args.output)
+    with _output(args.output) as out:
+        serialize(hg2, out)
     if report is not None:
         print(report.summary(), file=sys.stderr)
     return 0
@@ -201,24 +208,27 @@ def cmd_query(args: argparse.Namespace) -> int:
         witness = path_exists(hg2, _as_iri(args.path[0]), _as_iri(args.path[1]))
         lines.append("true" if witness.found else "false")
         lines.extend(_edge_line(hg2, edge_id) for edge_id in witness.edges)
-    text = "".join(line + "\n" for line in lines)
-    _write_output(text, args.output)
+    with _output(args.output) as out:
+        out.write("".join(line + "\n" for line in lines))
     return 0
 
 
 def cmd_export(args: argparse.Namespace) -> int:
     hg2, _, _ = _load_structure(args)
-    text = serialize(hg2) if args.format == "json-doc" else to_dot(hg2)
-    _write_output(text, args.output)
+    with _output(args.output) as out:
+        (serialize if args.format == "json-doc" else to_dot)(hg2, out)
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    hg2, _, _ = _load_structure(args)
-    violations = validate_layering(hg2) + validate_mapping(hg2)
+    hg2, report, _ = _load_structure(args)
+    # integrate already ran the placement checks; their findings are the
+    # report's warnings, as text.
+    findings = report.warnings if report is not None else map(str, validate_mapping(hg2))
+    violations = [*map(str, validate_layering(hg2)), *findings]
     warnings = check_domain_range(hg2)
     for violation in violations:
-        print(str(violation))
+        print(violation)
     for warning in warnings:
         print(f"warning: {warning}")
     if not violations and not warnings:

@@ -4,11 +4,16 @@ DOT has no native hyperedges, so each hyperedge becomes a square junction
 vertex: head nodes point at the junction with bold links, the junction points
 at its tail nodes in order.  The graph layer is a second cluster with its
 edges labeled by kind (s/t/d/r), and connectors cross between the clusters as
-dashed links.
+dashed links.  Like :func:`hg2rdf.hg2.serialize`, :func:`to_dot` returns the
+text or streams it to a handle in chunks, so a large structure's digraph is
+never held whole.
 """
 from __future__ import annotations
 
-from .hg2 import HG2
+from collections.abc import Iterator
+from typing import TextIO
+
+from .hg2 import HG2, _batches, _emit
 from .ntriples import NodePayload, format_term
 
 # Control characters other than newline, as the \uXXXX escapes format_term writes.
@@ -30,36 +35,44 @@ def _node_label(payload: object) -> str:
     return str(payload)
 
 
-def to_dot(hg2: HG2) -> str:
-    """Render the structure as a DOT digraph (deterministic output)."""
-    lines = ["digraph hg2 {", "  rankdir=LR;"]
+def _lines(hg2: HG2) -> Iterator[str]:
+    """The digraph's lines in order, without their newlines."""
+    yield "digraph hg2 {"
+    yield "  rankdir=LR;"
 
-    lines.append("  subgraph cluster_hypergraph {")
-    lines.append('    label="hypergraph layer";')
+    yield "  subgraph cluster_hypergraph {"
+    yield '    label="hypergraph layer";'
     for node_id, payload in enumerate(hg2.h.nodes):
-        lines.append(f'    h{node_id} [label="{_escape(_node_label(payload))}"];')
+        yield f'    h{node_id} [label="{_escape(_node_label(payload))}"];'
     for edge_id, edge in enumerate(hg2.h.edges):
-        lines.append(f'    e{edge_id} [shape=box, label="E{edge_id}"];')
+        yield f'    e{edge_id} [shape=box, label="E{edge_id}"];'
         for node in edge.head:
-            lines.append(f"    h{node} -> e{edge_id} [style=bold];")
+            yield f"    h{node} -> e{edge_id} [style=bold];"
         for node in edge.tail:
-            lines.append(f"    e{edge_id} -> h{node};")
-    lines.append("  }")
+            yield f"    e{edge_id} -> h{node};"
+    yield "  }"
 
-    lines.append("  subgraph cluster_graph {")
-    lines.append('    label="graph layer";')
+    yield "  subgraph cluster_graph {"
+    yield '    label="graph layer";'
     for node_id, iri in enumerate(hg2.g.iris):
-        lines.append(f'    g{node_id} [label="{_escape(iri)}"];')
+        yield f'    g{node_id} [label="{_escape(iri)}"];'
     for graph_edge in hg2.g.edges:
-        lines.append(
-            f'    g{graph_edge.src} -> g{graph_edge.dst} [label="{graph_edge.kind.value}"];'
-        )
-    lines.append("  }")
+        yield f'    g{graph_edge.src} -> g{graph_edge.dst} [label="{graph_edge.kind.value}"];'
+    yield "  }"
 
     for node, graph_node in hg2._connectors_v:
-        lines.append(f"  h{node} -> g{graph_node} [style=dashed];")
+        yield f"  h{node} -> g{graph_node} [style=dashed];"
     for edge_id, graph_node in hg2._connectors_e:
-        lines.append(f"  e{edge_id} -> g{graph_node} [style=dashed];")
+        yield f"  e{edge_id} -> g{graph_node} [style=dashed];"
 
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "}"
+
+
+def to_dot(hg2: HG2, out: TextIO | None = None) -> str | None:
+    """Render the structure as a DOT digraph (deterministic output).
+
+    Without ``out`` the digraph is returned as one string.  With ``out``, a
+    text handle, it is written there in chunks of about a thousand lines as
+    they are made, and ``None`` is returned; the bytes are the same.
+    """
+    return _emit(("\n".join(batch) + "\n" for batch in _batches(_lines(hg2))), out)

@@ -25,7 +25,9 @@ refuses those tokens.
 
 ``serialize`` writes each record from a fixed template, with the string
 escaper of :mod:`json`, and gives the bytes ``json.dumps(..., indent=2)``
-gives.  ``deserialize`` checks the ids, slots, endpoints and duplicates of
+gives.  It returns the document as a string, or writes it to a text handle
+in chunks as the records are made, so that a large document is never held
+whole.  ``deserialize`` checks the ids, slots, endpoints and duplicates of
 each section in one pass before it stores any record of it, and then
 appends the records through the private helpers that the public mutators
 end in.  A section that fails the check goes through the checked mutators,
@@ -36,11 +38,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 from json.encoder import encode_basestring as _quote
-from typing import Any
+from typing import Any, TextIO
 
 from .hypergraph import Freezable, Hypergraph, _check_id
 from .ntriples import NodePayload, PayloadKind
@@ -269,50 +271,78 @@ def _hypernode_record(node_id: int, payload: Any) -> str:
     )
 
 
-def _section(name: str, records: list[str]) -> str:
-    if not records:
-        return f',\n  "{name}": []'
-    return f',\n  "{name}": [\n' + ",\n".join(records) + "\n  ]"
+# Records (or DOT lines) per chunk.  A 5 MiB document is then about a hundred
+# ``write`` calls, and the text held at once stays near 1 MiB; at 4096 the
+# process high-water mark of a large build already rose by 4 MiB.
+_BATCH = 1024
 
 
-def serialize(hg2: HG2) -> str:
+def _batches(items: Iterator[str]) -> Iterator[list[str]]:
+    while batch := list(islice(items, _BATCH)):
+        yield batch
+
+
+def _emit(chunks: Iterator[str], out: TextIO | None) -> str | None:
+    """Join the chunks into one string, or, given ``out``, write each to it
+    as it is made and return ``None``."""
+    if out is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        out.write(chunk)
+    return None
+
+
+def _section(name: str, records: Iterator[str]) -> Iterator[str]:
+    """One section's text, in chunks of at most ``_BATCH`` records."""
+    batches = _batches(records)
+    first = next(batches, None)
+    if first is None:
+        yield f',\n  "{name}": []'
+        return
+    yield f',\n  "{name}": [\n' + ",\n".join(first)
+    for batch in batches:
+        yield ",\n" + ",\n".join(batch)
+    yield "\n  ]"
+
+
+def _document(hg2: HG2) -> Iterator[str]:
+    """The document's text in order, one chunk per batch of records."""
+    yield f'{{\n  "meta": {{\n    "format": {_json(FORMAT_VERSION)}\n  }}'
+    yield from _section("hypernodes", starmap(_hypernode_record, enumerate(hg2.h.nodes)))
+    yield from _section("hyperedges", (
+        _record(f'"id": {edge_id}', f'"head": {_id_list(edge.head)}',
+                f'"tail": {_id_list(edge.tail)}')
+        for edge_id, edge in enumerate(hg2.h.edges)
+    ))
+    yield from _section("graph_nodes", (
+        _record(f'"id": {node_id}', f'"iri": {_json(iri)}')
+        for node_id, iri in enumerate(hg2.g.iris)
+    ))
+    yield from _section("graph_edges", (
+        _record(f'"from": {edge.src}', f'"to": {edge.dst}', f'"kind": {_json(edge.kind.value)}')
+        for edge in hg2.g.edges
+    ))
+    for name, store in (("connectors_v", hg2._connectors_v), ("connectors_e", hg2._connectors_e)):
+        yield from _section(name, (
+            _record(f'"from": {source}', f'"to": {target}') for source, target in store
+        ))
+    yield "\n}\n"
+
+
+def serialize(hg2: HG2, out: TextIO | None = None) -> str | None:
     """Render the structure as a deterministic, human-readable JSON document.
 
     The text is what ``json.dumps(document, indent=2, ensure_ascii=False)``
     writes for the section layout, built record by record without the
-    intermediate document.  A non-finite float anywhere in a payload is a
-    ``ValueError``: ``NaN`` and ``Infinity`` are not JSON, and parsers other
-    than Python's refuse them.
+    intermediate document.  Without ``out`` the document is returned as one
+    string.  With ``out``, a text handle, it is written there in chunks of
+    about a thousand records as they are made, so the whole text is never
+    held at once, and ``None`` is returned; the bytes are the same.  A non-finite
+    float anywhere in a payload is a ``ValueError``: ``NaN`` and
+    ``Infinity`` are not JSON, and parsers other than Python's refuse them.
+    With ``out``, the handle may then already hold part of the document.
     """
-    sections = (
-        ("hypernodes", [
-            _hypernode_record(node_id, payload) for node_id, payload in enumerate(hg2.h.nodes)
-        ]),
-        ("hyperedges", [
-            _record(f'"id": {edge_id}', f'"head": {_id_list(edge.head)}',
-                    f'"tail": {_id_list(edge.tail)}')
-            for edge_id, edge in enumerate(hg2.h.edges)
-        ]),
-        ("graph_nodes", [
-            _record(f'"id": {node_id}', f'"iri": {_json(iri)}')
-            for node_id, iri in enumerate(hg2.g.iris)
-        ]),
-        ("graph_edges", [
-            _record(f'"from": {edge.src}', f'"to": {edge.dst}', f'"kind": {_json(edge.kind.value)}')
-            for edge in hg2.g.edges
-        ]),
-        ("connectors_v", [
-            _record(f'"from": {source}', f'"to": {target}') for source, target in hg2._connectors_v
-        ]),
-        ("connectors_e", [
-            _record(f'"from": {source}', f'"to": {target}') for source, target in hg2._connectors_e
-        ]),
-    )
-    return (
-        f'{{\n  "meta": {{\n    "format": {_json(FORMAT_VERSION)}\n  }}'
-        + "".join(_section(name, records) for name, records in sections)
-        + "\n}\n"
-    )
+    return _emit(_document(hg2), out)
 
 
 # A JSON escape of a code point in U+D800..U+DFFF.  Valid pairs decode to one
@@ -482,7 +512,9 @@ def deserialize(text: str) -> HG2:
     holding a lone surrogate (a ``\\uD800``..``\\uDFFF`` escape that is not
     half of a pair, which cannot be written as UTF-8) are each a
     :class:`SchemaViolation` too.  Sections load in document order, each
-    checked whole before it is stored.
+    checked whole before it is stored.  The text is not referenced once it
+    is parsed, so a caller that hands over its only reference does not keep
+    it alive while the records load.
     """
     try:
         document = json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant)
@@ -492,6 +524,9 @@ def deserialize(text: str) -> HG2:
         raise SchemaViolation("JSON nesting exceeds the parser's depth limit") from None
     if _SURROGATE_ESCAPE_RE.search(text) and _holds_surrogate(document):
         raise SchemaViolation("a string holds a lone surrogate code point")
+    # Only the decoded document is read from here on.  When the caller passed
+    # its only reference, the text is freed now instead of after the load.
+    del text
     _require(isinstance(document, dict), "document root must be an object")
     meta = document.get("meta")
     _require(isinstance(meta, dict), "missing 'meta' section")

@@ -34,6 +34,8 @@ from hg2rdf import (
     UnknownKind,
     format_statement,
 )
+from hg2rdf.dot import _escape as _dot_escape
+from hg2rdf.dot import _node_label as _dot_label
 from hg2rdf.hypergraph import _check_id
 from hg2rdf.ntriples import _Halt, _parse_line
 from hg2rdf.schema import (
@@ -593,6 +595,38 @@ def check_dot(text: str) -> list[str]:
     if depth != 0:
         problems.append(f"unbalanced braces: {depth} left open")
     return problems
+
+
+def oracle_to_dot(hg2: HG2) -> str:
+    """The DOT text as ``to_dot`` wrote it before it streamed: every line
+    collected in one list, then joined."""
+    lines = ["digraph hg2 {", "  rankdir=LR;"]
+    lines.append("  subgraph cluster_hypergraph {")
+    lines.append('    label="hypergraph layer";')
+    for node_id, payload in enumerate(hg2.h.nodes):
+        lines.append(f'    h{node_id} [label="{_dot_escape(_dot_label(payload))}"];')
+    for edge_id, edge in enumerate(hg2.h.edges):
+        lines.append(f'    e{edge_id} [shape=box, label="E{edge_id}"];')
+        for node in edge.head:
+            lines.append(f"    h{node} -> e{edge_id} [style=bold];")
+        for node in edge.tail:
+            lines.append(f"    e{edge_id} -> h{node};")
+    lines.append("  }")
+    lines.append("  subgraph cluster_graph {")
+    lines.append('    label="graph layer";')
+    for node_id, iri in enumerate(hg2.g.iris):
+        lines.append(f'    g{node_id} [label="{_dot_escape(iri)}"];')
+    for graph_edge in hg2.g.edges:
+        lines.append(
+            f'    g{graph_edge.src} -> g{graph_edge.dst} [label="{graph_edge.kind.value}"];'
+        )
+    lines.append("  }")
+    for node, graph_node in hg2._connectors_v:
+        lines.append(f"  h{node} -> g{graph_node} [style=dashed];")
+    for edge_id, graph_node in hg2._connectors_e:
+        lines.append(f"  e{edge_id} -> g{graph_node} [style=dashed];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def assert_same_indexes(a: HG2, b: HG2) -> None:

@@ -15,6 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hg2rdf.cli
+import hg2rdf.hg2 as hg2_module
+import hg2rdf.mapper
 from hg2rdf import (
     HG2,
     NodePayload,
@@ -23,6 +26,7 @@ from hg2rdf import (
     integrate,
     parse_document,
     serialize,
+    validate_mapping,
 )
 from hg2rdf.cli import main
 from conftest import CONSTRAINT_DATA, CONSTRAINT_SCHEMA, CONSTRAINT_TYPING, W3C_SAMPLE
@@ -201,6 +205,24 @@ def test_export_requires_a_known_format(sample_file, capsys):
     assert main(["export", "--input", sample_file]) == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["build"], ["export", "--format", "json-doc"], ["export", "--format", "dot"]]
+)
+def test_output_file_and_standard_output_get_the_same_bytes(tmp_path, monkeypatch, command):
+    # Two records per chunk, so the output is many writes to either handle.
+    monkeypatch.setattr(hg2_module, "_BATCH", 2)
+    data = tmp_path / "data.nt"
+    data.write_text(MUTATION_BASE + W3C_SAMPLE, encoding="utf-8")
+    target = tmp_path / "out"
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert main([*command, "--input", str(data)]) == 0
+        assert main([*command, "--input", str(data), "--output", str(target)]) == 0
+        stdout.flush()
+    assert stdout.buffer.getvalue() == target.read_bytes()
+    assert target.read_bytes().count(b"\n") > 50
+
+
 def test_validate_clean_build(sample_file, capsys):
     assert main(["validate", "--input", sample_file]) == 0
     assert capsys.readouterr().out == "ok\n"
@@ -221,6 +243,28 @@ def test_validate_prints_constraint_warnings_but_passes(tmp_path, capsys):
     data = tmp_path / "data.nt"
     data.write_text(CONSTRAINT_SCHEMA + CONSTRAINT_DATA, encoding="utf-8")
     assert main(["validate", "--input", str(data)]) == 0
+    assert "DomainUnsatisfied" in capsys.readouterr().out
+
+
+def test_validate_runs_the_placement_checks_once_per_input(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(hg2):
+        calls.append(hg2)
+        return validate_mapping(hg2)
+
+    monkeypatch.setattr(hg2rdf.mapper, "validate_mapping", counted)
+    monkeypatch.setattr(hg2rdf.cli, "validate_mapping", counted)
+    data = tmp_path / "data.nt"
+    data.write_text(CONSTRAINT_SCHEMA + CONSTRAINT_DATA, encoding="utf-8")
+    assert main(["validate", "--input", str(data)]) == 0
+    assert len(calls) == 1  # inside integrate; the command reads the report
+    doc = tmp_path / "doc.json"
+    assert main(["build", "--input", str(data), "--output", str(doc)]) == 0
+    capsys.readouterr()
+    calls.clear()
+    assert main(["validate", "--input", str(doc)]) == 0
+    assert len(calls) == 1
     assert "DomainUnsatisfied" in capsys.readouterr().out
 
 
@@ -269,6 +313,24 @@ def test_stats_on_empty_input(tmp_path, capsys):
 def test_missing_file_is_an_io_error(capsys):
     assert main(["stats", "--input", "/no/such/file.nt"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_build_to_a_missing_directory_is_an_output_error(sample_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["build", "--input", sample_file, "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert "hyperedges created" not in captured.err  # no report after a failed write
+
+
+@pytest.mark.parametrize("fmt", ["json-doc", "dot"])
+def test_export_to_an_unwritable_path_is_an_output_error(sample_file, tmp_path, capsys, fmt):
+    # A directory cannot be opened for writing.
+    assert main(["export", "--input", sample_file, "--format", fmt, "--output", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 def test_serialized_document_must_be_the_only_input(sample_file, tmp_path, capsys):
@@ -350,6 +412,21 @@ def test_non_utf8_document_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "bad.json: not valid UTF-8" in captured.err
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff{}", "not valid UTF-8: invalid start byte at byte 0"),
+    (b"{}\n\xc3", "not valid UTF-8: unexpected end of data at byte 3"),
+    (b"{not json", "not valid JSON: Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1)"),
+    (b'{"meta": {"format": "hg2/1"}}', "missing section 'hypernodes'"),
+    (b'{"meta": {"format": "hg2/0"}}', "unsupported format 'hg2/0'"),
+])
+def test_unreadable_documents_are_named_with_their_reason(tmp_path, capsys, data, message):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(data)
+    assert main(["stats", "--input", str(doc)]) == 2
+    assert capsys.readouterr() == ("", f"error: {doc}: {message}\n")
 
 
 def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Two-layer container: connectors, indexing, layering checks, serialization."""
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
@@ -325,6 +326,8 @@ def test_serialize_refuses_a_non_finite_float(value):
     hg2.h.add_node(value)
     with pytest.raises(ValueError, match="not JSON compliant"):
         serialize(hg2)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        serialize(hg2, io.StringIO())
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

@@ -8,6 +8,7 @@ seeded benchmark corpora, and a seeded mutation fuzz over documents.
 from __future__ import annotations
 
 import importlib
+import io
 import json
 import random
 from pathlib import Path
@@ -32,8 +33,15 @@ from hg2rdf import (
     reachable_from,
     serialize,
     statements_about,
+    to_dot,
 )
-from oracles import assert_same_indexes, oracle_deserialize, oracle_serialize, random_structure
+from oracles import (
+    assert_same_indexes,
+    oracle_deserialize,
+    oracle_serialize,
+    oracle_to_dot,
+    random_structure,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -190,6 +198,15 @@ def test_bench_corpora_write_and_load_as_the_oracles_do(loads, workload):
     assert text == oracle_serialize(hg2)
     assert new == old == hg2
     assert_same_indexes(new, old)
+
+
+@pytest.mark.parametrize("workload", ["ingest", "validate", "query"])
+def test_bench_corpora_stream_the_oracles_text(loads, workload):
+    hg2, text, _, _ = loads[workload]  # text == oracle_serialize(hg2), tested above
+    for render, joined in ((serialize, text), (to_dot, oracle_to_dot(hg2))):
+        buffer = io.StringIO()
+        render(hg2, buffer)
+        assert buffer.getvalue() == joined
 
 
 def test_queries_answer_alike_on_both_loads_of_the_query_corpus(bench_corpora, loads):

@@ -500,12 +500,27 @@ def _load_connectors(
         _require(added, f"{section} entry {index} is a duplicate")
 
 
+def _refuse_repeated_terms(h: Hypergraph) -> None:
+    """Raise for the first hypernode whose RDF term an earlier one carries.
+
+    The payload index keeps the first node of each term, so a second node
+    would be unreachable by lookup and queries would miss its edges.  Opaque
+    payloads may repeat (and an unhashable one is never indexed).
+    """
+    for node_id, payload in enumerate(h.nodes):
+        if isinstance(payload, NodePayload) and h._index[payload] != node_id:
+            raise SchemaViolation(
+                f"hypernodes {h._index[payload]} and {node_id} carry the same term"
+            )
+
+
 def deserialize(text: str) -> HG2:
     """Rebuild an HG2 from its serialized document.
 
     Raises :class:`SchemaViolation` for structural problems (JSON nested
     past the parser's depth limit included) and :class:`UnknownKind` when a
-    kind discriminator is out of vocabulary.  A non-int id, a repeated graph
+    kind discriminator is out of vocabulary.  A non-int id, a repeated RDF
+    term among the hypernodes (opaque payloads may repeat), a repeated graph
     node IRI, graph edge or connector, a ``NaN``, ``Infinity`` or
     ``-Infinity`` token (not JSON), a number that overflows a float (it
     would load as infinity, which ``serialize`` cannot write), and a string
@@ -537,6 +552,8 @@ def deserialize(text: str) -> HG2:
     _check_dense_ids(node_records, "hypernodes")
     for record in node_records:
         hg2.h._append_node(_payload_from_json(record))
+    if len(hg2.h._index) != hg2.h.node_count:
+        _refuse_repeated_terms(hg2.h)
 
     edge_records = _as_records(document, "hyperedges")
     _check_dense_ids(edge_records, "hyperedges")

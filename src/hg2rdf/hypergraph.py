@@ -100,6 +100,12 @@ class Hypergraph(Freezable):
         except TypeError:
             return None
 
+    def _intern(self, payload: Any) -> int:
+        """:meth:`add_node` for a hashable payload, without the frozen
+        check; for callers that made that check once for many payloads."""
+        node = self._index.get(payload)
+        return self._append_node(payload) if node is None else node
+
     def _append_node(self, payload: Any) -> int:
         """Append a node without interning; the only writer of the node list,
         its per-node indexes and the payload index (the first node wins)."""

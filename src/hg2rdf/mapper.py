@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Iterable
 
 from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
-from .hypergraph import _check_id
+from .hypergraph import Hypergraph, _check_id
 from .ntriples import NodePayload, PayloadKind, Statement
 from .schema import (
     RDF_DATATYPE,
@@ -38,6 +38,7 @@ from .schema import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     EdgeKind,
+    GraphEdge,
     SchemaGraph,
     load_builtin_vocabulary,
 )
@@ -81,14 +82,22 @@ def map_statement(statement: Statement, hg2: HG2) -> int:
 
     The predicate becomes the sole head node; the subject and object become
     tail positions 0 and 1.  The statement's terms become the payloads as
-    they are, interned through ``hg2.h.add_node``, so a repeated term reuses
-    its hypernode; repeated statements are dropped by :func:`integrate`
-    before they get here.
+    they are, interned through the hypergraph's own index, so a repeated
+    term reuses its hypernode; repeated statements are dropped by
+    :func:`integrate` before they get here.  :func:`integrate` maps each
+    instance statement through the same body.
     """
-    subject = hg2.h.add_node(statement.subject)
-    predicate = hg2.h.add_node(statement.predicate)
-    objekt = hg2.h.add_node(statement.object)
-    return hg2.h.add_hyperedge([predicate], [subject, objekt])
+    hg2.h._check_mutable()
+    return _map_instance(hg2.h, statement)
+
+
+def _map_instance(h: Hypergraph, statement: Statement) -> int:
+    """:func:`map_statement` on a mutable hypergraph.  Every id comes from
+    ``h``'s own index or append, so none needs a range check."""
+    subject = h._intern(statement.subject)
+    predicate = h._intern(statement.predicate)
+    objekt = h._intern(statement.object)
+    return h._append_edge([predicate], [subject, objekt])
 
 
 #: The payload field each term kind cannot do without.
@@ -125,10 +134,19 @@ def map_schema_statement(statement: Statement, graph: SchemaGraph) -> bool:
     For rdfs:subClassOf this realizes the child → parent direction.  Returns
     True when a new edge was added, False on an exact duplicate.
     """
+    graph._check_mutable()
+    return _map_schema(graph, statement)
+
+
+def _map_schema(graph: SchemaGraph, statement: Statement) -> bool:
+    """:func:`map_schema_statement` on a mutable graph; both endpoints come
+    from ``graph.intern``, so neither needs a range check."""
     kind = SCHEMA_PREDICATES[statement.predicate.iri]
-    src = graph.intern(statement.subject.iri)
-    dst = graph.intern(statement.object.iri)
-    return graph.add_edge(src, dst, kind)
+    edge = GraphEdge(graph.intern(statement.subject.iri), graph.intern(statement.object.iri), kind)
+    if edge in graph.edges:
+        return False
+    graph._append_edge(edge)
+    return True
 
 
 def generate_connectors(hg2: HG2) -> None:
@@ -294,9 +312,10 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
     literal object satisfies any range whose subclass closure contains
     rdfs:Literal.  Produces warnings, never rejections, in hyperedge order.
 
-    The cost is linear in hyperedges plus graph edges: constraints come
-    from the index behind ``SchemaGraph.constraint_of``, anchors are read
-    in place from the per-hypernode anchor lists, and each constraint
+    The cost is linear in hyperedges plus graph edges: each head node's
+    IRI and constraints are resolved once per call (through the index behind
+    ``SchemaGraph.constraint_of``) and kept in a local dict, anchors are
+    read in place from the per-hypernode anchor lists, and each constraint
     class's subclass closure is computed once per call and kept in a local
     dict.
     """
@@ -315,29 +334,45 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
     def typed_within(node: int, class_node: int) -> bool:
         return not closure_of(class_node).isdisjoint(node_anchors.get(node, ()))
 
+    def constraints_of(head: int) -> tuple[str, int | None, int | None] | None:
+        """The head's predicate IRI with its domain and range, or None when
+        the head is no IRI term or names no graph node."""
+        payload = hg2.h.nodes[head]
+        if (
+            not isinstance(payload, NodePayload)
+            or payload.kind is not PayloadKind.URI
+            or payload.iri is None  # reported by validate_mapping as IncompletePayload
+        ):
+            return None
+        predicate_node = hg2.g.find(payload.iri)
+        if predicate_node is None:
+            return None
+        return (
+            payload.iri,
+            hg2.g.constraint_of(predicate_node, EdgeKind.DOMAIN),
+            hg2.g.constraint_of(predicate_node, EdgeKind.RANGE),
+        )
+
+    resolved: dict[int, tuple[str, int | None, int | None] | None] = {}
     for edge in hg2.h.edges:
         if len(edge.head) != 1 or len(edge.tail) != 2:
             continue
-        head_payload = hg2.h.nodes[edge.head[0]]
-        if (
-            not isinstance(head_payload, NodePayload)
-            or head_payload.kind is not PayloadKind.URI
-            or head_payload.iri is None  # reported by validate_mapping as IncompletePayload
-        ):
+        head = edge.head[0]
+        if head in resolved:
+            constraints = resolved[head]
+        else:
+            constraints = resolved[head] = constraints_of(head)
+        if constraints is None:
             continue
-        predicate_node = hg2.g.find(head_payload.iri)
-        if predicate_node is None:
-            continue
+        predicate_iri, domain, range_class = constraints
 
-        domain = hg2.g.constraint_of(predicate_node, EdgeKind.DOMAIN)
         if domain is not None and not typed_within(edge.tail[0], domain):
             warnings.append(
                 ConstraintWarning(
-                    "DomainUnsatisfied", edge.tail[0], head_payload.iri, hg2.g.iri_of(domain)
+                    "DomainUnsatisfied", edge.tail[0], predicate_iri, hg2.g.iri_of(domain)
                 )
             )
 
-        range_class = hg2.g.constraint_of(predicate_node, EdgeKind.RANGE)
         if range_class is not None:
             object_node = edge.tail[1]
             object_payload = hg2.h.nodes[object_node]
@@ -348,7 +383,7 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
             if not satisfied:
                 warnings.append(
                     ConstraintWarning(
-                        "RangeUnsatisfied", object_node, head_payload.iri, hg2.g.iri_of(range_class)
+                        "RangeUnsatisfied", object_node, predicate_iri, hg2.g.iri_of(range_class)
                     )
                 )
     return warnings
@@ -393,17 +428,21 @@ def integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
     its layer, map it, generate connectors, then run the placement checks
     (their findings land in the report as warnings).  An RDF graph is a set
     of triples, so a repeated statement is mapped once; first-seen order is
-    kept, which makes the result deterministic for a given input.  The
+    kept, which makes the result deterministic for a given input.  Mapping
+    is one pass over the distinct statements through the bodies of
+    :func:`map_statement` and :func:`map_schema_statement`: each term is
+    interned through its layer's own index and the edge appended, and the
+    ids that came from that interning are not range-checked again.  The
     result is frozen and safe to query concurrently.
     """
     hg2 = HG2(g=load_builtin_vocabulary())
     report = IntegrationReport(statements_in=len(statements))
     for statement in dict.fromkeys(statements):
         if route_statement(statement) is Layer.SCHEMA:
-            if map_schema_statement(statement, hg2.g):
+            if _map_schema(hg2.g, statement):
                 report.schema_edges_created += 1
         else:
-            map_statement(statement, hg2)
+            _map_instance(hg2.h, statement)
     report.hyperedges_created = hg2.h.edge_count
     generate_connectors(hg2)
     report.connectors_v = len(hg2._connectors_v)

@@ -15,7 +15,11 @@ the named tuple ``(subject, predicate, object)``, and keeps no line number.
 Every term is a :class:`NodePayload`, the one RDF term type of the package,
 a named tuple of six fields: the hypergraph layer stores the parser's terms
 as hypernode payloads as they are, and :func:`format_term` renders them
-back.
+back.  :func:`parse_document` makes one term object per distinct IRI and per
+distinct blank label of the document, and every statement that names it
+holds that object, so the later set and index lookups of equal terms meet
+identical objects.  Terms are compared by value (RDF 1.1 term equality), so
+sharing them changes no result.
 
 A ``\\uXXXX`` escape, in an IRI or in a literal, must not name a surrogate
 code point (U+D800 to U+DFFF): such a code point cannot be encoded as UTF-8,
@@ -289,7 +293,8 @@ class _Scanner:
             raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "empty IRI", open_pos + 1)
         return value
 
-    def scan_blank(self) -> NodePayload:
+    def scan_blank(self) -> str:
+        # returns the label; the caller makes (or shares) the term
         start = self.pos
         if self.line[self.pos : self.pos + 2] != "_:":
             raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "'_' must introduce '_:label'", start + 1)
@@ -297,7 +302,7 @@ class _Scanner:
         if not match:
             raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "invalid blank node label", start + 1)
         self.pos = match.end()
-        return NodePayload.blank(match.group())
+        return match.group()
 
     def scan_literal(self) -> NodePayload:
         open_pos = self.pos
@@ -344,7 +349,18 @@ class _Scanner:
         return NodePayload.literal(lexical)
 
 
-def _parse_line(line: str) -> Statement:
+def _uri(terms: dict, iri: str) -> NodePayload:
+    """The document's term for ``iri``, made on first sight."""
+    return terms.get(iri) or terms.setdefault(iri, NodePayload.uri(iri))
+
+
+def _blank(terms: dict, label: str) -> NodePayload:
+    """The document's term for ``_:label``; keyed ``(label,)``, so that a
+    label never meets an IRI spelled the same."""
+    return terms.get((label,)) or terms.setdefault((label,), NodePayload.blank(label))
+
+
+def _parse_line(line: str, terms: dict) -> Statement:
     surrogate = _SURROGATE_RE.search(line)
     if surrogate is not None:
         message = f"not valid UTF-8: lone surrogate U+{ord(surrogate[0]):04X}"
@@ -354,9 +370,9 @@ def _parse_line(line: str) -> Statement:
 
     ch = scanner.peek()
     if ch == "<":
-        subject = NodePayload.uri(scanner.scan_iri())
+        subject = _uri(terms, scanner.scan_iri())
     elif ch == "_":
-        subject = scanner.scan_blank()
+        subject = _blank(terms, scanner.scan_blank())
     elif ch == '"':
         raise _Halt(
             ErrorCode.LITERAL_AS_SUBJECT,
@@ -369,7 +385,7 @@ def _parse_line(line: str) -> Statement:
 
     ch = scanner.peek()
     if ch == "<":
-        predicate = NodePayload.uri(scanner.scan_iri())
+        predicate = _uri(terms, scanner.scan_iri())
     elif ch == "_":
         raise _Halt(
             ErrorCode.BLANK_AS_PREDICATE,
@@ -384,9 +400,9 @@ def _parse_line(line: str) -> Statement:
 
     ch = scanner.peek()
     if ch == "<":
-        obj = NodePayload.uri(scanner.scan_iri())
+        obj = _uri(terms, scanner.scan_iri())
     elif ch == "_":
-        obj = scanner.scan_blank()
+        obj = _blank(terms, scanner.scan_blank())
     elif ch == '"':
         obj = scanner.scan_literal()
     elif ch == "." or scanner.at_end():
@@ -412,17 +428,31 @@ def _parse_line(line: str) -> Statement:
     return tuple.__new__(Statement, (subject, predicate, obj))
 
 
-def _match_line(match: re.Match[str]) -> Statement:
+def _match_line(match: re.Match[str], terms: dict) -> Statement:
     """Build the statement of a ``_LINE_RE`` match; raises BadEscape."""
     s_iri, s_blank, p_iri, o_iri, o_blank, raw, tag, dt_iri = match.groups()
-    subject = NodePayload.uri(s_iri) if s_iri is not None else NodePayload.blank(s_blank)
+    subject = _uri(terms, s_iri) if s_iri is not None else _blank(terms, s_blank)
     if o_iri is not None:
-        obj = NodePayload.uri(o_iri)
+        obj = _uri(terms, o_iri)
     elif o_blank is not None:
-        obj = NodePayload.blank(o_blank)
+        obj = _blank(terms, o_blank)
     else:
         obj = NodePayload.literal(unescape_literal(raw), None if tag is None else tag.lower(), dt_iri)
-    return tuple.__new__(Statement, (subject, NodePayload.uri(p_iri), obj))
+    return tuple.__new__(Statement, (subject, _uri(terms, p_iri), obj))
+
+
+def _parse(line: str, line_no: int, terms: dict) -> Statement | ParseError:
+    """:func:`parse_line` with the IRI and blank terms taken from ``terms``."""
+    match = _LINE_RE.fullmatch(line)
+    if match is not None:
+        try:
+            return _match_line(match, terms)
+        except BadEscape:
+            pass
+    try:
+        return _parse_line(line, terms)
+    except _Halt as halt:
+        return ParseError(line_no, halt.code, halt.message, halt.column)
 
 
 def parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
@@ -433,16 +463,7 @@ def parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
     scanner, which then builds the ParseError; both paths give the same
     result on every line the expression matches.
     """
-    match = _LINE_RE.fullmatch(line)
-    if match is not None:
-        try:
-            return _match_line(match)
-        except BadEscape:
-            pass
-    try:
-        return _parse_line(line)
-    except _Halt as halt:
-        return ParseError(line_no, halt.code, halt.message, halt.column)
+    return _parse(line, line_no, {})
 
 
 def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]]:
@@ -453,7 +474,11 @@ def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]
     ``([], [ParseError(..., INVALID_ENCODING, ...)])``.  A line ends at LF,
     CR LF or a lone CR (the N-Triples EOL), as in a file read in text mode.
     Statements come back in source order; each malformed line contributes one
-    error and is skipped.
+    error and is skipped.  Each line is parsed as :func:`parse_line` parses
+    it, with one difference: the call makes one term object per distinct IRI
+    and per distinct blank label, and every statement that names it holds
+    that object, whichever path parsed its line.  Terms of separate calls
+    are equal but separate objects.
     """
     if isinstance(text, (bytes, bytearray)):
         data = bytes(text)
@@ -468,11 +493,12 @@ def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]
     text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     statements: list[Statement] = []
     errors: list[ParseError] = []
+    terms: dict[str | tuple[str], NodePayload] = {}
     for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip(_WS)
         if not stripped or stripped.startswith("#"):
             continue
-        result = parse_line(line, line_no)
+        result = _parse(line, line_no, terms)
         if isinstance(result, Statement):
             statements.append(result)
         else:

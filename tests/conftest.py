@@ -1,5 +1,9 @@
-"""Shared fixtures: the W3C authorship sample and a small hand-built structure."""
+"""Shared fixtures: the W3C authorship sample, a small hand-built structure
+and the seed-1 benchmark corpora."""
 from __future__ import annotations
+
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +75,13 @@ def w3c_statements() -> list[Statement]:
 @pytest.fixture
 def demo_structure() -> tuple[HG2, dict[int, int], dict[str, int]]:
     return build_demo_structure()
+
+
+@pytest.fixture(scope="session")
+def bench_corpora() -> dict[str, object]:
+    """Seed-1 benchmark corpora by workload, generated by ``bench/corpus.py``."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(bench))
+        corpus = importlib.import_module("corpus")
+    return {name: corpus.generate(corpus.SHAPES[name], 1) for name in ("ingest", "validate", "query")}

@@ -20,10 +20,14 @@ from hg2rdf import (
     ANCHOR_IRIS,
     FORMAT_VERSION,
     HG2,
+    SCHEMA_PREDICATES,
     ConstraintWarning,
     EdgeConnector,
     EdgeKind,
+    ErrorCode,
     Hypergraph,
+    IntegrationReport,
+    Layer,
     NodeConnector,
     NodePayload,
     ParseError,
@@ -33,6 +37,11 @@ from hg2rdf import (
     Statement,
     UnknownKind,
     format_statement,
+    generate_connectors,
+    load_builtin_vocabulary,
+    parse_line,
+    route_statement,
+    validate_mapping,
 )
 from hg2rdf.dot import _escape as _dot_escape
 from hg2rdf.dot import _node_label as _dot_label
@@ -56,7 +65,7 @@ def scanner_parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
     """parse_line by the character scanner alone, without the whole-line
     expression tried first."""
     try:
-        return _parse_line(line)
+        return _parse_line(line, {})
     except _Halt as halt:
         return ParseError(line_no, halt.code, halt.message, halt.column)
 
@@ -406,6 +415,123 @@ def naive_check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
     return warnings
 
 
+# The write path as it was before each statement was mapped in one pass:
+# the parser makes a fresh term per occurrence, integrate maps through the
+# checked public mutators, and check_domain_range resolves the predicate of
+# every hyperedge anew.
+
+def oracle_parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]]:
+    """parse_document as one ``parse_line`` call per line, with no term
+    shared between lines."""
+    if isinstance(text, (bytes, bytearray)):
+        data = bytes(text)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            prefix = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            line_no = prefix.count(b"\n") + 1
+            return [], [
+                ParseError(line_no, ErrorCode.INVALID_ENCODING, f"not valid UTF-8: {exc.reason}")
+            ]
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    statements: list[Statement] = []
+    errors: list[ParseError] = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip(" \t\r")
+        if not stripped or stripped.startswith("#"):
+            continue
+        result = parse_line(line, line_no)
+        if isinstance(result, Statement):
+            statements.append(result)
+        else:
+            errors.append(result)
+    return statements, errors
+
+
+def oracle_integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
+    """integrate with each distinct statement mapped through the checked
+    mutators: ``add_node`` per term and ``add_hyperedge``, or ``intern`` per
+    endpoint and ``add_edge``."""
+    hg2 = HG2(g=load_builtin_vocabulary())
+    report = IntegrationReport(statements_in=len(statements))
+    for statement in dict.fromkeys(statements):
+        if route_statement(statement) is Layer.SCHEMA:
+            kind = SCHEMA_PREDICATES[statement.predicate.iri]
+            src = hg2.g.intern(statement.subject.iri)
+            dst = hg2.g.intern(statement.object.iri)
+            if hg2.g.add_edge(src, dst, kind):
+                report.schema_edges_created += 1
+        else:
+            subject = hg2.h.add_node(statement.subject)
+            predicate = hg2.h.add_node(statement.predicate)
+            objekt = hg2.h.add_node(statement.object)
+            hg2.h.add_hyperedge([predicate], [subject, objekt])
+    report.hyperedges_created = hg2.h.edge_count
+    generate_connectors(hg2)
+    report.connectors_v = len(hg2._connectors_v)
+    report.connectors_e = len(hg2._connectors_e)
+    report.warnings.extend(str(violation) for violation in validate_mapping(hg2))
+    hg2.freeze()
+    return hg2, report
+
+
+def oracle_check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
+    """check_domain_range with the head's IRI, graph node, domain and range
+    looked up for every hyperedge (closures are still kept per call)."""
+    warnings: list[ConstraintWarning] = []
+    literal_class = hg2.g.find(RDFS_LITERAL)
+    closures: dict[int, set[int]] = {}
+
+    def closure_of(class_node: int) -> set[int]:
+        closure = closures.get(class_node)
+        if closure is None:
+            closure = closures[class_node] = hg2.g.subclass_closure(class_node)
+        return closure
+
+    node_anchors = hg2._node_anchors
+
+    def typed_within(node: int, class_node: int) -> bool:
+        return not closure_of(class_node).isdisjoint(node_anchors.get(node, ()))
+
+    for edge in hg2.h.edges:
+        if len(edge.head) != 1 or len(edge.tail) != 2:
+            continue
+        head_payload = hg2.h.nodes[edge.head[0]]
+        if (
+            not isinstance(head_payload, NodePayload)
+            or head_payload.kind is not PayloadKind.URI
+            or head_payload.iri is None
+        ):
+            continue
+        predicate_node = hg2.g.find(head_payload.iri)
+        if predicate_node is None:
+            continue
+
+        domain = hg2.g.constraint_of(predicate_node, EdgeKind.DOMAIN)
+        if domain is not None and not typed_within(edge.tail[0], domain):
+            warnings.append(
+                ConstraintWarning(
+                    "DomainUnsatisfied", edge.tail[0], head_payload.iri, hg2.g.iri_of(domain)
+                )
+            )
+
+        range_class = hg2.g.constraint_of(predicate_node, EdgeKind.RANGE)
+        if range_class is not None:
+            object_node = edge.tail[1]
+            object_payload = hg2.h.nodes[object_node]
+            if isinstance(object_payload, NodePayload) and object_payload.kind is PayloadKind.LITERAL:
+                satisfied = literal_class is not None and literal_class in closure_of(range_class)
+            else:
+                satisfied = typed_within(object_node, range_class)
+            if not satisfied:
+                warnings.append(
+                    ConstraintWarning(
+                        "RangeUnsatisfied", object_node, head_payload.iri, hg2.g.iri_of(range_class)
+                    )
+                )
+    return warnings
+
+
 _WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 _LITERAL_TEXTS = ("x", "hello world", 'quote " mark', "tab\tchar", "café 世界", "")
 _SCHEMA_PREDICATES = (RDF_TYPE, RDFS_SUBCLASSOF, RDFS_DOMAIN, RDFS_RANGE)
@@ -646,7 +772,8 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
 # The hg2/1 reader and writer as they were before they were rewritten for
 # speed: the writer builds the whole document and hands it to json.dumps, and
 # the reader adds every record through the checked public mutators.  The only
-# change is that both refuse non-finite floats.
+# changes are that both refuse non-finite floats, and the reader refuses an
+# RDF term listed as two hypernodes.
 
 _PAYLOAD_FIELDS = ("iri", "blank_label", "lexical_form", "language_tag", "datatype_iri")
 
@@ -784,8 +911,19 @@ def oracle_deserialize(text: str) -> HG2:
     hg2 = HG2()
     node_records = _as_records(document, "hypernodes")
     _check_dense_ids(node_records, "hypernodes")
-    for record in node_records:
-        hg2.h._append_node(_payload_from_json(record))
+    first_node: dict[NodePayload, int] = {}
+    repeats: list[tuple[int, int]] = []
+    for node_id, record in enumerate(node_records):
+        payload = _payload_from_json(record)
+        hg2.h._append_node(payload)
+        if isinstance(payload, NodePayload):
+            if payload in first_node:
+                repeats.append((first_node[payload], node_id))
+            else:
+                first_node[payload] = node_id
+    if repeats:
+        first, second = repeats[0]
+        raise SchemaViolation(f"hypernodes {first} and {second} carry the same term")
 
     edge_records = _as_records(document, "hyperedges")
     _check_dense_ids(edge_records, "hyperedges")

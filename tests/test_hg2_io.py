@@ -7,11 +7,9 @@ seeded benchmark corpora, and a seeded mutation fuzz over documents.
 """
 from __future__ import annotations
 
-import importlib
 import io
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,8 +41,6 @@ from oracles import (
     random_structure,
 )
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
 # Characters JSON escapes or that UTF-8 and JavaScript treat specially.
 _AWKWARD = ('"', "\\", "\x00", "\x08", "\t", "\n", "\x1f", "\x7f", "\u2028", "\u2029",
             "é", "\U0001f600", "\ud800", "\udfff")
@@ -68,7 +64,12 @@ payloads = st.one_of(
 def structures(draw) -> HG2:
     hg2 = HG2()
     for payload in draw(st.lists(payloads, max_size=6)):
-        hg2.h._append_node(payload)
+        # a term is one hypernode (a repeat is refused on load); opaque
+        # payloads may repeat
+        if isinstance(payload, NodePayload):
+            hg2.h.add_node(payload)
+        else:
+            hg2.h._append_node(payload)
     if hg2.h.node_count:
         slot = st.lists(st.integers(0, hg2.h.node_count - 1), min_size=1, max_size=3)
         for head, tail in draw(st.lists(st.tuples(slot, slot), max_size=5)):
@@ -136,6 +137,20 @@ def test_both_readers_refuse_a_number_that_overflows_a_float(number):
     assert outcome(deserialize, text) == refused
 
 
+def test_both_readers_refuse_a_term_listed_as_two_hypernodes():
+    hg2 = HG2()
+    for payload in ("opaque", NodePayload.uri("urn:a"), "opaque", NodePayload.uri("urn:b")):
+        hg2.h._append_node(payload)
+    hg2.h.add_hyperedge([1], [3])
+    assert outcome(deserialize, serialize(hg2)) == outcome(oracle_deserialize, serialize(hg2))
+    assert isinstance(outcome(deserialize, serialize(hg2)), HG2)  # opaque repeats load
+    hg2.h._append_node(NodePayload.uri("urn:b"))
+    hg2.h._append_node(NodePayload.uri("urn:a"))
+    refused = (SchemaViolation, "hypernodes 3 and 4 carry the same term")
+    assert outcome(deserialize, serialize(hg2)) == refused
+    assert outcome(oracle_deserialize, serialize(hg2)) == refused
+
+
 _BAD_VALUES = (None, True, 1.5, -1, 10**30, "x", [0], {"a": 0}, "\ud800", float("nan"))
 
 
@@ -166,15 +181,6 @@ def test_mutated_documents_fail_alike_in_both_readers():
         assert_same_outcome(text)
         failures += not isinstance(outcome(deserialize, text), HG2)
     assert failures > 1000  # the fuzz reaches the error paths, not just valid loads
-
-
-@pytest.fixture(scope="module")
-def bench_corpora() -> dict[str, object]:
-    """Seed-1 benchmark corpora by workload, generated by ``bench/corpus.py``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(BENCH))
-        corpus = importlib.import_module("corpus")
-    return {name: corpus.generate(corpus.SHAPES[name], 1) for name in ("ingest", "validate", "query")}
 
 
 @pytest.fixture(scope="module")

@@ -9,14 +9,16 @@ share one scope across all files of a build.
 Reports and errors go to standard error; results and documents go to
 standard output (or ``--output``), written as they are produced, so a large
 document or digraph is never held whole.  Exit codes: 0 success, 1 parse errors
-under ``--strict`` or validation violations, 2 usage and I/O failures.
+under ``--strict`` or validation violations, 2 usage and I/O failures (a
+failed write to standard output too: a full disk, or a reader that left).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import TextIO
 
 from .dot import to_dot
@@ -263,10 +265,25 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        if sys.stdout is not None:  # None when standard output is closed
+            sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:
+        # Reads and --output writes fail as CliError, so this is standard
+        # output.  After a closed pipe its descriptor goes to the null device,
+        # so that the flush at exit cannot fail again (Python's signal docs,
+        # "Note on SIGPIPE"); a stream without a descriptor is left as it is.
+        if isinstance(exc, BrokenPipeError):
+            with suppress(AttributeError, OSError, ValueError):
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

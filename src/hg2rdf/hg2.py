@@ -21,7 +21,7 @@ written as kind ``opaque`` with its JSON value, so payloads that are not
 JSON-representable (e.g. tuples) will not round-trip identically.  A
 non-finite float cannot be written (``NaN`` and ``Infinity`` are not JSON,
 so other platforms could not read the document), and ``deserialize``
-refuses those tokens.
+refuses those tokens and, through the parser's ``_SURROGATE_RE``, lone surrogates.
 
 ``serialize`` writes each record from a fixed template, with the string
 escaper of :mod:`json`, and gives the bytes ``json.dumps(..., indent=2)``
@@ -32,6 +32,7 @@ each section in one pass before it stores any record of it, and then
 appends the records through the private helpers that the public mutators
 end in.  A section that fails the check goes through the checked mutators,
 so a bad record raises the exception class and message they give.
+``_all_ids`` is the id rule of ``_check_index`` over a whole section.
 """
 from __future__ import annotations
 
@@ -44,8 +45,8 @@ from itertools import chain, islice, starmap
 from json.encoder import encode_basestring as _quote
 from typing import Any, TextIO
 
-from .hypergraph import Freezable, Hypergraph, _check_id
-from .ntriples import NodePayload, PayloadKind
+from .hypergraph import Freezable, Hypergraph, _check_index
+from .ntriples import _SURROGATE_RE, NodePayload, PayloadKind
 from .schema import EdgeKind, GraphEdge, SchemaGraph
 
 FORMAT_VERSION = "hg2/1"
@@ -144,9 +145,7 @@ class HG2(Freezable):
             self.h._check_node(source)
         elif isinstance(connector, EdgeConnector):
             kind, source, store = EdgeConnector, connector.hyperedge, self._connectors_e
-            if type(source) is not int or not 0 <= source < self.h.edge_count:
-                _check_id(source)
-                raise UnknownHyperEdgeError(f"hyperedge {source} does not exist")
+            _check_index(source, self.h.edge_count, "hyperedge", UnknownHyperEdgeError)
         else:
             raise TypeError(f"not a connector: {connector!r}")
         self.g._check_node(connector.graph_node)
@@ -348,7 +347,6 @@ def serialize(hg2: HG2, out: TextIO | None = None) -> str | None:
 # A JSON escape of a code point in U+D800..U+DFFF.  Valid pairs decode to one
 # character, so only a document that has such an escape can hold a lone one.
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 def _holds_surrogate(value: Any) -> bool:
@@ -471,12 +469,12 @@ def _load_graph_edges(hg2: HG2, records: list[dict[str, Any]]) -> None:
                 hg2.g._append_edge(edge)
             return
     for index, record in enumerate(records):
+        kind = record.get("kind")
+        edge_kind = _EDGE_KINDS.get(kind) if type(kind) is str else None
+        if edge_kind is None:
+            raise UnknownKind(f"unknown graph edge kind {kind!r}")
         try:
-            kind = EdgeKind(record.get("kind"))
-        except ValueError:
-            raise UnknownKind(f"unknown graph edge kind {record.get('kind')!r}") from None
-        try:
-            added = hg2.g.add_edge(record.get("from"), record.get("to"), kind)
+            added = hg2.g.add_edge(record.get("from"), record.get("to"), edge_kind)
         except (LookupError, TypeError) as exc:
             raise SchemaViolation(f"graph edge {index} is malformed: {exc}") from exc
         _require(added, f"graph_edges entry {index} is a duplicate")

@@ -8,6 +8,7 @@ same node may appear on both sides of one edge.  Each node lists the ids of the 
 it sits in and keeps its forward star: a map from each distinct node that an
 edge it heads has in its tail to the first such edge.  One breadth-first
 search over the forward stars is the only code that fires edges.
+:func:`_check_index` is the id-range rule of both layers and the connectors.
 """
 from __future__ import annotations
 
@@ -34,6 +35,14 @@ def _check_id(value: object) -> None:
     """Reject an id that is not a plain int; bool is refused, as hg2/1 does."""
     if type(value) is not int:
         raise TypeError(f"ids must be int, got {value!r}")
+
+
+def _check_index(value: object, count: int, what: str, error: type[LookupError] = UnknownNodeError) -> None:
+    """Refuse a non-int id (TypeError) and an int outside ``range(count)``
+    (``error``, with the message ``"<what> <value> does not exist"``)."""
+    if type(value) is not int or not 0 <= value < count:
+        _check_id(value)
+        raise error(f"{what} {value} does not exist")
 
 
 class Freezable:
@@ -80,10 +89,7 @@ class Hypergraph(Freezable):
         return len(self.edges)
 
     def _check_node(self, node: int, role: str = "hypernode") -> None:
-        """Refuse a non-int id (TypeError) and an absent node (UnknownNodeError)."""
-        if type(node) is not int or not 0 <= node < len(self.nodes):
-            _check_id(node)
-            raise UnknownNodeError(f"{role} {node} does not exist")
+        _check_index(node, len(self.nodes), role)
 
     def add_node(self, payload: Any) -> int:
         """Return the node carrying ``payload``, appending it on first sight."""

@@ -19,7 +19,7 @@ their class node.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -106,6 +106,9 @@ _REQUIRED_FIELD = {
     PayloadKind.BLANK: "blank_label",
     PayloadKind.LITERAL: "lexical_form",
 }
+
+#: The term kinds that may not sit in a head slot, with the violation each gives.
+_HEAD_VIOLATIONS = {PayloadKind.LITERAL: "LiteralInHead", PayloadKind.BLANK: "BlankInHead"}
 
 
 def statement_of(hg2: HG2, edge_id: int) -> Statement | None:
@@ -221,25 +224,16 @@ def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[
             continue
         required = _REQUIRED_FIELD[payload.kind]
         if getattr(payload, required) is None:
-            violations.append(
-                Violation(
-                    "IncompletePayload",
-                    f"{payload.kind.value} hypernode {node_id} has no {required}",
-                    node=node_id,
-                )
-            )
-        if (
-            payload.kind is PayloadKind.LITERAL
-            and payload.language_tag is not None
-            and payload.datatype_iri is not None
-        ):
-            violations.append(
-                Violation(
-                    "LanguageTagOnTyped",
-                    f"hypernode {node_id} carries both a language tag and a datatype",
-                    node=node_id,
-                )
-            )
+            violations.append(Violation(
+                "IncompletePayload", f"{payload.kind.value} hypernode {node_id} has no {required}",
+                node=node_id,
+            ))
+        if (payload.kind is PayloadKind.LITERAL
+                and payload.language_tag is not None and payload.datatype_iri is not None):
+            violations.append(Violation(
+                "LanguageTagOnTyped",
+                f"hypernode {node_id} carries both a language tag and a datatype", node=node_id,
+            ))
 
     def kind_of(node: int) -> PayloadKind | None:
         payload = nodes[node]
@@ -248,43 +242,26 @@ def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[
     for edge_id in edge_ids:
         edge = edges[edge_id]
         if len(edge.head) != 1 or len(edge.tail) != 2:
-            violations.append(
-                Violation(
-                    "EdgeArityViolation",
-                    f"hyperedge {edge_id} has |head|={len(edge.head)}, "
-                    f"|tail|={len(edge.tail)}; statements need 1 and 2",
-                    edge=edge_id,
-                )
-            )
+            violations.append(Violation(
+                "EdgeArityViolation",
+                f"hyperedge {edge_id} has |head|={len(edge.head)}, "
+                f"|tail|={len(edge.tail)}; statements need 1 and 2",
+                edge=edge_id,
+            ))
         for node in edge.head:
             kind = kind_of(node)
-            if kind is PayloadKind.LITERAL:
-                violations.append(
-                    Violation(
-                        "LiteralInHead",
-                        f"literal hypernode {node} occupies a head slot of hyperedge {edge_id}",
-                        node=node,
-                        edge=edge_id,
-                    )
-                )
-            elif kind is PayloadKind.BLANK:
-                violations.append(
-                    Violation(
-                        "BlankInHead",
-                        f"blank hypernode {node} occupies a head slot of hyperedge {edge_id}",
-                        node=node,
-                        edge=edge_id,
-                    )
-                )
+            if kind in _HEAD_VIOLATIONS:
+                violations.append(Violation(
+                    _HEAD_VIOLATIONS[kind],
+                    f"{kind.value} hypernode {node} occupies a head slot of hyperedge {edge_id}",
+                    node=node, edge=edge_id,
+                ))
         if edge.tail and kind_of(edge.tail[0]) is PayloadKind.LITERAL:
-            violations.append(
-                Violation(
-                    "LiteralAsSubject",
-                    f"literal hypernode {edge.tail[0]} occupies tail position 0 of hyperedge {edge_id}",
-                    node=edge.tail[0],
-                    edge=edge_id,
-                )
-            )
+            violations.append(Violation(
+                "LiteralAsSubject",
+                f"literal hypernode {edge.tail[0]} occupies tail position 0 of hyperedge {edge_id}",
+                node=edge.tail[0], edge=edge_id,
+            ))
     return violations
 
 
@@ -411,14 +388,7 @@ class IntegrationReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "statements_in": self.statements_in,
-            "hyperedges_created": self.hyperedges_created,
-            "schema_edges_created": self.schema_edges_created,
-            "connectors_v": self.connectors_v,
-            "connectors_e": self.connectors_e,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
 def integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:

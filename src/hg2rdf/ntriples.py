@@ -25,6 +25,8 @@ A ``\\uXXXX`` escape, in an IRI or in a literal, must not name a surrogate
 code point (U+D800 to U+DFFF): such a code point cannot be encoded as UTF-8,
 so it is a ``BadEscape`` error at the backslash, and a lone surrogate
 character in a line is an ``InvalidEncoding`` error at its column.
+``_SURROGATE_RE`` (which :mod:`hg2rdf.hg2` shares) and ``_LINE_RE`` are built
+from one surrogate range, and ``_LINE_RE`` and the scanner from one ``_WS``.
 
 Each line is parsed in one of two ways.  The fast path is one compiled
 regular expression, ``_LINE_RE``, matched against the whole line; it accepts
@@ -63,18 +65,25 @@ _LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _BLANK_LABEL_RE = re.compile(_BLANK_LABEL)
 _LANG_TAG_RE = re.compile(_LANG_TAG)
 
+# The surrogate code points, U+D800 to U+DFFF, as a character-class range:
+# UTF-8 cannot encode them, so no line or document string may hold one.
+_SURROGATES = r"\ud800-\udfff"
+_SURROGATE_RE = re.compile(f"[{_SURROGATES}]")
+
 # The scanner's grammar minus ``\u`` escapes in IRIs and lone surrogates.  An
 # IRI character is what scan_iri accepts without an escape; literal content is
 # what scan_literal collects (a backslash takes the next character with it).
 # Labels and tags are matched greedily by the scanner and are always followed
 # here by whitespace or '.', so backtracking cannot pick a different split.
-_IRI = r"<([^\x00-\x20<>\\\ud800-\udfff]+)>"
+_SPACE = f"[{_WS}]"
+_IRI = rf"<([^\x00-\x20<>\\{_SURROGATES}]+)>"
+_LITERAL_RUN = rf'[^"\\{_SURROGATES}]*'
 _LINE_RE = re.compile(
-    rf"[ \t\r]*(?:{_IRI}|_:({_BLANK_LABEL}))[ \t\r]+"
-    rf"{_IRI}[ \t\r]+"
+    rf"{_SPACE}*(?:{_IRI}|_:({_BLANK_LABEL})){_SPACE}+"
+    rf"{_IRI}{_SPACE}+"
     rf"(?:{_IRI}|_:({_BLANK_LABEL})"
-    rf'|"([^"\\\ud800-\udfff]*(?:\\.[^"\\\ud800-\udfff]*)*)"(?:@({_LANG_TAG})|\^\^{_IRI})?)'
-    r"[ \t\r]*\.[ \t\r]*"
+    rf'|"({_LITERAL_RUN}(?:\\.{_LITERAL_RUN})*)"(?:@({_LANG_TAG})|\^\^{_IRI})?)'
+    rf"{_SPACE}*\.{_SPACE}*"
 )
 
 
@@ -171,7 +180,6 @@ class ParseError:
 
 
 _SURROGATE_MESSAGE = "\\u escape names a surrogate code point"
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class BadEscape(ValueError):

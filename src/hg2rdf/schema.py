@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .hypergraph import Freezable, UnknownNodeError, _check_id
+from .hypergraph import Freezable, _check_index
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -100,10 +100,7 @@ class SchemaGraph(Freezable):
         return len(self.edges)
 
     def _check_node(self, node: int) -> None:
-        """Refuse a non-int id (TypeError) and an absent node (UnknownNodeError)."""
-        if type(node) is not int or not 0 <= node < len(self.iris):
-            _check_id(node)
-            raise UnknownNodeError(f"graph node {node} does not exist")
+        _check_index(node, len(self.iris), "graph node")
 
     def intern(self, iri: str) -> int:
         """Return the node id for ``iri``, creating it on first sight."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
@@ -299,6 +300,53 @@ def test_python_dash_m_runs_the_cli(sample_file):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("hypernodes: 6\n")
+
+
+class _FullStdout(io.StringIO):
+    """Standard output on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"],
+    ["query", "--statements-about", "http://www.w3.org/2001/sw/RDFCore/ntriples/"],
+    ["export", "--format", "dot"],
+    ["validate"],
+    ["stats"],
+], ids=lambda argv: argv[0])
+def test_a_failed_write_to_standard_output_exits_2_with_one_line(argv, sample_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main([*argv, "-i", sample_file]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write standard output: [Errno 28] No space left on device\n"
+    )
+
+
+@pytest.mark.parametrize("command,first_read", [
+    (["export", "--format", "dot"], 100),  # fails mid-stream: the digraph is about 1 MB
+    (["stats"], 0),  # fails in the final flush, so the exit flush would fail again
+], ids=["export-dot", "stats"])
+def test_a_reader_that_closes_the_pipe_early_gets_exit_2_and_no_traceback(command, first_read, tmp_path):
+    corpus = tmp_path / "large.nt"
+    corpus.write_text(
+        "".join(f'<urn:s{i}> <urn:p{i % 50}> "value {i}" .\n' for i in range(4000)),
+        encoding="utf-8",
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout still holds text at exit
+    with subprocess.Popen(
+        [sys.executable, "-m", "hg2rdf", *command, "-i", str(corpus)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as child:
+        assert len(child.stdout.read(first_read)) == first_read
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 def test_stats_on_empty_input(tmp_path, capsys):

@@ -85,6 +85,15 @@ def test_connectors_validate_endpoints_and_deduplicate():
         hg2.add_connector(NodeConnector(9, 0))
     with pytest.raises(UnknownHyperEdgeError):
         hg2.add_connector(EdgeConnector(3, 0))
+    for bad, error, message in (
+        (0.5, TypeError, "ids must be int, got 0.5"),
+        (True, TypeError, "ids must be int, got True"),
+        (-1, UnknownHyperEdgeError, "hyperedge -1 does not exist"),
+        (1, UnknownHyperEdgeError, "hyperedge 1 does not exist"),  # the first absent id
+    ):
+        with pytest.raises(error) as excinfo:
+            hg2.add_connector(EdgeConnector(bad, 0))
+        assert str(excinfo.value) == message
     with pytest.raises(UnknownNodeError, match="^graph node 7 does not exist$"):
         hg2.add_connector(NodeConnector(0, 7))
     with pytest.raises(TypeError):

@@ -23,6 +23,7 @@ from hg2rdf import (
     NodePayload,
     SchemaViolation,
     SerializationError,
+    UnknownKind,
     deserialize,
     instances_of,
     integrate,
@@ -149,6 +150,18 @@ def test_both_readers_refuse_a_term_listed_as_two_hypernodes():
     refused = (SchemaViolation, "hypernodes 3 and 4 carry the same term")
     assert outcome(deserialize, serialize(hg2)) == refused
     assert outcome(oracle_deserialize, serialize(hg2)) == refused
+
+
+@pytest.mark.parametrize("kind", [1, True, None, ["t"], {"k": 1}, "x"])
+def test_both_readers_refuse_a_graph_edge_kind_outside_the_vocabulary(kind):
+    hg2 = HG2()
+    hg2.g.add_edge(hg2.g.intern("urn:a"), hg2.g.intern("urn:b"), EdgeKind.TYPE)
+    document = json.loads(serialize(hg2))
+    document["graph_edges"][0]["kind"] = kind
+    text = json.dumps(document)
+    refused = (UnknownKind, f"unknown graph edge kind {kind!r}")
+    assert outcome(deserialize, text) == refused
+    assert outcome(oracle_deserialize, text) == refused
 
 
 _BAD_VALUES = (None, True, 1.5, -1, 10**30, "x", [0], {"a": 0}, "\ud800", float("nan"))

@@ -92,6 +92,19 @@ def test_unknown_node_ids_are_rejected():
         h.forward_path(0, 2)
     with pytest.raises(UnknownNodeError):
         h.forward_path(-1, -1)
+    for bad, error, message in (
+        (0.5, TypeError, "ids must be int, got 0.5"),
+        (True, TypeError, "ids must be int, got True"),
+        (-1, UnknownNodeError, "hypernode -1 does not exist"),
+        (2, UnknownNodeError, "hypernode 2 does not exist"),  # the first absent id
+    ):
+        with pytest.raises(error) as excinfo:
+            h.incidence_of(bad)
+        assert str(excinfo.value) == message
+        with pytest.raises(error) as excinfo:
+            h.add_hyperedge([0], [1, bad])
+        assert str(excinfo.value) == message.replace("hypernode", "tail hypernode")
+    assert h.edge_count == 0
 
 
 def test_forward_reachable_chain():

@@ -16,6 +16,7 @@ from hg2rdf import (
     SchemaGraph,
     Statement,
     UnknownNodeError,
+    Violation,
     check_domain_range,
     format_statement,
     format_term,
@@ -382,6 +383,29 @@ def test_injected_blank_in_head_is_reported():
     other = hg2.h.add_node(NodePayload.uri("urn:x"))
     hg2.h.add_hyperedge([blank], [other, other])
     assert [v.kind for v in validate_mapping(hg2)] == ["BlankInHead"]
+
+
+def test_head_slot_violations_come_in_head_order_with_their_messages():
+    hg2 = HG2()
+    lit = hg2.h.add_node(NodePayload.literal("v"))
+    blank = hg2.h.add_node(NodePayload.blank("b"))
+    other = hg2.h.add_node(NodePayload.uri("urn:x"))
+    hg2.h.add_hyperedge([lit, blank], [other, other])
+    hg2.h.add_hyperedge([blank, other, lit], [other, other])
+    assert validate_mapping(hg2) == [
+        Violation("EdgeArityViolation",
+                  "hyperedge 0 has |head|=2, |tail|=2; statements need 1 and 2", edge=0),
+        Violation("LiteralInHead",
+                  "literal hypernode 0 occupies a head slot of hyperedge 0", node=0, edge=0),
+        Violation("BlankInHead",
+                  "blank hypernode 1 occupies a head slot of hyperedge 0", node=1, edge=0),
+        Violation("EdgeArityViolation",
+                  "hyperedge 1 has |head|=3, |tail|=2; statements need 1 and 2", edge=1),
+        Violation("BlankInHead",
+                  "blank hypernode 1 occupies a head slot of hyperedge 1", node=1, edge=1),
+        Violation("LiteralInHead",
+                  "literal hypernode 0 occupies a head slot of hyperedge 1", node=0, edge=1),
+    ]
 
 
 def test_injected_literal_subject_is_reported():

@@ -59,6 +59,15 @@ def test_find_and_iri_of():
     assert graph.iri_of(a) == "urn:a"
     with pytest.raises(UnknownNodeError):
         graph.iri_of(99)
+    for bad, error, message in (
+        (0.5, TypeError, "ids must be int, got 0.5"),
+        (True, TypeError, "ids must be int, got True"),
+        (-1, UnknownNodeError, "graph node -1 does not exist"),
+        (1, UnknownNodeError, "graph node 1 does not exist"),  # the first absent id
+    ):
+        with pytest.raises(error) as excinfo:
+            graph.iri_of(bad)
+        assert str(excinfo.value) == message
 
 
 def test_add_edge_deduplicates_but_keeps_distinct_kinds():

@@ -40,6 +40,16 @@ class CliError(Exception):
         self.code = code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser with a help write that can fail: argparse's own
+    writer drops an OSError, so ``--help`` into a full disk would exit 0."""
+
+    def print_help(self, file: TextIO | None = None) -> None:
+        file = sys.stdout if file is None else file
+        if file is not None:  # None when standard output is closed
+            file.write(self.format_help())
+
+
 def _add_io_arguments(parser: argparse.ArgumentParser, with_output: bool = True) -> None:
     parser.add_argument(
         "--input",
@@ -67,7 +77,7 @@ def _add_io_arguments(parser: argparse.ArgumentParser, with_output: bool = True)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hg2rdf",
         description="Integrate RDF N-Triples into a two-layer hypergraph-graph structure.",
     )
@@ -261,11 +271,12 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code = _HANDLERS[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # after --help, or a usage error on stderr
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            code = _HANDLERS[args.command](args)
         if sys.stdout is not None:  # None when standard output is closed
             sys.stdout.flush()
         return code
@@ -274,14 +285,14 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except OSError as exc:
         # Reads and --output writes fail as CliError, so this is standard
-        # output.  After a closed pipe its descriptor goes to the null device,
-        # so that the flush at exit cannot fail again (Python's signal docs,
-        # "Note on SIGPIPE"); a stream without a descriptor is left as it is.
-        if isinstance(exc, BrokenPipeError):
-            with suppress(AttributeError, OSError, ValueError):
-                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, fd)
-                os.close(devnull)
+        # output, help included.  Its descriptor goes to the null device, so
+        # that the flush at exit of what is still buffered cannot fail again
+        # (after a closed pipe, as Python's signal docs advise in "Note on
+        # SIGPIPE", or on a full disk); a stream without one is left as it is.
+        with suppress(AttributeError, OSError, ValueError):
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
 from .hypergraph import Hypergraph, _check_id
-from .ntriples import NodePayload, PayloadKind, Statement
+from .ntriples import _REQUIRED_FIELD, NodePayload, PayloadKind, Statement
 from .schema import (
     RDF_DATATYPE,
     RDF_OBJECT,
@@ -99,13 +99,6 @@ def _map_instance(h: Hypergraph, statement: Statement) -> int:
     objekt = h._intern(statement.object)
     return h._append_edge([predicate], [subject, objekt])
 
-
-#: The payload field each term kind cannot do without.
-_REQUIRED_FIELD = {
-    PayloadKind.URI: "iri",
-    PayloadKind.BLANK: "blank_label",
-    PayloadKind.LITERAL: "lexical_form",
-}
 
 #: The term kinds that may not sit in a head slot, with the violation each gives.
 _HEAD_VIOLATIONS = {PayloadKind.LITERAL: "LiteralInHead", PayloadKind.BLANK: "BlankInHead"}

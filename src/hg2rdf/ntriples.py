@@ -21,22 +21,29 @@ holds that object, so the later set and index lookups of equal terms meet
 identical objects.  Terms are compared by value (RDF 1.1 term equality), so
 sharing them changes no result.
 
-A ``\\uXXXX`` escape, in an IRI or in a literal, must not name a surrogate
-code point (U+D800 to U+DFFF): such a code point cannot be encoded as UTF-8,
-so it is a ``BadEscape`` error at the backslash, and a lone surrogate
-character in a line is an ``InvalidEncoding`` error at its column.
-``_SURROGATE_RE`` (which :mod:`hg2rdf.hg2` shares) and ``_LINE_RE`` are built
-from one surrogate range, and ``_LINE_RE`` and the scanner from one ``_WS``.
+Each term rule is written once and both ways of reading a line use it: the
+character classes ``_IRI_CHAR`` and ``_LITERAL_CHAR`` (what a term holds
+without an escape), the whitespace set ``_WS``, the patterns
+``_BLANK_LABEL`` and ``_LANG_TAG``, and one escape decoder, ``_unescape``,
+which reads ``\\uXXXX`` in IRIs and literals and the ``_SIMPLE_ESCAPES`` in
+literals only (:func:`unescape_literal`).  A ``\\uXXXX`` escape must not
+name a surrogate code point (U+D800 to U+DFFF), which UTF-8 cannot encode:
+it is a ``BadEscape`` error at the backslash, and a lone surrogate character
+in a line is an ``InvalidEncoding`` error at its column.  The character
+classes and ``_SURROGATE_RE`` (which :mod:`hg2rdf.hg2` shares) are built
+from one surrogate range.
 
 Each line is parsed in one of two ways.  The fast path is one compiled
 regular expression, ``_LINE_RE``, matched against the whole line; it accepts
-well-formed lines whose IRIs hold no ``\\u`` escape (literal escapes are
-matched as pairs and decoded by :func:`unescape_literal`), which is nearly
-every line of real data.  A line the expression does not match, or whose
-literal holds a bad escape, goes to the character scanner ``_Scanner``, which
-accepts the full grammar above.  The scanner is the only code that builds a
-line's :class:`ParseError`, so error codes, messages and columns do not depend
-on which path a line took first.
+well-formed lines whose IRIs hold no escape (literal escapes are matched as
+pairs and decoded by :func:`unescape_literal`), which is nearly every line of
+real data.  A line the expression does not match, or whose literal holds a
+bad escape, goes to the scanner ``_Scanner``, which accepts the full grammar
+above: it matches a term's content as one run of its character class (a
+backslash takes the next character with it), decodes the run, and only then
+looks at the character that ended it.  The scanner is the only code that
+builds a line's :class:`ParseError`, so error codes, messages and columns do
+not depend on which path a line took first.
 """
 from __future__ import annotations
 
@@ -45,8 +52,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-_HEX_DIGITS = set("0123456789abcdefABCDEF")
 _WS = " \t\r"
+_SPACE = f"[{_WS}]"
 
 _SIMPLE_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
 # format_term's escapes: a literal writes its five simple escapes and \uXXXX
@@ -70,14 +77,22 @@ _LANG_TAG_RE = re.compile(_LANG_TAG)
 _SURROGATES = r"\ud800-\udfff"
 _SURROGATE_RE = re.compile(f"[{_SURROGATES}]")
 
-# The scanner's grammar minus ``\u`` escapes in IRIs and lone surrogates.  An
-# IRI character is what scan_iri accepts without an escape; literal content is
-# what scan_literal collects (a backslash takes the next character with it).
-# Labels and tags are matched greedily by the scanner and are always followed
-# here by whitespace or '.', so backtracking cannot pick a different split.
-_SPACE = f"[{_WS}]"
-_IRI = rf"<([^\x00-\x20<>\\{_SURROGATES}]+)>"
-_LITERAL_RUN = rf'[^"\\{_SURROGATES}]*'
+# A character an IRI or a literal holds without a backslash escape.  An IRI
+# ends at '>' and is interrupted by '<' or any character at or below space.
+_IRI_CHAR = rf"[^\x00-\x20<>\\{_SURROGATES}]"
+_LITERAL_CHAR = rf'[^"\\{_SURROGATES}]'
+
+# The scanner's run of a term's content: a backslash takes the next
+# character, whatever it is, with it, and _unescape judges the pair.
+_IRI_RUN_RE = re.compile(rf"(?:{_IRI_CHAR}|\\.?)*", re.DOTALL)
+_LITERAL_RUN_RE = re.compile(rf"(?:{_LITERAL_CHAR}|\\.?)*", re.DOTALL)
+_SPACE_RUN_RE = re.compile(f"{_SPACE}*")
+
+# The scanner's grammar minus escapes in IRIs and lone surrogates.  Labels
+# and tags are matched greedily by the scanner and are always followed here
+# by whitespace or '.', so backtracking cannot pick a different split.
+_IRI = rf"<({_IRI_CHAR}+)>"
+_LITERAL_RUN = f"{_LITERAL_CHAR}*"
 _LINE_RE = re.compile(
     rf"{_SPACE}*(?:{_IRI}|_:({_BLANK_LABEL})){_SPACE}+"
     rf"{_IRI}{_SPACE}+"
@@ -110,6 +125,15 @@ class PayloadKind(Enum):
     # consistent with equality and runs in C; Enum's own hashes the name in
     # Python.  No output depends on hash order.
     __hash__ = object.__hash__
+
+
+#: The payload field each term kind cannot do without.
+_REQUIRED_FIELD = {
+    PayloadKind.URI: "iri",
+    PayloadKind.BLANK: "blank_label",
+    PayloadKind.LITERAL: "lexical_form",
+}
+_TAG_AND_DATATYPE = "a literal cannot carry both a language tag and a datatype"
 
 
 class NodePayload(NamedTuple):
@@ -149,7 +173,7 @@ class NodePayload(NamedTuple):
         datatype_iri: str | None = None,
     ) -> NodePayload:
         if language_tag is not None and datatype_iri is not None:
-            raise ValueError("a literal cannot carry both a language tag and a datatype")
+            raise ValueError(_TAG_AND_DATATYPE)
         return tuple.__new__(
             cls, (PayloadKind.LITERAL, None, None, lexical_form, language_tag, datatype_iri)
         )
@@ -179,15 +203,44 @@ class ParseError:
         return f"{where}: {self.code.value}: {self.message}"
 
 
-_SURROGATE_MESSAGE = "\\u escape names a surrogate code point"
-
-
 class BadEscape(ValueError):
     """Undefined or malformed backslash escape; ``offset`` indexes the raw text."""
 
     def __init__(self, offset: int, message: str = "bad escape sequence"):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
+
+
+_UCHAR_DIGITS = re.compile("[0-9A-Fa-f]{4}")
+
+
+def _unescape(raw: str, simple_escapes: dict[str, str]) -> str:
+    """Decode ``\\uXXXX`` and the ``simple_escapes`` in an IRI's or a
+    literal's content; raises :class:`BadEscape` as unescape_literal does."""
+    if "\\" not in raw:
+        return raw
+    out: list[str] = []
+    done = 0
+    while (i := raw.find("\\", done)) >= 0:
+        out.append(raw[done:i])
+        esc = raw[i + 1 : i + 2]
+        if not esc:
+            raise BadEscape(i, "dangling backslash")
+        if esc in simple_escapes:
+            out.append(simple_escapes[esc])
+            done = i + 2
+        elif esc == "u":
+            if not _UCHAR_DIGITS.fullmatch(raw, i + 2, i + 6):
+                raise BadEscape(i, "\\u requires four hex digits")
+            char = chr(int(raw[i + 2 : i + 6], 16))
+            if _SURROGATE_RE.match(char):
+                raise BadEscape(i, "\\u escape names a surrogate code point")
+            out.append(char)
+            done = i + 6
+        else:
+            raise BadEscape(i, f"undefined escape '\\{esc}'")
+    out.append(raw[done:])
+    return "".join(out)
 
 
 def unescape_literal(raw: str) -> str:
@@ -197,35 +250,7 @@ def unescape_literal(raw: str) -> str:
     code point (U+D800 to U+DFFF), raises :class:`BadEscape` carrying the
     offset of the offending backslash within ``raw``.
     """
-    if "\\" not in raw:
-        return raw
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(raw):
-            raise BadEscape(i, "dangling backslash")
-        esc = raw[i + 1]
-        if esc in _SIMPLE_ESCAPES:
-            out.append(_SIMPLE_ESCAPES[esc])
-            i += 2
-            continue
-        if esc == "u":
-            digits = raw[i + 2 : i + 6]
-            if len(digits) < 4 or any(d not in _HEX_DIGITS for d in digits):
-                raise BadEscape(i, "\\u requires four hex digits")
-            code_point = int(digits, 16)
-            if 0xD800 <= code_point <= 0xDFFF:
-                raise BadEscape(i, _SURROGATE_MESSAGE)
-            out.append(chr(code_point))
-            i += 6
-            continue
-        raise BadEscape(i, f"undefined escape '\\{esc}'")
-    return "".join(out)
+    return _unescape(raw, _SIMPLE_ESCAPES)
 
 
 class _Halt(Exception):
@@ -251,8 +276,7 @@ class _Scanner:
 
     def skip_ws(self) -> int:
         start = self.pos
-        while self.pos < len(self.line) and self.line[self.pos] in _WS:
-            self.pos += 1
+        self.pos = _SPACE_RUN_RE.match(self.line, start).end()
         return self.pos - start
 
     def require_ws(self, after: str) -> None:
@@ -263,42 +287,27 @@ class _Scanner:
                 self.pos + 1,
             )
 
+    def decode(self, start: int, simple_escapes: dict[str, str]) -> str:
+        """The content from ``start`` to the scanner, decoded; a bad escape
+        halts at its backslash."""
+        try:
+            return _unescape(self.line[start : self.pos], simple_escapes)
+        except BadEscape as exc:
+            raise _Halt(ErrorCode.BAD_ESCAPE, str(exc), start + 1 + exc.offset) from exc
+
     def scan_iri(self) -> str:
-        # caller guarantees the scanner sits on '<'
-        open_pos = self.pos
+        # caller guarantees the scanner sits on '<'; the run is decoded
+        # before the character that ended it is looked at
+        start = self.pos + 1
+        self.pos = _IRI_RUN_RE.match(self.line, start).end()
+        value = self.decode(start, {})
+        if self.at_end():
+            raise _Halt(ErrorCode.UNTERMINATED_IRI, "IRI not closed by '>'", start)
+        if self.peek() != ">":
+            raise _Halt(ErrorCode.UNTERMINATED_IRI, "IRI interrupted before closing '>'", self.pos + 1)
         self.pos += 1
-        out: list[str] = []
-        while True:
-            if self.at_end():
-                raise _Halt(ErrorCode.UNTERMINATED_IRI, "IRI not closed by '>'", open_pos + 1)
-            ch = self.line[self.pos]
-            if ch == ">":
-                self.pos += 1
-                break
-            if ch in _WS or ch == "<" or ord(ch) < 0x20:
-                raise _Halt(
-                    ErrorCode.UNTERMINATED_IRI,
-                    "IRI interrupted before closing '>'",
-                    self.pos + 1,
-                )
-            if ch == "\\":
-                # only \uXXXX is meaningful inside an IRI
-                digits = self.line[self.pos + 2 : self.pos + 6]
-                if self.line[self.pos + 1 : self.pos + 2] != "u" or len(digits) < 4 or any(
-                    d not in _HEX_DIGITS for d in digits
-                ):
-                    raise _Halt(ErrorCode.BAD_ESCAPE, "bad escape in IRI", self.pos + 1)
-                code_point = int(digits, 16)
-                if 0xD800 <= code_point <= 0xDFFF:
-                    raise _Halt(ErrorCode.BAD_ESCAPE, _SURROGATE_MESSAGE, self.pos + 1)
-                out.append(chr(code_point))
-                self.pos += 6
-                continue
-            out.append(ch)
-            self.pos += 1
-        value = "".join(out)
         if not value:
-            raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "empty IRI", open_pos + 1)
+            raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "empty IRI", start)
         return value
 
     def scan_blank(self) -> str:
@@ -313,30 +322,13 @@ class _Scanner:
         return match.group()
 
     def scan_literal(self) -> NodePayload:
-        open_pos = self.pos
+        # an unclosed literal is reported before any escape in it
+        start = self.pos + 1
+        self.pos = _LITERAL_RUN_RE.match(self.line, start).end()
+        if self.at_end():
+            raise _Halt(ErrorCode.UNTERMINATED_LITERAL, "literal not closed by '\"'", start)
+        lexical = self.decode(start, _SIMPLE_ESCAPES)
         self.pos += 1
-        raw: list[str] = []
-        while True:
-            if self.at_end():
-                raise _Halt(
-                    ErrorCode.UNTERMINATED_LITERAL, "literal not closed by '\"'", open_pos + 1
-                )
-            ch = self.line[self.pos]
-            if ch == '"':
-                self.pos += 1
-                break
-            if ch == "\\":
-                # keep the pair raw; unescape_literal validates it below
-                raw.append(self.line[self.pos : self.pos + 2])
-                self.pos += 2
-                continue
-            raw.append(ch)
-            self.pos += 1
-        raw_text = "".join(raw)
-        try:
-            lexical = unescape_literal(raw_text)
-        except BadEscape as exc:
-            raise _Halt(ErrorCode.BAD_ESCAPE, str(exc), open_pos + 2 + exc.offset) from exc
         if self.peek() == "@":
             tag_pos = self.pos
             match = _LANG_TAG_RE.match(self.line, self.pos + 1)
@@ -517,23 +509,23 @@ def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]
 def format_term(term: NodePayload) -> str:
     """Render a term in canonical N-Triples syntax (re-parseable).
 
-    Raises ValueError when the term lacks the field its kind requires, or is
-    a literal with both a language tag and a datatype.
+    Raises ValueError when the term's kind is not a :class:`PayloadKind`,
+    when the term lacks the field its kind requires (naming the field), or
+    when it is a literal with both a language tag and a datatype.
     """
+    required = _REQUIRED_FIELD.get(term.kind)
+    if required is None:
+        raise ValueError(f"unknown term kind {term.kind!r}")
+    if getattr(term, required) is None:
+        raise ValueError(f"{term.kind.value} term has no {required}")
     if term.kind is PayloadKind.URI:
-        if term.iri is None:
-            raise ValueError("uri payload without an iri")
         return f"<{term.iri.translate(_IRI_ESCAPES)}>"
     if term.kind is PayloadKind.BLANK:
-        if term.blank_label is None:
-            raise ValueError("blank payload without a label")
         return f"_:{term.blank_label}"
-    if term.lexical_form is None:
-        raise ValueError("literal payload without a lexical form")
     text = f'"{term.lexical_form.translate(_LITERAL_ESCAPES)}"'
     if term.language_tag is not None:
         if term.datatype_iri is not None:
-            raise ValueError("a literal cannot carry both a language tag and a datatype")
+            raise ValueError(_TAG_AND_DATATYPE)
         return f"{text}@{term.language_tag}"
     if term.datatype_iri is not None:
         return f"{text}^^<{term.datatype_iri.translate(_IRI_ESCAPES)}>"

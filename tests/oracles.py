@@ -46,7 +46,7 @@ from hg2rdf import (
 from hg2rdf.dot import _escape as _dot_escape
 from hg2rdf.dot import _node_label as _dot_label
 from hg2rdf.hypergraph import _check_id
-from hg2rdf.ntriples import _Halt, _parse_line
+from hg2rdf.ntriples import _BLANK_LABEL_RE, _LANG_TAG_RE, BadEscape, _blank, _Halt, _parse_line, _uri
 from hg2rdf.schema import (
     RDF_DATATYPE,
     RDF_OBJECT,
@@ -66,6 +66,210 @@ def scanner_parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
     expression tried first."""
     try:
         return _parse_line(line, {})
+    except _Halt as halt:
+        return ParseError(line_no, halt.code, halt.message, halt.column)
+
+
+# The character scanner as it was when it read term content one character at
+# a time, with the \uXXXX rule written once for IRIs and once for literals.
+# Its IRI escape errors have their own messages: "bad escape in IRI", and the
+# surrogate message without "at offset N".
+
+_LOOP_HEX_DIGITS = set("0123456789abcdefABCDEF")
+_LOOP_WS = " \t\r"
+_LOOP_SIMPLE_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
+_LOOP_SURROGATE_MESSAGE = "\\u escape names a surrogate code point"
+
+
+def loop_unescape_literal(raw: str) -> str:
+    """unescape_literal, one character at a time."""
+    if "\\" not in raw:
+        return raw
+    out: list[str] = []
+    i = 0
+    while i < len(raw):
+        ch = raw[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= len(raw):
+            raise BadEscape(i, "dangling backslash")
+        esc = raw[i + 1]
+        if esc in _LOOP_SIMPLE_ESCAPES:
+            out.append(_LOOP_SIMPLE_ESCAPES[esc])
+            i += 2
+            continue
+        if esc == "u":
+            digits = raw[i + 2 : i + 6]
+            if len(digits) < 4 or any(d not in _LOOP_HEX_DIGITS for d in digits):
+                raise BadEscape(i, "\\u requires four hex digits")
+            code_point = int(digits, 16)
+            if 0xD800 <= code_point <= 0xDFFF:
+                raise BadEscape(i, _LOOP_SURROGATE_MESSAGE)
+            out.append(chr(code_point))
+            i += 6
+            continue
+        raise BadEscape(i, f"undefined escape '\\{esc}'")
+    return "".join(out)
+
+
+class _LoopScanner:
+    def __init__(self, line: str):
+        self.line = line
+        self.pos = 0
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.line)
+
+    def peek(self) -> str:
+        return self.line[self.pos] if self.pos < len(self.line) else ""
+
+    def skip_ws(self) -> int:
+        start = self.pos
+        while self.pos < len(self.line) and self.line[self.pos] in _LOOP_WS:
+            self.pos += 1
+        return self.pos - start
+
+    def require_ws(self, after: str) -> None:
+        if self.skip_ws() == 0 and self.pos < len(self.line):
+            raise _Halt(ErrorCode.UNEXPECTED_TOKEN, f"whitespace required after {after}", self.pos + 1)
+
+    def scan_iri(self) -> str:
+        open_pos = self.pos
+        self.pos += 1
+        out: list[str] = []
+        while True:
+            if self.at_end():
+                raise _Halt(ErrorCode.UNTERMINATED_IRI, "IRI not closed by '>'", open_pos + 1)
+            ch = self.line[self.pos]
+            if ch == ">":
+                self.pos += 1
+                break
+            if ch in _LOOP_WS or ch == "<" or ord(ch) < 0x20:
+                raise _Halt(ErrorCode.UNTERMINATED_IRI, "IRI interrupted before closing '>'", self.pos + 1)
+            if ch == "\\":
+                digits = self.line[self.pos + 2 : self.pos + 6]
+                if self.line[self.pos + 1 : self.pos + 2] != "u" or len(digits) < 4 or any(
+                    d not in _LOOP_HEX_DIGITS for d in digits
+                ):
+                    raise _Halt(ErrorCode.BAD_ESCAPE, "bad escape in IRI", self.pos + 1)
+                code_point = int(digits, 16)
+                if 0xD800 <= code_point <= 0xDFFF:
+                    raise _Halt(ErrorCode.BAD_ESCAPE, _LOOP_SURROGATE_MESSAGE, self.pos + 1)
+                out.append(chr(code_point))
+                self.pos += 6
+                continue
+            out.append(ch)
+            self.pos += 1
+        value = "".join(out)
+        if not value:
+            raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "empty IRI", open_pos + 1)
+        return value
+
+    def scan_blank(self) -> str:
+        start = self.pos
+        if self.line[self.pos : self.pos + 2] != "_:":
+            raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "'_' must introduce '_:label'", start + 1)
+        match = _BLANK_LABEL_RE.match(self.line, self.pos + 2)
+        if not match:
+            raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "invalid blank node label", start + 1)
+        self.pos = match.end()
+        return match.group()
+
+    def scan_literal(self) -> NodePayload:
+        open_pos = self.pos
+        self.pos += 1
+        raw: list[str] = []
+        while True:
+            if self.at_end():
+                raise _Halt(ErrorCode.UNTERMINATED_LITERAL, "literal not closed by '\"'", open_pos + 1)
+            ch = self.line[self.pos]
+            if ch == '"':
+                self.pos += 1
+                break
+            if ch == "\\":
+                raw.append(self.line[self.pos : self.pos + 2])
+                self.pos += 2
+                continue
+            raw.append(ch)
+            self.pos += 1
+        try:
+            lexical = loop_unescape_literal("".join(raw))
+        except BadEscape as exc:
+            raise _Halt(ErrorCode.BAD_ESCAPE, str(exc), open_pos + 2 + exc.offset) from exc
+        if self.peek() == "@":
+            tag_pos = self.pos
+            match = _LANG_TAG_RE.match(self.line, self.pos + 1)
+            if not match:
+                raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "malformed language tag", tag_pos + 1)
+            self.pos = match.end()
+            return NodePayload.literal(lexical, language_tag=match.group().lower())
+        if self.peek() == "^":
+            caret_pos = self.pos
+            if self.line[self.pos : self.pos + 2] != "^^":
+                raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "datatype requires '^^'", caret_pos + 1)
+            self.pos += 2
+            if self.peek() != "<":
+                raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "datatype requires an IRI", self.pos + 1)
+            return NodePayload.literal(lexical, datatype_iri=self.scan_iri())
+        return NodePayload.literal(lexical)
+
+
+def _loop_parse_line(line: str, terms: dict) -> Statement:
+    surrogate = _SURROGATE_RE.search(line)
+    if surrogate is not None:
+        message = f"not valid UTF-8: lone surrogate U+{ord(surrogate[0]):04X}"
+        raise _Halt(ErrorCode.INVALID_ENCODING, message, surrogate.start() + 1)
+    scanner = _LoopScanner(line)
+    scanner.skip_ws()
+
+    ch = scanner.peek()
+    if ch == "<":
+        subject = _uri(terms, scanner.scan_iri())
+    elif ch == "_":
+        subject = _blank(terms, scanner.scan_blank())
+    elif ch == '"':
+        raise _Halt(ErrorCode.LITERAL_AS_SUBJECT, "a literal is not allowed as subject", scanner.pos + 1)
+    else:
+        raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "expected a subject term", scanner.pos + 1)
+    scanner.require_ws("subject")
+
+    ch = scanner.peek()
+    if ch == "<":
+        predicate = _uri(terms, scanner.scan_iri())
+    elif ch == "_":
+        raise _Halt(ErrorCode.BLANK_AS_PREDICATE, "a blank node is not allowed as predicate", scanner.pos + 1)
+    else:
+        raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "expected an IRI predicate", scanner.pos + 1)
+    scanner.require_ws("predicate")
+
+    ch = scanner.peek()
+    if ch == "<":
+        obj = _uri(terms, scanner.scan_iri())
+    elif ch == "_":
+        obj = _blank(terms, scanner.scan_blank())
+    elif ch == '"':
+        obj = scanner.scan_literal()
+    elif ch == "." or scanner.at_end():
+        raise _Halt(ErrorCode.MISSING_OBJECT, "statement has no object term", scanner.pos + 1)
+    else:
+        raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "expected an object term", scanner.pos + 1)
+
+    scanner.skip_ws()
+    if scanner.peek() != ".":
+        raise _Halt(ErrorCode.MISSING_TERMINAL_DOT, "statement must end with '.'", scanner.pos + 1)
+    scanner.pos += 1
+    scanner.skip_ws()
+    if not scanner.at_end():
+        raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "unexpected text after terminating '.'", scanner.pos + 1)
+    return Statement(subject, predicate, obj)
+
+
+def loop_scanner_parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
+    """parse_line by the character-loop scanner alone."""
+    try:
+        return _loop_parse_line(line, {})
     except _Halt as halt:
         return ParseError(line_no, halt.code, halt.message, halt.column)
 

@@ -324,6 +324,33 @@ def test_a_failed_write_to_standard_output_exits_2_with_one_line(argv, sample_fi
     )
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["stats", "--help"]], ids=" ".join)
+def test_a_failed_help_write_exits_2_with_one_line(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write standard output: [Errno 28] No space left on device\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [["stats", "--help"], ["stats"]], ids=" ".join)
+def test_a_buffered_standard_output_on_a_full_disk_exits_2_with_one_line(argv, sample_file):
+    # the text is still buffered when main returns, so the flush at exit
+    # would fail a second time if the descriptor were left as it was
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "hg2rdf", *argv, "-i", sample_file],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60, check=False,
+        )
+    assert (run.returncode, run.stderr.decode()) == (
+        2, "error: cannot write standard output: [Errno 28] No space left on device\n"
+    )
+
+
 @pytest.mark.parametrize("command,first_read", [
     (["export", "--format", "dot"], 100),  # fails mid-stream: the digraph is about 1 MB
     (["stats"], 0),  # fails in the final flush, so the exit flush would fail again

@@ -97,13 +97,17 @@ def test_payload_round_trip_for_each_term_kind():
 
 
 def test_format_term_rejects_incomplete_payloads():
-    for payload in (
-        NodePayload(PayloadKind.URI),
-        NodePayload(PayloadKind.BLANK),
-        NodePayload(PayloadKind.LITERAL),
-        NodePayload(PayloadKind.LITERAL, lexical_form="x", language_tag="en", datatype_iri="urn:t"),
+    for payload, message in (
+        (NodePayload(PayloadKind.URI), "uri term has no iri"),
+        (NodePayload(PayloadKind.BLANK), "blank term has no blank_label"),
+        (NodePayload(PayloadKind.LITERAL), "literal term has no lexical_form"),
+        (
+            NodePayload(PayloadKind.LITERAL, lexical_form="x", language_tag="en", datatype_iri="urn:t"),
+            "a literal cannot carry both a language tag and a datatype",
+        ),
+        (NodePayload("uri", iri="urn:x"), "unknown term kind 'uri'"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             format_term(payload)
 
 

@@ -204,6 +204,24 @@ def test_every_error_code_has_a_pinned_column_and_message(code):
     assert parse_document(line) == ([], [ParseError(1, code, message, column)])
 
 
+# The text before and after a term's content, for each slot a bad escape can
+# sit in, and the escape decoder's messages with the offset of the backslash
+# in the content.
+_ESCAPE_SLOTS = (
+    ("<", "> <a:p> <a:o> ."),
+    ("<a:s> <a:p> <", "> ."),
+    ('<a:s> <a:p> "v"^^<', "> ."),
+    ('<a:s> <a:p> "', '" .'),
+)
+_DECODER_MESSAGES = (
+    ("a:x\\q", 3, "undefined escape '\\q'"),
+    ("a:\\u12", 2, "\\u requires four hex digits"),
+    ("a:\\u12G4", 2, "\\u requires four hex digits"),
+    ("a:\\uD800", 2, "\\u escape names a surrogate code point"),
+    ("a:b\\udfff", 3, "\\u escape names a surrogate code point"),
+)
+
+
 def test_surrogate_escapes_are_bad_escapes_at_the_backslash():
     for line, column in (
         ('<a:s> <a:p> "x\\uD800y" .', 15),
@@ -214,6 +232,21 @@ def test_surrogate_escapes_are_bad_escapes_at_the_backslash():
         result = parse_line(line)
         assert isinstance(result, ParseError), line
         assert (result.code, result.column) == (ErrorCode.BAD_ESCAPE, column), line
+    # a bad escape gets the same message in every slot, IRI or literal
+    for before, after in _ESCAPE_SLOTS:
+        for content, offset, message in _DECODER_MESSAGES:
+            line = before + content + after
+            column = len(before) + offset + 1
+            error = ParseError(1, ErrorCode.BAD_ESCAPE, f"{message} at offset {offset}", column)
+            assert parse_line(line) == scanner_parse_line(line) == error, line
+        # a backslash that ends an IRI's line dangles; in a literal it would
+        # take the closing quote, so there only the decoder itself sees one
+        if before.endswith("<"):
+            line = before + "a:x\\"
+            error = ParseError(1, ErrorCode.BAD_ESCAPE, "dangling backslash at offset 3", len(before) + 4)
+            assert parse_line(line) == error, line
+    with pytest.raises(BadEscape, match="^dangling backslash at offset 3$"):
+        unescape_literal("a:x\\")
     # the code points on either side of the surrogate block are characters
     statement = parse_line('<a:\\uD7FF> <a:p> "\\uE000" .')
     assert isinstance(statement, Statement)

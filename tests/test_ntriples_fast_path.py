@@ -1,18 +1,23 @@
-"""The whole-line expression against the scanner it stands in front of.
+"""The whole-line expression against the scanner it stands in front of, and
+the scanner against the character-loop scanner it replaced.
 
-``parse_line`` tries ``_LINE_RE`` first and falls back to the character
-scanner; ``oracles.scanner_parse_line`` runs the scanner alone.  The two must
-agree on every line: the same statement, or the same error line number,
-code, message and column.
+``parse_line`` tries ``_LINE_RE`` first and falls back to the scanner;
+``oracles.scanner_parse_line`` runs the scanner alone.  The two must agree
+on every line: the same statement, or the same error line number, code,
+message and column.  ``oracles.loop_scanner_parse_line`` is the scanner that
+read term content one character at a time; both paths must agree with it
+too, except that an IRI's bad escape now has the escape decoder's message.
 """
 from __future__ import annotations
 
+import random
 from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hg2rdf import (
+    ErrorCode,
     NodePayload,
     ParseError,
     Statement,
@@ -21,7 +26,7 @@ from hg2rdf import (
     parse_line,
 )
 from hg2rdf import ntriples
-from oracles import scanner_parse_line
+from oracles import loop_scanner_parse_line, scanner_parse_line
 from test_acceptance import fuzz_corpus
 
 
@@ -159,3 +164,71 @@ def test_well_formed_lines_never_reach_the_scanner(statement, before, after):
     line = before + format_statement(statement) + after
     with mock.patch.object(ntriples, "_Scanner", _NoScanner):
         assert parse_line(line) == statement
+
+
+# Escapes around every delimiter, for the seeded comparison with the
+# character-loop scanner, and the characters its mutations insert.
+_ESCAPE_PIECES = (
+    "<a:\\>", "<a:\\", "<a:x\\u00>", "<a:\\u0041\\q>", "<a:\\u00e9\\u004>", "<\\u0041>",
+    '"\\"', '"a\\u00"', '"\\', '"\\u12G4"', "<a:\\ >", "<a:\\<>",
+)
+_MUTATIONS = '<>"\\_:.@^#u0aF9 \t\r\n\x00\x0b-x\u00e9'
+
+
+def _random_line(rng: random.Random) -> str:
+    """A shaped line or a token soup, then up to two one-character edits."""
+    if rng.random() < 0.8:
+        line = "".join(rng.choice(pieces[rng.random() < 0.1]) for pieces in _PIECES)
+    else:
+        tokens = (
+            _IRIS + _BAD_IRIS + _BLANKS + _BAD_BLANKS + _LITERALS + _BAD_LITERALS + _SUFFIXES
+            + _BAD_SUFFIXES + _SPACES + _BAD_SPACES + _STRAYS + _ESCAPE_PIECES
+        )
+        line = "".join(rng.choice(tokens) for _ in range(rng.randrange(1, 9)))
+    for _ in range(rng.randrange(3)):
+        at = rng.randrange(len(line) + 1)
+        line = line[:at] + rng.choice(_MUTATIONS) + line[at + rng.randrange(2) :]
+    return line
+
+
+def _decoder_message(old: ParseError, line: str) -> str:
+    """The message an error of the character-loop scanner has now: an IRI's
+    bad escape gets the escape decoder's message, with the offset of its
+    backslash in the IRI's content; every other message is unchanged."""
+    if old.code is not ErrorCode.BAD_ESCAPE or "at offset" in old.message:
+        return old.message
+    backslash = old.column - 1
+    offset = backslash - line.rfind("<", 0, backslash) - 1
+    escape = line[backslash + 1 : backslash + 2]
+    if old.message != "bad escape in IRI":
+        message = old.message  # the surrogate message
+    elif not escape:
+        message = "dangling backslash"
+    elif escape == "u":
+        message = "\\u requires four hex digits"
+    else:
+        message = f"undefined escape '\\{escape}'"
+    return f"{message} at offset {offset}"
+
+
+def test_both_paths_agree_with_the_character_loop_scanner():
+    rng = random.Random(20131)
+    seen = {}
+    iri_escapes = 0
+    for _ in range(20_000):
+        line = _random_line(rng)
+        old = loop_scanner_parse_line(line)
+        for new in (scanner_parse_line(line), parse_line(line)):
+            if isinstance(old, Statement):
+                assert new == old, line
+            else:
+                assert isinstance(new, ParseError), line
+                assert (new.code, new.column) == (old.code, old.column), line
+                assert new.message == _decoder_message(old, line), line
+        key = type(old) if isinstance(old, Statement) else old.code
+        seen[key] = seen.get(key, 0) + 1
+        iri_escapes += isinstance(old, ParseError) and old.message == "bad escape in IRI"
+    # the lines reach statements, every error code a str line can give, and
+    # IRI escapes of each kind
+    assert set(seen) == {Statement, *ErrorCode} - {ErrorCode.INVALID_ENCODING}, seen
+    assert min(seen.values()) >= 20 and iri_escapes >= 1000, (seen, iri_escapes)

@@ -81,7 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hg2rdf",
         description="Integrate RDF N-Triples into a two-layer hypergraph-graph structure.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    # The command is required, but main checks that itself: argparse checks
+    # required arguments before unknown ones, so ``hg2rdf --bogus`` would
+    # only say that a command is missing.
+    subparsers = parser.add_subparsers(dest="command")
 
     build = subparsers.add_parser("build", help="integrate inputs and emit the structure")
     _add_io_arguments(build)
@@ -272,7 +275,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args, unknown = parser.parse_known_args(argv)
+            if unknown:
+                parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+            if args.command is None:
+                parser.error("the following arguments are required: command")
         except SystemExit as exc:  # after --help, or a usage error on stderr
             code = exc.code if isinstance(exc.code, int) else 2
         else:

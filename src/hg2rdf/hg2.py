@@ -29,9 +29,13 @@ gives.  It returns the document as a string, or writes it to a text handle
 in chunks as the records are made, so that a large document is never held
 whole.  ``deserialize`` checks the ids, slots, endpoints and duplicates of
 each section in one pass before it stores any record of it, and then
-appends the records through the private helpers that the public mutators
-end in.  A section that fails the check goes through the checked mutators,
-so a bad record raises the exception class and message they give.
+appends the whole section in one call to the private writer that the
+public mutators end in: ``Hypergraph._append_nodes`` and ``_append_edges``
+(the only writers of hypernodes, hyperedges and their per-node indexes)
+and ``_append_connectors``.  Hypernodes are decoded one field at a time
+across the section.  A section that fails the check goes through the
+record-by-record decoder or the checked mutators, so a bad record raises
+the exception class and message they give.
 ``_all_ids`` is the id rule of ``_check_index`` over a whole section.
 """
 from __future__ import annotations
@@ -41,7 +45,7 @@ import math
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice, starmap
+from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring as _quote
 from typing import Any, TextIO
 
@@ -427,6 +431,25 @@ def _payload_from_json(record: dict[str, Any]) -> Any:
     return tuple.__new__(NodePayload, (payload_kind, *fields))
 
 
+def _payloads_from_json(records: list[dict[str, Any]]) -> list[Any]:
+    """The payloads of a hypernodes section, decoded one column at a time
+    while every column passes its check: each kind a term kind, each field
+    a string or absent.  From the first column that fails, every record goes
+    through :func:`_payload_from_json`, so the first bad record raises as it
+    does there."""
+    kinds = [record.get("kind") for record in records]
+    if set(map(type, kinds)) <= {str} and set(kinds) <= _PAYLOAD_KINDS.keys():
+        columns = [list(map(_PAYLOAD_KINDS.__getitem__, kinds))]
+        for name in _PAYLOAD_FIELDS:
+            column = [record.get(name) for record in records]
+            if not set(map(type, column)) <= {str, type(None)}:
+                break
+            columns.append(column)
+        else:
+            return list(map(tuple.__new__, repeat(NodePayload), zip(*columns)))
+    return list(map(_payload_from_json, records))
+
+
 # Each section below is checked whole first, with passes that run in C where
 # they can, and then appended through the containers' private append helpers,
 # the code the public mutators end in.  A section that fails its check is
@@ -441,8 +464,14 @@ def _load_hyperedges(hg2: HG2, records: list[dict[str, Any]]) -> None:
     if set(map(type, slots)) <= {list} and all(slots) and _all_ids(
         list(chain.from_iterable(slots)), hg2.h.node_count
     ):
-        for head, tail in zip(heads, tails):
-            hg2.h._append_edge(head, tail)
+        # Each tail id becomes its node's one int object.  Queries read tail
+        # ids (the forward stars' keys, a statement's subject), and then read
+        # them from one packed run, not from the ints json.loads left among
+        # the records; queries use head ids only as list indexes.
+        ids = list(range(hg2.h.node_count))
+        for tail in tails:
+            tail[:] = map(ids.__getitem__, tail)
+        hg2.h._append_edges(heads, tails)
         return
     for index, (head, tail) in enumerate(zip(heads, tails)):
         _require(isinstance(head, list) and isinstance(tail, list),
@@ -548,8 +577,7 @@ def deserialize(text: str) -> HG2:
     hg2 = HG2()
     node_records = _as_records(document, "hypernodes")
     _check_dense_ids(node_records, "hypernodes")
-    for record in node_records:
-        hg2.h._append_node(_payload_from_json(record))
+    hg2.h._append_nodes(_payloads_from_json(node_records))
     if len(hg2.h._index) != hg2.h.node_count:
         _refuse_repeated_terms(hg2.h)
 

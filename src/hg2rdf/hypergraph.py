@@ -7,14 +7,18 @@ Head and tail are ordered lists so callers can assign positional roles; the
 same node may appear on both sides of one edge.  Each node lists the ids of the edges
 it sits in and keeps its forward star: a map from each distinct node that an
 edge it heads has in its tail to the first such edge.  One breadth-first
-search over the forward stars is the only code that fires edges.
+search over the forward stars is the only code that fires edges.  Two
+section writers, ``_append_nodes`` and ``_append_edges``, are the only code
+that appends nodes, edges and these per-node indexes: the checked mutators
+end in one-element calls of them, and ``deserialize`` and ``integrate`` hand
+them whole sections, so that a section's indexes are allocated together.
 :func:`_check_index` is the id-range rule of both layers and the connectors.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 
 class UnknownNodeError(LookupError):
@@ -97,7 +101,7 @@ class Hypergraph(Freezable):
         if existing is not None:
             return existing
         self._check_mutable()
-        return self._append_node(payload)
+        return self._append_nodes((payload,))
 
     def find(self, payload: Any) -> int | None:
         """Id of the first node carrying ``payload``, if any."""
@@ -106,24 +110,25 @@ class Hypergraph(Freezable):
         except TypeError:
             return None
 
-    def _intern(self, payload: Any) -> int:
-        """:meth:`add_node` for a hashable payload, without the frozen
-        check; for callers that made that check once for many payloads."""
-        node = self._index.get(payload)
-        return self._append_node(payload) if node is None else node
-
-    def _append_node(self, payload: Any) -> int:
-        """Append a node without interning; the only writer of the node list,
-        its per-node indexes and the payload index (the first node wins)."""
-        node_id = len(self.nodes)
-        self.nodes.append(payload)
-        self._incidence.append([])
-        self._forward.append({})
-        try:
-            self._index.setdefault(payload, node_id)
-        except TypeError:
-            pass  # unhashable payloads stay unindexed
-        return node_id
+    def _append_nodes(self, payloads: Iterable[Any]) -> int:
+        """Append one node per payload, without interning; returns the first
+        new id.  With :meth:`_append_edges`, the only writer of the node
+        list, its per-node indexes and the payload index (the first node
+        wins).  A whole section's indexes are allocated in one run, next to
+        each other, which is the memory the firing search walks.
+        """
+        nodes, index = self.nodes, self._index
+        start = len(nodes)
+        nodes.extend(payloads)
+        new = range(start, len(nodes))
+        self._incidence.extend([[] for _ in new])
+        self._forward.extend([{} for _ in new])
+        for node_id in new:
+            try:
+                index.setdefault(nodes[node_id], node_id)
+            except TypeError:
+                pass  # unhashable payloads stay unindexed
+        return start
 
     def add_hyperedge(self, head: Iterable[int], tail: Iterable[int]) -> int:
         """Append an edge joining existing nodes; head and tail order is kept."""
@@ -136,26 +141,29 @@ class Hypergraph(Freezable):
             self._check_node(node, "head hypernode")
         for node in tail:
             self._check_node(node, "tail hypernode")
-        return self._append_edge(head, tail)
+        return self._append_edges((head,), (tail,))
 
-    def _append_edge(self, head: list[int], tail: list[int]) -> int:
-        """Store an edge whose slots are already checked; the only code that
-        appends to the edge list and files edge ids in the per-node indexes.
+    def _append_edges(self, heads: Sequence[list[int]], tails: Sequence[list[int]]) -> int:
+        """Store edges whose slots are already checked, one per head and
+        tail pair; returns the first new id.  The only code that appends to
+        the edge list and files edge ids in the per-node indexes.
 
         Edges arrive in id order, so each forward star keeps, for every tail
         node, the lowest-id edge that reaches it, and its keys in the order a
         scan of the node's edges by id, each tail by position, first meets
         them.  The stars hold only ints, so the cyclic collector skips them.
         """
-        edge_id = len(self.edges)
-        self.edges.append(HyperEdge(head, tail))
-        for node in head:
-            forward = self._forward[node]
-            for tail_node in tail:
-                forward.setdefault(tail_node, edge_id)
-        for node in {*head, *tail}:
-            self._incidence[node].append(edge_id)
-        return edge_id
+        forward, incidence = self._forward, self._incidence
+        start = len(self.edges)
+        self.edges.extend(map(HyperEdge, heads, tails))
+        for edge_id, (head, tail) in enumerate(zip(heads, tails), start):
+            for node in head:
+                star = forward[node]
+                for tail_node in tail:
+                    star.setdefault(tail_node, edge_id)
+            for node in {*head, *tail}:
+                incidence[node].append(edge_id)
+        return start
 
     def incidence_of(self, node: int) -> list[int]:
         """Ids of the edges ``node`` sits in, each once, in ascending order."""

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
 from .hypergraph import Hypergraph, _check_id
@@ -84,20 +85,28 @@ def map_statement(statement: Statement, hg2: HG2) -> int:
     tail positions 0 and 1.  The statement's terms become the payloads as
     they are, interned through the hypergraph's own index, so a repeated
     term reuses its hypernode; repeated statements are dropped by
-    :func:`integrate` before they get here.  :func:`integrate` maps each
-    instance statement through the same body.
+    :func:`integrate` before they get here.  :func:`integrate` maps all of
+    its instance statements through the same body.
     """
     hg2.h._check_mutable()
-    return _map_instance(hg2.h, statement)
+    return _map_instances(hg2.h, (statement,))
 
 
-def _map_instance(h: Hypergraph, statement: Statement) -> int:
-    """:func:`map_statement` on a mutable hypergraph.  Every id comes from
-    ``h``'s own index or append, so none needs a range check."""
-    subject = h._intern(statement.subject)
-    predicate = h._intern(statement.predicate)
-    objekt = h._intern(statement.object)
-    return h._append_edge([predicate], [subject, objekt])
+def _map_instances(h: Hypergraph, statements: Sequence[Statement]) -> int:
+    """:func:`map_statement` for each statement in turn, on a mutable
+    hypergraph, as one append of the new terms and one of the edges; returns
+    the first edge id.  The new terms are appended in the order a
+    statement-by-statement interning would meet them (subject, predicate,
+    object), and every id comes from ``h``'s own index, so none needs a
+    range check."""
+    index = h._index
+    h._append_nodes([
+        term for term in dict.fromkeys(chain.from_iterable(statements)) if term not in index
+    ])
+    return h._append_edges(
+        [[index[predicate]] for _, predicate, _ in statements],
+        [[index[subject], index[objekt]] for subject, _, objekt in statements],
+    )
 
 
 #: The term kinds that may not sit in a head slot, with the violation each gives.
@@ -198,9 +207,11 @@ def validate_mapping(hg2: HG2) -> list[Violation]:
 
     A literal node may never sit in a head slot or in tail position 0, a
     blank node may never sit in a head slot, every statement-shaped hyperedge
-    has exactly one head and two tails, a term payload must carry the field
-    its kind requires, and a literal payload may not carry both a language
-    tag and a datatype.  Structures built purely through map_statement
+    has exactly one head and two tails, a term payload's kind must be a
+    :class:`PayloadKind` (a term of any other kind is reported once and
+    passes the slot rules), a term payload must carry the field its kind
+    requires, and a literal payload may not carry both a language tag and a
+    datatype.  Structures built purely through map_statement
     satisfy all of these, and :func:`statement_of` reads the same rules.
     """
     return _placement_violations(hg2, range(hg2.h.node_count), range(hg2.h.edge_count))
@@ -214,6 +225,12 @@ def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[
     for node_id in node_ids:
         payload = nodes[node_id]
         if not isinstance(payload, NodePayload):
+            continue
+        if not isinstance(payload.kind, PayloadKind):
+            violations.append(Violation(
+                "UnknownPayloadKind", f"hypernode {node_id} has unknown kind {payload.kind!r}",
+                node=node_id,
+            ))
             continue
         required = _REQUIRED_FIELD[payload.kind]
         if getattr(payload, required) is None:
@@ -230,7 +247,9 @@ def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[
 
     def kind_of(node: int) -> PayloadKind | None:
         payload = nodes[node]
-        return payload.kind if isinstance(payload, NodePayload) else None
+        if isinstance(payload, NodePayload) and isinstance(payload.kind, PayloadKind):
+            return payload.kind
+        return None
 
     for edge_id in edge_ids:
         edge = edges[edge_id]
@@ -392,20 +411,24 @@ def integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
     (their findings land in the report as warnings).  An RDF graph is a set
     of triples, so a repeated statement is mapped once; first-seen order is
     kept, which makes the result deterministic for a given input.  Mapping
-    is one pass over the distinct statements through the bodies of
-    :func:`map_statement` and :func:`map_schema_statement`: each term is
-    interned through its layer's own index and the edge appended, and the
-    ids that came from that interning are not range-checked again.  The
-    result is frozen and safe to query concurrently.
+    is one pass over the distinct statements: each schema statement goes
+    through the body of :func:`map_schema_statement`, and the instance
+    statements go together through the body of :func:`map_statement`, as
+    one append of their new terms and one of their hyperedges.  Each term is
+    interned through its layer's own index, and the ids that came from that
+    interning are not range-checked again.  The result is frozen and safe
+    to query concurrently.
     """
     hg2 = HG2(g=load_builtin_vocabulary())
     report = IntegrationReport(statements_in=len(statements))
+    instances: list[Statement] = []
     for statement in dict.fromkeys(statements):
         if route_statement(statement) is Layer.SCHEMA:
             if _map_schema(hg2.g, statement):
                 report.schema_edges_created += 1
         else:
-            _map_instance(hg2.h, statement)
+            instances.append(statement)
+    _map_instances(hg2.h, instances)
     report.hyperedges_created = hg2.h.edge_count
     generate_connectors(hg2)
     report.connectors_v = len(hg2._connectors_v)

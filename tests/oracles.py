@@ -24,7 +24,9 @@ from hg2rdf import (
     ConstraintWarning,
     EdgeConnector,
     EdgeKind,
+    EmptySlotError,
     ErrorCode,
+    HyperEdge,
     Hypergraph,
     IntegrationReport,
     Layer,
@@ -619,6 +621,52 @@ def naive_check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
     return warnings
 
 
+# The hypergraph writers as they were before whole sections were appended in
+# one call: one node, or one edge, per call, with the node list, the edge list
+# and the per-node indexes filled as each arrives.  ``oracle_add_node`` and
+# ``oracle_add_hyperedge`` are the checked mutators that ended in them.
+
+def oracle_append_node(h: Hypergraph, payload: Any) -> int:
+    node_id = len(h.nodes)
+    h.nodes.append(payload)
+    h._incidence.append([])
+    h._forward.append({})
+    try:
+        h._index.setdefault(payload, node_id)
+    except TypeError:
+        pass  # unhashable payloads stay unindexed
+    return node_id
+
+
+def oracle_append_edge(h: Hypergraph, head: list[int], tail: list[int]) -> int:
+    edge_id = len(h.edges)
+    h.edges.append(HyperEdge(head, tail))
+    for node in head:
+        forward = h._forward[node]
+        for tail_node in tail:
+            forward.setdefault(tail_node, edge_id)
+    for node in {*head, *tail}:
+        h._incidence[node].append(edge_id)
+    return edge_id
+
+
+def oracle_add_node(h: Hypergraph, payload: Any) -> int:
+    existing = h.find(payload)
+    return oracle_append_node(h, payload) if existing is None else existing
+
+
+def oracle_add_hyperedge(h: Hypergraph, head: list[int], tail: list[int]) -> int:
+    head = list(head)
+    tail = list(tail)
+    if not head or not tail:
+        raise EmptySlotError("head and tail must each name at least one node")
+    for node in head:
+        h._check_node(node, "head hypernode")
+    for node in tail:
+        h._check_node(node, "tail hypernode")
+    return oracle_append_edge(h, head, tail)
+
+
 # The write path as it was before each statement was mapped in one pass:
 # the parser makes a fresh term per occurrence, integrate maps through the
 # checked public mutators, and check_domain_range resolves the predicate of
@@ -654,8 +702,8 @@ def oracle_parse_document(text: str | bytes) -> tuple[list[Statement], list[Pars
 
 def oracle_integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
     """integrate with each distinct statement mapped through the checked
-    mutators: ``add_node`` per term and ``add_hyperedge``, or ``intern`` per
-    endpoint and ``add_edge``."""
+    mutators: ``add_node`` per term and ``add_hyperedge`` (their old bodies,
+    one node or edge per call), or ``intern`` per endpoint and ``add_edge``."""
     hg2 = HG2(g=load_builtin_vocabulary())
     report = IntegrationReport(statements_in=len(statements))
     for statement in dict.fromkeys(statements):
@@ -666,10 +714,10 @@ def oracle_integrate(statements: list[Statement]) -> tuple[HG2, IntegrationRepor
             if hg2.g.add_edge(src, dst, kind):
                 report.schema_edges_created += 1
         else:
-            subject = hg2.h.add_node(statement.subject)
-            predicate = hg2.h.add_node(statement.predicate)
-            objekt = hg2.h.add_node(statement.object)
-            hg2.h.add_hyperedge([predicate], [subject, objekt])
+            subject = oracle_add_node(hg2.h, statement.subject)
+            predicate = oracle_add_node(hg2.h, statement.predicate)
+            objekt = oracle_add_node(hg2.h, statement.object)
+            oracle_add_hyperedge(hg2.h, [predicate], [subject, objekt])
     report.hyperedges_created = hg2.h.edge_count
     generate_connectors(hg2)
     report.connectors_v = len(hg2._connectors_v)
@@ -805,7 +853,7 @@ def random_structure(rng: random.Random) -> HG2:
             payload = NodePayload.literal(f"v{i}", datatype_iri="http://example.org/dt")
         else:
             payload = f"opaque-{i}"
-        hg2.h._append_node(payload)
+        hg2.h._append_nodes((payload,))
     edge_count = rng.randrange(0, 8) if node_count else 0
     for _ in range(edge_count):
         head = [rng.randrange(node_count) for _ in range(rng.randrange(1, 3))]
@@ -1119,7 +1167,7 @@ def oracle_deserialize(text: str) -> HG2:
     repeats: list[tuple[int, int]] = []
     for node_id, record in enumerate(node_records):
         payload = _payload_from_json(record)
-        hg2.h._append_node(payload)
+        oracle_append_node(hg2.h, payload)
         if isinstance(payload, NodePayload):
             if payload in first_node:
                 repeats.append((first_node[payload], node_id))
@@ -1137,7 +1185,7 @@ def oracle_deserialize(text: str) -> HG2:
         _require(isinstance(head, list) and isinstance(tail, list),
                  f"hyperedge {index} needs 'head' and 'tail' lists")
         try:
-            hg2.h.add_hyperedge(head, tail)
+            oracle_add_hyperedge(hg2.h, head, tail)
         except (LookupError, TypeError, ValueError) as exc:
             raise SchemaViolation(f"hyperedge {index} is malformed: {exc}") from exc
 

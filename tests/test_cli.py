@@ -451,6 +451,20 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_an_unknown_option_without_a_command_is_named(capsys):
+    assert main(["--bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("hg2rdf: error: unrecognized arguments: --bogus\n")
+    assert "required" not in err
+
+
+def test_a_missing_command_is_a_usage_error(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().err.endswith(
+        "hg2rdf: error: the following arguments are required: command\n"
+    )
+
+
 def test_parse_errors_go_to_stderr_with_positions(tmp_path, capsys):
     bad = tmp_path / "bad.nt"
     bad.write_text('<urn:s> <urn:p> "x" .\njunk line\n', encoding="utf-8")

@@ -54,7 +54,7 @@ def test_add_node_interns_by_payload():
     hg2 = HG2()
     a = hg2.h.add_node(NodePayload.uri("urn:x"))
     assert hg2.h.add_node(NodePayload.uri("urn:x")) == a
-    assert hg2.h._append_node(NodePayload.uri("urn:x")) == a + 1
+    assert hg2.h._append_nodes((NodePayload.uri("urn:x"),)) == a + 1
     assert hg2.h.find(NodePayload.uri("urn:x")) == a
     assert hg2.h.find(NodePayload.uri("urn:missing")) is None
 

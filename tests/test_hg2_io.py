@@ -70,7 +70,7 @@ def structures(draw) -> HG2:
         if isinstance(payload, NodePayload):
             hg2.h.add_node(payload)
         else:
-            hg2.h._append_node(payload)
+            hg2.h._append_nodes((payload,))
     if hg2.h.node_count:
         slot = st.lists(st.integers(0, hg2.h.node_count - 1), min_size=1, max_size=3)
         for head, tail in draw(st.lists(st.tuples(slot, slot), max_size=5)):
@@ -140,13 +140,11 @@ def test_both_readers_refuse_a_number_that_overflows_a_float(number):
 
 def test_both_readers_refuse_a_term_listed_as_two_hypernodes():
     hg2 = HG2()
-    for payload in ("opaque", NodePayload.uri("urn:a"), "opaque", NodePayload.uri("urn:b")):
-        hg2.h._append_node(payload)
+    hg2.h._append_nodes(("opaque", NodePayload.uri("urn:a"), "opaque", NodePayload.uri("urn:b")))
     hg2.h.add_hyperedge([1], [3])
     assert outcome(deserialize, serialize(hg2)) == outcome(oracle_deserialize, serialize(hg2))
     assert isinstance(outcome(deserialize, serialize(hg2)), HG2)  # opaque repeats load
-    hg2.h._append_node(NodePayload.uri("urn:b"))
-    hg2.h._append_node(NodePayload.uri("urn:a"))
+    hg2.h._append_nodes((NodePayload.uri("urn:b"), NodePayload.uri("urn:a")))
     refused = (SchemaViolation, "hypernodes 3 and 4 carry the same term")
     assert outcome(deserialize, serialize(hg2)) == refused
     assert outcome(oracle_deserialize, serialize(hg2)) == refused

@@ -197,6 +197,28 @@ def test_statement_of_inverts_map_statement():
     assert statement_of(hg2, hg2.h.edge_count - 1) is None
 
 
+def test_a_term_of_unknown_kind_is_one_violation_and_passes_the_slot_rules():
+    hg2 = HG2()
+    odd = hg2.h.add_node(NodePayload("literal", lexical_form="x"))  # a str, not a PayloadKind
+    p = hg2.h.add_node(iri("urn:p"))
+    o = hg2.h.add_node(iri("urn:o"))
+    hg2.h.add_hyperedge([odd], [odd, o])  # head and subject slots
+    hg2.h.add_hyperedge([p], [p, o])
+    assert validate_mapping(hg2) == [
+        Violation("UnknownPayloadKind", "hypernode 0 has unknown kind 'literal'", node=odd)
+    ]
+    assert statement_of(hg2, 0) is None
+    assert statement_of(hg2, 1) == Statement(iri("urn:p"), iri("urn:p"), iri("urn:o"))
+
+
+def test_integrate_reports_a_term_of_unknown_kind():
+    statement = Statement(NodePayload("uri", iri="urn:x"), iri("urn:p"), iri("urn:o"))
+    hg2, report = integrate([statement])
+    assert report.warnings == ["UnknownPayloadKind: hypernode 0 has unknown kind 'uri'"]
+    assert statement_of(hg2, 0) is None
+    assert check_domain_range(hg2) == []
+
+
 def test_statement_of_recovers_every_parsed_statement_of_the_acceptance_corpus():
     edges = 0
     for document in fuzz_corpus():

@@ -120,8 +120,7 @@ _payloads = st.booleans().flatmap(lambda iri: iri_terms if iri else _other_paylo
 @st.composite
 def placement_structures(draw) -> HG2:
     hg2 = HG2()
-    for payload in draw(st.lists(_payloads, min_size=1, max_size=6)):
-        hg2.h._append_node(payload)
+    hg2.h._append_nodes(draw(st.lists(_payloads, min_size=1, max_size=6)))
     node = st.integers(0, hg2.h.node_count - 1)
     slot = st.lists(node, min_size=1, max_size=3)
     shaped = st.tuples(st.lists(node, min_size=1, max_size=1), st.lists(node, min_size=2, max_size=2))

@@ -1,0 +1,158 @@
+"""The section writers of ``Hypergraph`` against the one-at-a-time writers
+they replaced.
+
+``_append_nodes`` and ``_append_edges`` take whole sections; the oracles
+``oracle_append_node`` and ``oracle_append_edge`` take one node or edge per
+call.  Both must leave the same nodes, edges and derived indexes: the
+payload index, the incidence lists and each forward star's items in order,
+none of which ``HG2.__eq__`` compares.  ``integrate`` and ``deserialize``
+are checked against ``oracle_integrate`` and ``oracle_deserialize`` (which
+write through the oracles) on hypothesis inputs and the seed-1 corpora in
+``test_write_path.py`` and ``test_hg2_io.py``; here ``map_statement`` meets
+the one-at-a-time oracles, and the column-at-a-time decoding of the
+hypernodes section meets the documents its per-record fallback has to
+catch.
+"""
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hg2rdf import (
+    HG2,
+    NodePayload,
+    SchemaViolation,
+    Statement,
+    UnknownKind,
+    deserialize,
+    map_statement,
+    serialize,
+)
+from oracles import (
+    assert_same_indexes,
+    oracle_add_hyperedge,
+    oracle_add_node,
+    oracle_append_edge,
+    oracle_append_node,
+    oracle_deserialize,
+)
+from test_hg2_io import assert_same_outcome, outcome
+
+# Few distinct values, so payloads repeat; lists are unhashable and never indexed.
+section_payloads = st.one_of(
+    st.builds(NodePayload.uri, st.sampled_from("abc")),
+    st.builds(NodePayload.literal, st.sampled_from("xy")),
+    st.sampled_from(("opaque", 1, None)),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def sections(draw) -> tuple[list[list], list[list[tuple[list[int], list[int]]]]]:
+    """Node sections, then edge sections over the nodes they hold."""
+    node_sections = draw(st.lists(st.lists(section_payloads, max_size=5), min_size=1, max_size=3))
+    count = sum(map(len, node_sections))
+    if not count:
+        return node_sections, []
+    slot = st.lists(st.integers(0, count - 1), min_size=1, max_size=3)
+    return node_sections, draw(st.lists(st.lists(st.tuples(slot, slot), max_size=5), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sections())
+def test_section_writers_leave_what_one_at_a_time_writes_leave(drawn):
+    node_sections, edge_sections = drawn
+    new, old = HG2(), HG2()
+    for section in node_sections:
+        start = new.h.node_count
+        assert new.h._append_nodes(section) == start
+        for payload in section:
+            oracle_append_node(old.h, payload)
+    for section in edge_sections:
+        start = new.h.edge_count
+        heads, tails = [list(head) for head, _ in section], [list(tail) for _, tail in section]
+        assert new.h._append_edges(heads, tails) == start
+        for head, tail in section:
+            oracle_append_edge(old.h, list(head), list(tail))
+    assert new == old
+    assert_same_indexes(new, old)
+
+
+statements = st.builds(
+    Statement,
+    st.builds(NodePayload.uri, st.sampled_from("stu")) | st.builds(NodePayload.blank, st.sampled_from("b")),
+    st.builds(NodePayload.uri, st.sampled_from("pqs")),
+    st.builds(NodePayload.uri, st.sampled_from("ot")) | st.builds(NodePayload.literal, st.sampled_from("vs")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(statements, max_size=12))
+def test_map_statement_interns_as_the_one_at_a_time_writers_did(drawn):
+    one_at_a_time, old = HG2(), HG2()
+    for statement in drawn:
+        map_statement(statement, one_at_a_time)
+        subject = oracle_add_node(old.h, statement.subject)
+        predicate = oracle_add_node(old.h, statement.predicate)
+        objekt = oracle_add_node(old.h, statement.object)
+        oracle_add_hyperedge(old.h, [predicate], [subject, objekt])
+    assert one_at_a_time == old
+    assert_same_indexes(one_at_a_time, old)
+
+
+def three_terms() -> dict:
+    """A document whose hypernodes are three distinct terms."""
+    hg2 = HG2()
+    for payload in (NodePayload.uri("urn:a"), NodePayload.literal("v", language_tag="en"),
+                    NodePayload.literal("5", datatype_iri="urn:int")):
+        hg2.h.add_node(payload)
+    hg2.h.add_hyperedge([0], [0, 1])
+    return json.loads(serialize(hg2))
+
+
+def edited(*edits: tuple[int, dict]) -> str:
+    document = three_terms()
+    for index, fields in edits:
+        document["hypernodes"][index].update(fields)
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize(("text", "refused"), [
+    # a non-string field in a middle record
+    (edited((1, {"iri": 5})), (SchemaViolation, "hypernode field 'iri' must be a string")),
+    (edited((1, {"lexical_form": ["v"]})),
+     (SchemaViolation, "hypernode field 'lexical_form' must be a string")),
+    (edited((1, {"datatype_iri": True})),
+     (SchemaViolation, "hypernode field 'datatype_iri' must be a string")),
+    # an unknown kind
+    (edited((1, {"kind": "iri"})), (UnknownKind, "unknown hypernode kind 'iri'")),
+    (edited((2, {"kind": 1})), (UnknownKind, "unknown hypernode kind 1")),
+    (edited((1, {"kind": None})), (UnknownKind, "unknown hypernode kind None")),
+    # an opaque payload in the middle of the section
+    (edited((1, {"kind": "opaque"})), (SchemaViolation, "opaque hypernode has no value")),
+    (edited((1, {"kind": "opaque", "value": 1}), (2, {"kind": "x"})),
+     (UnknownKind, "unknown hypernode kind 'x'")),
+    # a repeated term
+    (edited((2, {"kind": "uri", "iri": "urn:a", "lexical_form": None, "datatype_iri": None})),
+     (SchemaViolation, "hypernodes 0 and 2 carry the same term")),
+    # the first bad record raises, not the first bad column
+    (edited((1, {"blank_label": 7}), (2, {"kind": "x"})),
+     (SchemaViolation, "hypernode field 'blank_label' must be a string")),
+    (edited((1, {"kind": "x"}), (2, {"iri": 7})), (UnknownKind, "unknown hypernode kind 'x'")),
+])
+def test_a_hypernodes_section_that_fails_a_column_check_raises_as_the_oracle(text, refused):
+    assert outcome(deserialize, text) == refused
+    assert outcome(oracle_deserialize, text) == refused
+
+
+@pytest.mark.parametrize("text", [
+    edited((1, {"kind": "opaque", "value": [1, "v"]})),  # an opaque payload in the middle
+    edited((1, {"kind": "opaque", "value": "urn:a"}), (2, {"kind": "opaque", "value": "urn:a"})),
+    edited((1, {"iri": None, "blank_label": None})),  # a null field is an absent one
+])
+def test_odd_but_valid_hypernodes_sections_load_as_the_oracle_loads(text):
+    assert isinstance(outcome(deserialize, text), HG2)
+    assert_same_outcome(text)

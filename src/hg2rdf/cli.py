@@ -191,7 +191,7 @@ def _node_line(hg2: HG2, node_id: int) -> str:
     payload = hg2.h.nodes[node_id]
     try:
         return format_term(payload)
-    except (TypeError, ValueError, AttributeError):
+    except ValueError:  # an opaque payload, or a term that cannot be written
         return f"hypernode {node_id}"
 
 

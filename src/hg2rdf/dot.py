@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from typing import TextIO
 
 from .hg2 import HG2, _batches, _emit
-from .ntriples import NodePayload, format_term
+from .ntriples import format_term
 
 # Control characters other than newline, as the \uXXXX escapes format_term writes.
 _CONTROL_ESCAPES = {code: f"\\u{code:04X}" for code in range(0x20) if code != 0x0A}
@@ -27,12 +27,10 @@ def _escape(text: str) -> str:
 
 
 def _node_label(payload: object) -> str:
-    if isinstance(payload, NodePayload):
-        try:
-            return format_term(payload)
-        except ValueError:
-            pass
-    return str(payload)
+    try:
+        return format_term(payload)
+    except ValueError:  # an opaque payload, or a term that cannot be written
+        return str(payload)
 
 
 def _lines(hg2: HG2) -> Iterator[str]:

@@ -14,10 +14,11 @@ document with sections ``hypernodes``, ``hyperedges``, ``graph_nodes``,
 version ``hg2/1``).  Ids are dense and first-seen ordered, so output is
 deterministic for a given structure.
 
-Hypernode payloads serialize in two shapes: :class:`NodePayload` instances,
-the parser's RDF terms (kind ``uri``/``blank``/``literal``), write their
-fields, and the loader builds them back positionally; anything else is
-written as kind ``opaque`` with its JSON value, so payloads that are not
+Hypernode payloads serialize in two shapes, told apart by the parser's
+``_term_kind``: RDF terms (kind ``uri``/``blank``/``literal``) write their
+kind and their string fields, and the loader builds them back positionally;
+anything else but a :class:`NodePayload` of unknown kind (a ``ValueError``)
+is written as kind ``opaque`` with its JSON value, so payloads that are not
 JSON-representable (e.g. tuples) will not round-trip identically.  A
 non-finite float cannot be written (``NaN`` and ``Infinity`` are not JSON,
 so other platforms could not read the document), and ``deserialize``
@@ -50,7 +51,7 @@ from json.encoder import encode_basestring as _quote
 from typing import Any, TextIO
 
 from .hypergraph import Freezable, Hypergraph, _check_index
-from .ntriples import _SURROGATE_RE, NodePayload, PayloadKind
+from .ntriples import _SURROGATE_RE, NodePayload, PayloadKind, _term_kind
 from .schema import EdgeKind, GraphEdge, SchemaGraph
 
 FORMAT_VERSION = "hg2/1"
@@ -232,7 +233,7 @@ def validate_layering(hg2: HG2) -> list[Violation]:
     return violations
 
 
-_PAYLOAD_FIELDS = ("iri", "blank_label", "lexical_form", "language_tag", "datatype_iri")
+_PAYLOAD_FIELDS = NodePayload._fields[1:]
 
 # serialize writes what ``json.dumps(document, indent=2, ensure_ascii=False)``
 # would, one record at a time: record fields sit six spaces deep, and
@@ -242,9 +243,7 @@ _NEXT_FIELD = "," + _FIELD
 
 
 def _json(value: Any) -> str:
-    """A record field's value as it appears in the document."""
-    if isinstance(value, str):
-        return _quote(value)
+    """An opaque payload's value as it appears in the document."""
     text = json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
     return text.replace("\n", _FIELD)
 
@@ -261,13 +260,16 @@ def _record(*fields: str) -> str:
 
 
 def _hypernode_record(node_id: int, payload: Any) -> str:
-    if not isinstance(payload, NodePayload):
+    kind = _term_kind(payload)
+    if kind is None:
+        if isinstance(payload, NodePayload):
+            raise ValueError(f"hypernode {node_id} has unknown kind {payload.kind!r}")
         return _record(f'"id": {node_id}', '"kind": "opaque"', f'"value": {_json(payload)}')
     return _record(
         f'"id": {node_id}',
-        f'"kind": {_json(payload.kind.value)}',
+        f'"kind": {_quote(kind.value)}',
         *(
-            f'"{name}": {_json(value)}'
+            f'"{name}": {_quote(value)}'
             for name in _PAYLOAD_FIELDS
             if (value := getattr(payload, name)) is not None
         ),
@@ -310,7 +312,7 @@ def _section(name: str, records: Iterator[str]) -> Iterator[str]:
 
 def _document(hg2: HG2) -> Iterator[str]:
     """The document's text in order, one chunk per batch of records."""
-    yield f'{{\n  "meta": {{\n    "format": {_json(FORMAT_VERSION)}\n  }}'
+    yield f'{{\n  "meta": {{\n    "format": {_quote(FORMAT_VERSION)}\n  }}'
     yield from _section("hypernodes", starmap(_hypernode_record, enumerate(hg2.h.nodes)))
     yield from _section("hyperedges", (
         _record(f'"id": {edge_id}', f'"head": {_id_list(edge.head)}',
@@ -318,11 +320,11 @@ def _document(hg2: HG2) -> Iterator[str]:
         for edge_id, edge in enumerate(hg2.h.edges)
     ))
     yield from _section("graph_nodes", (
-        _record(f'"id": {node_id}', f'"iri": {_json(iri)}')
+        _record(f'"id": {node_id}', f'"iri": {_quote(iri)}')
         for node_id, iri in enumerate(hg2.g.iris)
     ))
     yield from _section("graph_edges", (
-        _record(f'"from": {edge.src}', f'"to": {edge.dst}', f'"kind": {_json(edge.kind.value)}')
+        _record(f'"from": {edge.src}', f'"to": {edge.dst}', f'"kind": {_quote(edge.kind.value)}')
         for edge in hg2.g.edges
     ))
     for name, store in (("connectors_v", hg2._connectors_v), ("connectors_e", hg2._connectors_e)):
@@ -343,6 +345,7 @@ def serialize(hg2: HG2, out: TextIO | None = None) -> str | None:
     held at once, and ``None`` is returned; the bytes are the same.  A non-finite
     float anywhere in a payload is a ``ValueError``: ``NaN`` and
     ``Infinity`` are not JSON, and parsers other than Python's refuse them.
+    So is a term of unknown kind; a non-string term field is a ``TypeError``.
     With ``out``, the handle may then already hold part of the document.
     """
     return _emit(_document(hg2), out)

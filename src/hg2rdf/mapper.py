@@ -16,6 +16,9 @@ Connector generation then ties the layers together: every hyperedge anchors to
 rdf:Statement, role occurrences anchor to rdf:subject / rdf:predicate /
 rdf:object, datatyped literals to rdf:datatype, and typed instance nodes to
 their class node.
+
+Every reader of a hypernode here asks the parser's one rule, ``_term_kind``,
+whether the payload is a term and of which kind.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
 from .hypergraph import Hypergraph, _check_id
-from .ntriples import _REQUIRED_FIELD, NodePayload, PayloadKind, Statement
+from .ntriples import _REQUIRED_FIELD, NodePayload, PayloadKind, Statement, _term_kind
 from .schema import (
     RDF_DATATYPE,
     RDF_OBJECT,
@@ -128,7 +131,7 @@ def statement_of(hg2: HG2, edge_id: int) -> Statement | None:
     if _placement_violations(hg2, {*edge.head, *edge.tail}, (edge_id,)):
         return None
     payloads = [hg2.h.nodes[n] for n in (edge.tail[0], edge.head[0], edge.tail[1])]
-    if not all(isinstance(p, NodePayload) for p in payloads):
+    if None in map(_term_kind, payloads):
         return None
     return Statement(*payloads)
 
@@ -188,11 +191,10 @@ def generate_connectors(hg2: HG2) -> None:
             class_nodes.setdefault(graph_edge.src, []).append(graph_edge.dst)
 
     for node_id, payload in enumerate(hg2.h.nodes):
-        if not isinstance(payload, NodePayload):
-            continue
-        if payload.kind is PayloadKind.LITERAL and payload.datatype_iri is not None:
+        kind = _term_kind(payload)
+        if kind is PayloadKind.LITERAL and payload.datatype_iri is not None:
             offers[node_id, anchors[RDF_DATATYPE]] = None
-        elif payload.kind is PayloadKind.URI and payload.iri is not None:
+        elif kind is PayloadKind.URI and payload.iri is not None:
             graph_node = hg2.g.find(payload.iri)
             if graph_node is not None:
                 for class_node in class_nodes.get(graph_node, ()):
@@ -224,32 +226,26 @@ def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[
     violations: list[Violation] = []
     for node_id in node_ids:
         payload = nodes[node_id]
-        if not isinstance(payload, NodePayload):
+        kind = _term_kind(payload)
+        if kind is None:
+            if isinstance(payload, NodePayload):
+                violations.append(Violation(
+                    "UnknownPayloadKind", f"hypernode {node_id} has unknown kind {payload.kind!r}",
+                    node=node_id,
+                ))
             continue
-        if not isinstance(payload.kind, PayloadKind):
-            violations.append(Violation(
-                "UnknownPayloadKind", f"hypernode {node_id} has unknown kind {payload.kind!r}",
-                node=node_id,
-            ))
-            continue
-        required = _REQUIRED_FIELD[payload.kind]
+        required = _REQUIRED_FIELD[kind]
         if getattr(payload, required) is None:
             violations.append(Violation(
-                "IncompletePayload", f"{payload.kind.value} hypernode {node_id} has no {required}",
+                "IncompletePayload", f"{kind.value} hypernode {node_id} has no {required}",
                 node=node_id,
             ))
-        if (payload.kind is PayloadKind.LITERAL
+        if (kind is PayloadKind.LITERAL
                 and payload.language_tag is not None and payload.datatype_iri is not None):
             violations.append(Violation(
                 "LanguageTagOnTyped",
                 f"hypernode {node_id} carries both a language tag and a datatype", node=node_id,
             ))
-
-    def kind_of(node: int) -> PayloadKind | None:
-        payload = nodes[node]
-        if isinstance(payload, NodePayload) and isinstance(payload.kind, PayloadKind):
-            return payload.kind
-        return None
 
     for edge_id in edge_ids:
         edge = edges[edge_id]
@@ -261,14 +257,14 @@ def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[
                 edge=edge_id,
             ))
         for node in edge.head:
-            kind = kind_of(node)
+            kind = _term_kind(nodes[node])
             if kind in _HEAD_VIOLATIONS:
                 violations.append(Violation(
                     _HEAD_VIOLATIONS[kind],
                     f"{kind.value} hypernode {node} occupies a head slot of hyperedge {edge_id}",
                     node=node, edge=edge_id,
                 ))
-        if edge.tail and kind_of(edge.tail[0]) is PayloadKind.LITERAL:
+        if edge.tail and _term_kind(nodes[edge.tail[0]]) is PayloadKind.LITERAL:
             violations.append(Violation(
                 "LiteralAsSubject",
                 f"literal hypernode {edge.tail[0]} occupies tail position 0 of hyperedge {edge_id}",
@@ -292,6 +288,11 @@ class ConstraintWarning:
         )
 
 
+#: The constraints, in warning order: the warning each gives, the tail slot
+#: it constrains and the graph edge kind that declares it.
+_CONSTRAINTS = (("DomainUnsatisfied", 0, EdgeKind.DOMAIN), ("RangeUnsatisfied", 1, EdgeKind.RANGE))
+
+
 def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
     """Soft-check rdfs:domain / rdfs:range declarations against the instances.
 
@@ -299,82 +300,47 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
     constraint C, the subject must carry a typing connector to C or to a
     descendant of C; symmetrically for range and the object, except that a
     literal object satisfies any range whose subclass closure contains
-    rdfs:Literal.  Produces warnings, never rejections, in hyperedge order.
+    rdfs:Literal.  Produces warnings, never rejections, in hyperedge order,
+    a hyperedge's domain warning before its range warning.
 
     The cost is linear in hyperedges plus graph edges: each head node's
-    IRI and constraints are resolved once per call (through the index behind
-    ``SchemaGraph.constraint_of``) and kept in a local dict, anchors are
-    read in place from the per-hypernode anchor lists, and each constraint
-    class's subclass closure is computed once per call and kept in a local
-    dict.
+    checks, ``(warning kind, tail slot, predicate IRI, class IRI, closure)``
+    each, are resolved once per call through the index behind
+    ``SchemaGraph.constraint_of``, each constraint class's subclass closure
+    is computed once per call, and anchors are read in place from the
+    per-hypernode anchor lists.
     """
-    warnings: list[ConstraintWarning] = []
-    literal_class = hg2.g.find(RDFS_LITERAL)
+    nodes, graph, node_anchors = hg2.h.nodes, hg2.g, hg2._node_anchors
+    literal_class = graph.find(RDFS_LITERAL)
     closures: dict[int, set[int]] = {}
-
-    def closure_of(class_node: int) -> set[int]:
-        closure = closures.get(class_node)
-        if closure is None:
-            closure = closures[class_node] = hg2.g.subclass_closure(class_node)
-        return closure
-
-    node_anchors = hg2._node_anchors
-
-    def typed_within(node: int, class_node: int) -> bool:
-        return not closure_of(class_node).isdisjoint(node_anchors.get(node, ()))
-
-    def constraints_of(head: int) -> tuple[str, int | None, int | None] | None:
-        """The head's predicate IRI with its domain and range, or None when
-        the head is no IRI term or names no graph node."""
-        payload = hg2.h.nodes[head]
-        if (
-            not isinstance(payload, NodePayload)
-            or payload.kind is not PayloadKind.URI
-            or payload.iri is None  # reported by validate_mapping as IncompletePayload
-        ):
-            return None
-        predicate_node = hg2.g.find(payload.iri)
-        if predicate_node is None:
-            return None
-        return (
-            payload.iri,
-            hg2.g.constraint_of(predicate_node, EdgeKind.DOMAIN),
-            hg2.g.constraint_of(predicate_node, EdgeKind.RANGE),
-        )
-
-    resolved: dict[int, tuple[str, int | None, int | None] | None] = {}
+    checks_of: dict[int, list[tuple[str, int, str, str, set[int]]]] = {}
+    warnings: list[ConstraintWarning] = []
     for edge in hg2.h.edges:
         if len(edge.head) != 1 or len(edge.tail) != 2:
             continue
         head = edge.head[0]
-        if head in resolved:
-            constraints = resolved[head]
-        else:
-            constraints = resolved[head] = constraints_of(head)
-        if constraints is None:
-            continue
-        predicate_iri, domain, range_class = constraints
-
-        if domain is not None and not typed_within(edge.tail[0], domain):
-            warnings.append(
-                ConstraintWarning(
-                    "DomainUnsatisfied", edge.tail[0], predicate_iri, hg2.g.iri_of(domain)
-                )
-            )
-
-        if range_class is not None:
-            object_node = edge.tail[1]
-            object_payload = hg2.h.nodes[object_node]
-            if isinstance(object_payload, NodePayload) and object_payload.kind is PayloadKind.LITERAL:
-                satisfied = literal_class is not None and literal_class in closure_of(range_class)
+        checks = checks_of.get(head)
+        if checks is None:
+            checks = checks_of[head] = []
+            payload = nodes[head]
+            # An IRI term without its IRI is validate_mapping's IncompletePayload.
+            is_iri = _term_kind(payload) is PayloadKind.URI and payload.iri is not None
+            predicate = graph.find(payload.iri) if is_iri else None
+            for kind, slot, edge_kind in _CONSTRAINTS if predicate is not None else ():
+                class_node = graph.constraint_of(predicate, edge_kind)
+                if class_node is None:
+                    continue
+                if class_node not in closures:
+                    closures[class_node] = graph.subclass_closure(class_node)
+                checks.append((kind, slot, payload.iri, graph.iri_of(class_node), closures[class_node]))
+        for kind, slot, predicate_iri, class_iri, closure in checks:
+            node = edge.tail[slot]
+            if slot == 1 and _term_kind(nodes[node]) is PayloadKind.LITERAL:
+                satisfied = literal_class in closure
             else:
-                satisfied = typed_within(object_node, range_class)
+                satisfied = not closure.isdisjoint(node_anchors.get(node, ()))
             if not satisfied:
-                warnings.append(
-                    ConstraintWarning(
-                        "RangeUnsatisfied", object_node, predicate_iri, hg2.g.iri_of(range_class)
-                    )
-                )
+                warnings.append(ConstraintWarning(kind, node, predicate_iri, class_iri))
     return warnings
 
 

@@ -15,7 +15,10 @@ the named tuple ``(subject, predicate, object)``, and keeps no line number.
 Every term is a :class:`NodePayload`, the one RDF term type of the package,
 a named tuple of six fields: the hypergraph layer stores the parser's terms
 as hypernode payloads as they are, and :func:`format_term` renders them
-back.  :func:`parse_document` makes one term object per distinct IRI and per
+back.  Every reader of a hypernode asks one rule, ``_term_kind``, whether a
+payload is a term and of which kind: a :class:`NodePayload` whose kind is a
+:class:`PayloadKind` is a term of that kind, and nothing else is a term.
+:func:`parse_document` makes one term object per distinct IRI and per
 distinct blank label of the document, and every statement that names it
 holds that object, so the later set and index lookups of equal terms meet
 identical objects.  Terms are compared by value (RDF 1.1 term equality), so
@@ -177,6 +180,15 @@ class NodePayload(NamedTuple):
         return tuple.__new__(
             cls, (PayloadKind.LITERAL, None, None, lexical_form, language_tag, datatype_iri)
         )
+
+
+def _term_kind(payload: object) -> PayloadKind | None:
+    """The term kind of a hypernode payload: its kind for a
+    :class:`NodePayload` whose kind is a :class:`PayloadKind`, and ``None``
+    for anything else (an opaque payload, or a term of unknown kind)."""
+    if isinstance(payload, NodePayload) and isinstance(payload.kind, PayloadKind):
+        return payload.kind
+    return None
 
 
 class Statement(NamedTuple):
@@ -509,18 +521,19 @@ def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]
 def format_term(term: NodePayload) -> str:
     """Render a term in canonical N-Triples syntax (re-parseable).
 
-    Raises ValueError when the term's kind is not a :class:`PayloadKind`,
-    when the term lacks the field its kind requires (naming the field), or
-    when it is a literal with both a language tag and a datatype.
+    Raises ValueError when ``_term_kind`` finds no term kind, when the term
+    lacks the field its kind requires (naming the field), or when it is a
+    literal with both a language tag and a datatype.
     """
-    required = _REQUIRED_FIELD.get(term.kind)
-    if required is None:
-        raise ValueError(f"unknown term kind {term.kind!r}")
+    kind = _term_kind(term)
+    if kind is None:
+        raise ValueError(f"unknown term kind {getattr(term, 'kind', None)!r}")
+    required = _REQUIRED_FIELD[kind]
     if getattr(term, required) is None:
-        raise ValueError(f"{term.kind.value} term has no {required}")
-    if term.kind is PayloadKind.URI:
+        raise ValueError(f"{kind.value} term has no {required}")
+    if kind is PayloadKind.URI:
         return f"<{term.iri.translate(_IRI_ESCAPES)}>"
-    if term.kind is PayloadKind.BLANK:
+    if kind is PayloadKind.BLANK:
         return f"_:{term.blank_label}"
     text = f'"{term.lexical_form.translate(_LITERAL_ESCAPES)}"'
     if term.language_tag is not None:

@@ -22,6 +22,7 @@ import hg2rdf.mapper
 from hg2rdf import (
     HG2,
     NodePayload,
+    PayloadKind,
     SerializationError,
     deserialize,
     integrate,
@@ -157,6 +158,20 @@ def test_query_reachable(sample_file, capsys):
     main(["query", "--input", sample_file, "--reachable", "<http://purl.org/dc/elements/1.1/creator>"])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3  # subject and the two creator literals
+
+
+def test_query_names_a_node_it_cannot_write_by_its_id(tmp_path, capsys):
+    hg2 = HG2()
+    start = hg2.h.add_node(NodePayload.uri("urn:a"))
+    for payload in ("opaque", [1, 2], {"k": 1}, None, NodePayload(PayloadKind.URI),
+                    NodePayload.literal("x", "en")):
+        hg2.h.add_hyperedge([start], [hg2.h.add_node(payload)])
+    document = tmp_path / "doc.json"
+    document.write_text(serialize(hg2), encoding="utf-8")
+    assert main(["query", "--input", str(document), "--reachable", "urn:a"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"hypernode {node}" for node in range(1, 6)), '"x"@en'
+    ]
 
 
 def test_query_without_a_selector_is_a_usage_error(sample_file, capsys):

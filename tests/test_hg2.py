@@ -18,6 +18,7 @@ from hg2rdf import (
     PayloadKind,
     SchemaViolation,
     SerializationError,
+    Statement,
     UnknownHyperEdgeError,
     UnknownKind,
     UnknownNodeError,
@@ -27,6 +28,7 @@ from hg2rdf import (
     parse_document,
     serialize,
     validate_layering,
+    validate_mapping,
 )
 from oracles import random_structure
 
@@ -337,6 +339,30 @@ def test_serialize_refuses_a_non_finite_float(value):
         serialize(hg2)
     with pytest.raises(ValueError, match="not JSON compliant"):
         serialize(hg2, io.StringIO())
+
+
+def test_serialize_refuses_a_term_of_unknown_kind_with_the_violations_text():
+    odd = NodePayload("uri", iri="urn:x")  # a str, not a PayloadKind
+    hg2, _ = integrate([Statement(odd, NodePayload.uri("urn:p"), NodePayload.uri("urn:o"))])
+    message = "hypernode 0 has unknown kind 'uri'"
+    assert [violation.message for violation in validate_mapping(hg2)] == [message]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        serialize(hg2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        serialize(hg2, io.StringIO())
+
+
+@pytest.mark.parametrize("payload", [
+    NodePayload.uri(5),
+    NodePayload.blank(7),
+    NodePayload.literal("x", language_tag=["en"]),
+    NodePayload.literal("x", datatype_iri=b"urn:t"),
+])
+def test_serialize_refuses_a_term_field_that_is_not_a_string(payload):
+    hg2 = HG2()
+    hg2.h.add_node(payload)
+    with pytest.raises(TypeError):
+        serialize(hg2)
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

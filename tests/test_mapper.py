@@ -106,6 +106,9 @@ def test_format_term_rejects_incomplete_payloads():
             "a literal cannot carry both a language tag and a datatype",
         ),
         (NodePayload("uri", iri="urn:x"), "unknown term kind 'uri'"),
+        (NodePayload(7, iri="urn:x"), "unknown term kind 7"),
+        ("x", "unknown term kind None"),
+        (None, "unknown term kind None"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             format_term(payload)

@@ -4,11 +4,13 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hg2rdf import (
     EdgeConnector,
+    EdgeKind,
     Hypergraph,
     Layer,
     NodeConnector,
@@ -16,6 +18,7 @@ from hg2rdf import (
     ParseError,
     PayloadKind,
     Statement,
+    check_domain_range,
     deserialize,
     format_statement,
     generate_connectors,
@@ -28,10 +31,12 @@ from hg2rdf import (
     route_statement,
     serialize,
     statement_of,
+    to_dot,
     validate_mapping,
 )
 from hg2rdf import HG2
 from hg2rdf.mapper import SCHEMA_PREDICATES
+from hg2rdf.schema import RDFS_LITERAL
 from oracles import (
     DataclassConnectorStore,
     DataclassPayload,
@@ -39,9 +44,11 @@ from oracles import (
     head_list_search,
     matrix_closure,
     naive_anchors,
+    naive_check_domain_range,
     naive_generate_connectors,
     naive_instances,
     naive_reachable,
+    oracle_check_domain_range,
     oracle_statement_of,
     random_class_graph,
     random_document,
@@ -134,6 +141,65 @@ def placement_structures(draw) -> HG2:
 def test_statement_of_agrees_with_its_old_checks(hg2):
     for edge_id in range(-1, hg2.h.edge_count + 1):
         assert statement_of(hg2, edge_id) == oracle_statement_of(hg2, edge_id)
+
+
+# Every sort of hypernode payload, each drawn with whether its kind is
+# unknown: half are IRI terms over a few IRIs that the graph layer below
+# constrains and types, the rest other well-formed terms, incomplete and
+# tag-plus-datatype terms, opaque payloads, and, one in sixteen, a term
+# whose kind is no PayloadKind (one of them unhashable).
+_iris = st.sampled_from(["urn:p", "urn:q", "urn:x", "urn:A", "urn:B", RDFS_LITERAL])
+_other_known_payloads = st.one_of(
+    blank_terms,
+    st.builds(lambda text, dt: NodePayload.literal(text, datatype_iri=dt), st.text(max_size=4), _iris),
+    literal_terms,
+    _terms,
+    st.sampled_from(["opaque", 7, None, [1, "a"], {"k": 1.5}]),
+)
+_unknown_kind_terms = st.builds(
+    NodePayload, st.sampled_from(["uri", "literal", 7, ["blank"]]), _fields, _fields, _fields
+)
+_drawn_payloads = st.integers(0, 15).flatmap(lambda roll: st.tuples(
+    _iris.map(NodePayload.uri) if roll < 8 else _other_known_payloads if roll < 15
+    else _unknown_kind_terms,
+    st.just(roll == 15),
+))
+
+
+@st.composite
+def checked_structures(draw) -> tuple[HG2, bool]:
+    """A structure with connectors, and whether it holds a term of unknown kind."""
+    hg2 = HG2(g=load_builtin_vocabulary())
+    for source, kind, target in draw(st.lists(st.tuples(_iris, st.sampled_from(EdgeKind), _iris),
+                                              max_size=8)):
+        hg2.g.add_edge(hg2.g.intern(source), hg2.g.intern(target), kind)
+    drawn = draw(st.lists(_drawn_payloads, min_size=1, max_size=8))
+    for payload, _ in drawn:
+        hg2.h.add_node(payload)
+    node = st.integers(0, hg2.h.node_count - 1)
+    slot = st.lists(node, min_size=1, max_size=3)
+    shaped = st.tuples(st.lists(node, min_size=1, max_size=1), st.lists(node, min_size=2, max_size=2))
+    for head, tail in draw(st.lists(st.one_of(shaped, st.tuples(slot, slot)), max_size=8)):
+        hg2.h.add_hyperedge(head, tail)
+    generate_connectors(hg2)
+    return hg2, any(unknown for _, unknown in drawn)
+
+
+@given(checked_structures())
+@settings(max_examples=300, deadline=None)
+def test_every_reader_of_a_hypernode_takes_every_payload(structure):
+    hg2, unknown_kind = structure
+    to_dot(hg2)
+    validate_mapping(hg2)
+    for edge_id in range(hg2.h.edge_count):
+        statement_of(hg2, edge_id)
+    assert check_domain_range(hg2) == naive_check_domain_range(hg2) == oracle_check_domain_range(hg2)
+    if unknown_kind:
+        with pytest.raises(ValueError, match="^hypernode [0-9]+ has unknown kind "):
+            serialize(hg2)
+    else:
+        text = serialize(hg2)
+        assert serialize(deserialize(text)) == text
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 2)), max_size=40))

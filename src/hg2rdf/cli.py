@@ -35,9 +35,7 @@ from .traversal import instances_of, path_exists, reachable_from, statements_abo
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A usage or I/O failure: one ``error:`` line, and exit code 2."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -289,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except OSError as exc:
         # Reads and --output writes fail as CliError, so this is standard
         # output, help included.  Its descriptor goes to the null device, so

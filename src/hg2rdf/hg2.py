@@ -16,13 +16,15 @@ deterministic for a given structure.
 
 Hypernode payloads serialize in two shapes, told apart by the parser's
 ``_term_kind``: RDF terms (kind ``uri``/``blank``/``literal``) write their
-kind and their string fields, and the loader builds them back positionally;
-anything else but a :class:`NodePayload` of unknown kind (a ``ValueError``)
-is written as kind ``opaque`` with its JSON value, so payloads that are not
-JSON-representable (e.g. tuples) will not round-trip identically.  A
-non-finite float cannot be written (``NaN`` and ``Infinity`` are not JSON,
-so other platforms could not read the document), and ``deserialize``
-refuses those tokens and, through the parser's ``_SURROGATE_RE``, lone surrogates.
+kind and the string fields of that kind (the parser's ``_KIND_FIELDS``; a
+field of another kind is refused both ways, so that one term cannot load as
+two nodes), and the loader builds them back positionally; anything else but
+a :class:`NodePayload` of unknown kind (a ``ValueError``) is written as kind
+``opaque`` with its JSON value, so payloads that are not JSON-representable
+(e.g. tuples) will not round-trip identically.  A non-finite float cannot be
+written (``NaN`` and ``Infinity`` are not JSON, so other platforms could not
+read the document), and ``deserialize`` refuses those tokens and, through
+the parser's ``_SURROGATE_RE``, lone surrogates.
 
 ``serialize`` writes each record from a fixed template, with the string
 escaper of :mod:`json`, and gives the bytes ``json.dumps(..., indent=2)``
@@ -51,7 +53,7 @@ from json.encoder import encode_basestring as _quote
 from typing import Any, TextIO
 
 from .hypergraph import Freezable, Hypergraph, _check_index
-from .ntriples import _SURROGATE_RE, NodePayload, PayloadKind, _term_kind
+from .ntriples import _KIND_FIELDS, _SURROGATE_RE, NodePayload, PayloadKind, _term_kind
 from .schema import EdgeKind, GraphEdge, SchemaGraph
 
 FORMAT_VERSION = "hg2/1"
@@ -265,12 +267,16 @@ def _hypernode_record(node_id: int, payload: Any) -> str:
         if isinstance(payload, NodePayload):
             raise ValueError(f"hypernode {node_id} has unknown kind {payload.kind!r}")
         return _record(f'"id": {node_id}', '"kind": "opaque"', f'"value": {_json(payload)}')
+    fields = _KIND_FIELDS[kind]
+    for name in _PAYLOAD_FIELDS:
+        if name not in fields and getattr(payload, name) is not None:
+            raise ValueError(f"{kind.value} hypernode {node_id} cannot carry '{name}'")
     return _record(
         f'"id": {node_id}',
         f'"kind": {_quote(kind.value)}',
         *(
             f'"{name}": {_quote(value)}'
-            for name in _PAYLOAD_FIELDS
+            for name in fields
             if (value := getattr(payload, name)) is not None
         ),
     )
@@ -345,7 +351,8 @@ def serialize(hg2: HG2, out: TextIO | None = None) -> str | None:
     held at once, and ``None`` is returned; the bytes are the same.  A non-finite
     float anywhere in a payload is a ``ValueError``: ``NaN`` and
     ``Infinity`` are not JSON, and parsers other than Python's refuse them.
-    So is a term of unknown kind; a non-string term field is a ``TypeError``.
+    So is a term of unknown kind, or with a field its kind does not carry; a
+    non-string term field is a ``TypeError``.
     With ``out``, the handle may then already hold part of the document.
     """
     return _emit(_document(hg2), out)
@@ -431,21 +438,29 @@ def _payload_from_json(record: dict[str, Any]) -> Any:
     for name, value in zip(_PAYLOAD_FIELDS, fields):
         if value is not None:
             _require(isinstance(value, str), f"hypernode field '{name}' must be a string")
+            _require(name in _KIND_FIELDS[payload_kind], f"{kind} hypernode cannot carry '{name}'")
     return tuple.__new__(NodePayload, (payload_kind, *fields))
+
+
+# Per field, the (kind, value type) pairs a hypernode record may hold: any
+# kind may leave the field out, and a kind that carries it may hold a string.
+_FIELD_TYPES = {name: {(kind.value, type(None)) for kind in PayloadKind}
+                | {(kind.value, str) for kind, fields in _KIND_FIELDS.items() if name in fields}
+                for name in _PAYLOAD_FIELDS}
 
 
 def _payloads_from_json(records: list[dict[str, Any]]) -> list[Any]:
     """The payloads of a hypernodes section, decoded one column at a time
     while every column passes its check: each kind a term kind, each field
-    a string or absent.  From the first column that fails, every record goes
-    through :func:`_payload_from_json`, so the first bad record raises as it
-    does there."""
+    absent or a string its kind carries.  From the first column that fails,
+    every record goes through :func:`_payload_from_json`, so the first bad
+    record raises as it does there."""
     kinds = [record.get("kind") for record in records]
     if set(map(type, kinds)) <= {str} and set(kinds) <= _PAYLOAD_KINDS.keys():
         columns = [list(map(_PAYLOAD_KINDS.__getitem__, kinds))]
         for name in _PAYLOAD_FIELDS:
             column = [record.get(name) for record in records]
-            if not set(map(type, column)) <= {str, type(None)}:
+            if not set(zip(kinds, map(type, column))) <= _FIELD_TYPES[name]:
                 break
             columns.append(column)
         else:
@@ -549,17 +564,17 @@ def deserialize(text: str) -> HG2:
 
     Raises :class:`SchemaViolation` for structural problems (JSON nested
     past the parser's depth limit included) and :class:`UnknownKind` when a
-    kind discriminator is out of vocabulary.  A non-int id, a repeated RDF
-    term among the hypernodes (opaque payloads may repeat), a repeated graph
-    node IRI, graph edge or connector, a ``NaN``, ``Infinity`` or
-    ``-Infinity`` token (not JSON), a number that overflows a float (it
-    would load as infinity, which ``serialize`` cannot write), and a string
-    holding a lone surrogate (a ``\\uD800``..``\\uDFFF`` escape that is not
-    half of a pair, which cannot be written as UTF-8) are each a
-    :class:`SchemaViolation` too.  Sections load in document order, each
-    checked whole before it is stored.  The text is not referenced once it
-    is parsed, so a caller that hands over its only reference does not keep
-    it alive while the records load.
+    kind discriminator is out of vocabulary.  A non-int id, a term field
+    foreign to its kind, a repeated RDF term among the hypernodes (opaque
+    payloads may repeat), a repeated graph node IRI, graph edge or
+    connector, a ``NaN``, ``Infinity`` or ``-Infinity`` token (not JSON), a
+    number that overflows a float (it would load as infinity, which
+    ``serialize`` cannot write), and a string holding a lone surrogate (a
+    ``\\uD800``..``\\uDFFF`` escape that is not half of a pair, which cannot
+    be written as UTF-8) are each a :class:`SchemaViolation` too.  Sections
+    load in document order, each checked whole before it is stored.  The
+    text is not referenced once it is parsed, so a caller that hands over
+    its only reference does not keep it alive while the records load.
     """
     try:
         document = json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant)

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
 from .hypergraph import Hypergraph, _check_id
-from .ntriples import _REQUIRED_FIELD, NodePayload, PayloadKind, Statement, _term_kind
+from .ntriples import _KIND_FIELDS, NodePayload, PayloadKind, Statement, _term_kind
 from .schema import (
     RDF_DATATYPE,
     RDF_OBJECT,
@@ -234,7 +234,7 @@ def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[
                     node=node_id,
                 ))
             continue
-        required = _REQUIRED_FIELD[kind]
+        required = _KIND_FIELDS[kind][0]
         if getattr(payload, required) is None:
             violations.append(Violation(
                 "IncompletePayload", f"{kind.value} hypernode {node_id} has no {required}",

@@ -4,13 +4,14 @@ The accepted grammar is the line-delimited subset
 
     subject ws predicate ws object ws? '.' ws?
 
-where a subject is ``<IRI>`` or ``_:label``, a predicate is ``<IRI>``, and an
-object is ``<IRI>``, ``_:label``, or a quoted literal with an optional
-``@lang`` or ``^^<IRI>`` suffix; ``ws`` is space, tab or CR.  Lines of ``ws``
-alone, or whose first other character is ``#``, are skipped.  A malformed
-line never aborts a document: it becomes a :class:`ParseError` value with
-its line number, and parsing goes on.  A parsed line is a :class:`Statement`,
-the named tuple ``(subject, predicate, object)``, and keeps no line number.
+where ``ws`` is space, tab or CR.  The statement grammar is the table
+``_SLOTS``: a subject is ``<IRI>`` or ``_:label``, a predicate ``<IRI>``, an
+object either or a quoted literal with an optional ``@lang`` or ``^^<IRI>``
+suffix, and any other start is the slot's own error.  Lines of ``ws`` alone,
+or whose first other character is ``#``, are skipped.  A malformed line never
+aborts a document: it becomes a :class:`ParseError` value with its line
+number, and parsing goes on.  A parsed line is a :class:`Statement`, the
+named tuple ``(subject, predicate, object)``, and keeps no line number.
 
 Every term is a :class:`NodePayload`, the one RDF term type of the package,
 a named tuple of six fields: the hypergraph layer stores the parser's terms
@@ -36,17 +37,18 @@ in a line is an ``InvalidEncoding`` error at its column.  The character
 classes and ``_SURROGATE_RE`` (which :mod:`hg2rdf.hg2` shares) are built
 from one surrogate range.
 
-Each line is parsed in one of two ways.  The fast path is one compiled
-regular expression, ``_LINE_RE``, matched against the whole line; it accepts
-well-formed lines whose IRIs hold no escape (literal escapes are matched as
-pairs and decoded by :func:`unescape_literal`), which is nearly every line of
-real data.  A line the expression does not match, or whose literal holds a
-bad escape, goes to the scanner ``_Scanner``, which accepts the full grammar
-above: it matches a term's content as one run of its character class (a
+Each line is parsed in one of two ways, both read from ``_SLOTS``.  The fast
+path is ``_LINE_RE``, joined from one pattern per term start over the slots
+and matched against the whole line; it accepts well-formed lines whose IRIs
+hold no escape (literal escapes are matched as pairs and decoded by
+:func:`unescape_literal`), which is nearly every line of real data.  A line
+the expression does not match, or whose literal holds a bad escape, goes to
+the scanner ``_Scanner``, which reads the full grammar above in one loop over
+the slots: it matches a term's content as one run of its character class (a
 backslash takes the next character with it), decodes the run, and only then
-looks at the character that ended it.  The scanner is the only code that
-builds a line's :class:`ParseError`, so error codes, messages and columns do
-not depend on which path a line took first.
+looks at the character that ended it.  The scanner alone builds a line's
+:class:`ParseError`, so error codes, messages and columns do not depend on
+which path a line took first.
 """
 from __future__ import annotations
 
@@ -91,19 +93,6 @@ _IRI_RUN_RE = re.compile(rf"(?:{_IRI_CHAR}|\\.?)*", re.DOTALL)
 _LITERAL_RUN_RE = re.compile(rf"(?:{_LITERAL_CHAR}|\\.?)*", re.DOTALL)
 _SPACE_RUN_RE = re.compile(f"{_SPACE}*")
 
-# The scanner's grammar minus escapes in IRIs and lone surrogates.  Labels
-# and tags are matched greedily by the scanner and are always followed here
-# by whitespace or '.', so backtracking cannot pick a different split.
-_IRI = rf"<({_IRI_CHAR}+)>"
-_LITERAL_RUN = f"{_LITERAL_CHAR}*"
-_LINE_RE = re.compile(
-    rf"{_SPACE}*(?:{_IRI}|_:({_BLANK_LABEL})){_SPACE}+"
-    rf"{_IRI}{_SPACE}+"
-    rf"(?:{_IRI}|_:({_BLANK_LABEL})"
-    rf'|"({_LITERAL_RUN}(?:\\.{_LITERAL_RUN})*)"(?:@({_LANG_TAG})|\^\^{_IRI})?)'
-    rf"{_SPACE}*\.{_SPACE}*"
-)
-
 
 class ErrorCode(Enum):
     """Stable identifiers for everything the parser can reject."""
@@ -119,6 +108,40 @@ class ErrorCode(Enum):
     INVALID_ENCODING = "InvalidEncoding"
 
 
+# The statement grammar, one row per slot: its name, the characters a term
+# there may start with ('<' an IRI, '_' a blank label, '"' a literal), and
+# the code and message the scanner halts with on any other start, keyed by
+# that character, "" for the end of the line and None for anything else.
+_NO_OBJECT = (ErrorCode.MISSING_OBJECT, "statement has no object term")
+_SLOTS = (
+    ("subject", "<_", {
+        '"': (ErrorCode.LITERAL_AS_SUBJECT, "a literal is not allowed as subject"),
+        None: (ErrorCode.UNEXPECTED_TOKEN, "expected a subject term"),
+    }),
+    ("predicate", "<", {
+        "_": (ErrorCode.BLANK_AS_PREDICATE, "a blank node is not allowed as predicate"),
+        None: (ErrorCode.UNEXPECTED_TOKEN, "expected an IRI predicate"),
+    }),
+    ("object", '<_"', {
+        ".": _NO_OBJECT, "": _NO_OBJECT,
+        None: (ErrorCode.UNEXPECTED_TOKEN, "expected an object term"),
+    }),
+)
+
+# The scanner's grammar minus escapes in IRIs and lone surrogates.  Labels
+# and tags are matched greedily by the scanner and are always followed here
+# by whitespace or '.', so backtracking cannot pick a different split.
+_IRI = rf"<({_IRI_CHAR}+)>"
+_LITERAL_RUN = f"{_LITERAL_CHAR}*"
+_TERM_PATTERNS = {"<": _IRI, "_": f"_:({_BLANK_LABEL})",
+                  '"': rf'"({_LITERAL_RUN}(?:\\.{_LITERAL_RUN})*)"(?:@({_LANG_TAG})|\^\^{_IRI})?'}
+_LINE_RE = re.compile(f"{_SPACE}*" + f"{_SPACE}+".join(
+    f"(?:{'|'.join(map(_TERM_PATTERNS.__getitem__, starts))})" if len(starts) > 1
+    else _TERM_PATTERNS[starts]
+    for _, starts, _ in _SLOTS
+) + rf"{_SPACE}*\.{_SPACE}*")
+
+
 class PayloadKind(Enum):
     URI = "uri"
     BLANK = "blank"
@@ -130,11 +153,11 @@ class PayloadKind(Enum):
     __hash__ = object.__hash__
 
 
-#: The payload field each term kind cannot do without.
-_REQUIRED_FIELD = {
-    PayloadKind.URI: "iri",
-    PayloadKind.BLANK: "blank_label",
-    PayloadKind.LITERAL: "lexical_form",
+#: The payload fields of each term kind, the one it cannot do without first.
+_KIND_FIELDS = {
+    PayloadKind.URI: ("iri",),
+    PayloadKind.BLANK: ("blank_label",),
+    PayloadKind.LITERAL: ("lexical_form", "language_tag", "datatype_iri"),
 }
 _TAG_AND_DATATYPE = "a literal cannot carry both a language tag and a datatype"
 
@@ -379,65 +402,29 @@ def _parse_line(line: str, terms: dict) -> Statement:
         raise _Halt(ErrorCode.INVALID_ENCODING, message, surrogate.start() + 1)
     scanner = _Scanner(line)
     scanner.skip_ws()
-
-    ch = scanner.peek()
-    if ch == "<":
-        subject = _uri(terms, scanner.scan_iri())
-    elif ch == "_":
-        subject = _blank(terms, scanner.scan_blank())
-    elif ch == '"':
-        raise _Halt(
-            ErrorCode.LITERAL_AS_SUBJECT,
-            "a literal is not allowed as subject",
-            scanner.pos + 1,
-        )
-    else:
-        raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "expected a subject term", scanner.pos + 1)
-    scanner.require_ws("subject")
-
-    ch = scanner.peek()
-    if ch == "<":
-        predicate = _uri(terms, scanner.scan_iri())
-    elif ch == "_":
-        raise _Halt(
-            ErrorCode.BLANK_AS_PREDICATE,
-            "a blank node is not allowed as predicate",
-            scanner.pos + 1,
-        )
-    else:
-        raise _Halt(
-            ErrorCode.UNEXPECTED_TOKEN, "expected an IRI predicate", scanner.pos + 1
-        )
-    scanner.require_ws("predicate")
-
-    ch = scanner.peek()
-    if ch == "<":
-        obj = _uri(terms, scanner.scan_iri())
-    elif ch == "_":
-        obj = _blank(terms, scanner.scan_blank())
-    elif ch == '"':
-        obj = scanner.scan_literal()
-    elif ch == "." or scanner.at_end():
-        raise _Halt(ErrorCode.MISSING_OBJECT, "statement has no object term", scanner.pos + 1)
-    else:
-        raise _Halt(ErrorCode.UNEXPECTED_TOKEN, "expected an object term", scanner.pos + 1)
-
+    read: list[NodePayload] = []
+    for name, starts, refusals in _SLOTS:
+        ch = scanner.peek()
+        if not ch or ch not in starts:
+            code, message = refusals.get(ch, refusals[None])
+            raise _Halt(code, message, scanner.pos + 1)
+        if ch == "<":
+            read.append(_uri(terms, scanner.scan_iri()))
+        elif ch == "_":
+            read.append(_blank(terms, scanner.scan_blank()))
+        else:
+            read.append(scanner.scan_literal())
+        if len(read) < len(_SLOTS):
+            scanner.require_ws(name)
     scanner.skip_ws()
     if scanner.peek() != ".":
-        raise _Halt(
-            ErrorCode.MISSING_TERMINAL_DOT,
-            "statement must end with '.'",
-            scanner.pos + 1,
-        )
+        raise _Halt(ErrorCode.MISSING_TERMINAL_DOT, "statement must end with '.'", scanner.pos + 1)
     scanner.pos += 1
     scanner.skip_ws()
     if not scanner.at_end():
-        raise _Halt(
-            ErrorCode.UNEXPECTED_TOKEN,
-            "unexpected text after terminating '.'",
-            scanner.pos + 1,
-        )
-    return tuple.__new__(Statement, (subject, predicate, obj))
+        message = "unexpected text after terminating '.'"
+        raise _Halt(ErrorCode.UNEXPECTED_TOKEN, message, scanner.pos + 1)
+    return tuple.__new__(Statement, read)
 
 
 def _match_line(match: re.Match[str], terms: dict) -> Statement:
@@ -528,7 +515,7 @@ def format_term(term: NodePayload) -> str:
     kind = _term_kind(term)
     if kind is None:
         raise ValueError(f"unknown term kind {getattr(term, 'kind', None)!r}")
-    required = _REQUIRED_FIELD[kind]
+    required = _KIND_FIELDS[kind][0]
     if getattr(term, required) is None:
         raise ValueError(f"{kind.value} term has no {required}")
     if kind is PayloadKind.URI:

@@ -38,6 +38,19 @@ CONSTRAINT_TYPING = (
 )
 CONSTRAINT_DATA = '<http://example.org/d> <http://example.org/creator> "X" .\n'
 
+# A hand-edited hg2/1 document: two statements about urn:a, whose second
+# subject is urn:a again with a literal's field added.  Loaded, the two
+# nodes would be one term printed twice, and a lookup of urn:a would find
+# only the first.
+FOREIGN_FIELD_DOCUMENT = (
+    '{"meta": {"format": "hg2/1"}, "hypernodes": ['
+    '{"id": 0, "kind": "uri", "iri": "urn:a"}, {"id": 1, "kind": "uri", "iri": "urn:p"}, '
+    '{"id": 2, "kind": "uri", "iri": "urn:a", "lexical_form": "x"}, '
+    '{"id": 3, "kind": "uri", "iri": "urn:o"}], '
+    '"hyperedges": [{"id": 0, "head": [1], "tail": [0, 0]}, {"id": 1, "head": [1], "tail": [2, 3]}], '
+    '"graph_nodes": [], "graph_edges": [], "connectors_v": [], "connectors_e": []}'
+)
+
 
 def build_demo_structure() -> tuple[HG2, dict[int, int], dict[str, int]]:
     """Hand-built seven-node example: four hyperedges over nodes 1..7, six

@@ -38,7 +38,6 @@ from hg2rdf import (
     SchemaViolation,
     Statement,
     UnknownKind,
-    format_statement,
     generate_connectors,
     load_builtin_vocabulary,
     parse_line,
@@ -824,17 +823,6 @@ def random_document(rng: random.Random, max_statements: int = 18) -> list[Statem
     return [random_statement(rng) for _ in range(rng.randrange(0, max_statements))]
 
 
-def random_document_text(rng: random.Random) -> str:
-    lines: list[str] = []
-    for statement in random_document(rng):
-        if rng.random() < 0.1:
-            lines.append("# interleaved comment")
-        if rng.random() < 0.05:
-            lines.append("")
-        lines.append(format_statement(statement))
-    return "".join(line + "\n" for line in lines)
-
-
 def random_structure(rng: random.Random) -> HG2:
     """An arbitrary valid two-layer structure (not necessarily mapper-shaped)."""
     hg2 = HG2()
@@ -1025,9 +1013,14 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
 # speed: the writer builds the whole document and hands it to json.dumps, and
 # the reader adds every record through the checked public mutators.  The only
 # changes are that both refuse non-finite floats, and the reader refuses an
-# RDF term listed as two hypernodes.
+# RDF term listed as two hypernodes and a term field foreign to its kind.
 
 _PAYLOAD_FIELDS = ("iri", "blank_label", "lexical_form", "language_tag", "datatype_iri")
+_FIELDS_OF_KIND = {
+    "uri": ("iri",),
+    "blank": ("blank_label",),
+    "literal": ("lexical_form", "language_tag", "datatype_iri"),
+}
 
 
 def _payload_to_json(node_id: int, payload: Any) -> dict[str, Any]:
@@ -1141,6 +1134,7 @@ def _payload_from_json(record: dict[str, Any]) -> Any:
         value = record.get(name)
         if value is not None:
             _require(isinstance(value, str), f"hypernode field '{name}' must be a string")
+            _require(name in _FIELDS_OF_KIND[kind], f"{kind} hypernode cannot carry '{name}'")
         fields[name] = value
     return NodePayload(payload_kind, **fields)
 

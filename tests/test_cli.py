@@ -31,7 +31,13 @@ from hg2rdf import (
     validate_mapping,
 )
 from hg2rdf.cli import main
-from conftest import CONSTRAINT_DATA, CONSTRAINT_SCHEMA, CONSTRAINT_TYPING, W3C_SAMPLE
+from conftest import (
+    CONSTRAINT_DATA,
+    CONSTRAINT_SCHEMA,
+    CONSTRAINT_TYPING,
+    FOREIGN_FIELD_DOCUMENT,
+    W3C_SAMPLE,
+)
 from oracles import check_dot, random_structure
 
 
@@ -460,6 +466,18 @@ def test_stats_rejects_a_document_with_a_repeated_connector(sample_file, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "connectors_v entry 6 is a duplicate" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "--statements-about", "urn:a"], ["validate"], ["stats"],
+], ids=" ".join)
+def test_a_term_with_a_field_foreign_to_its_kind_is_an_input_error(argv, tmp_path, capsys):
+    doc = tmp_path / "foreign.json"
+    doc.write_text(FOREIGN_FIELD_DOCUMENT, encoding="utf-8")
+    assert main([*argv, "--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {doc}: uri hypernode cannot carry 'lexical_form'"]
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -352,6 +352,22 @@ def test_serialize_refuses_a_term_of_unknown_kind_with_the_violations_text():
         serialize(hg2, io.StringIO())
 
 
+@pytest.mark.parametrize("payload, name", [
+    (NodePayload(PayloadKind.URI, iri="urn:a", lexical_form="x"), "lexical_form"),
+    (NodePayload(PayloadKind.BLANK, iri="urn:a", blank_label="b"), "iri"),
+    (NodePayload(PayloadKind.LITERAL, blank_label="b", lexical_form="x"), "blank_label"),
+])
+def test_serialize_refuses_a_term_field_foreign_to_its_kind(payload, name):
+    hg2 = HG2()
+    hg2.h.add_node(NodePayload.uri("urn:a"))
+    hg2.h.add_node(payload)
+    message = f"{payload.kind.value} hypernode 1 cannot carry '{name}'"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        serialize(hg2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        serialize(hg2, io.StringIO())
+
+
 @pytest.mark.parametrize("payload", [
     NodePayload.uri(5),
     NodePayload.blank(7),

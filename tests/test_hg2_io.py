@@ -34,6 +34,7 @@ from hg2rdf import (
     statements_about,
     to_dot,
 )
+from conftest import FOREIGN_FIELD_DOCUMENT
 from oracles import (
     assert_same_indexes,
     oracle_deserialize,
@@ -148,6 +149,35 @@ def test_both_readers_refuse_a_term_listed_as_two_hypernodes():
     refused = (SchemaViolation, "hypernodes 3 and 4 carry the same term")
     assert outcome(deserialize, serialize(hg2)) == refused
     assert outcome(oracle_deserialize, serialize(hg2)) == refused
+
+
+def test_both_readers_refuse_a_term_field_foreign_to_its_kind():
+    refused = (SchemaViolation, "uri hypernode cannot carry 'lexical_form'")
+    assert outcome(deserialize, FOREIGN_FIELD_DOCUMENT) == refused
+    assert outcome(oracle_deserialize, FOREIGN_FIELD_DOCUMENT) == refused
+
+
+@pytest.mark.parametrize("term, name", [
+    (NodePayload.uri("urn:a"), "blank_label"),
+    (NodePayload.uri("urn:a"), "datatype_iri"),
+    (NodePayload.blank("b"), "iri"),
+    (NodePayload.blank("b"), "language_tag"),
+    (NodePayload.literal("x"), "iri"),
+    (NodePayload.literal("x", language_tag="en"), "blank_label"),
+])
+def test_each_kind_refuses_each_field_it_does_not_carry(term, name):
+    hg2 = HG2()
+    for index in range(3):
+        hg2.h.add_node(NodePayload.uri(f"urn:n{index}"))
+    hg2.h.add_node(term)
+    document = json.loads(serialize(hg2))
+    document["hypernodes"][3][name] = None  # absent and null are alike
+    assert_same_outcome(json.dumps(document))
+    assert deserialize(json.dumps(document)) == hg2
+    document["hypernodes"][3][name] = "urn:a"
+    refused = (SchemaViolation, f"{term.kind.value} hypernode cannot carry '{name}'")
+    assert outcome(deserialize, json.dumps(document)) == refused
+    assert outcome(oracle_deserialize, json.dumps(document)) == refused
 
 
 @pytest.mark.parametrize("kind", [1, True, None, ["t"], {"k": 1}, "x"])

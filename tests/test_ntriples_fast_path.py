@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +126,82 @@ def test_parse_line_agrees_with_the_scanner_on_the_acceptance_corpus():
             matched += ntriples._LINE_RE.fullmatch(line) is not None
     # No corpus IRI needs an escape, so every line takes the fast path.
     assert matched == lines == 8757
+
+
+def test_the_line_expression_is_the_one_it_was_before_the_slot_table():
+    assert ntriples._LINE_RE.pattern == (
+        '[ \t\r]*(?:<([^\\x00-\\x20<>\\\\\\ud800-\\udfff]+)>|_:([A-Za-z][A-Za-z0-9]*))'
+        '[ \t\r]+<([^\\x00-\\x20<>\\\\\\ud800-\\udfff]+)>[ \t\r]+'
+        '(?:<([^\\x00-\\x20<>\\\\\\ud800-\\udfff]+)>|_:([A-Za-z][A-Za-z0-9]*)'
+        '|"([^"\\\\\\ud800-\\udfff]*(?:\\\\.[^"\\\\\\ud800-\\udfff]*)*)"'
+        '(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\\^\\^<([^\\x00-\\x20<>\\\\\\ud800-\\udfff]+)>)?)'
+        '[ \t\r]*\\.[ \t\r]*'
+    )
+
+
+# Each slot of a statement against each start: a term of each kind, '.',
+# the end of the line and a stray character, with the other slots
+# well-formed.  The outcome with a space on both sides of the start, by
+# hand: None for a statement, else the error code and message.
+_START_TERMS = {"<": "<a:t>", "_": "_:b", '"': '"v"', ".": ".", "": "", "x": "x"}
+_SLOT_OUTCOMES = {
+    "subject": {
+        "<": None, "_": None,
+        '"': (ErrorCode.LITERAL_AS_SUBJECT, "a literal is not allowed as subject"),
+        ".": (ErrorCode.UNEXPECTED_TOKEN, "expected a subject term"),
+        "": (ErrorCode.UNEXPECTED_TOKEN, "expected a subject term"),
+        "x": (ErrorCode.UNEXPECTED_TOKEN, "expected a subject term"),
+    },
+    "predicate": {
+        "<": None,
+        "_": (ErrorCode.BLANK_AS_PREDICATE, "a blank node is not allowed as predicate"),
+        '"': (ErrorCode.UNEXPECTED_TOKEN, "expected an IRI predicate"),
+        ".": (ErrorCode.UNEXPECTED_TOKEN, "expected an IRI predicate"),
+        "": (ErrorCode.UNEXPECTED_TOKEN, "expected an IRI predicate"),
+        "x": (ErrorCode.UNEXPECTED_TOKEN, "expected an IRI predicate"),
+    },
+    "object": {
+        "<": None, "_": None, '"': None,
+        ".": (ErrorCode.MISSING_OBJECT, "statement has no object term"),
+        "": (ErrorCode.MISSING_OBJECT, "statement has no object term"),
+        "x": (ErrorCode.UNEXPECTED_TOKEN, "expected an object term"),
+    },
+}
+_SLOT_NAMES = tuple(_SLOT_OUTCOMES)
+
+
+def _slot_line(slot: str, start: str, before: str, after: str) -> str:
+    """The line ``<a:s> <a:p> <a:o> .`` with ``slot`` replaced by the term of
+    ``start`` (and cut after it for the end of the line), ``before`` and
+    ``after`` the whitespace around it."""
+    index = _SLOT_NAMES.index(slot)
+    pieces = ["<a:s>", "<a:p>", "<a:o>", "."]
+    line = " ".join(pieces[:index]) + (before if index else "") + _START_TERMS[start]
+    return line if not start else line + after + " ".join(pieces[index + 1 :])
+
+
+@pytest.mark.parametrize("slot", _SLOT_NAMES)
+@pytest.mark.parametrize("start", _START_TERMS, ids=repr)
+def test_each_slot_at_each_start_as_the_table_says(slot, start):
+    expected = _SLOT_OUTCOMES[slot][start]
+    for before, after in ((" ", " "), ("", " "), (" ", ""), ("", "")):
+        line = _slot_line(slot, start, before, after)
+        new = assert_same_result(line)
+        old = loop_scanner_parse_line(line, 5)
+        if isinstance(old, Statement):
+            assert new == old, line
+        else:
+            assert (new.code, new.message, new.column) == (old.code, old.message, old.column), line
+        if before == after == " ":
+            if expected is None:
+                assert isinstance(new, Statement), line
+            else:
+                assert (new.code, new.message) == expected, line
+
+
+def test_a_statement_needs_no_whitespace_before_its_dot():
+    for line in ("<a:s> <a:p> <a:o>.", "<a:s> <a:p> _:b.", '<a:s> <a:p> "v".', "_:b <a:p> <a:o>."):
+        assert isinstance(assert_same_result(line), Statement), line
 
 
 class _NoScanner:

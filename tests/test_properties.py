@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
+from itertools import starmap
 
 import pytest
 from hypothesis import given, settings
@@ -143,11 +145,11 @@ def test_statement_of_agrees_with_its_old_checks(hg2):
         assert statement_of(hg2, edge_id) == oracle_statement_of(hg2, edge_id)
 
 
-# Every sort of hypernode payload, each drawn with whether its kind is
-# unknown: half are IRI terms over a few IRIs that the graph layer below
-# constrains and types, the rest other well-formed terms, incomplete and
-# tag-plus-datatype terms, opaque payloads, and, one in sixteen, a term
-# whose kind is no PayloadKind (one of them unhashable).
+# Every sort of hypernode payload: half are IRI terms over a few IRIs that
+# the graph layer below constrains and types, the rest other well-formed
+# terms, incomplete, tag-plus-datatype and foreign-field terms, opaque
+# payloads, and, one in sixteen, a term whose kind is no PayloadKind (one of
+# them unhashable).
 _iris = st.sampled_from(["urn:p", "urn:q", "urn:x", "urn:A", "urn:B", RDFS_LITERAL])
 _other_known_payloads = st.one_of(
     blank_terms,
@@ -159,22 +161,37 @@ _other_known_payloads = st.one_of(
 _unknown_kind_terms = st.builds(
     NodePayload, st.sampled_from(["uri", "literal", 7, ["blank"]]), _fields, _fields, _fields
 )
-_drawn_payloads = st.integers(0, 15).flatmap(lambda roll: st.tuples(
-    _iris.map(NodePayload.uri) if roll < 8 else _other_known_payloads if roll < 15
-    else _unknown_kind_terms,
-    st.just(roll == 15),
-))
+_drawn_payloads = st.integers(0, 15).flatmap(
+    lambda roll: _iris.map(NodePayload.uri) if roll < 8 else _other_known_payloads if roll < 15
+    else _unknown_kind_terms
+)
+# The fields a term of each kind may set.
+_OWN_FIELDS = {
+    PayloadKind.URI: {"iri"},
+    PayloadKind.BLANK: {"blank_label"},
+    PayloadKind.LITERAL: {"lexical_form", "language_tag", "datatype_iri"},
+}
+
+
+def _serialize_refusal(node_id: int, payload: object) -> str | None:
+    """The start of serialize's message for a payload it refuses, or None."""
+    if not isinstance(payload, NodePayload):
+        return None
+    if not isinstance(payload.kind, PayloadKind):
+        return f"hypernode {node_id} has unknown kind "
+    foreign = [name for name in NodePayload._fields[1:]
+               if name not in _OWN_FIELDS[payload.kind] and getattr(payload, name) is not None]
+    return f"{payload.kind.value} hypernode {node_id} cannot carry '{foreign[0]}'" if foreign else None
 
 
 @st.composite
-def checked_structures(draw) -> tuple[HG2, bool]:
-    """A structure with connectors, and whether it holds a term of unknown kind."""
+def checked_structures(draw) -> HG2:
+    """A structure with connectors."""
     hg2 = HG2(g=load_builtin_vocabulary())
     for source, kind, target in draw(st.lists(st.tuples(_iris, st.sampled_from(EdgeKind), _iris),
                                               max_size=8)):
         hg2.g.add_edge(hg2.g.intern(source), hg2.g.intern(target), kind)
-    drawn = draw(st.lists(_drawn_payloads, min_size=1, max_size=8))
-    for payload, _ in drawn:
+    for payload in draw(st.lists(_drawn_payloads, min_size=1, max_size=8)):
         hg2.h.add_node(payload)
     node = st.integers(0, hg2.h.node_count - 1)
     slot = st.lists(node, min_size=1, max_size=3)
@@ -182,20 +199,20 @@ def checked_structures(draw) -> tuple[HG2, bool]:
     for head, tail in draw(st.lists(st.one_of(shaped, st.tuples(slot, slot)), max_size=8)):
         hg2.h.add_hyperedge(head, tail)
     generate_connectors(hg2)
-    return hg2, any(unknown for _, unknown in drawn)
+    return hg2
 
 
 @given(checked_structures())
 @settings(max_examples=300, deadline=None)
-def test_every_reader_of_a_hypernode_takes_every_payload(structure):
-    hg2, unknown_kind = structure
+def test_every_reader_of_a_hypernode_takes_every_payload(hg2):
     to_dot(hg2)
     validate_mapping(hg2)
     for edge_id in range(hg2.h.edge_count):
         statement_of(hg2, edge_id)
     assert check_domain_range(hg2) == naive_check_domain_range(hg2) == oracle_check_domain_range(hg2)
-    if unknown_kind:
-        with pytest.raises(ValueError, match="^hypernode [0-9]+ has unknown kind "):
+    refusal = next(filter(None, starmap(_serialize_refusal, enumerate(hg2.h.nodes))), None)
+    if refusal is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
             serialize(hg2)
     else:
         text = serialize(hg2)

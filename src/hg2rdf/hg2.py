@@ -424,16 +424,26 @@ def _check_dense_ids(records: list[dict[str, Any]], section: str) -> None:
 
 
 _PAYLOAD_KINDS = {kind.value: kind for kind in PayloadKind}
+# The keys a hypernode record may hold, by kind (a term field of another kind
+# only as null, which counts as absent); a misspelled field is refused.
+_TERM_KEYS = frozenset({"id", "kind", *_PAYLOAD_FIELDS})
+_RECORD_KEYS = {**dict.fromkeys(_PAYLOAD_KINDS, _TERM_KEYS), "opaque": _TERM_KEYS | {"value"}}
+_SECTIONS = ("meta", "hypernodes", "hyperedges", "graph_nodes", "graph_edges",
+             "connectors_v", "connectors_e")
 
 
 def _payload_from_json(record: dict[str, Any]) -> Any:
     kind = record.get("kind")
+    keys = _RECORD_KEYS.get(kind) if type(kind) is str else None
+    if keys is None:
+        raise UnknownKind(f"unknown hypernode kind {kind!r}")
+    for key in record:
+        if key not in keys:
+            raise SchemaViolation(f"{kind} hypernode cannot carry '{key}'")
     if kind == "opaque":
         _require("value" in record, "opaque hypernode has no value")
         return record["value"]
-    payload_kind = _PAYLOAD_KINDS.get(kind) if type(kind) is str else None
-    if payload_kind is None:
-        raise UnknownKind(f"unknown hypernode kind {kind!r}")
+    payload_kind = _PAYLOAD_KINDS[kind]
     fields = [record.get(name) for name in _PAYLOAD_FIELDS]
     for name, value in zip(_PAYLOAD_FIELDS, fields):
         if value is not None:
@@ -451,12 +461,13 @@ _FIELD_TYPES = {name: {(kind.value, type(None)) for kind in PayloadKind}
 
 def _payloads_from_json(records: list[dict[str, Any]]) -> list[Any]:
     """The payloads of a hypernodes section, decoded one column at a time
-    while every column passes its check: each kind a term kind, each field
-    absent or a string its kind carries.  From the first column that fails,
-    every record goes through :func:`_payload_from_json`, so the first bad
-    record raises as it does there."""
+    while every column passes its check: each kind a term kind, each key a
+    term's, each field absent or a string its kind carries.  From the first
+    column that fails, every record goes through :func:`_payload_from_json`,
+    so the first bad record raises as it does there."""
     kinds = [record.get("kind") for record in records]
-    if set(map(type, kinds)) <= {str} and set(kinds) <= _PAYLOAD_KINDS.keys():
+    if set(map(type, kinds)) <= {str} and set(kinds) <= _PAYLOAD_KINDS.keys() \
+            and set().union(*records) <= _TERM_KEYS:
         columns = [list(map(_PAYLOAD_KINDS.__getitem__, kinds))]
         for name in _PAYLOAD_FIELDS:
             column = [record.get(name) for record in records]
@@ -564,8 +575,9 @@ def deserialize(text: str) -> HG2:
 
     Raises :class:`SchemaViolation` for structural problems (JSON nested
     past the parser's depth limit included) and :class:`UnknownKind` when a
-    kind discriminator is out of vocabulary.  A non-int id, a term field
-    foreign to its kind, a repeated RDF term among the hypernodes (opaque
+    kind discriminator is out of vocabulary.  An unknown section or
+    hypernode record key, a non-int id, a term field foreign to its kind, a
+    repeated RDF term among the hypernodes (opaque
     payloads may repeat), a repeated graph node IRI, graph edge or
     connector, a ``NaN``, ``Infinity`` or ``-Infinity`` token (not JSON), a
     number that overflows a float (it would load as infinity, which
@@ -591,6 +603,8 @@ def deserialize(text: str) -> HG2:
     meta = document.get("meta")
     _require(isinstance(meta, dict), "missing 'meta' section")
     _require(meta.get("format") == FORMAT_VERSION, f"unsupported format {meta.get('format')!r}")
+    for name in document:
+        _require(name in _SECTIONS, f"unknown section '{name}'")
 
     hg2 = HG2()
     node_records = _as_records(document, "hypernodes")

@@ -6,12 +6,14 @@ first node, as an IRI names one node of :class:`~hg2rdf.schema.SchemaGraph`.
 Head and tail are ordered lists so callers can assign positional roles; the
 same node may appear on both sides of one edge.  Each node lists the ids of the edges
 it sits in and keeps its forward star: a map from each distinct node that an
-edge it heads has in its tail to the first such edge.  One breadth-first
-search over the forward stars is the only code that fires edges.  Two
-section writers, ``_append_nodes`` and ``_append_edges``, are the only code
-that appends nodes, edges and these per-node indexes: the checked mutators
-end in one-element calls of them, and ``deserialize`` and ``integrate`` hand
-them whole sections, so that a section's indexes are allocated together.
+edge it heads has in its tail to the first such edge; the head index
+``_heads`` is the set of nodes whose star is not empty.  One breadth-first
+search over the forward stars is the only code that fires edges, and it
+queues heads only, so a query never visits a leaf on its own.  Two section
+writers, ``_append_nodes`` and ``_append_edges``, are the only code that
+appends nodes, edges and these indexes: the checked mutators end in
+one-element calls of them, and ``deserialize`` and ``integrate`` hand them
+whole sections, so that a section's indexes are allocated together.
 :func:`_check_index` is the id-range rule of both layers and the connectors.
 """
 from __future__ import annotations
@@ -77,6 +79,7 @@ class Hypergraph(Freezable):
         self.edges: list[HyperEdge] = []
         self._incidence: list[list[int]] = []
         self._forward: list[dict[int, int]] = []
+        self._heads: set[int] = set()
         self._index: dict[Any, int] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -146,7 +149,8 @@ class Hypergraph(Freezable):
     def _append_edges(self, heads: Sequence[list[int]], tails: Sequence[list[int]]) -> int:
         """Store edges whose slots are already checked, one per head and
         tail pair; returns the first new id.  The only code that appends to
-        the edge list and files edge ids in the per-node indexes.
+        the edge list and files edge ids in the per-node indexes and the
+        head index.
 
         Edges arrive in id order, so each forward star keeps, for every tail
         node, the lowest-id edge that reaches it, and its keys in the order a
@@ -156,6 +160,7 @@ class Hypergraph(Freezable):
         forward, incidence = self._forward, self._incidence
         start = len(self.edges)
         self.edges.extend(map(HyperEdge, heads, tails))
+        self._heads.update(*heads)
         for edge_id, (head, tail) in enumerate(zip(heads, tails), start):
             for node in head:
                 star = forward[node]
@@ -171,35 +176,42 @@ class Hypergraph(Freezable):
         return list(self._incidence[node])
 
     def _search(self, start: int, target: int | None = None) -> dict[int, int]:
-        """Map each node reached from ``start`` to the node whose edge reached it.
+        """Map each head node reached from ``start`` to the node whose edge
+        reached it, in the order reached; stop at the first node whose star
+        holds ``target``, and map ``target`` to that node.
 
         An edge fires as soon as any one of its head nodes is reached; firing
-        reaches every tail node.  Nodes fire in the order reached, each its
-        edges in ascending id order, so the witness edge of ``node`` reached
-        from ``previous`` is ``self._forward[previous][node]``.  Stops once
-        ``target`` is reached.
+        reaches every tail node.  A node that heads no edge fires nothing, so
+        only heads are queued: a popped node's new head children, one C-level
+        intersection of its star with ``_heads``, in star order (first edge
+        id, then tail position).  Heads thus fire in the order, and from the
+        parents, of a search that queued every node, and the witness edge of
+        ``node`` reached from ``previous`` is ``self._forward[previous][node]``.
         """
         self._check_node(start)
-        forward = self._forward
+        forward, heads, edges = self._forward, self._heads, self.edges
         reached: dict[int, int] = {}
         queue = deque([start])
         while queue:
             node = queue.popleft()
-            for tail_node in forward[node]:
-                if tail_node not in reached:
-                    reached[tail_node] = node
-                    if tail_node == target:
-                        return reached
-                    queue.append(tail_node)
+            star = forward[node]
+            if target in star:
+                reached[target] = node
+                return reached
+            children = sorted((star.keys() & heads).difference(reached),
+                              key=lambda child: (star[child], edges[star[child]].tail.index(child)))
+            reached.update(dict.fromkeys(children, node))
+            queue.extend(children)
         return reached
 
     def forward_reachable(self, start: int) -> set[int]:
-        """Nodes reachable by repeatedly firing edges headed by a reached node.
+        """Nodes reachable by repeatedly firing edges headed by a reached node:
+        the keys of the stars of ``start`` and of every head reached.
 
         ``start`` seeds the process but is only part of the result if some
         fired edge reaches it again.
         """
-        return set(self._search(start))
+        return set().union(*map(self._forward.__getitem__, [start, *self._search(start)]))
 
     def forward_path(self, start: int, target: int) -> tuple[int, ...] | None:
         """Edge ids of a firing path from ``start`` to ``target``, or None.

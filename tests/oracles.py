@@ -461,6 +461,22 @@ def head_list_search(
     return reached
 
 
+def head_list_path(
+    reached: dict[int, tuple[int, int]], start: int, target: int
+) -> tuple[int, ...] | None:
+    """The edge ids leading to ``target`` in a :func:`head_list_search`
+    record from ``start``; ``()`` for start == target, None if unreached."""
+    if target == start:
+        return ()
+    if target not in reached:
+        return None
+    edge_ids = []
+    while target != start:
+        edge_id, target = reached[target]
+        edge_ids.append(edge_id)
+    return tuple(reversed(edge_ids))
+
+
 def matrix_reachability(graph: SchemaGraph) -> list[list[bool]]:
     """Reflexive-transitive reachability over SubClassOf edges, by
     Floyd-Warshall on the full adjacency matrix."""
@@ -640,6 +656,7 @@ def oracle_append_node(h: Hypergraph, payload: Any) -> int:
 def oracle_append_edge(h: Hypergraph, head: list[int], tail: list[int]) -> int:
     edge_id = len(h.edges)
     h.edges.append(HyperEdge(head, tail))
+    h._heads.update(head)
     for node in head:
         forward = h._forward[node]
         for tail_node in tail:
@@ -1001,6 +1018,7 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
     assert list(a.h._index.items()) == list(b.h._index.items())
     assert a.h._incidence == b.h._incidence
     assert [list(f.items()) for f in a.h._forward] == [list(f.items()) for f in b.h._forward]
+    assert a.h._heads == b.h._heads
     assert list(a._node_anchors.items()) == list(b._node_anchors.items())
     assert list(a._anchored_nodes.items()) == list(b._anchored_nodes.items())
     assert list(a.g._ids.items()) == list(b.g._ids.items())
@@ -1013,7 +1031,8 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
 # speed: the writer builds the whole document and hands it to json.dumps, and
 # the reader adds every record through the checked public mutators.  The only
 # changes are that both refuse non-finite floats, and the reader refuses an
-# RDF term listed as two hypernodes and a term field foreign to its kind.
+# RDF term listed as two hypernodes, a term field foreign to its kind, a
+# hypernode record key no kind writes, and an unknown section.
 
 _PAYLOAD_FIELDS = ("iri", "blank_label", "lexical_form", "language_tag", "datatype_iri")
 _FIELDS_OF_KIND = {
@@ -1120,15 +1139,22 @@ def _check_dense_ids(records: list[dict[str, Any]], section: str) -> None:
             raise SchemaViolation(f"ids in '{section}' must be dense and ordered")
 
 
+def _check_record_keys(record: dict[str, Any], kind: str, *extra: str) -> None:
+    for key in record:
+        _require(key in ("id", "kind", *_PAYLOAD_FIELDS, *extra), f"{kind} hypernode cannot carry '{key}'")
+
+
 def _payload_from_json(record: dict[str, Any]) -> Any:
     kind = record.get("kind")
     if kind == "opaque":
+        _check_record_keys(record, kind, "value")
         _require("value" in record, "opaque hypernode has no value")
         return record["value"]
     try:
         payload_kind = PayloadKind(kind)
     except ValueError:
         raise UnknownKind(f"unknown hypernode kind {kind!r}") from None
+    _check_record_keys(record, kind)
     fields = {}
     for name in _PAYLOAD_FIELDS:
         value = record.get(name)
@@ -1153,6 +1179,9 @@ def oracle_deserialize(text: str) -> HG2:
     meta = document.get("meta")
     _require(isinstance(meta, dict), "missing 'meta' section")
     _require(meta.get("format") == FORMAT_VERSION, f"unsupported format {meta.get('format')!r}")
+    for name in document:
+        _require(name in ("meta", "hypernodes", "hyperedges", "graph_nodes", "graph_edges",
+                          "connectors_v", "connectors_e"), f"unknown section '{name}'")
 
     hg2 = HG2()
     node_records = _as_records(document, "hypernodes")

@@ -180,6 +180,39 @@ def test_each_kind_refuses_each_field_it_does_not_carry(term, name):
     assert outcome(oracle_deserialize, json.dumps(document)) == refused
 
 
+def misspelled_language_tag(with_opaque: bool) -> dict:
+    """A tagged literal's document with ``language_tag`` spelled
+    ``langauge_tag``, which would load as an untagged literal."""
+    hg2 = HG2()
+    hg2.h.add_node(NodePayload.uri("urn:a"))
+    hg2.h.add_node(NodePayload.literal("chat", language_tag="fr"))
+    if with_opaque:  # the section then goes through the record decoder
+        hg2.h.add_node(["opaque"])
+    hg2.h.add_hyperedge([0], [0, 1])
+    document = json.loads(serialize(hg2))
+    record = document["hypernodes"][1]
+    record["langauge_tag"] = record.pop("language_tag")
+    return document
+
+
+@pytest.mark.parametrize("document, refused", [
+    (misspelled_language_tag(False), "literal hypernode cannot carry 'langauge_tag'"),
+    (misspelled_language_tag(True), "literal hypernode cannot carry 'langauge_tag'"),
+    ({**json.loads(FOREIGN_FIELD_DOCUMENT), "hypernodes": [
+        {"id": 0, "kind": "uri", "iri": "urn:a", "value": 5, "lang": "en"}]},
+     "uri hypernode cannot carry 'value'"),
+    ({**json.loads(FOREIGN_FIELD_DOCUMENT), "hypernodes": [
+        {"id": 0, "kind": "opaque", "value": 5, "lang": "en"}], "hyperedges": []},
+     "opaque hypernode cannot carry 'lang'"),
+    ({**json.loads(FOREIGN_FIELD_DOCUMENT), "hyperedge": []}, "unknown section 'hyperedge'"),
+], ids=["misspelled-tag", "misspelled-tag-beside-opaque", "uri-value", "opaque-stray-key",
+        "unknown-section"])
+def test_both_readers_refuse_a_key_or_section_the_format_does_not_have(document, refused):
+    text = json.dumps(document)
+    assert outcome(deserialize, text) == (SchemaViolation, refused)
+    assert outcome(oracle_deserialize, text) == (SchemaViolation, refused)
+
+
 @pytest.mark.parametrize("kind", [1, True, None, ["t"], {"k": 1}, "x"])
 def test_both_readers_refuse_a_graph_edge_kind_outside_the_vocabulary(kind):
     hg2 = HG2()

@@ -6,8 +6,17 @@ import random
 
 import pytest
 
-from hg2rdf import HG2, EmptySlotError, Hypergraph, UnknownNodeError, deserialize, serialize
-from oracles import naive_path, naive_reachable
+from hg2rdf import (
+    HG2,
+    EmptySlotError,
+    Hypergraph,
+    UnknownNodeError,
+    deserialize,
+    integrate,
+    parse_document,
+    serialize,
+)
+from oracles import head_list_path, head_list_search, naive_path, naive_reachable
 
 
 def build(n_nodes: int) -> Hypergraph:
@@ -182,7 +191,8 @@ def test_tail_repeated_within_one_edge_is_reached_once():
     h = build(3)
     h.add_hyperedge([0], [1, 2, 1])
     assert list(h._forward[0].items()) == [(1, 0), (2, 0)]
-    assert list(h._search(0)) == [1, 2]
+    assert h.forward_reachable(0) == {1, 2}
+    assert h._search(0) == {}  # neither tail node heads an edge
 
 
 def test_node_heading_and_tailing_one_edge_reaches_itself_through_that_edge():
@@ -196,6 +206,44 @@ def test_node_heading_and_tailing_one_edge_reaches_itself_through_that_edge():
     loop.add_hyperedge([0], [0])
     assert loop.forward_reachable(0) == {0}
     assert loop._search(0) == {0: 0}
+
+
+def test_leaves_never_enter_the_search():
+    # node 0 heads one edge over 10,000 leaves and the first of a chain of
+    # heads 10_001 -> 10_002 -> 10_003, whose last edge leads back to 0
+    h = build(10_004)
+    leaves = list(range(1, 10_001))
+    h.add_hyperedge([0], [*leaves, 10_001])
+    h.add_hyperedge([10_001], [10_002, 5])
+    h.add_hyperedge([10_002], [7, 10_003])
+    h.add_hyperedge([10_003], [0, 9])
+    assert h._heads == {0, 10_001, 10_002, 10_003}
+    assert h._search(0) == {10_001: 0, 10_002: 10_001, 10_003: 10_002, 0: 10_003}
+    assert h.forward_reachable(0) == naive_reachable(h, 0) == {*leaves, *range(10_001, 10_004), 0}
+    assert h.forward_path(0, 0) == ()
+    for target in (1, 9, 10_000, 10_003):
+        assert h._search(0, target).keys() <= {0, target, *h._heads}
+        assert h.forward_path(0, target) == naive_path(h, 0, target)
+    assert h.forward_path(10_002, 10_000) == (2, 3, 0)
+
+
+def test_searches_from_every_head_of_the_query_corpus_agree_with_the_head_list_search(
+    bench_corpora,
+):
+    corpus = bench_corpora["query"]
+    statements = []
+    for name in [*corpus.schema_inputs, *corpus.inputs]:
+        statements += parse_document(corpus.files[name])[0]
+    h = integrate(statements)[0].h
+    heads = sorted(h._heads)
+    assert heads == sorted({node for edge in h.edges for node in edge.head})
+    for start in heads:
+        expected = head_list_search(h, start)
+        assert h.forward_reachable(start) == set(expected)
+        # a full record holds every witness: a search that stops at the
+        # target has reached the same nodes from the same parents
+        for target in [*heads, *list(expected)[::97], *range(0, h.node_count, 997)]:
+            assert h.forward_path(start, target) == head_list_path(expected, start, target)
 
 
 def test_forward_stars_are_untracked_by_the_cyclic_collector():

@@ -16,15 +16,18 @@ deterministic for a given structure.
 
 Hypernode payloads serialize in two shapes, told apart by the parser's
 ``_term_kind``: RDF terms (kind ``uri``/``blank``/``literal``) write their
-kind and the string fields of that kind (the parser's ``_KIND_FIELDS``; a
-field of another kind is refused both ways, so that one term cannot load as
-two nodes), and the loader builds them back positionally; anything else but
-a :class:`NodePayload` of unknown kind (a ``ValueError``) is written as kind
-``opaque`` with its JSON value, so payloads that are not JSON-representable
-(e.g. tuples) will not round-trip identically.  A non-finite float cannot be
-written (``NaN`` and ``Infinity`` are not JSON, so other platforms could not
-read the document), and ``deserialize`` refuses those tokens and, through
-the parser's ``_SURROGATE_RE``, lone surrogates.
+kind and the string fields of that kind (the parser's ``_KIND_FIELDS``), and
+the loader builds them back positionally; any other payload is written as
+kind ``opaque`` with its JSON value, so payloads that are not
+JSON-representable (e.g. tuples) will not round-trip identically.  A
+malformed term is refused both ways with the message of the parser's one
+term rule, ``_term_problem`` (a ``ValueError`` from ``serialize``, a
+:class:`SchemaViolation` from ``deserialize``), so that one term cannot load
+as two nodes.  ``_RECORD_KEYS`` lists the keys each section's records may
+hold, ``meta`` included; any other key is refused.  A non-finite float
+cannot be written (``NaN`` and ``Infinity`` are not JSON, so other
+platforms could not read the document), and ``deserialize`` refuses those
+tokens and, through the parser's ``_SURROGATE_RE``, lone surrogates.
 
 ``serialize`` writes each record from a fixed template, with the string
 escaper of :mod:`json`, and gives the bytes ``json.dumps(..., indent=2)``
@@ -50,10 +53,12 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring as _quote
+from operator import contains
 from typing import Any, TextIO
 
 from .hypergraph import Freezable, Hypergraph, _check_index
-from .ntriples import _KIND_FIELDS, _SURROGATE_RE, NodePayload, PayloadKind, _term_kind
+from .ntriples import _KIND_FIELDS, _PAYLOAD_FIELDS, _SURROGATE_RE, NodePayload, PayloadKind
+from .ntriples import _term_kind, _term_problem
 from .schema import EdgeKind, GraphEdge, SchemaGraph
 
 FORMAT_VERSION = "hg2/1"
@@ -235,8 +240,6 @@ def validate_layering(hg2: HG2) -> list[Violation]:
     return violations
 
 
-_PAYLOAD_FIELDS = NodePayload._fields[1:]
-
 # serialize writes what ``json.dumps(document, indent=2, ensure_ascii=False)``
 # would, one record at a time: record fields sit six spaces deep, and
 # ``_quote`` is the escaper ``json.dumps`` itself uses for strings.
@@ -262,21 +265,18 @@ def _record(*fields: str) -> str:
 
 
 def _hypernode_record(node_id: int, payload: Any) -> str:
+    problem = _term_problem(payload, f"hypernode {node_id}")
+    if problem is not None:
+        raise ValueError(problem[1])
     kind = _term_kind(payload)
     if kind is None:
-        if isinstance(payload, NodePayload):
-            raise ValueError(f"hypernode {node_id} has unknown kind {payload.kind!r}")
         return _record(f'"id": {node_id}', '"kind": "opaque"', f'"value": {_json(payload)}')
-    fields = _KIND_FIELDS[kind]
-    for name in _PAYLOAD_FIELDS:
-        if name not in fields and getattr(payload, name) is not None:
-            raise ValueError(f"{kind.value} hypernode {node_id} cannot carry '{name}'")
     return _record(
         f'"id": {node_id}',
         f'"kind": {_quote(kind.value)}',
         *(
             f'"{name}": {_quote(value)}'
-            for name in fields
+            for name in _KIND_FIELDS[kind]
             if (value := getattr(payload, name)) is not None
         ),
     )
@@ -351,8 +351,8 @@ def serialize(hg2: HG2, out: TextIO | None = None) -> str | None:
     held at once, and ``None`` is returned; the bytes are the same.  A non-finite
     float anywhere in a payload is a ``ValueError``: ``NaN`` and
     ``Infinity`` are not JSON, and parsers other than Python's refuse them.
-    So is a term of unknown kind, or with a field its kind does not carry; a
-    non-string term field is a ``TypeError``.
+    So is a malformed term, with the message of the parser's
+    ``_term_problem``.
     With ``out``, the handle may then already hold part of the document.
     """
     return _emit(_document(hg2), out)
@@ -403,11 +403,33 @@ def _all_ids(values: list[Any], count: int) -> bool:
     )
 
 
+_PAYLOAD_KINDS = {kind.value: kind for kind in PayloadKind}
+# The keys a record of each section may hold.  A hypernode record holds
+# "value" only when its kind is "opaque", and a term field only as a string
+# its kind carries or as null, which counts as absent.
+_RECORD_KEYS = {
+    "meta": {"format"},
+    "hypernodes": {"id", "kind", "value", *_PAYLOAD_FIELDS},
+    "hyperedges": {"id", "head", "tail"},
+    "graph_nodes": {"id", "iri"},
+    "graph_edges": {"from", "to", "kind"},
+    "connectors_v": {"from", "to"},
+    "connectors_e": {"from", "to"},
+}
+
+
 def _as_records(document: dict[str, Any], section: str) -> list[dict[str, Any]]:
+    """A section's records; outside the hypernodes (checked by kind as they
+    decode), the first record with a key not in ``_RECORD_KEYS`` is refused."""
     _require(section in document, f"missing section '{section}'")
     records = document[section]
     _require(isinstance(records, list), f"section '{section}' must be a list")
     _require(set(map(type, records)) <= {dict}, f"entries of '{section}' must be objects")
+    keys = _RECORD_KEYS[section]
+    if section != "hypernodes" and not set().union(*records) <= keys:
+        for index, record in enumerate(records):
+            for key in record:
+                _require(key in keys, f"{section} entry {index} cannot carry '{key}'")
     return records
 
 
@@ -423,51 +445,45 @@ def _check_dense_ids(records: list[dict[str, Any]], section: str) -> None:
         _require(value == index, f"ids in '{section}' must be dense and ordered")
 
 
-_PAYLOAD_KINDS = {kind.value: kind for kind in PayloadKind}
-# The keys a hypernode record may hold, by kind (a term field of another kind
-# only as null, which counts as absent); a misspelled field is refused.
-_TERM_KEYS = frozenset({"id", "kind", *_PAYLOAD_FIELDS})
-_RECORD_KEYS = {**dict.fromkeys(_PAYLOAD_KINDS, _TERM_KEYS), "opaque": _TERM_KEYS | {"value"}}
-_SECTIONS = ("meta", "hypernodes", "hyperedges", "graph_nodes", "graph_edges",
-             "connectors_v", "connectors_e")
-
-
 def _payload_from_json(record: dict[str, Any]) -> Any:
     kind = record.get("kind")
-    keys = _RECORD_KEYS.get(kind) if type(kind) is str else None
-    if keys is None:
+    payload_kind = _PAYLOAD_KINDS.get(kind) if type(kind) is str else None
+    if payload_kind is None and kind != "opaque":
         raise UnknownKind(f"unknown hypernode kind {kind!r}")
-    for key in record:
-        if key not in keys:
-            raise SchemaViolation(f"{kind} hypernode cannot carry '{key}'")
-    if kind == "opaque":
+    for key, value in record.items():
+        # "value" only on an opaque record, and a term field there only as null
+        allowed = key != "value" if payload_kind else key not in _PAYLOAD_FIELDS or value is None
+        _require(key in _RECORD_KEYS["hypernodes"] and allowed, f"{kind} hypernode cannot carry '{key}'")
+    if payload_kind is None:
         _require("value" in record, "opaque hypernode has no value")
         return record["value"]
-    payload_kind = _PAYLOAD_KINDS[kind]
-    fields = [record.get(name) for name in _PAYLOAD_FIELDS]
-    for name, value in zip(_PAYLOAD_FIELDS, fields):
-        if value is not None:
-            _require(isinstance(value, str), f"hypernode field '{name}' must be a string")
-            _require(name in _KIND_FIELDS[payload_kind], f"{kind} hypernode cannot carry '{name}'")
-    return tuple.__new__(NodePayload, (payload_kind, *fields))
+    payload = tuple.__new__(NodePayload, (payload_kind, *map(record.get, _PAYLOAD_FIELDS)))
+    problem = _term_problem(payload, "hypernode")
+    if problem is not None:
+        raise SchemaViolation(problem[1])
+    return payload
 
 
-# Per field, the (kind, value type) pairs a hypernode record may hold: any
-# kind may leave the field out, and a kind that carries it may hold a string.
-_FIELD_TYPES = {name: {(kind.value, type(None)) for kind in PayloadKind}
-                | {(kind.value, str) for kind, fields in _KIND_FIELDS.items() if name in fields}
+# The term rule over a column: per field, the (kind, value type) pairs a term
+# record may hold, a string where its kind carries the field and null where
+# the field is not its kind's required one.
+_FIELD_TYPES = {name: {(kind.value, str) for kind, fields in _KIND_FIELDS.items() if name in fields}
+                | {(kind.value, type(None)) for kind, fields in _KIND_FIELDS.items()
+                   if name != fields[0]}
                 for name in _PAYLOAD_FIELDS}
 
 
 def _payloads_from_json(records: list[dict[str, Any]]) -> list[Any]:
     """The payloads of a hypernodes section, decoded one column at a time
-    while every column passes its check: each kind a term kind, each key a
-    term's, each field absent or a string its kind carries.  From the first
-    column that fails, every record goes through :func:`_payload_from_json`,
-    so the first bad record raises as it does there."""
+    while every column passes the term rule's column form: each kind a term
+    kind, each key a term's, each field as ``_FIELD_TYPES`` allows, and no
+    literal with both a tag and a datatype.  From the first column that
+    fails, every record goes through :func:`_payload_from_json`, so the
+    first bad record raises as it does there."""
     kinds = [record.get("kind") for record in records]
+    keys = set().union(*records)
     if set(map(type, kinds)) <= {str} and set(kinds) <= _PAYLOAD_KINDS.keys() \
-            and set().union(*records) <= _TERM_KEYS:
+            and keys <= _RECORD_KEYS["hypernodes"] and "value" not in keys:
         columns = [list(map(_PAYLOAD_KINDS.__getitem__, kinds))]
         for name in _PAYLOAD_FIELDS:
             column = [record.get(name) for record in records]
@@ -475,7 +491,9 @@ def _payloads_from_json(records: list[dict[str, Any]]) -> list[Any]:
                 break
             columns.append(column)
         else:
-            return list(map(tuple.__new__, repeat(NodePayload), zip(*columns)))
+            # and no literal has both a language tag and a datatype
+            if all(map(contains, zip(*columns[-2:]), repeat(None))):
+                return list(map(tuple.__new__, repeat(NodePayload), zip(*columns)))
     return list(map(_payload_from_json, records))
 
 
@@ -575,8 +593,9 @@ def deserialize(text: str) -> HG2:
 
     Raises :class:`SchemaViolation` for structural problems (JSON nested
     past the parser's depth limit included) and :class:`UnknownKind` when a
-    kind discriminator is out of vocabulary.  An unknown section or
-    hypernode record key, a non-int id, a term field foreign to its kind, a
+    kind discriminator is out of vocabulary.  An unknown section, a record
+    key outside ``_RECORD_KEYS``, a non-int id, a malformed term (with the
+    message of the parser's ``_term_problem``), a
     repeated RDF term among the hypernodes (opaque
     payloads may repeat), a repeated graph node IRI, graph edge or
     connector, a ``NaN``, ``Infinity`` or ``-Infinity`` token (not JSON), a
@@ -603,8 +622,10 @@ def deserialize(text: str) -> HG2:
     meta = document.get("meta")
     _require(isinstance(meta, dict), "missing 'meta' section")
     _require(meta.get("format") == FORMAT_VERSION, f"unsupported format {meta.get('format')!r}")
+    for key in meta:
+        _require(key in _RECORD_KEYS["meta"], f"meta cannot carry '{key}'")
     for name in document:
-        _require(name in _SECTIONS, f"unknown section '{name}'")
+        _require(name in _RECORD_KEYS, f"unknown section '{name}'")
 
     hg2 = HG2()
     node_records = _as_records(document, "hypernodes")

@@ -17,8 +17,9 @@ rdf:Statement, role occurrences anchor to rdf:subject / rdf:predicate /
 rdf:object, datatyped literals to rdf:datatype, and typed instance nodes to
 their class node.
 
-Every reader of a hypernode here asks the parser's one rule, ``_term_kind``,
-whether the payload is a term and of which kind.
+Every reader of a hypernode here asks the parser's rules: ``_term_kind``,
+whether the payload is a term and of which kind, and ``_term_problem``,
+whether a term is well formed.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
 from .hypergraph import Hypergraph, _check_id
-from .ntriples import _KIND_FIELDS, NodePayload, PayloadKind, Statement, _term_kind
+from .ntriples import PayloadKind, Statement, _term_kind, _term_problem
 from .schema import (
     RDF_DATATYPE,
     RDF_OBJECT,
@@ -194,7 +195,7 @@ def generate_connectors(hg2: HG2) -> None:
         kind = _term_kind(payload)
         if kind is PayloadKind.LITERAL and payload.datatype_iri is not None:
             offers[node_id, anchors[RDF_DATATYPE]] = None
-        elif kind is PayloadKind.URI and payload.iri is not None:
+        elif kind is PayloadKind.URI:
             graph_node = hg2.g.find(payload.iri)
             if graph_node is not None:
                 for class_node in class_nodes.get(graph_node, ()):
@@ -209,12 +210,14 @@ def validate_mapping(hg2: HG2) -> list[Violation]:
 
     A literal node may never sit in a head slot or in tail position 0, a
     blank node may never sit in a head slot, every statement-shaped hyperedge
-    has exactly one head and two tails, a term payload's kind must be a
-    :class:`PayloadKind` (a term of any other kind is reported once and
-    passes the slot rules), a term payload must carry the field its kind
-    requires, and a literal payload may not carry both a language tag and a
-    datatype.  Structures built purely through map_statement
-    satisfy all of these, and :func:`statement_of` reads the same rules.
+    has exactly one head and two tails, and every term payload is well
+    formed by the parser's one term rule, ``_term_problem``: a malformed term
+    is reported once, as the violation kind and message the rule gives
+    (``UnknownPayloadKind``, ``NonStringField``, ``ForeignField``,
+    ``IncompletePayload`` or ``LanguageTagOnTyped``), and a term of unknown
+    kind passes the slot rules.  Structures built purely through
+    map_statement from parsed statements satisfy all of these, and
+    :func:`statement_of` reads the same rules.
     """
     return _placement_violations(hg2, range(hg2.h.node_count), range(hg2.h.edge_count))
 
@@ -225,27 +228,9 @@ def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[
     nodes, edges = hg2.h.nodes, hg2.h.edges
     violations: list[Violation] = []
     for node_id in node_ids:
-        payload = nodes[node_id]
-        kind = _term_kind(payload)
-        if kind is None:
-            if isinstance(payload, NodePayload):
-                violations.append(Violation(
-                    "UnknownPayloadKind", f"hypernode {node_id} has unknown kind {payload.kind!r}",
-                    node=node_id,
-                ))
-            continue
-        required = _KIND_FIELDS[kind][0]
-        if getattr(payload, required) is None:
-            violations.append(Violation(
-                "IncompletePayload", f"{kind.value} hypernode {node_id} has no {required}",
-                node=node_id,
-            ))
-        if (kind is PayloadKind.LITERAL
-                and payload.language_tag is not None and payload.datatype_iri is not None):
-            violations.append(Violation(
-                "LanguageTagOnTyped",
-                f"hypernode {node_id} carries both a language tag and a datatype", node=node_id,
-            ))
+        problem = _term_problem(nodes[node_id], f"hypernode {node_id}")
+        if problem is not None:
+            violations.append(Violation(*problem, node=node_id))
 
     for edge_id in edge_ids:
         edge = edges[edge_id]
@@ -323,9 +308,7 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
         if checks is None:
             checks = checks_of[head] = []
             payload = nodes[head]
-            # An IRI term without its IRI is validate_mapping's IncompletePayload.
-            is_iri = _term_kind(payload) is PayloadKind.URI and payload.iri is not None
-            predicate = graph.find(payload.iri) if is_iri else None
+            predicate = graph.find(payload.iri) if _term_kind(payload) is PayloadKind.URI else None
             for kind, slot, edge_kind in _CONSTRAINTS if predicate is not None else ():
                 class_node = graph.constraint_of(predicate, edge_kind)
                 if class_node is None:
@@ -383,12 +366,21 @@ def integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
     one append of their new terms and one of their hyperedges.  Each term is
     interned through its layer's own index, and the ids that came from that
     interning are not range-checked again.  The result is frozen and safe
-    to query concurrently.
+    to query concurrently.  A statement that cannot be hashed (a term field
+    such as a list) raises ValueError with the term rule's message for the
+    first malformed term; other malformed terms are mapped and reported.
     """
     hg2 = HG2(g=load_builtin_vocabulary())
     report = IntegrationReport(statements_in=len(statements))
+    try:
+        distinct = dict.fromkeys(statements)
+    except TypeError:  # an unhashable field; name the first malformed term
+        problem = next(filter(None, map(_term_problem, chain.from_iterable(statements))), None)
+        if problem is None:
+            raise
+        raise ValueError(problem[1]) from None
     instances: list[Statement] = []
-    for statement in dict.fromkeys(statements):
+    for statement in distinct:
         if route_statement(statement) is Layer.SCHEMA:
             if _map_schema(hg2.g, statement):
                 report.schema_edges_created += 1

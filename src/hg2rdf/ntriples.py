@@ -16,9 +16,13 @@ named tuple ``(subject, predicate, object)``, and keeps no line number.
 Every term is a :class:`NodePayload`, the one RDF term type of the package,
 a named tuple of six fields: the hypergraph layer stores the parser's terms
 as hypernode payloads as they are, and :func:`format_term` renders them
-back.  Every reader of a hypernode asks one rule, ``_term_kind``, whether a
-payload is a term and of which kind: a :class:`NodePayload` whose kind is a
-:class:`PayloadKind` is a term of that kind, and nothing else is a term.
+back.  Every reader of a hypernode asks two rules.  ``_term_kind`` says
+whether a payload is a term and of which kind: a :class:`NodePayload` whose
+kind is a :class:`PayloadKind` is a term of that kind, and nothing else is a
+term.  ``_term_problem`` says why a :class:`NodePayload` is malformed (an
+unknown kind, a field that is not a string or belongs to another kind, a
+missing required field, a tag beside a datatype); the placement checks, the
+renderers, the writer and both readers of a document give its message.
 :func:`parse_document` makes one term object per distinct IRI and per
 distinct blank label of the document, and every statement that names it
 holds that object, so the later set and index lookups of equal terms meet
@@ -159,7 +163,6 @@ _KIND_FIELDS = {
     PayloadKind.BLANK: ("blank_label",),
     PayloadKind.LITERAL: ("lexical_form", "language_tag", "datatype_iri"),
 }
-_TAG_AND_DATATYPE = "a literal cannot carry both a language tag and a datatype"
 
 
 class NodePayload(NamedTuple):
@@ -199,10 +202,14 @@ class NodePayload(NamedTuple):
         datatype_iri: str | None = None,
     ) -> NodePayload:
         if language_tag is not None and datatype_iri is not None:
-            raise ValueError(_TAG_AND_DATATYPE)
+            raise ValueError("a literal cannot carry both a language tag and a datatype")
         return tuple.__new__(
             cls, (PayloadKind.LITERAL, None, None, lexical_form, language_tag, datatype_iri)
         )
+
+
+#: The field names of a term, in order, after its kind.
+_PAYLOAD_FIELDS = NodePayload._fields[1:]
 
 
 def _term_kind(payload: object) -> PayloadKind | None:
@@ -211,6 +218,32 @@ def _term_kind(payload: object) -> PayloadKind | None:
     for anything else (an opaque payload, or a term of unknown kind)."""
     if isinstance(payload, NodePayload) and isinstance(payload.kind, PayloadKind):
         return payload.kind
+    return None
+
+
+def _term_problem(payload: object, name: str = "term") -> tuple[str, str] | None:
+    """Why a :class:`NodePayload` is not a well-formed term, as a violation
+    kind and a message that calls the term ``name``; ``None`` for a good
+    term and for any other (opaque) payload.  The first check that fails
+    answers: the kind is a :class:`PayloadKind`; each set field, in order,
+    is a string its kind carries; the required field is set; a literal has
+    no tag beside a datatype."""
+    if not isinstance(payload, NodePayload):
+        return None
+    kind = payload.kind
+    if not isinstance(kind, PayloadKind):
+        return "UnknownPayloadKind", f"{name} has unknown kind {kind!r}"
+    fields = _KIND_FIELDS[kind]
+    for field, value in zip(_PAYLOAD_FIELDS, payload[1:]):
+        if value is not None:
+            if not isinstance(value, str):
+                return "NonStringField", f"{name} field '{field}' must be a string"
+            if field not in fields:
+                return "ForeignField", f"{kind.value} {name} cannot carry '{field}'"
+    if getattr(payload, fields[0]) is None:
+        return "IncompletePayload", f"{kind.value} {name} has no {fields[0]}"
+    if payload.language_tag is not None and payload.datatype_iri is not None:
+        return "LanguageTagOnTyped", f"{name} carries both a language tag and a datatype"
     return None
 
 
@@ -508,24 +541,21 @@ def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]
 def format_term(term: NodePayload) -> str:
     """Render a term in canonical N-Triples syntax (re-parseable).
 
-    Raises ValueError when ``_term_kind`` finds no term kind, when the term
-    lacks the field its kind requires (naming the field), or when it is a
-    literal with both a language tag and a datatype.
+    Raises ValueError for a payload that is not a :class:`NodePayload`, and
+    with the message of ``_term_problem`` for a malformed term.
     """
-    kind = _term_kind(term)
-    if kind is None:
-        raise ValueError(f"unknown term kind {getattr(term, 'kind', None)!r}")
-    required = _KIND_FIELDS[kind][0]
-    if getattr(term, required) is None:
-        raise ValueError(f"{kind.value} term has no {required}")
+    if not isinstance(term, NodePayload):
+        raise ValueError(f"not a term: {type(term).__name__}")
+    problem = _term_problem(term)
+    if problem is not None:
+        raise ValueError(problem[1])
+    kind = term.kind
     if kind is PayloadKind.URI:
         return f"<{term.iri.translate(_IRI_ESCAPES)}>"
     if kind is PayloadKind.BLANK:
         return f"_:{term.blank_label}"
     text = f'"{term.lexical_form.translate(_LITERAL_ESCAPES)}"'
     if term.language_tag is not None:
-        if term.datatype_iri is not None:
-            raise ValueError(_TAG_AND_DATATYPE)
         return f"{text}@{term.language_tag}"
     if term.datatype_iri is not None:
         return f"{text}^^<{term.datatype_iri.translate(_IRI_ESCAPES)}>"

@@ -57,6 +57,11 @@ class EdgeKind(Enum):
     DOMAIN = "d"
     RANGE = "r"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality and runs in C; Enum's own hashes the name in
+    # Python.  No output depends on hash order.
+    __hash__ = object.__hash__
+
 
 #: The edge kinds that ``constraint_of`` answers for.
 _CONSTRAINT_KINDS = (EdgeKind.DOMAIN, EdgeKind.RANGE)
@@ -114,7 +119,11 @@ class SchemaGraph(Freezable):
         return node_id
 
     def find(self, iri: str) -> int | None:
-        return self._ids.get(iri)
+        """Id of the node for ``iri``, if any; ``None`` for an unhashable value."""
+        try:
+            return self._ids.get(iri)
+        except TypeError:
+            return None
 
     def iri_of(self, node: int) -> str:
         self._check_node(node)

@@ -351,20 +351,28 @@ class DataclassConnectorStore:
 
 # statement_of as it was before it read the placement rules of
 # validate_mapping: its own term test and its own subject and predicate checks.
+# Its term test also refuses a set field that is not a string or that the
+# term's kind does not carry, as validate_mapping has since done.
 
-_REQUIRED_FIELD = {
-    PayloadKind.URI: "iri",
-    PayloadKind.BLANK: "blank_label",
-    PayloadKind.LITERAL: "lexical_form",
+_OWN_FIELDS = {  # the required field first
+    PayloadKind.URI: ("iri",),
+    PayloadKind.BLANK: ("blank_label",),
+    PayloadKind.LITERAL: ("lexical_form", "language_tag", "datatype_iri"),
 }
 
 
 def _is_term(payload: object) -> bool:
-    """Whether a payload is a complete RDF term: a NodePayload carrying the
-    field its kind requires, and not a literal with both a tag and a datatype."""
+    """Whether a payload is a well-formed RDF term: a NodePayload whose set
+    fields are strings its kind carries, carrying the field its kind
+    requires, and not a literal with both a tag and a datatype."""
     if not isinstance(payload, NodePayload):
         return False
-    if getattr(payload, _REQUIRED_FIELD[payload.kind]) is None:
+    own = _OWN_FIELDS[payload.kind]
+    for name in NodePayload._fields[1:]:
+        value = getattr(payload, name)
+        if value is not None and (name not in own or not isinstance(value, str)):
+            return False
+    if getattr(payload, own[0]) is None:
         return False
     return not (
         payload.kind is PayloadKind.LITERAL
@@ -1031,8 +1039,10 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
 # speed: the writer builds the whole document and hands it to json.dumps, and
 # the reader adds every record through the checked public mutators.  The only
 # changes are that both refuse non-finite floats, and the reader refuses an
-# RDF term listed as two hypernodes, a term field foreign to its kind, a
-# hypernode record key no kind writes, and an unknown section.
+# RDF term listed as two hypernodes, a malformed term (a field foreign to its
+# kind, a missing required field, a tag beside a datatype), a record key the
+# format does not have (in ``meta`` too; an opaque record may hold a term
+# field only as null), and an unknown section.
 
 _PAYLOAD_FIELDS = ("iri", "blank_label", "lexical_form", "language_tag", "datatype_iri")
 _FIELDS_OF_KIND = {
@@ -1123,12 +1133,25 @@ def _as_int(value: Any, context: str) -> int:
     return value
 
 
+# The keys a record of each section other than the hypernodes may hold.
+_SECTION_KEYS = {
+    "hyperedges": ("id", "head", "tail"),
+    "graph_nodes": ("id", "iri"),
+    "graph_edges": ("from", "to", "kind"),
+    "connectors_v": ("from", "to"),
+    "connectors_e": ("from", "to"),
+}
+
+
 def _as_records(document: dict[str, Any], section: str) -> list[dict[str, Any]]:
     _require(section in document, f"missing section '{section}'")
     records = document[section]
     _require(isinstance(records, list), f"section '{section}' must be a list")
     for record in records:
         _require(isinstance(record, dict), f"entries of '{section}' must be objects")
+    for index, record in enumerate(records if section in _SECTION_KEYS else ()):
+        for key in record:
+            _require(key in _SECTION_KEYS[section], f"{section} entry {index} cannot carry '{key}'")
     return records
 
 
@@ -1139,22 +1162,20 @@ def _check_dense_ids(records: list[dict[str, Any]], section: str) -> None:
             raise SchemaViolation(f"ids in '{section}' must be dense and ordered")
 
 
-def _check_record_keys(record: dict[str, Any], kind: str, *extra: str) -> None:
-    for key in record:
-        _require(key in ("id", "kind", *_PAYLOAD_FIELDS, *extra), f"{kind} hypernode cannot carry '{key}'")
-
-
 def _payload_from_json(record: dict[str, Any]) -> Any:
     kind = record.get("kind")
     if kind == "opaque":
-        _check_record_keys(record, kind, "value")
+        for key, value in record.items():
+            _require(key in ("id", "kind", "value") or key in _PAYLOAD_FIELDS and value is None,
+                     f"opaque hypernode cannot carry '{key}'")
         _require("value" in record, "opaque hypernode has no value")
         return record["value"]
     try:
         payload_kind = PayloadKind(kind)
     except ValueError:
         raise UnknownKind(f"unknown hypernode kind {kind!r}") from None
-    _check_record_keys(record, kind)
+    for key in record:
+        _require(key in ("id", "kind", *_PAYLOAD_FIELDS), f"{kind} hypernode cannot carry '{key}'")
     fields = {}
     for name in _PAYLOAD_FIELDS:
         value = record.get(name)
@@ -1162,6 +1183,10 @@ def _payload_from_json(record: dict[str, Any]) -> Any:
             _require(isinstance(value, str), f"hypernode field '{name}' must be a string")
             _require(name in _FIELDS_OF_KIND[kind], f"{kind} hypernode cannot carry '{name}'")
         fields[name] = value
+    required = _FIELDS_OF_KIND[kind][0]
+    _require(fields[required] is not None, f"{kind} hypernode has no {required}")
+    _require(fields["language_tag"] is None or fields["datatype_iri"] is None,
+             "hypernode carries both a language tag and a datatype")
     return NodePayload(payload_kind, **fields)
 
 
@@ -1179,6 +1204,8 @@ def oracle_deserialize(text: str) -> HG2:
     meta = document.get("meta")
     _require(isinstance(meta, dict), "missing 'meta' section")
     _require(meta.get("format") == FORMAT_VERSION, f"unsupported format {meta.get('format')!r}")
+    for key in meta:
+        _require(key == "format", f"meta cannot carry '{key}'")
     for name in document:
         _require(name in ("meta", "hypernodes", "hyperedges", "graph_nodes", "graph_edges",
                           "connectors_v", "connectors_e"), f"unknown section '{name}'")

@@ -377,7 +377,25 @@ def test_serialize_refuses_a_term_field_foreign_to_its_kind(payload, name):
 def test_serialize_refuses_a_term_field_that_is_not_a_string(payload):
     hg2 = HG2()
     hg2.h.add_node(payload)
-    with pytest.raises(TypeError):
+    name = next(name for name in NodePayload._fields[1:]
+                if getattr(payload, name) is not None and not isinstance(getattr(payload, name), str))
+    message = f"hypernode 0 field '{name}' must be a string"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        serialize(hg2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        serialize(hg2, io.StringIO())
+
+
+@pytest.mark.parametrize("payload, message", [
+    (NodePayload(PayloadKind.URI), "uri hypernode 0 has no iri"),
+    (NodePayload(PayloadKind.LITERAL, lexical_form="x", language_tag="en", datatype_iri="urn:t"),
+     "hypernode 0 carries both a language tag and a datatype"),
+])
+def test_serialize_refuses_an_incomplete_term_and_a_tag_beside_a_datatype(payload, message):
+    hg2 = HG2()
+    hg2.h.add_node(payload)
+    assert [violation.message for violation in validate_mapping(hg2)] == [message]
+    with pytest.raises(ValueError, match=f"^{message}$"):
         serialize(hg2)
 
 

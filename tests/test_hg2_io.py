@@ -205,10 +205,28 @@ def misspelled_language_tag(with_opaque: bool) -> dict:
         {"id": 0, "kind": "opaque", "value": 5, "lang": "en"}], "hyperedges": []},
      "opaque hypernode cannot carry 'lang'"),
     ({**json.loads(FOREIGN_FIELD_DOCUMENT), "hyperedge": []}, "unknown section 'hyperedge'"),
+    ({**json.loads(FOREIGN_FIELD_DOCUMENT), "hypernodes": [
+        {"id": 0, "kind": "opaque", "value": [1], "iri": "urn:b"}], "hyperedges": []},
+     "opaque hypernode cannot carry 'iri'"),
+    ({**json.loads(FOREIGN_FIELD_DOCUMENT), "meta": {"format": "hg2/1", "note": "x"}},
+     "meta cannot carry 'note'"),
+    (json.loads(serialize(integrate(parse_document(
+        '<urn:s> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:C> .\n'
+        '<urn:s> <urn:p> "x" .\n')[0])[0])), None),
 ], ids=["misspelled-tag", "misspelled-tag-beside-opaque", "uri-value", "opaque-stray-key",
-        "unknown-section"])
+        "unknown-section", "opaque-term-key", "meta-key", "each-section-key"])
 def test_both_readers_refuse_a_key_or_section_the_format_does_not_have(document, refused):
-    text = json.dumps(document)
+    if refused is None:  # a key added to the last record of each section in turn
+        for section in ("hyperedges", "graph_nodes", "graph_edges", "connectors_v", "connectors_e"):
+            index = len(document[section]) - 1
+            edited = {**document, section: [*document[section][:-1],
+                                            {**document[section][-1], "note": None}]}
+            assert_refused_alike(json.dumps(edited), f"{section} entry {index} cannot carry 'note'")
+        return
+    assert_refused_alike(json.dumps(document), refused)
+
+
+def assert_refused_alike(text: str, refused: str) -> None:
     assert outcome(deserialize, text) == (SchemaViolation, refused)
     assert outcome(oracle_deserialize, text) == (SchemaViolation, refused)
 
@@ -255,6 +273,20 @@ def test_mutated_documents_fail_alike_in_both_readers():
         assert_same_outcome(text)
         failures += not isinstance(outcome(deserialize, text), HG2)
     assert failures > 1000  # the fuzz reaches the error paths, not just valid loads
+    keyed = 0
+    for _ in range(100):  # a key the format does not have, in meta or one record of a section
+        document = json.loads(serialize(random_structure(rng)))
+        for section, value in document.items():
+            records = [value] if section == "meta" else value
+            if records:
+                record = rng.choice(records)
+                record["note"] = rng.choice(_BAD_VALUES)
+                text = json.dumps(document)
+                del record["note"]
+                assert_same_outcome(text)
+                assert not isinstance(outcome(deserialize, text), HG2)
+                keyed += 1
+    assert keyed > 400
 
 
 @pytest.fixture(scope="module")

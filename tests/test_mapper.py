@@ -30,6 +30,7 @@ from hg2rdf import (
     route_statement,
     serialize,
     statement_of,
+    to_dot,
     validate_mapping,
 )
 from hg2rdf.schema import (
@@ -103,12 +104,15 @@ def test_format_term_rejects_incomplete_payloads():
         (NodePayload(PayloadKind.LITERAL), "literal term has no lexical_form"),
         (
             NodePayload(PayloadKind.LITERAL, lexical_form="x", language_tag="en", datatype_iri="urn:t"),
-            "a literal cannot carry both a language tag and a datatype",
+            "term carries both a language tag and a datatype",
         ),
-        (NodePayload("uri", iri="urn:x"), "unknown term kind 'uri'"),
-        (NodePayload(7, iri="urn:x"), "unknown term kind 7"),
-        ("x", "unknown term kind None"),
-        (None, "unknown term kind None"),
+        (NodePayload("uri", iri="urn:x"), "term has unknown kind 'uri'"),
+        (NodePayload(7, iri="urn:x"), "term has unknown kind 7"),
+        (NodePayload.uri(5), "term field 'iri' must be a string"),
+        (NodePayload.literal("x", datatype_iri=["urn:t"]), "term field 'datatype_iri' must be a string"),
+        (NodePayload(PayloadKind.URI, iri="urn:a", lexical_form="x"), "uri term cannot carry 'lexical_form'"),
+        ("x", "not a term: str"),
+        (None, "not a term: NoneType"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             format_term(payload)
@@ -220,6 +224,56 @@ def test_integrate_reports_a_term_of_unknown_kind():
     assert report.warnings == ["UnknownPayloadKind: hypernode 0 has unknown kind 'uri'"]
     assert statement_of(hg2, 0) is None
     assert check_domain_range(hg2) == []
+
+
+def test_a_term_with_a_non_string_field_is_refused_alike_by_every_reader():
+    hg2 = fresh()
+    p, o = hg2.h.add_node(iri("urn:p")), hg2.h.add_node(iri("urn:o"))
+    odd = hg2.h.add_node(NodePayload.uri(5))
+    hg2.h.add_hyperedge([p], [odd, o])
+    message = f"hypernode {odd} field 'iri' must be a string"
+    assert validate_mapping(hg2) == [Violation("NonStringField", message, node=odd)]
+    assert statement_of(hg2, 0) is None
+    assert f'h{odd} [label="{NodePayload.uri(5)}"];' in to_dot(hg2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        serialize(hg2)
+
+
+def test_connectors_and_constraints_skip_an_unhashable_iri_as_an_opaque_payload():
+    statements, _ = parse_document(CONSTRAINT_SCHEMA + CONSTRAINT_TYPING)
+    found = []
+    for subject in (NodePayload.uri(["http://example.org/d"]), ["http://example.org/d"]):
+        hg2 = fresh()
+        for statement in statements:
+            map_schema_statement(statement, hg2.g)
+        creator = hg2.h.add_node(iri("http://example.org/creator"))
+        hg2.h.add_hyperedge([creator], [hg2.h.add_node(subject), hg2.h.add_node(iri("urn:x"))])
+        generate_connectors(hg2)
+        found.append((hg2.connectors_v, check_domain_range(hg2)))
+    assert found[0] == found[1]
+    assert [warning.kind for warning in found[0][1]] == ["DomainUnsatisfied"]
+    assert SchemaGraph().find(["http://example.org/d"]) is None
+
+
+def test_integrate_refuses_an_unhashable_term_with_the_rules_text():
+    statements = [Statement(iri("urn:s"), iri("urn:p"), iri("urn:o")),
+                  Statement(iri("urn:s"), iri("urn:p"), NodePayload.literal("x", language_tag=["en"]))]
+    with pytest.raises(ValueError, match="^term field 'language_tag' must be a string$"):
+        integrate(statements)
+
+
+def test_integrate_reports_a_term_with_a_foreign_field():
+    foreign = NodePayload(PayloadKind.URI, iri="urn:a", lexical_form="x")
+    hg2, report = integrate([Statement(iri("urn:a"), iri("urn:p"), iri("urn:o")),
+                             Statement(foreign, iri("urn:p"), iri("urn:o"))])
+    assert report.warnings == ["ForeignField: uri hypernode 3 cannot carry 'lexical_form'"]
+    assert statement_of(hg2, 0) == Statement(iri("urn:a"), iri("urn:p"), iri("urn:o"))
+    assert statement_of(hg2, 1) is None
+
+
+def test_edge_kinds_hash_by_identity():
+    assert EdgeKind.__hash__ is object.__hash__
+    assert len({GraphEdge(0, 1, kind) for kind in EdgeKind}) == len(EdgeKind)
 
 
 def test_statement_of_recovers_every_parsed_statement_of_the_acceptance_corpus():

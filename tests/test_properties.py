@@ -1,10 +1,10 @@
 """Property-based checks across the whole pipeline."""
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import replace
-from itertools import starmap
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +19,13 @@ from hg2rdf import (
     NodePayload,
     ParseError,
     PayloadKind,
+    SchemaViolation,
     Statement,
+    Violation,
     check_domain_range,
     deserialize,
     format_statement,
+    format_term,
     generate_connectors,
     instances_of,
     integrate,
@@ -37,6 +40,7 @@ from hg2rdf import (
     validate_mapping,
 )
 from hg2rdf import HG2
+from hg2rdf.cli import _node_line
 from hg2rdf.mapper import SCHEMA_PREDICATES
 from hg2rdf.schema import RDFS_LITERAL
 from oracles import (
@@ -52,6 +56,7 @@ from oracles import (
     naive_instances,
     naive_reachable,
     oracle_check_domain_range,
+    oracle_deserialize,
     oracle_statement_of,
     random_class_graph,
     random_document,
@@ -148,15 +153,18 @@ def test_statement_of_agrees_with_its_old_checks(hg2):
 
 # Every sort of hypernode payload: half are IRI terms over a few IRIs that
 # the graph layer below constrains and types, the rest other well-formed
-# terms, incomplete, tag-plus-datatype and foreign-field terms, opaque
-# payloads, and, one in sixteen, a term whose kind is no PayloadKind (one of
-# them unhashable).
+# terms, terms with missing, foreign and non-string fields (one of them
+# unhashable) and tag-plus-datatype literals, opaque payloads, and, one in
+# sixteen, a term whose kind is no PayloadKind (one of them unhashable).
 _iris = st.sampled_from(["urn:p", "urn:q", "urn:x", "urn:A", "urn:B", RDFS_LITERAL])
+_odd_fields = st.sampled_from([None, "a", 5, True, ["a"]])
 _other_known_payloads = st.one_of(
     blank_terms,
     st.builds(lambda text, dt: NodePayload.literal(text, datatype_iri=dt), st.text(max_size=4), _iris),
     literal_terms,
     _terms,
+    st.builds(NodePayload, st.sampled_from(PayloadKind), _odd_fields, _odd_fields, _odd_fields,
+              _odd_fields, _odd_fields),
     st.sampled_from(["opaque", 7, None, [1, "a"], {"k": 1.5}]),
 )
 _unknown_kind_terms = st.builds(
@@ -166,23 +174,34 @@ _drawn_payloads = st.integers(0, 15).flatmap(
     lambda roll: _iris.map(NodePayload.uri) if roll < 8 else _other_known_payloads if roll < 15
     else _unknown_kind_terms
 )
-# The fields a term of each kind may set.
+# The fields a term of each kind may set, the required one first.
 _OWN_FIELDS = {
-    PayloadKind.URI: {"iri"},
-    PayloadKind.BLANK: {"blank_label"},
-    PayloadKind.LITERAL: {"lexical_form", "language_tag", "datatype_iri"},
+    PayloadKind.URI: ("iri",),
+    PayloadKind.BLANK: ("blank_label",),
+    PayloadKind.LITERAL: ("lexical_form", "language_tag", "datatype_iri"),
 }
 
 
-def _serialize_refusal(node_id: int, payload: object) -> str | None:
-    """The start of serialize's message for a payload it refuses, or None."""
+def _malformed(payload: object, name: str) -> tuple[str, str] | None:
+    """The term rule written out: the violation kind and the message, about
+    ``name``, for a malformed term, and None for a well-formed term or an
+    opaque payload."""
     if not isinstance(payload, NodePayload):
         return None
     if not isinstance(payload.kind, PayloadKind):
-        return f"hypernode {node_id} has unknown kind "
-    foreign = [name for name in NodePayload._fields[1:]
-               if name not in _OWN_FIELDS[payload.kind] and getattr(payload, name) is not None]
-    return f"{payload.kind.value} hypernode {node_id} cannot carry '{foreign[0]}'" if foreign else None
+        return "UnknownPayloadKind", f"{name} has unknown kind {payload.kind!r}"
+    own = _OWN_FIELDS[payload.kind]
+    for field in NodePayload._fields[1:]:
+        value = getattr(payload, field)
+        if value is not None and not isinstance(value, str):
+            return "NonStringField", f"{name} field '{field}' must be a string"
+        if value is not None and field not in own:
+            return "ForeignField", f"{payload.kind.value} {name} cannot carry '{field}'"
+    if getattr(payload, own[0]) is None:
+        return "IncompletePayload", f"{payload.kind.value} {name} has no {own[0]}"
+    if payload.language_tag is not None and payload.datatype_iri is not None:
+        return "LanguageTagOnTyped", f"{name} carries both a language tag and a datatype"
+    return None
 
 
 @st.composite
@@ -203,21 +222,70 @@ def checked_structures(draw) -> HG2:
     return hg2
 
 
+def _hypernodes_document(hg2: HG2) -> str:
+    """A document of the structure's hypernodes alone, each term written
+    with its kind and set fields as they are, however malformed; terms of
+    unknown kind are left out (a document's unknown kind is UnknownKind)."""
+    records = []
+    for payload in hg2.h.nodes:
+        record = {"id": len(records)}
+        if not isinstance(payload, NodePayload):
+            record.update(kind="opaque", value=payload)
+        elif isinstance(payload.kind, PayloadKind):
+            record["kind"] = payload.kind.value
+            record.update((name, value) for name, value in zip(NodePayload._fields[1:], payload[1:])
+                          if value is not None)
+        else:
+            continue
+        records.append(record)
+    sections = dict.fromkeys(["hyperedges", "graph_nodes", "graph_edges", "connectors_v",
+                              "connectors_e"], [])
+    return json.dumps({"meta": {"format": "hg2/1"}, "hypernodes": records, **sections})
+
+
 @given(checked_structures())
 @settings(max_examples=300, deadline=None)
 def test_every_reader_of_a_hypernode_takes_every_payload(hg2):
+    """Every door that reads a hypernode accepts a well-formed term or an
+    opaque payload and refuses a malformed term with the term rule's text;
+    no AttributeError, KeyError or TypeError escapes any of them."""
+    nodes = hg2.h.nodes
+    problems = [_malformed(payload, f"hypernode {node}") for node, payload in enumerate(nodes)]
+    assert [violation for violation in validate_mapping(hg2) if violation.edge is None] == [
+        Violation(*problem, node=node) for node, problem in enumerate(problems) if problem
+    ]
+    for edge_id, edge in enumerate(hg2.h.edges):
+        if any(problems[node] for node in (*edge.head, *edge.tail)):
+            assert statement_of(hg2, edge_id) is None
+        else:
+            statement_of(hg2, edge_id)
+    for node, payload in enumerate(nodes):
+        problem = _malformed(payload, "term")
+        if problem is not None or not isinstance(payload, NodePayload):
+            message = problem[1] if problem else f"not a term: {type(payload).__name__}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                format_term(payload)
+            assert _node_line(hg2, node) == f"hypernode {node}"
+        else:
+            assert _node_line(hg2, node) == format_term(payload)
     to_dot(hg2)
-    validate_mapping(hg2)
-    for edge_id in range(hg2.h.edge_count):
-        statement_of(hg2, edge_id)
     assert check_domain_range(hg2) == naive_check_domain_range(hg2) == oracle_check_domain_range(hg2)
-    refusal = next(filter(None, starmap(_serialize_refusal, enumerate(hg2.h.nodes))), None)
+    refusal = next(filter(None, problems), None)
     if refusal is not None:
-        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal[1])}$"):
             serialize(hg2)
     else:
         text = serialize(hg2)
         assert serialize(deserialize(text)) == text
+    written = [payload for payload in nodes
+               if not isinstance(payload, NodePayload) or isinstance(payload.kind, PayloadKind)]
+    refusal = next(filter(None, (_malformed(payload, "hypernode") for payload in written)), None)
+    for load in (deserialize, oracle_deserialize):
+        if refusal is not None:
+            with pytest.raises(SchemaViolation, match=f"^{re.escape(refusal[1])}$"):
+                load(_hypernodes_document(hg2))
+        else:
+            assert load(_hypernodes_document(hg2)).h.nodes == written
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 2)), max_size=40))

@@ -113,9 +113,13 @@ def three_terms() -> dict:
     return json.loads(serialize(hg2))
 
 
-def edited(*edits: tuple[int, dict]) -> str:
+def edited(*edits: tuple[int, dict], replace: bool = False) -> str:
+    """The three terms' document with each edited record updated by its
+    fields, or, with ``replace``, replaced by them (its id kept)."""
     document = three_terms()
     for index, fields in edits:
+        if replace:
+            document["hypernodes"][index] = {"id": index}
         document["hypernodes"][index].update(fields)
     return json.dumps(document)
 
@@ -131,10 +135,11 @@ def edited(*edits: tuple[int, dict]) -> str:
     (edited((1, {"kind": "iri"})), (UnknownKind, "unknown hypernode kind 'iri'")),
     (edited((2, {"kind": 1})), (UnknownKind, "unknown hypernode kind 1")),
     (edited((1, {"kind": None})), (UnknownKind, "unknown hypernode kind None")),
-    # an opaque payload in the middle of the section
-    (edited((1, {"kind": "opaque"})), (SchemaViolation, "opaque hypernode has no value")),
+    # a literal turned opaque that keeps its term fields, which an opaque
+    # record may hold only as null
+    (edited((1, {"kind": "opaque"})), (SchemaViolation, "opaque hypernode cannot carry 'lexical_form'")),
     (edited((1, {"kind": "opaque", "value": 1}), (2, {"kind": "x"})),
-     (UnknownKind, "unknown hypernode kind 'x'")),
+     (SchemaViolation, "opaque hypernode cannot carry 'lexical_form'")),
     # a repeated term
     (edited((2, {"kind": "uri", "iri": "urn:a", "lexical_form": None, "datatype_iri": None})),
      (SchemaViolation, "hypernodes 0 and 2 carry the same term")),
@@ -142,6 +147,19 @@ def edited(*edits: tuple[int, dict]) -> str:
     (edited((1, {"blank_label": 7}), (2, {"kind": "x"})),
      (SchemaViolation, "hypernode field 'blank_label' must be a string")),
     (edited((1, {"kind": "x"}), (2, {"iri": 7})), (UnknownKind, "unknown hypernode kind 'x'")),
+    # an opaque payload in the middle of the section
+    (edited((1, {"kind": "opaque"}), replace=True),
+     (SchemaViolation, "opaque hypernode has no value")),
+    (edited((1, {"kind": "opaque", "value": 1}), (2, {"kind": "x"}), replace=True),
+     (UnknownKind, "unknown hypernode kind 'x'")),
+    (edited((1, {"kind": "opaque", "value": [1, "v"]})),
+     (SchemaViolation, "opaque hypernode cannot carry 'lexical_form'")),
+    (edited((1, {"kind": "opaque", "value": "urn:a"}), (2, {"kind": "opaque", "value": "urn:a"})),
+     (SchemaViolation, "opaque hypernode cannot carry 'lexical_form'")),
+    # a term without its required field, and a tag beside a datatype
+    (edited((1, {"lexical_form": None})), (SchemaViolation, "literal hypernode has no lexical_form")),
+    (edited((2, {"language_tag": "en"})),
+     (SchemaViolation, "hypernode carries both a language tag and a datatype")),
 ])
 def test_a_hypernodes_section_that_fails_a_column_check_raises_as_the_oracle(text, refused):
     assert outcome(deserialize, text) == refused
@@ -149,9 +167,12 @@ def test_a_hypernodes_section_that_fails_a_column_check_raises_as_the_oracle(tex
 
 
 @pytest.mark.parametrize("text", [
-    edited((1, {"kind": "opaque", "value": [1, "v"]})),  # an opaque payload in the middle
-    edited((1, {"kind": "opaque", "value": "urn:a"}), (2, {"kind": "opaque", "value": "urn:a"})),
+    # an opaque payload in the middle, without term keys
+    edited((1, {"kind": "opaque", "value": [1, "v"]}), replace=True),
+    edited((1, {"kind": "opaque", "value": "urn:a"}), (2, {"kind": "opaque", "value": "urn:a"}),
+           replace=True),
     edited((1, {"iri": None, "blank_label": None})),  # a null field is an absent one
+    edited((1, {"kind": "opaque", "value": 1, "lexical_form": None, "language_tag": None})),
 ])
 def test_odd_but_valid_hypernodes_sections_load_as_the_oracle_loads(text):
     assert isinstance(outcome(deserialize, text), HG2)

@@ -54,10 +54,10 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring as _quote
 from operator import contains
-from typing import Any, TextIO
+from typing import Any, NamedTuple, TextIO
 
 from .hypergraph import Freezable, Hypergraph, _check_index
-from .ntriples import _KIND_FIELDS, _PAYLOAD_FIELDS, _SURROGATE_RE, NodePayload, PayloadKind
+from .ntriples import _BOM, _KIND_FIELDS, _PAYLOAD_FIELDS, _SURROGATE_RE, NodePayload, PayloadKind
 from .ntriples import _term_kind, _term_problem
 from .schema import EdgeKind, GraphEdge, SchemaGraph
 
@@ -99,8 +99,7 @@ class EdgeConnector:
 Connector = NodeConnector | EdgeConnector
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     message: str
     node: int | None = None
@@ -605,8 +604,11 @@ def deserialize(text: str) -> HG2:
     be written as UTF-8) are each a :class:`SchemaViolation` too.  Sections
     load in document order, each checked whole before it is stored.  The
     text is not referenced once it is parsed, so a caller that hands over
-    its only reference does not keep it alive while the records load.
+    its only reference does not keep it alive while the records load.  One
+    leading byte order mark (U+FEFF) is dropped, as ``parse_document`` drops
+    it.
     """
+    text = text.removeprefix(_BOM)
     try:
         document = json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
 from .hypergraph import Hypergraph, _check_id
@@ -72,14 +72,31 @@ class MissingAnchorError(LookupError):
 
 
 def route_statement(statement: Statement) -> Layer:
-    """Decide which layer a statement belongs to."""
-    if (
-        statement.subject.kind is PayloadKind.URI
-        and statement.object.kind is PayloadKind.URI
-        and statement.predicate.iri in SCHEMA_PREDICATES
-    ):
-        return Layer.SCHEMA
+    """Decide which layer a statement belongs to.
+
+    A term field that cannot be hashed (a list, say) raises ValueError with
+    the term rule's message, as in :func:`integrate`.
+    """
+    try:
+        if (
+            statement.subject.kind is PayloadKind.URI
+            and statement.object.kind is PayloadKind.URI
+            and statement.predicate.iri in SCHEMA_PREDICATES
+        ):
+            return Layer.SCHEMA
+    except TypeError:  # an unhashable field
+        _raise_term_problem((statement,))
+        raise
     return Layer.INSTANCE
+
+
+def _raise_term_problem(statements: Iterable[Statement]) -> None:
+    """Raise ValueError with the term rule's message for the first malformed
+    term of the statements; return if every term is well formed.  Called
+    only on the failure path of a hash, where the caller re-raises."""
+    problem = next(filter(None, map(_term_problem, chain.from_iterable(statements))), None)
+    if problem is not None:
+        raise ValueError(problem[1]) from None
 
 
 def map_statement(statement: Statement, hg2: HG2) -> int:
@@ -90,10 +107,15 @@ def map_statement(statement: Statement, hg2: HG2) -> int:
     they are, interned through the hypergraph's own index, so a repeated
     term reuses its hypernode; repeated statements are dropped by
     :func:`integrate` before they get here.  :func:`integrate` maps all of
-    its instance statements through the same body.
+    its instance statements through the same body.  A term field that
+    cannot be hashed raises ValueError with the term rule's message.
     """
     hg2.h._check_mutable()
-    return _map_instances(hg2.h, (statement,))
+    try:
+        return _map_instances(hg2.h, (statement,))
+    except TypeError:  # an unhashable field
+        _raise_term_problem((statement,))
+        raise
 
 
 def _map_instances(h: Hypergraph, statements: Sequence[Statement]) -> int:
@@ -141,10 +163,16 @@ def map_schema_statement(statement: Statement, graph: SchemaGraph) -> bool:
     """Record a schema statement as a labeled graph edge (subject → object).
 
     For rdfs:subClassOf this realizes the child → parent direction.  Returns
-    True when a new edge was added, False on an exact duplicate.
+    True when a new edge was added, False on an exact duplicate.  A term
+    field that cannot be hashed raises ValueError with the term rule's
+    message.
     """
     graph._check_mutable()
-    return _map_schema(graph, statement)
+    try:
+        return _map_schema(graph, statement)
+    except TypeError:  # an unhashable field
+        _raise_term_problem((statement,))
+        raise
 
 
 def _map_schema(graph: SchemaGraph, statement: Statement) -> bool:
@@ -258,8 +286,7 @@ def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[
     return violations
 
 
-@dataclass(frozen=True)
-class ConstraintWarning:
+class ConstraintWarning(NamedTuple):
     kind: str
     node: int
     predicate_iri: str
@@ -374,11 +401,9 @@ def integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
     report = IntegrationReport(statements_in=len(statements))
     try:
         distinct = dict.fromkeys(statements)
-    except TypeError:  # an unhashable field; name the first malformed term
-        problem = next(filter(None, map(_term_problem, chain.from_iterable(statements))), None)
-        if problem is None:
-            raise
-        raise ValueError(problem[1]) from None
+    except TypeError:  # an unhashable field
+        _raise_term_problem(statements)
+        raise
     instances: list[Statement] = []
     for statement in distinct:
         if route_statement(statement) is Layer.SCHEMA:

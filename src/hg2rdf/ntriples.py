@@ -57,7 +57,6 @@ which path a line took first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -85,6 +84,11 @@ _LANG_TAG_RE = re.compile(_LANG_TAG)
 # UTF-8 cannot encode them, so no line or document string may hold one.
 _SURROGATES = r"\ud800-\udfff"
 _SURROGATE_RE = re.compile(f"[{_SURROGATES}]")
+
+# The byte order mark.  Both readers, parse_document and hg2's deserialize,
+# drop one leading mark (RFC 8259 section 8.1 lets a JSON parser ignore it);
+# a second one is content.
+_BOM = "\ufeff"
 
 # A character an IRI or a literal holds without a backslash escape.  An IRI
 # ends at '>' and is interrupted by '<' or any character at or below space.
@@ -255,8 +259,7 @@ class Statement(NamedTuple):
     object: NodePayload
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(NamedTuple):
     """A rejected line.  ``column`` is 1-based, 0 when no single position applies."""
 
     line_no: int
@@ -522,7 +525,7 @@ def parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]
             return [], [
                 ParseError(line_no, ErrorCode.INVALID_ENCODING, f"not valid UTF-8: {exc.reason}")
             ]
-    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    text = text.removeprefix(_BOM).replace("\r\n", "\n").replace("\r", "\n")
     statements: list[Statement] = []
     errors: list[ParseError] = []
     terms: dict[str | tuple[str], NodePayload] = {}

@@ -7,8 +7,8 @@ dict keyed by :class:`GraphEdge`, which holds their order and uniqueness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .hypergraph import Freezable, _check_index
 
@@ -67,8 +67,10 @@ class EdgeKind(Enum):
 _CONSTRAINT_KINDS = (EdgeKind.DOMAIN, EdgeKind.RANGE)
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
+    """A labeled edge; as a tuple it hashes and compares in C, as the key
+    of ``SchemaGraph.edges``."""
+
     src: int
     dst: int
     kind: EdgeKind

@@ -8,21 +8,19 @@ module resolves IRIs and shapes the answers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hg2 import HG2
 from .ntriples import NodePayload
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     """Hypernode or hyperedge ids answering a query, unique and sorted."""
 
     items: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(NamedTuple):
     found: bool
     edges: tuple[int, ...]
 

@@ -1192,6 +1192,7 @@ def _payload_from_json(record: dict[str, Any]) -> Any:
 
 def oracle_deserialize(text: str) -> HG2:
     """Rebuild an HG2 from its serialized document, one checked record at a time."""
+    text = text.removeprefix("\ufeff")
     try:
         document = json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:

@@ -521,6 +521,19 @@ def test_bom_prefixed_nt_file_parses_cleanly(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_bom_prefixed_document_loads_with_the_same_stats(sample_file, tmp_path, capsys):
+    doc = tmp_path / "built.json"
+    main(["build", "--input", sample_file, "--output", str(doc)])
+    assert main(["stats", "--input", str(doc)]) == 0
+    expected = capsys.readouterr().out
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + doc.read_bytes())
+    assert main(["stats", "--input", str(bom)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
 def test_non_utf8_nt_file_is_a_parse_error(tmp_path, capsys):
     data = tmp_path / "bad.nt"
     data.write_bytes(b"\xff<urn:s> <urn:p> <urn:o> .\n")

@@ -151,6 +151,17 @@ def test_both_readers_refuse_a_term_listed_as_two_hypernodes():
     assert outcome(oracle_deserialize, serialize(hg2)) == refused
 
 
+def test_both_readers_drop_one_leading_byte_order_mark():
+    hg2 = HG2()
+    hg2.h.add_hyperedge([hg2.h.add_node(NodePayload.uri("urn:p"))], [hg2.h.add_node([1])])
+    text = serialize(hg2)
+    assert deserialize("\ufeff" + text) == hg2
+    assert_same_outcome("\ufeff" + text)
+    # only one leading mark is a byte order mark; a second one is not JSON
+    assert_same_outcome("\ufeff\ufeff" + text)
+    assert outcome(deserialize, "\ufeff\ufeff" + text)[0] is SchemaViolation
+
+
 def test_both_readers_refuse_a_term_field_foreign_to_its_kind():
     refused = (SchemaViolation, "uri hypernode cannot carry 'lexical_form'")
     assert outcome(deserialize, FOREIGN_FIELD_DOCUMENT) == refused

@@ -262,6 +262,27 @@ def test_integrate_refuses_an_unhashable_term_with_the_rules_text():
         integrate(statements)
 
 
+UNHASHABLE = NodePayload.uri(["a"])
+UNHASHABLE_MESSAGE = "^term field 'iri' must be a string$"
+
+
+def test_map_statement_refuses_an_unhashable_term_with_the_rules_text():
+    hg2 = fresh()
+    with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
+        map_statement(Statement(UNHASHABLE, iri("urn:p"), iri("urn:o")), hg2)
+    assert hg2.h.node_count == 0 and hg2.h.edge_count == 0
+
+
+def test_map_schema_statement_refuses_an_unhashable_term_with_the_rules_text():
+    with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
+        map_schema_statement(Statement(UNHASHABLE, iri(RDF_TYPE), iri("urn:C")), SchemaGraph())
+
+
+def test_route_statement_refuses_an_unhashable_term_with_the_rules_text():
+    with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
+        route_statement(Statement(iri("urn:s"), UNHASHABLE, iri("urn:o")))
+
+
 def test_integrate_reports_a_term_with_a_foreign_field():
     foreign = NodePayload(PayloadKind.URI, iri="urn:a", lexical_form="x")
     hg2, report = integrate([Statement(iri("urn:a"), iri("urn:p"), iri("urn:o")),

@@ -34,14 +34,17 @@ escaper of :mod:`json`, and gives the bytes ``json.dumps(..., indent=2)``
 gives.  It returns the document as a string, or writes it to a text handle
 in chunks as the records are made, so that a large document is never held
 whole.  ``deserialize`` checks the ids, slots, endpoints and duplicates of
-each section in one pass before it stores any record of it, and then
-appends the whole section in one call to the private writer that the
-public mutators end in: ``Hypergraph._append_nodes`` and ``_append_edges``
-(the only writers of hypernodes, hyperedges and their per-node indexes)
-and ``_append_connectors``.  Hypernodes are decoded one field at a time
-across the section.  A section that fails the check goes through the
+the hypernode, hyperedge and connector sections in one pass each before
+it stores any record of them, and then appends each whole section in one
+call to the private writer that the public mutators end in:
+``Hypergraph._append_nodes`` and ``_append_edges`` (the only writers of
+hypernodes, hyperedges and their per-node indexes) and
+``_append_connectors``.  Hypernodes are decoded one field at a time across
+the section.  A section that fails the check goes through the
 record-by-record decoder or the checked mutators, so a bad record raises
-the exception class and message they give.
+the exception class and message they give.  Graph nodes and graph edges
+always load record by record, through ``SchemaGraph.intern`` and
+``SchemaGraph.add_edge``.
 ``_all_ids`` is the id rule of ``_check_index`` over a whole section.
 """
 from __future__ import annotations
@@ -59,7 +62,7 @@ from typing import Any, NamedTuple, TextIO
 from .hypergraph import Freezable, Hypergraph, _check_index
 from .ntriples import _BOM, _KIND_FIELDS, _PAYLOAD_FIELDS, _SURROGATE_RE, NodePayload, PayloadKind
 from .ntriples import _term_kind, _term_problem
-from .schema import EdgeKind, GraphEdge, SchemaGraph
+from .schema import EdgeKind, SchemaGraph
 
 FORMAT_VERSION = "hg2/1"
 
@@ -531,30 +534,6 @@ def _load_hyperedges(hg2: HG2, records: list[dict[str, Any]]) -> None:
 _EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
 
 
-def _load_graph_edges(hg2: HG2, records: list[dict[str, Any]]) -> None:
-    sources = [record.get("from") for record in records]
-    targets = [record.get("to") for record in records]
-    kinds = [record.get("kind") for record in records]
-    count = hg2.g.node_count
-    if set(map(type, kinds)) <= {str} and set(kinds) <= _EDGE_KINDS.keys() \
-            and _all_ids(sources, count) and _all_ids(targets, count):
-        edges = list(map(GraphEdge, sources, targets, map(_EDGE_KINDS.__getitem__, kinds)))
-        if len(set(edges)) == len(edges):
-            for edge in edges:
-                hg2.g._append_edge(edge)
-            return
-    for index, record in enumerate(records):
-        kind = record.get("kind")
-        edge_kind = _EDGE_KINDS.get(kind) if type(kind) is str else None
-        if edge_kind is None:
-            raise UnknownKind(f"unknown graph edge kind {kind!r}")
-        try:
-            added = hg2.g.add_edge(record.get("from"), record.get("to"), edge_kind)
-        except (LookupError, TypeError) as exc:
-            raise SchemaViolation(f"graph edge {index} is malformed: {exc}") from exc
-        _require(added, f"graph_edges entry {index} is a duplicate")
-
-
 def _load_connectors(
     hg2: HG2, records: list[dict[str, Any]], section: str, factory: type, source_count: int
 ) -> None:
@@ -648,7 +627,16 @@ def deserialize(text: str) -> HG2:
         if hg2.g.intern(iri) != index:
             raise SchemaViolation(f"duplicate graph node iri {iri!r}")
 
-    _load_graph_edges(hg2, _as_records(document, "graph_edges"))
+    for index, record in enumerate(_as_records(document, "graph_edges")):
+        kind = record.get("kind")
+        edge_kind = _EDGE_KINDS.get(kind) if type(kind) is str else None
+        if edge_kind is None:
+            raise UnknownKind(f"unknown graph edge kind {kind!r}")
+        try:
+            added = hg2.g.add_edge(record.get("from"), record.get("to"), edge_kind)
+        except (LookupError, TypeError) as exc:
+            raise SchemaViolation(f"graph edge {index} is malformed: {exc}") from exc
+        _require(added, f"graph_edges entry {index} is a duplicate")
     _load_connectors(hg2, _as_records(document, "connectors_v"), "connectors_v",
                      NodeConnector, hg2.h.node_count)
     _load_connectors(hg2, _as_records(document, "connectors_e"), "connectors_e",

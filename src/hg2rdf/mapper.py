@@ -165,10 +165,11 @@ def map_schema_statement(statement: Statement, graph: SchemaGraph) -> bool:
     For rdfs:subClassOf this realizes the child → parent direction.  Returns
     True when a new edge was added, False on an exact duplicate.  A term
     field that cannot be hashed raises ValueError with the term rule's
-    message.
+    message, before either endpoint is interned.
     """
     graph._check_mutable()
     try:
+        hash(statement)
         return _map_schema(graph, statement)
     except TypeError:  # an unhashable field
         _raise_term_problem((statement,))

@@ -179,8 +179,9 @@ class NodePayload(NamedTuple):
     through the :meth:`uri`/:meth:`blank`/:meth:`literal` factories, which
     populate exactly the fields of one kind and build the tuple positionally
     (``tuple.__new__``), skipping the keyword handling of the generated
-    constructor.  Direct construction is unchecked so that loaded documents
-    can be inspected by validators.
+    constructor.  Direct construction is unchecked, so a hand-built term
+    can be malformed; ``deserialize`` refuses every malformed term, so only
+    such hand-built terms reach ``validate_mapping``.
     """
 
     kind: PayloadKind

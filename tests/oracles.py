@@ -1,9 +1,13 @@
-"""Independent oracles and corpus generators for the test suite.
+"""Oracles, checkers and corpus generators for the test suite.
 
-Everything here is deliberately naive — fixpoint loops, matrix closure,
-brute-force scans over whole edge lists — so that agreement with the library
-is meaningful.  The generators take an explicit random.Random so corpora are
-reproducible from a seed.
+Each public name has a row in ``LEDGER``: the code under ``src/`` it guards,
+its role and the test files that import it.  A faster-form oracle is the
+simpler code a faster path replaced, or a naive model (a fixpoint loop, a
+matrix closure, a scan of a whole edge list) of what it computes; a
+refactor pin is code a refactor replaced without a speed gain, kept only
+while no other model checks what it checks.  The generators take an
+explicit random.Random so corpora are reproducible from a seed.
+``test_oracle_ledger.py`` keeps the ledger and the names in step.
 """
 from __future__ import annotations
 
@@ -12,8 +16,6 @@ import math
 import random
 import re
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
 from typing import Any
 
 from hg2rdf import (
@@ -61,6 +63,67 @@ from hg2rdf.schema import (
     RDFS_SUBCLASSOF,
 )
 
+_FASTER = "faster-form oracle"
+_PIN = "refactor pin"
+_GENERATOR = "generator"
+_CHECKER = "checker"
+
+# name: (the src/ code it guards, as a dotted path, or None; role; test files)
+LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
+    "scanner_parse_line": ("hg2rdf.ntriples._LINE_RE", _FASTER,
+                           ("test_ntriples.py", "test_ntriples_fast_path.py")),
+    "loop_scanner_parse_line": ("hg2rdf.ntriples._parse_line", _FASTER,
+                                ("test_ntriples_fast_path.py",)),
+    "loop_escape_literal": ("hg2rdf.ntriples.format_term", _FASTER, ("test_ntriples.py",)),
+    "loop_escape_iri": ("hg2rdf.ntriples.format_term", _FASTER, ("test_ntriples.py",)),
+    "malformed_term": ("hg2rdf.ntriples._term_problem", _CHECKER, ("test_properties.py",)),
+    "oracle_statement_of": ("hg2rdf.mapper.statement_of", _PIN, ("test_properties.py",)),
+    "naive_reachable": ("hg2rdf.hypergraph.Hypergraph.forward_reachable", _FASTER,
+                        ("test_acceptance.py", "test_hypergraph.py", "test_properties.py")),
+    "naive_search": ("hg2rdf.hypergraph.Hypergraph._search", _FASTER,
+                     ("test_hypergraph.py", "test_properties.py")),
+    "naive_path": ("hg2rdf.hypergraph.Hypergraph.forward_path", _FASTER,
+                   ("test_hypergraph.py", "test_properties.py")),
+    "matrix_reachability": ("hg2rdf.schema.SchemaGraph.subclass_closure", _FASTER,
+                            ("test_acceptance.py",)),
+    "matrix_closure": ("hg2rdf.schema.SchemaGraph.subclass_closure", _FASTER,
+                       ("test_properties.py", "test_schema.py")),
+    "naive_instances": ("hg2rdf.traversal.instances_of", _FASTER,
+                        ("test_properties.py", "test_traversal.py")),
+    "naive_anchors": ("hg2rdf.hg2.HG2.anchors_of_node", _FASTER, ("test_properties.py",)),
+    "naive_generate_connectors": ("hg2rdf.mapper.generate_connectors", _FASTER,
+                                  ("test_properties.py",)),
+    "naive_check_domain_range": ("hg2rdf.mapper.check_domain_range", _FASTER,
+                                 ("test_domain_range.py", "test_properties.py",
+                                  "test_write_path.py")),
+    "oracle_append_node": ("hg2rdf.hypergraph.Hypergraph._append_nodes", _FASTER,
+                           ("test_section_writers.py",)),
+    "oracle_append_edge": ("hg2rdf.hypergraph.Hypergraph._append_edges", _FASTER,
+                           ("test_section_writers.py",)),
+    "oracle_add_node": ("hg2rdf.mapper.map_statement", _FASTER, ("test_section_writers.py",)),
+    "oracle_add_hyperedge": ("hg2rdf.mapper.map_statement", _FASTER, ("test_section_writers.py",)),
+    "oracle_parse_document": ("hg2rdf.ntriples.parse_document", _FASTER, ("test_write_path.py",)),
+    "oracle_integrate": ("hg2rdf.mapper.integrate", _FASTER, ("test_write_path.py",)),
+    "oracle_to_dot": ("hg2rdf.dot.to_dot", _FASTER, ("test_hg2_io.py", "test_streamed_output.py")),
+    "oracle_serialize": ("hg2rdf.hg2.serialize", _FASTER,
+                         ("test_hg2_io.py", "test_streamed_output.py")),
+    "oracle_deserialize": ("hg2rdf.hg2.deserialize", _FASTER,
+                           ("test_hg2_io.py", "test_properties.py", "test_section_writers.py")),
+    "check_dot": ("hg2rdf.dot.to_dot", _CHECKER,
+                  ("test_cli.py", "test_dot.py", "test_streamed_output.py")),
+    "assert_same_indexes": (None, _CHECKER,
+                            ("test_hg2_io.py", "test_section_writers.py", "test_write_path.py")),
+    "canonical_form": (None, _CHECKER, ("test_properties.py",)),
+    "random_document": (None, _GENERATOR,
+                        ("test_acceptance.py", "test_domain_range.py", "test_properties.py",
+                         "test_write_path.py")),
+    "random_structure": (None, _GENERATOR,
+                         ("test_acceptance.py", "test_cli.py", "test_hg2.py", "test_hg2_io.py",
+                          "test_properties.py", "test_streamed_output.py")),
+    "random_class_graph": (None, _GENERATOR,
+                           ("test_acceptance.py", "test_properties.py", "test_schema.py")),
+}
+
 
 def scanner_parse_line(line: str, line_no: int = 1) -> Statement | ParseError:
     """parse_line by the character scanner alone, without the whole-line
@@ -82,7 +145,7 @@ _LOOP_SIMPLE_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
 _LOOP_SURROGATE_MESSAGE = "\\u escape names a surrogate code point"
 
 
-def loop_unescape_literal(raw: str) -> str:
+def _loop_unescape_literal(raw: str) -> str:
     """unescape_literal, one character at a time."""
     if "\\" not in raw:
         return raw
@@ -196,7 +259,7 @@ class _LoopScanner:
             raw.append(ch)
             self.pos += 1
         try:
-            lexical = loop_unescape_literal("".join(raw))
+            lexical = _loop_unescape_literal("".join(raw))
         except BadEscape as exc:
             raise _Halt(ErrorCode.BAD_ESCAPE, str(exc), open_pos + 2 + exc.offset) from exc
         if self.peek() == "@":
@@ -303,83 +366,40 @@ def loop_escape_iri(text: str) -> str:
     return "".join(out)
 
 
-# The term and the connector store as they were before both became tuples:
-# a frozen slotted dataclass, whose kind hashed through Enum.__hash__, and one
-# insertion-ordered dict per connector kind keyed by the connector dataclasses.
+# The term rule written out once for the test side: the fields a term of
+# each kind may set, the required one first.
 
-_EnumHashedKind = Enum("_EnumHashedKind", {kind.name: kind.value for kind in PayloadKind})
-
-
-@dataclass(frozen=True, slots=True)
-class DataclassPayload:
-    """A NodePayload's fields as the frozen dataclass term held them."""
-
-    kind: _EnumHashedKind
-    iri: str | None = None
-    blank_label: str | None = None
-    lexical_form: str | None = None
-    language_tag: str | None = None
-    datatype_iri: str | None = None
-
-    @classmethod
-    def of(cls, term: NodePayload) -> DataclassPayload:
-        return cls(_EnumHashedKind[term.kind.name], *term[1:])
-
-
-class DataclassConnectorStore:
-    """HG2's connector stores keyed by the connector dataclasses; ids are
-    taken as valid, so only the duplicate check and the order are modelled."""
-
-    def __init__(self) -> None:
-        self._stores: dict[type, dict[Any, None]] = {NodeConnector: {}, EdgeConnector: {}}
-
-    def add_connector(self, connector: NodeConnector | EdgeConnector) -> bool:
-        store = self._stores[type(connector)]
-        if connector in store:
-            return False
-        store[connector] = None
-        return True
-
-    @property
-    def connectors_v(self) -> tuple[NodeConnector, ...]:
-        return tuple(self._stores[NodeConnector])
-
-    @property
-    def connectors_e(self) -> tuple[EdgeConnector, ...]:
-        return tuple(self._stores[EdgeConnector])
-
-
-# statement_of as it was before it read the placement rules of
-# validate_mapping: its own term test and its own subject and predicate checks.
-# Its term test also refuses a set field that is not a string or that the
-# term's kind does not carry, as validate_mapping has since done.
-
-_OWN_FIELDS = {  # the required field first
+_PAYLOAD_FIELDS = NodePayload._fields[1:]
+_OWN_FIELDS = {
     PayloadKind.URI: ("iri",),
     PayloadKind.BLANK: ("blank_label",),
     PayloadKind.LITERAL: ("lexical_form", "language_tag", "datatype_iri"),
 }
 
 
-def _is_term(payload: object) -> bool:
-    """Whether a payload is a well-formed RDF term: a NodePayload whose set
-    fields are strings its kind carries, carrying the field its kind
-    requires, and not a literal with both a tag and a datatype."""
+def malformed_term(payload: object, name: str = "term") -> tuple[str, str] | None:
+    """The violation kind and the message, about ``name``, for a malformed
+    term, and None for a well-formed term or an opaque payload."""
     if not isinstance(payload, NodePayload):
-        return False
+        return None
+    if not isinstance(payload.kind, PayloadKind):
+        return "UnknownPayloadKind", f"{name} has unknown kind {payload.kind!r}"
     own = _OWN_FIELDS[payload.kind]
-    for name in NodePayload._fields[1:]:
-        value = getattr(payload, name)
-        if value is not None and (name not in own or not isinstance(value, str)):
-            return False
+    for field in _PAYLOAD_FIELDS:
+        value = getattr(payload, field)
+        if value is not None and not isinstance(value, str):
+            return "NonStringField", f"{name} field '{field}' must be a string"
+        if value is not None and field not in own:
+            return "ForeignField", f"{payload.kind.value} {name} cannot carry '{field}'"
     if getattr(payload, own[0]) is None:
-        return False
-    return not (
-        payload.kind is PayloadKind.LITERAL
-        and payload.language_tag is not None
-        and payload.datatype_iri is not None
-    )
+        return "IncompletePayload", f"{payload.kind.value} {name} has no {own[0]}"
+    if payload.language_tag is not None and payload.datatype_iri is not None:
+        return "LanguageTagOnTyped", f"{name} carries both a language tag and a datatype"
+    return None
 
+
+# statement_of as it was before it read the placement rules of
+# validate_mapping: its own subject and predicate checks.
 
 def oracle_statement_of(hg2: HG2, edge_id: int) -> Statement | None:
     """The statement a hyperedge encodes, or None for an absent edge id, wrong
@@ -392,7 +412,7 @@ def oracle_statement_of(hg2: HG2, edge_id: int) -> Statement | None:
     if len(edge.head) != 1 or len(edge.tail) != 2:
         return None
     payloads = [hg2.h.nodes[n] for n in (edge.tail[0], edge.head[0], edge.tail[1])]
-    if not all(_is_term(p) for p in payloads):
+    if not all(isinstance(p, NodePayload) and malformed_term(p) is None for p in payloads):
         return None
     subject, predicate, objekt = payloads
     if subject.kind is PayloadKind.LITERAL or predicate.kind is not PayloadKind.URI:
@@ -419,38 +439,11 @@ def naive_reachable(hypergraph: Hypergraph, start: int) -> set[int]:
             return reached
 
 
-def naive_path(hypergraph: Hypergraph, start: int, target: int) -> tuple[int, ...] | None:
-    """Breadth-first witness: each dequeued node scans every edge in id order
-    for edges it heads; ``()`` for start == target, None when unreachable."""
-    if start == target:
-        return ()
-    parents: dict[int, tuple[int, int]] = {}
-    seen = {start}
-    queue = [start]
-    for current in queue:
-        for edge_id, edge in enumerate(hypergraph.edges):
-            if current not in edge.head:
-                continue
-            for node in edge.tail:
-                if node not in seen:
-                    seen.add(node)
-                    parents[node] = (edge_id, current)
-                    queue.append(node)
-    if target not in parents:
-        return None
-    path: list[int] = []
-    while target != start:
-        edge_id, target = parents[target]
-        path.append(edge_id)
-    return tuple(reversed(path))
-
-
-def head_list_search(
-    hypergraph: Hypergraph, start: int, target: int | None = None
-) -> dict[int, tuple[int, int]]:
-    """The firing search as it was before forward stars: each node lists the
-    ids of the edges it heads, every repeat of a tail is visited, and each
-    reached node maps to the (edge, node) that reached it first."""
+def naive_search(hypergraph: Hypergraph, start: int) -> dict[int, tuple[int, int]]:
+    """Breadth-first firing search without forward stars: each dequeued node
+    fires the edges it heads in id order, every repeat of a tail is visited,
+    and each reached node maps to the (edge, node) that reached it first;
+    ``start`` maps only if a fired edge reaches it."""
     heads: list[list[int]] = [[] for _ in hypergraph.nodes]
     for edge_id, edge in enumerate(hypergraph.edges):
         for node in set(edge.head):
@@ -463,17 +456,16 @@ def head_list_search(
             for tail_node in hypergraph.edges[edge_id].tail:
                 if tail_node not in reached:
                     reached[tail_node] = (edge_id, node)
-                    if tail_node == target:
-                        return reached
                     queue.append(tail_node)
     return reached
 
 
-def head_list_path(
+def naive_path(
     reached: dict[int, tuple[int, int]], start: int, target: int
 ) -> tuple[int, ...] | None:
-    """The edge ids leading to ``target`` in a :func:`head_list_search`
-    record from ``start``; ``()`` for start == target, None if unreached."""
+    """The breadth-first witness: the edge ids leading to ``target`` in a
+    :func:`naive_search` record from ``start``; ``()`` for start == target,
+    None if unreached."""
     if target == start:
         return ()
     if target not in reached:
@@ -573,17 +565,7 @@ def naive_generate_connectors(hg2: HG2) -> None:
                     hg2.add_connector(NodeConnector(node_id, class_node))
 
 
-def scan_instances(hg2: HG2, class_iri: str) -> tuple[int, ...]:
-    """instances_of by a scan of every node connector against the class's
-    subclass closure, sorted."""
-    class_node = hg2.g.find(class_iri)
-    if class_node is None:
-        return ()
-    closure = hg2.g.subclass_closure(class_node)
-    return tuple(sorted({c.hypernode for c in hg2.connectors_v if c.graph_node in closure}))
-
-
-def naive_constraint_of(graph: SchemaGraph, node: int, kind: EdgeKind) -> int | None:
+def _naive_constraint_of(graph: SchemaGraph, node: int, kind: EdgeKind) -> int | None:
     """Target of the first ``kind`` edge out of ``node``, by a scan of every
     graph edge in insertion order."""
     for edge in graph.edges:
@@ -616,7 +598,7 @@ def naive_check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
         if predicate_node is None:
             continue
 
-        domain = naive_constraint_of(hg2.g, predicate_node, EdgeKind.DOMAIN)
+        domain = _naive_constraint_of(hg2.g, predicate_node, EdgeKind.DOMAIN)
         if domain is not None and not typed_within(edge.tail[0], domain):
             warnings.append(
                 ConstraintWarning(
@@ -624,7 +606,7 @@ def naive_check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
                 )
             )
 
-        range_class = naive_constraint_of(hg2.g, predicate_node, EdgeKind.RANGE)
+        range_class = _naive_constraint_of(hg2.g, predicate_node, EdgeKind.RANGE)
         if range_class is not None:
             object_node = edge.tail[1]
             object_payload = hg2.h.nodes[object_node]
@@ -692,9 +674,8 @@ def oracle_add_hyperedge(h: Hypergraph, head: list[int], tail: list[int]) -> int
 
 
 # The write path as it was before each statement was mapped in one pass:
-# the parser makes a fresh term per occurrence, integrate maps through the
-# checked public mutators, and check_domain_range resolves the predicate of
-# every hyperedge anew.
+# the parser makes a fresh term per occurrence, and integrate maps through
+# the checked public mutators.
 
 def oracle_parse_document(text: str | bytes) -> tuple[list[Statement], list[ParseError]]:
     """parse_document as one ``parse_line`` call per line, with no term
@@ -751,69 +732,12 @@ def oracle_integrate(statements: list[Statement]) -> tuple[HG2, IntegrationRepor
     return hg2, report
 
 
-def oracle_check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
-    """check_domain_range with the head's IRI, graph node, domain and range
-    looked up for every hyperedge (closures are still kept per call)."""
-    warnings: list[ConstraintWarning] = []
-    literal_class = hg2.g.find(RDFS_LITERAL)
-    closures: dict[int, set[int]] = {}
-
-    def closure_of(class_node: int) -> set[int]:
-        closure = closures.get(class_node)
-        if closure is None:
-            closure = closures[class_node] = hg2.g.subclass_closure(class_node)
-        return closure
-
-    node_anchors = hg2._node_anchors
-
-    def typed_within(node: int, class_node: int) -> bool:
-        return not closure_of(class_node).isdisjoint(node_anchors.get(node, ()))
-
-    for edge in hg2.h.edges:
-        if len(edge.head) != 1 or len(edge.tail) != 2:
-            continue
-        head_payload = hg2.h.nodes[edge.head[0]]
-        if (
-            not isinstance(head_payload, NodePayload)
-            or head_payload.kind is not PayloadKind.URI
-            or head_payload.iri is None
-        ):
-            continue
-        predicate_node = hg2.g.find(head_payload.iri)
-        if predicate_node is None:
-            continue
-
-        domain = hg2.g.constraint_of(predicate_node, EdgeKind.DOMAIN)
-        if domain is not None and not typed_within(edge.tail[0], domain):
-            warnings.append(
-                ConstraintWarning(
-                    "DomainUnsatisfied", edge.tail[0], head_payload.iri, hg2.g.iri_of(domain)
-                )
-            )
-
-        range_class = hg2.g.constraint_of(predicate_node, EdgeKind.RANGE)
-        if range_class is not None:
-            object_node = edge.tail[1]
-            object_payload = hg2.h.nodes[object_node]
-            if isinstance(object_payload, NodePayload) and object_payload.kind is PayloadKind.LITERAL:
-                satisfied = literal_class is not None and literal_class in closure_of(range_class)
-            else:
-                satisfied = typed_within(object_node, range_class)
-            if not satisfied:
-                warnings.append(
-                    ConstraintWarning(
-                        "RangeUnsatisfied", object_node, head_payload.iri, hg2.g.iri_of(range_class)
-                    )
-                )
-    return warnings
-
-
 _WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 _LITERAL_TEXTS = ("x", "hello world", 'quote " mark', "tab\tchar", "café 世界", "")
 _SCHEMA_PREDICATES = (RDF_TYPE, RDFS_SUBCLASSOF, RDFS_DOMAIN, RDFS_RANGE)
 
 
-def random_statement(rng: random.Random) -> Statement:
+def _random_statement(rng: random.Random) -> Statement:
     def iri() -> NodePayload:
         return NodePayload.uri(f"http://example.org/{rng.choice(_WORDS)}{rng.randrange(6)}")
 
@@ -845,7 +769,7 @@ def random_statement(rng: random.Random) -> Statement:
 
 
 def random_document(rng: random.Random, max_statements: int = 18) -> list[Statement]:
-    return [random_statement(rng) for _ in range(rng.randrange(0, max_statements))]
+    return [_random_statement(rng) for _ in range(rng.randrange(0, max_statements))]
 
 
 def random_structure(rng: random.Random) -> HG2:
@@ -1044,14 +968,6 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
 # format does not have (in ``meta`` too; an opaque record may hold a term
 # field only as null), and an unknown section.
 
-_PAYLOAD_FIELDS = ("iri", "blank_label", "lexical_form", "language_tag", "datatype_iri")
-_FIELDS_OF_KIND = {
-    "uri": ("iri",),
-    "blank": ("blank_label",),
-    "literal": ("lexical_form", "language_tag", "datatype_iri"),
-}
-
-
 def _payload_to_json(node_id: int, payload: Any) -> dict[str, Any]:
     if isinstance(payload, NodePayload):
         record: dict[str, Any] = {"id": node_id, "kind": payload.kind.value}
@@ -1176,18 +1092,11 @@ def _payload_from_json(record: dict[str, Any]) -> Any:
         raise UnknownKind(f"unknown hypernode kind {kind!r}") from None
     for key in record:
         _require(key in ("id", "kind", *_PAYLOAD_FIELDS), f"{kind} hypernode cannot carry '{key}'")
-    fields = {}
-    for name in _PAYLOAD_FIELDS:
-        value = record.get(name)
-        if value is not None:
-            _require(isinstance(value, str), f"hypernode field '{name}' must be a string")
-            _require(name in _FIELDS_OF_KIND[kind], f"{kind} hypernode cannot carry '{name}'")
-        fields[name] = value
-    required = _FIELDS_OF_KIND[kind][0]
-    _require(fields[required] is not None, f"{kind} hypernode has no {required}")
-    _require(fields["language_tag"] is None or fields["datatype_iri"] is None,
-             "hypernode carries both a language tag and a datatype")
-    return NodePayload(payload_kind, **fields)
+    payload = NodePayload(payload_kind, *map(record.get, _PAYLOAD_FIELDS))
+    problem = malformed_term(payload, "hypernode")
+    if problem is not None:
+        raise SchemaViolation(problem[1])
+    return payload
 
 
 def oracle_deserialize(text: str) -> HG2:

@@ -278,6 +278,13 @@ def test_map_schema_statement_refuses_an_unhashable_term_with_the_rules_text():
         map_schema_statement(Statement(UNHASHABLE, iri(RDF_TYPE), iri("urn:C")), SchemaGraph())
 
 
+def test_map_schema_statement_interns_nothing_for_a_statement_it_refuses():
+    graph = SchemaGraph()
+    with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
+        map_schema_statement(Statement(iri("urn:s"), iri(RDF_TYPE), UNHASHABLE), graph)
+    assert graph.iris == [] and not graph.edges
+
+
 def test_route_statement_refuses_an_unhashable_term_with_the_rules_text():
     with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
         route_statement(Statement(iri("urn:s"), UNHASHABLE, iri("urn:o")))

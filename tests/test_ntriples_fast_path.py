@@ -128,17 +128,6 @@ def test_parse_line_agrees_with_the_scanner_on_the_acceptance_corpus():
     assert matched == lines == 8757
 
 
-def test_the_line_expression_is_the_one_it_was_before_the_slot_table():
-    assert ntriples._LINE_RE.pattern == (
-        '[ \t\r]*(?:<([^\\x00-\\x20<>\\\\\\ud800-\\udfff]+)>|_:([A-Za-z][A-Za-z0-9]*))'
-        '[ \t\r]+<([^\\x00-\\x20<>\\\\\\ud800-\\udfff]+)>[ \t\r]+'
-        '(?:<([^\\x00-\\x20<>\\\\\\ud800-\\udfff]+)>|_:([A-Za-z][A-Za-z0-9]*)'
-        '|"([^"\\\\\\ud800-\\udfff]*(?:\\\\.[^"\\\\\\ud800-\\udfff]*)*)"'
-        '(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\\^\\^<([^\\x00-\\x20<>\\\\\\ud800-\\udfff]+)>)?)'
-        '[ \t\r]*\\.[ \t\r]*'
-    )
-
-
 # Each slot of a statement against each start: a term of each kind, '.',
 # the end of the line and a stray character, with the other slots
 # well-formed.  The outcome with a space on both sides of the start, by

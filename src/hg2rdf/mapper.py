@@ -1,16 +1,17 @@
 """Integration engine: stratify statements and build the two-layer structure.
 
-Routing is purely syntactic.  A statement goes to the schema layer when its
-predicate is one of the four vocabulary properties (rdfs:subClassOf, rdf:type,
-rdfs:domain, rdfs:range) *and* both subject and object are IRIs; everything
-else — including rdf:type with a blank or literal participant — stays in the
-instance layer.  Instance statements become hyperedges with the predicate as
-the single head node and subject/object as tail positions 0/1; schema
-statements become labeled edges in the graph layer.  The parser's terms are
-:class:`NodePayload` values and become hypernode payloads unconverted.  Each
-distinct statement is mapped once, and hypernodes are interned by the
-hypergraph layer alone, so one term is one hypernode and one statement is
-one hyperedge.
+Routing is purely syntactic, by the one rule of :func:`route_statement`.  A
+statement goes to the schema layer when its predicate is exactly one of the
+four vocabulary properties (rdfs:subClassOf, rdf:type, rdfs:domain,
+rdfs:range) as an IRI term *and* its subject and object are well-formed IRI
+terms; everything else — rdf:type with a blank, literal or malformed
+participant too — stays in the instance layer.  Instance statements become
+hyperedges with the predicate as the single head node and subject/object as
+tail positions 0/1; schema statements become labeled edges in the graph
+layer.  The parser's terms are :class:`NodePayload` values and become
+hypernode payloads unconverted.  Each distinct statement is mapped once, and
+hypernodes are interned by the hypergraph layer alone, so one term is one
+hypernode and one statement is one hyperedge.
 
 Connector generation then ties the layers together: every hyperedge anchors to
 rdf:Statement, role occurrences anchor to rdf:subject / rdf:predicate /
@@ -23,14 +24,13 @@ whether a term is well formed.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
 from .hypergraph import Hypergraph, _check_id
-from .ntriples import PayloadKind, Statement, _term_kind, _term_problem
+from .ntriples import NodePayload, PayloadKind, Statement, _term_kind, _term_problem
 from .schema import (
     RDF_DATATYPE,
     RDF_OBJECT,
@@ -63,6 +63,9 @@ SCHEMA_PREDICATES: dict[str, EdgeKind] = {
     RDFS_RANGE: EdgeKind.RANGE,
 }
 
+#: Each schema predicate as the one IRI term it must be, with its edge kind.
+_SCHEMA_TERMS = {NodePayload.uri(iri): kind for iri, kind in SCHEMA_PREDICATES.items()}
+
 #: Graph nodes that must exist before connectors can be generated.
 ANCHOR_IRIS = (RDF_STATEMENT, RDF_SUBJECT, RDF_PREDICATE, RDF_OBJECT, RDF_DATATYPE)
 
@@ -72,31 +75,36 @@ class MissingAnchorError(LookupError):
 
 
 def route_statement(statement: Statement) -> Layer:
-    """Decide which layer a statement belongs to.
-
-    A term field that cannot be hashed (a list, say) raises ValueError with
-    the term rule's message, as in :func:`integrate`.
+    """Decide which layer a statement belongs to, by the one routing rule:
+    the schema layer when the predicate is exactly a ``SCHEMA_PREDICATES``
+    IRI term and the subject and object are IRI terms the term rule passes,
+    the instance layer otherwise.  A term field that cannot be hashed (a
+    list, say) raises ValueError with the term rule's message.
     """
+    _distinct((statement,))
+    return _route(statement)
+
+
+def _route(statement: Statement) -> Layer:
+    """:func:`route_statement` for a statement known to hash."""
+    subject, predicate, objekt = statement
+    schema = (predicate in _SCHEMA_TERMS and _term_kind(subject) is _term_kind(objekt) is PayloadKind.URI
+              and _term_problem(subject) is None and _term_problem(objekt) is None)
+    return Layer.SCHEMA if schema else Layer.INSTANCE
+
+
+def _distinct(statements: Sequence[Statement]) -> dict[Statement, None]:
+    """The distinct statements in first-seen order; an unhashable one raises :func:`_refusal`."""
     try:
-        if (
-            statement.subject.kind is PayloadKind.URI
-            and statement.object.kind is PayloadKind.URI
-            and statement.predicate.iri in SCHEMA_PREDICATES
-        ):
-            return Layer.SCHEMA
-    except TypeError:  # an unhashable field
-        _raise_term_problem((statement,))
-        raise
-    return Layer.INSTANCE
+        return dict.fromkeys(statements)
+    except TypeError as error:  # an unhashable field
+        raise _refusal(chain.from_iterable(statements)) or error from None
 
 
-def _raise_term_problem(statements: Iterable[Statement]) -> None:
-    """Raise ValueError with the term rule's message for the first malformed
-    term of the statements; return if every term is well formed.  Called
-    only on the failure path of a hash, where the caller re-raises."""
-    problem = next(filter(None, map(_term_problem, chain.from_iterable(statements))), None)
-    if problem is not None:
-        raise ValueError(problem[1]) from None
+def _refusal(terms: Iterable[object]) -> ValueError | None:
+    """ValueError with the term rule's message for the first malformed term."""
+    problem = next(filter(None, map(_term_problem, terms)), None)
+    return None if problem is None else ValueError(problem[1])
 
 
 def map_statement(statement: Statement, hg2: HG2) -> int:
@@ -111,11 +119,8 @@ def map_statement(statement: Statement, hg2: HG2) -> int:
     cannot be hashed raises ValueError with the term rule's message.
     """
     hg2.h._check_mutable()
-    try:
-        return _map_instances(hg2.h, (statement,))
-    except TypeError:  # an unhashable field
-        _raise_term_problem((statement,))
-        raise
+    _distinct((statement,))
+    return _map_instances(hg2.h, (statement,))
 
 
 def _map_instances(h: Hypergraph, statements: Sequence[Statement]) -> int:
@@ -163,24 +168,23 @@ def map_schema_statement(statement: Statement, graph: SchemaGraph) -> bool:
     """Record a schema statement as a labeled graph edge (subject → object).
 
     For rdfs:subClassOf this realizes the child → parent direction.  Returns
-    True when a new edge was added, False on an exact duplicate.  A term
-    field that cannot be hashed raises ValueError with the term rule's
-    message, before either endpoint is interned.
+    True when a new edge was added, False on an exact duplicate.  It maps
+    exactly the statements that :func:`route_statement` sends to the schema
+    layer; for any other it raises ValueError, with the term rule's message
+    when a term is malformed, before either endpoint is interned.
     """
     graph._check_mutable()
-    try:
-        hash(statement)
-        return _map_schema(graph, statement)
-    except TypeError:  # an unhashable field
-        _raise_term_problem((statement,))
-        raise
+    if route_statement(statement) is not Layer.SCHEMA:
+        raise _refusal(statement) or ValueError("route_statement sends this statement to the instance layer")
+    return _map_schema(graph, statement)
 
 
 def _map_schema(graph: SchemaGraph, statement: Statement) -> bool:
-    """:func:`map_schema_statement` on a mutable graph; both endpoints come
-    from ``graph.intern``, so neither needs a range check."""
-    kind = SCHEMA_PREDICATES[statement.predicate.iri]
-    edge = GraphEdge(graph.intern(statement.subject.iri), graph.intern(statement.object.iri), kind)
+    """:func:`map_schema_statement` on a mutable graph, for a statement
+    routed to the schema layer; both endpoints come from ``graph.intern``,
+    so neither needs a range check."""
+    subject, predicate, objekt = statement
+    edge = GraphEdge(graph.intern(subject.iri), graph.intern(objekt.iri), _SCHEMA_TERMS[predicate])
     if edge in graph.edges:
         return False
     graph._append_edge(edge)
@@ -355,14 +359,15 @@ def check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
     return warnings
 
 
-@dataclass
-class IntegrationReport:
+class IntegrationReport(NamedTuple):
+    """What :func:`integrate` built, counted once it is done."""
+
     statements_in: int = 0
     hyperedges_created: int = 0
     schema_edges_created: int = 0
     connectors_v: int = 0
     connectors_e: int = 0
-    warnings: list[str] = field(default_factory=list)
+    warnings: Sequence[str] = ()
 
     def summary(self) -> str:
         lines = [
@@ -377,46 +382,40 @@ class IntegrationReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "warnings": list(self.warnings)}
 
 
 def integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
     """Build a frozen two-layer structure from parsed statements.
 
     Pipeline: load the built-in vocabulary, route each distinct statement to
-    its layer, map it, generate connectors, then run the placement checks
-    (their findings land in the report as warnings).  An RDF graph is a set
-    of triples, so a repeated statement is mapped once; first-seen order is
-    kept, which makes the result deterministic for a given input.  Mapping
-    is one pass over the distinct statements: each schema statement goes
-    through the body of :func:`map_schema_statement`, and the instance
-    statements go together through the body of :func:`map_statement`, as
-    one append of their new terms and one of their hyperedges.  Each term is
-    interned through its layer's own index, and the ids that came from that
-    interning are not range-checked again.  The result is frozen and safe
-    to query concurrently.  A statement that cannot be hashed (a term field
-    such as a list) raises ValueError with the term rule's message for the
-    first malformed term; other malformed terms are mapped and reported.
+    its layer by :func:`route_statement`, map it, generate connectors, then
+    run the placement checks (their findings land in the report as
+    warnings).  An RDF graph is a set of triples, so a repeated statement is
+    mapped once; first-seen order is kept, which makes the result
+    deterministic for a given input.  Mapping is one pass over the distinct
+    statements: each schema statement goes through the body of
+    :func:`map_schema_statement`, and the instance statements go together
+    through the body of :func:`map_statement`, as one append of their new
+    terms and one of their hyperedges.  Each term is interned through its
+    layer's own index, and the ids that came from that interning are not
+    range-checked again.  The report is built once, from the finished
+    structure, which is frozen and safe to query concurrently.  A statement
+    that cannot be hashed (a term field such as a list) raises ValueError
+    with the term rule's message for the first malformed term; any other
+    malformed term goes to the instance layer, and is reported there.
     """
     hg2 = HG2(g=load_builtin_vocabulary())
-    report = IntegrationReport(statements_in=len(statements))
-    try:
-        distinct = dict.fromkeys(statements)
-    except TypeError:  # an unhashable field
-        _raise_term_problem(statements)
-        raise
+    builtin_edges = hg2.g.edge_count
     instances: list[Statement] = []
-    for statement in distinct:
-        if route_statement(statement) is Layer.SCHEMA:
-            if _map_schema(hg2.g, statement):
-                report.schema_edges_created += 1
+    for statement in _distinct(statements):
+        if _route(statement) is Layer.SCHEMA:
+            _map_schema(hg2.g, statement)
         else:
             instances.append(statement)
     _map_instances(hg2.h, instances)
-    report.hyperedges_created = hg2.h.edge_count
     generate_connectors(hg2)
-    report.connectors_v = len(hg2._connectors_v)
-    report.connectors_e = len(hg2._connectors_e)
-    report.warnings.extend(str(violation) for violation in validate_mapping(hg2))
+    warnings = [str(violation) for violation in validate_mapping(hg2)]
     hg2.freeze()
-    return hg2, report
+    return hg2, IntegrationReport(len(statements), hg2.h.edge_count, hg2.g.edge_count - builtin_edges,
+                                  len(hg2._connectors_v), len(hg2._connectors_e), warnings)

@@ -110,10 +110,13 @@ class SchemaGraph(Freezable):
         _check_index(node, len(self.iris), "graph node")
 
     def intern(self, iri: str) -> int:
-        """Return the node id for ``iri``, creating it on first sight."""
+        """Return the node id for ``iri``, creating it on first sight; a new
+        ``iri`` that is not a string raises TypeError."""
         existing = self._ids.get(iri)
         if existing is not None:
             return existing
+        if not isinstance(iri, str):
+            raise TypeError(f"a graph node's iri must be a string, not {type(iri).__name__}")
         self._check_mutable()
         node_id = len(self.iris)
         self.iris.append(iri)

@@ -710,26 +710,23 @@ def oracle_integrate(statements: list[Statement]) -> tuple[HG2, IntegrationRepor
     mutators: ``add_node`` per term and ``add_hyperedge`` (their old bodies,
     one node or edge per call), or ``intern`` per endpoint and ``add_edge``."""
     hg2 = HG2(g=load_builtin_vocabulary())
-    report = IntegrationReport(statements_in=len(statements))
+    schema_edges = 0
     for statement in dict.fromkeys(statements):
         if route_statement(statement) is Layer.SCHEMA:
             kind = SCHEMA_PREDICATES[statement.predicate.iri]
             src = hg2.g.intern(statement.subject.iri)
             dst = hg2.g.intern(statement.object.iri)
-            if hg2.g.add_edge(src, dst, kind):
-                report.schema_edges_created += 1
+            schema_edges += hg2.g.add_edge(src, dst, kind)
         else:
             subject = oracle_add_node(hg2.h, statement.subject)
             predicate = oracle_add_node(hg2.h, statement.predicate)
             objekt = oracle_add_node(hg2.h, statement.object)
             oracle_add_hyperedge(hg2.h, [predicate], [subject, objekt])
-    report.hyperedges_created = hg2.h.edge_count
     generate_connectors(hg2)
-    report.connectors_v = len(hg2._connectors_v)
-    report.connectors_e = len(hg2._connectors_e)
-    report.warnings.extend(str(violation) for violation in validate_mapping(hg2))
+    warnings = [str(violation) for violation in validate_mapping(hg2)]
     hg2.freeze()
-    return hg2, report
+    return hg2, IntegrationReport(len(statements), hg2.h.edge_count, schema_edges,
+                                  len(hg2._connectors_v), len(hg2._connectors_e), warnings)
 
 
 _WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")

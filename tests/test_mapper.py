@@ -80,6 +80,54 @@ def test_every_vocabulary_predicate_routes_when_both_ends_are_iris():
         assert route_statement(statement) is Layer.SCHEMA
 
 
+#: A schema-predicate statement with one malformed term, the violation its
+#: term gives as hypernode 0, 1 or 2 of ``integrate``, and that hypernode.
+MALFORMED_SCHEMA_STATEMENTS = [
+    (Statement(iri("urn:s"), iri(RDF_TYPE), NodePayload.uri(5)),
+     "NonStringField: hypernode 2 field 'iri' must be a string", 2),
+    (Statement(NodePayload(PayloadKind.URI), iri(RDF_TYPE), iri("urn:C")),
+     "IncompletePayload: uri hypernode 0 has no iri", 0),
+    (Statement(NodePayload(PayloadKind.URI, "urn:a", lexical_form="x"), iri(RDF_TYPE), iri("urn:a")),
+     "ForeignField: uri hypernode 0 cannot carry 'lexical_form'", 0),
+    (Statement(iri("urn:s"), NodePayload(PayloadKind.URI, RDF_TYPE, blank_label="b"), iri("urn:C")),
+     "ForeignField: uri hypernode 1 cannot carry 'blank_label'", 1),
+    (Statement(iri("urn:s"), NodePayload("uri", RDFS_SUBCLASSOF), iri("urn:C")),
+     "UnknownPayloadKind: hypernode 1 has unknown kind 'uri'", 1),
+]
+MALFORMED_IDS = ["non-string-object", "incomplete-subject", "foreign-subject", "foreign-predicate",
+                 "unknown-kind-predicate"]
+
+
+@pytest.mark.parametrize("statement, warning, node", MALFORMED_SCHEMA_STATEMENTS, ids=MALFORMED_IDS)
+def test_a_malformed_term_keeps_a_schema_predicate_statement_in_the_instance_layer(statement, warning, node):
+    assert route_statement(statement) is Layer.INSTANCE
+    hg2, report = integrate([statement])
+    assert report.warnings == [warning]
+    assert report.hyperedges_created == 1 and report.schema_edges_created == 0
+    assert hg2.g == load_builtin_vocabulary() and hg2.g.find("urn:a") is None
+    assert statement_of(hg2, 0) is None
+    message = warning.split(": ", 1)[1]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        serialize(hg2)
+    assert f"h{node} [label=" in to_dot(hg2)
+    graph = SchemaGraph()
+    with pytest.raises(ValueError, match=f"^{message.replace(f'hypernode {node}', 'term')}$"):
+        map_schema_statement(statement, graph)
+    assert graph.iris == [] and not graph.edges
+
+
+@pytest.mark.parametrize("statement", [
+    Statement(iri("urn:s"), iri(RDF_TYPE), NodePayload.literal("C")),
+    Statement(NodePayload.blank("b"), iri(RDF_TYPE), iri("urn:C")),
+    Statement(iri("urn:s"), iri("urn:p"), iri("urn:o")),
+], ids=["literal-object", "blank-subject", "other-predicate"])
+def test_map_schema_statement_refuses_a_statement_routed_to_the_instance_layer(statement):
+    graph = SchemaGraph()
+    with pytest.raises(ValueError, match="^route_statement sends this statement to the instance layer$"):
+        map_schema_statement(statement, graph)
+    assert graph.iris == [] and not graph.edges
+
+
 # ------------------------------------------------------------- payloads
 
 def test_payload_round_trip_for_each_term_kind():

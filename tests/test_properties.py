@@ -5,7 +5,7 @@ import json
 import random
 import re
 from dataclasses import replace
-from itertools import starmap
+from itertools import chain, starmap
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from hg2rdf import (
     NodePayload,
     ParseError,
     PayloadKind,
+    SchemaGraph,
     SchemaViolation,
     Statement,
     Violation,
@@ -93,17 +94,6 @@ def test_format_then_parse_is_identity(statement):
 def test_parse_line_is_total(line):
     result = parse_line(line)
     assert isinstance(result, (Statement, ParseError))
-
-
-@given(statements)
-def test_routing_is_total_and_matches_the_rule(statement):
-    layer = route_statement(statement)
-    expected_schema = (
-        statement.subject.kind is PayloadKind.URI
-        and statement.object.kind is PayloadKind.URI
-        and statement.predicate.iri in SCHEMA_PREDICATES
-    )
-    assert layer is (Layer.SCHEMA if expected_schema else Layer.INSTANCE)
 
 
 # Few field values, and half the pairs a term and its copy, so that equal and
@@ -259,6 +249,97 @@ def test_every_reader_of_a_hypernode_takes_every_payload(hg2):
                 load(_hypernodes_document(hg2))
         else:
             assert load(_hypernodes_document(hg2)).h.nodes == written
+
+
+# Statements for the routing rule: each slot holds an IRI term, another
+# well-formed term, a term with odd fields (non-string, one unhashable,
+# foreign or missing) or a term of unknown kind, and half the predicates are
+# a schema predicate's IRI, as its term or in a term with odd fields.
+_odd_terms = st.builds(NodePayload, st.sampled_from(PayloadKind), _odd_fields, _odd_fields,
+                       _odd_fields, _odd_fields, _odd_fields)
+_slot_terms = st.one_of(iri_terms, blank_terms, literal_terms, _odd_terms, _unknown_kind_terms)
+_schema_iris = st.sampled_from(sorted(SCHEMA_PREDICATES))
+_schema_predicates = st.one_of(
+    _schema_iris.map(NodePayload.uri),
+    st.builds(NodePayload, st.sampled_from([*PayloadKind, "uri"]), _schema_iris, _odd_fields,
+              _odd_fields, _odd_fields, _odd_fields),
+)
+routed_statements = st.builds(
+    Statement,
+    st.one_of(_iris.map(NodePayload.uri), _slot_terms),
+    st.one_of(_schema_predicates, _slot_terms),
+    st.one_of(_iris.map(NodePayload.uri), _slot_terms),
+)
+
+
+def _first_refusal(statements: list[Statement]) -> str | None:
+    """The term rule's message for the first malformed term of statements
+    that cannot be hashed, and None when they can be."""
+    try:
+        hash(tuple(statements))
+    except TypeError:
+        return next(filter(None, map(malformed_term, chain.from_iterable(statements))))[1]
+    return None
+
+
+def _is_iri(term: NodePayload) -> bool:
+    return term.kind is PayloadKind.URI and malformed_term(term) is None
+
+
+@given(routed_statements)
+@settings(max_examples=300)
+def test_routing_is_total_and_matches_the_rule(statement):
+    refusal = _first_refusal([statement])
+    if refusal is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            route_statement(statement)
+        return
+    subject, predicate, objekt = statement
+    expected_schema = (
+        _is_iri(predicate) and predicate.iri in SCHEMA_PREDICATES and _is_iri(subject) and _is_iri(objekt)
+    )
+    assert route_statement(statement) is (Layer.SCHEMA if expected_schema else Layer.INSTANCE)
+
+
+@given(routed_statements)
+@settings(max_examples=300)
+def test_map_schema_statement_takes_exactly_what_routes_to_the_schema_layer(statement):
+    graph = SchemaGraph()
+    refusal = _first_refusal([statement])
+    if refusal is None and route_statement(statement) is Layer.SCHEMA:
+        assert map_schema_statement(statement, graph) is True
+        assert graph.iris == list(dict.fromkeys([statement.subject.iri, statement.object.iri]))
+        return
+    problem = refusal or next(filter(None, map(malformed_term, statement)), (None, None))[1]
+    message = problem or "route_statement sends this statement to the instance layer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        map_schema_statement(statement, graph)
+    assert graph.iris == [] and not graph.edges
+
+
+@given(st.lists(routed_statements, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_malformed_terms_never_reach_the_schema_layer(statements):
+    """integrate refuses an unhashable term with the rule's text, or keeps
+    every malformed term in the instance layer, so the graph layer holds
+    string IRIs only, serialize writes the structure or refuses its first
+    malformed hypernode with the rule's text, and to_dot renders it."""
+    refusal = _first_refusal(statements)
+    if refusal is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            integrate(statements)
+        return
+    hg2, report = integrate(statements)
+    assert all(isinstance(iri, str) for iri in hg2.g.iris)
+    problems = [malformed_term(payload, f"hypernode {node}") for node, payload in enumerate(hg2.h.nodes)]
+    problems = [problem for problem in problems if problem]
+    assert report.warnings[:len(problems)] == [f"{kind}: {message}" for kind, message in problems]
+    if problems:
+        with pytest.raises(ValueError, match=f"^{re.escape(problems[0][1])}$"):
+            serialize(hg2)
+    else:
+        assert deserialize(serialize(hg2)) == hg2
+    to_dot(hg2)
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 2)), max_size=40))

@@ -40,6 +40,14 @@ def test_intern_is_idempotent():
     assert graph.iris == ["urn:a", "urn:b"]
 
 
+@pytest.mark.parametrize("iri", [5, None, ("urn:a",), b"urn:a"])
+def test_intern_refuses_an_iri_that_is_not_a_string(iri):
+    graph = SchemaGraph()
+    with pytest.raises(TypeError, match="^a graph node's iri must be a string, not "):
+        graph.intern(iri)
+    assert graph.iris == [] and graph.find(iri) is None
+
+
 def test_freeze_blocks_mutation_but_not_lookups():
     graph = chain(["urn:a", "urn:b"])
     graph.freeze()

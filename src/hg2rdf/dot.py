@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from typing import TextIO
 
 from .hg2 import HG2, _batches, _emit
-from .ntriples import format_term
+from .ntriples import NodePayload, _format_term
 
 # Control characters other than newline, as the \uXXXX escapes format_term writes.
 _CONTROL_ESCAPES = {code: f"\\u{code:04X}" for code in range(0x20) if code != 0x0A}
@@ -26,13 +26,6 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _node_label(payload: object) -> str:
-    try:
-        return format_term(payload)
-    except ValueError:  # an opaque payload, or a term that cannot be written
-        return str(payload)
-
-
 def _lines(hg2: HG2) -> Iterator[str]:
     """The digraph's lines in order, without their newlines."""
     yield "digraph hg2 {"
@@ -40,8 +33,12 @@ def _lines(hg2: HG2) -> Iterator[str]:
 
     yield "  subgraph cluster_hypergraph {"
     yield '    label="hypergraph layer";'
+    malformed = set(hg2.h._malformed_nodes())
     for node_id, payload in enumerate(hg2.h.nodes):
-        yield f'    h{node_id} [label="{_escape(_node_label(payload))}"];'
+        # str() labels an opaque payload and a term the node writer filed as malformed
+        well_formed = isinstance(payload, NodePayload) and node_id not in malformed
+        label = _format_term(payload) if well_formed else str(payload)
+        yield f'    h{node_id} [label="{_escape(label)}"];'
     for edge_id, edge in enumerate(hg2.h.edges):
         yield f'    e{edge_id} [shape=box, label="E{edge_id}"];'
         for node in edge.head:
@@ -58,10 +55,8 @@ def _lines(hg2: HG2) -> Iterator[str]:
         yield f'    g{graph_edge.src} -> g{graph_edge.dst} [label="{graph_edge.kind.value}"];'
     yield "  }"
 
-    for node, graph_node in hg2._connectors_v:
-        yield f"  h{node} -> g{graph_node} [style=dashed];"
-    for edge_id, graph_node in hg2._connectors_e:
-        yield f"  e{edge_id} -> g{graph_node} [style=dashed];"
+    yield from map("  h%d -> g%d [style=dashed];".__mod__, hg2._connectors_v)
+    yield from map("  e%d -> g%d [style=dashed];".__mod__, hg2._connectors_e)
 
     yield "}"
 
@@ -69,8 +64,11 @@ def _lines(hg2: HG2) -> Iterator[str]:
 def to_dot(hg2: HG2, out: TextIO | None = None) -> str | None:
     """Render the structure as a DOT digraph (deterministic output).
 
-    Without ``out`` the digraph is returned as one string.  With ``out``, a
-    text handle, it is written there in chunks of about a thousand lines as
-    they are made, and ``None`` is returned; the bytes are the same.
+    A hypernode is labelled with its term in N-Triples syntax; an opaque
+    payload, and a term the node writer filed as malformed, with
+    ``str(payload)``.  Without ``out`` the digraph is returned as one
+    string.  With ``out``, a text handle, it is written there in chunks of
+    about a thousand lines as they are made, and ``None`` is returned; the
+    bytes are the same.
     """
     return _emit(("\n".join(batch) + "\n" for batch in _batches(_lines(hg2))), out)

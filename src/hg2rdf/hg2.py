@@ -21,17 +21,21 @@ the loader builds them back positionally; any other payload is written as
 kind ``opaque`` with its JSON value, so payloads that are not
 JSON-representable (e.g. tuples) will not round-trip identically.  A
 malformed term is refused both ways with the message of the parser's one
-term rule, ``_term_problem`` (a ``ValueError`` from ``serialize``, a
-:class:`SchemaViolation` from ``deserialize``), so that one term cannot load
-as two nodes.  ``_RECORD_KEYS`` lists the keys each section's records may
-hold, ``meta`` included; any other key is refused.  A non-finite float
-cannot be written (``NaN`` and ``Infinity`` are not JSON, so other
-platforms could not read the document), and ``deserialize`` refuses those
-tokens and, through the parser's ``_SURROGATE_RE``, lone surrogates.
+term rule, ``_term_problem`` (a ``ValueError`` from ``serialize``, for the
+first hypernode the node writer filed as malformed and before any text is
+written, a :class:`SchemaViolation` from ``deserialize``), so that one term
+cannot load as two nodes.  The hypernodes ``deserialize`` loads have all
+passed the rule, so the node writer judges none of them again.
+``_RECORD_KEYS`` lists the keys each section's records may hold, ``meta``
+included; any other key is refused.  A non-finite float cannot be written
+(``NaN`` and ``Infinity`` are not JSON, so other platforms could not read
+the document), and ``deserialize`` refuses those tokens and, through the
+parser's ``_SURROGATE_RE``, lone surrogates.
 
-``serialize`` writes each record from a fixed template, with the string
-escaper of :mod:`json`, and gives the bytes ``json.dumps(..., indent=2)``
-gives.  It returns the document as a string, or writes it to a text handle
+``serialize`` writes each record from a fixed template (one ``%`` template
+for a hyperedge and one for a connector), with the string escaper of
+:mod:`json`, and gives the bytes ``json.dumps(..., indent=2)`` gives.  It
+returns the document as a string, or writes it to a text handle
 in chunks as the records are made, so that a large document is never held
 whole.  ``deserialize`` checks the ids, slots, endpoints and duplicates of
 the hypernode, hyperedge and connector sections in one pass each before
@@ -266,10 +270,13 @@ def _record(*fields: str) -> str:
     return "    {" + _FIELD + _NEXT_FIELD.join(fields) + "\n    }"
 
 
+# The records of a fixed shape, as the text ``_record`` makes of their fields.
+_EDGE_RECORD = _record('"id": %d', '"head": %s', '"tail": %s')
+_CONNECTOR_RECORD = _record('"from": %d', '"to": %d')
+
+
 def _hypernode_record(node_id: int, payload: Any) -> str:
-    problem = _term_problem(payload, f"hypernode {node_id}")
-    if problem is not None:
-        raise ValueError(problem[1])
+    """A node the writer did not file as malformed: a term or an opaque payload."""
     kind = _term_kind(payload)
     if kind is None:
         return _record(f'"id": {node_id}', '"kind": "opaque"', f'"value": {_json(payload)}')
@@ -323,8 +330,7 @@ def _document(hg2: HG2) -> Iterator[str]:
     yield f'{{\n  "meta": {{\n    "format": {_quote(FORMAT_VERSION)}\n  }}'
     yield from _section("hypernodes", starmap(_hypernode_record, enumerate(hg2.h.nodes)))
     yield from _section("hyperedges", (
-        _record(f'"id": {edge_id}', f'"head": {_id_list(edge.head)}',
-                f'"tail": {_id_list(edge.tail)}')
+        _EDGE_RECORD % (edge_id, _id_list(edge.head), _id_list(edge.tail))
         for edge_id, edge in enumerate(hg2.h.edges)
     ))
     yield from _section("graph_nodes", (
@@ -336,9 +342,7 @@ def _document(hg2: HG2) -> Iterator[str]:
         for edge in hg2.g.edges
     ))
     for name, store in (("connectors_v", hg2._connectors_v), ("connectors_e", hg2._connectors_e)):
-        yield from _section(name, (
-            _record(f'"from": {source}', f'"to": {target}') for source, target in store
-        ))
+        yield from _section(name, map(_CONNECTOR_RECORD.__mod__, store))
     yield "\n}\n"
 
 
@@ -354,9 +358,15 @@ def serialize(hg2: HG2, out: TextIO | None = None) -> str | None:
     float anywhere in a payload is a ``ValueError``: ``NaN`` and
     ``Infinity`` are not JSON, and parsers other than Python's refuse them.
     So is a malformed term, with the message of the parser's
-    ``_term_problem``.
-    With ``out``, the handle may then already hold part of the document.
+    ``_term_problem`` for the first hypernode the node writer filed as
+    malformed; that is raised before anything is written to ``out``.  A
+    non-finite float is found as its record is written, so with ``out`` the
+    handle may then already hold part of the document.
     """
+    malformed = hg2.h._malformed_nodes()
+    if malformed:
+        node_id = malformed[0]
+        raise ValueError(_term_problem(hg2.h.nodes[node_id], f"hypernode {node_id}")[1])
     return _emit(_document(hg2), out)
 
 
@@ -611,7 +621,7 @@ def deserialize(text: str) -> HG2:
     hg2 = HG2()
     node_records = _as_records(document, "hypernodes")
     _check_dense_ids(node_records, "hypernodes")
-    hg2.h._append_nodes(_payloads_from_json(node_records))
+    hg2.h._append_nodes(_payloads_from_json(node_records), well_formed=True)
     if len(hg2.h._index) != hg2.h.node_count:
         _refuse_repeated_terms(hg2.h)
 

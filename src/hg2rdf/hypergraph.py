@@ -1,8 +1,12 @@
 """Directed hypergraph with ordered head/tail slots per hyperedge.
 
-Node payloads are opaque at this layer; a node's or a hyperedge's id is its
-position in ``nodes`` or ``edges``, and a repeated hashable payload names its
-first node, as an IRI names one node of :class:`~hg2rdf.schema.SchemaGraph`.
+A node's payload is any value; a node's or a hyperedge's id is its position
+in ``nodes`` or ``edges``, and a repeated hashable payload names its first
+node, as an IRI names one node of :class:`~hg2rdf.schema.SchemaGraph`.  The
+node writer asks the parser's term rule, ``_term_problem``, once per new
+node and files the ids of the malformed terms, so the readers that must
+refuse or report them (``validate_mapping``, ``serialize``, ``to_dot``) read
+that one verdict instead of judging every node again.
 Head and tail are ordered lists so callers can assign positional roles; the
 same node may appear on both sides of one edge.  Each node lists the ids of the edges
 it sits in and keeps its forward star: a map from each distinct node that an
@@ -21,6 +25,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
+
+from .ntriples import _term_problem
 
 
 class UnknownNodeError(LookupError):
@@ -81,6 +87,8 @@ class Hypergraph(Freezable):
         self._forward: list[dict[int, int]] = []
         self._heads: set[int] = set()
         self._index: dict[Any, int] = {}
+        self._malformed: list[int] = []
+        self._judged = 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -113,12 +121,17 @@ class Hypergraph(Freezable):
         except TypeError:
             return None
 
-    def _append_nodes(self, payloads: Iterable[Any]) -> int:
+    def _append_nodes(self, payloads: Iterable[Any], well_formed: bool = False) -> int:
         """Append one node per payload, without interning; returns the first
         new id.  With :meth:`_append_edges`, the only writer of the node
         list, its per-node indexes and the payload index (the first node
         wins).  A whole section's indexes are allocated in one run, next to
         each other, which is the memory the firing search walks.
+
+        Each new node is judged once by the term rule and the malformed ones
+        are filed (:meth:`_malformed_nodes`).  A caller that has already
+        refused every malformed payload, as ``deserialize`` has, passes
+        ``well_formed=True`` and nothing is judged again.
         """
         nodes, index = self.nodes, self._index
         start = len(nodes)
@@ -131,7 +144,26 @@ class Hypergraph(Freezable):
                 index.setdefault(nodes[node_id], node_id)
             except TypeError:
                 pass  # unhashable payloads stay unindexed
+        if well_formed and self._judged == start:
+            self._judged = len(nodes)
+        self._malformed_nodes()
         return start
+
+    def _malformed_nodes(self) -> list[int]:
+        """Ids of the nodes whose payload the term rule refuses, ascending.
+
+        The node writer files them; a node appended to ``nodes`` by other
+        code is judged here, the first time the verdicts are read after it.
+        Through the API every node is judged by the writer, so reading the
+        verdicts of a frozen structure writes nothing.
+        """
+        nodes, start = self.nodes, self._judged
+        if start < len(nodes):
+            self._malformed.extend(
+                node_id for node_id in range(start, len(nodes)) if _term_problem(nodes[node_id])
+            )
+            self._judged = len(nodes)
+        return self._malformed
 
     def add_hyperedge(self, head: Iterable[int], tail: Iterable[int]) -> int:
         """Append an edge joining existing nodes; head and tail order is kept."""

@@ -20,7 +20,8 @@ their class node.
 
 Every reader of a hypernode here asks the parser's rules: ``_term_kind``,
 whether the payload is a term and of which kind, and ``_term_problem``,
-whether a term is well formed.
+whether a term is well formed.  :func:`validate_mapping` asks the latter
+only for the hypernodes the node writer already filed as malformed.
 """
 from __future__ import annotations
 
@@ -115,11 +116,15 @@ def map_statement(statement: Statement, hg2: HG2) -> int:
     they are, interned through the hypergraph's own index, so a repeated
     term reuses its hypernode; repeated statements are dropped by
     :func:`integrate` before they get here.  :func:`integrate` maps all of
-    its instance statements through the same body.  A term field that
-    cannot be hashed raises ValueError with the term rule's message.
+    its instance statements through the same body.  It maps exactly the
+    statements that :func:`route_statement` sends to the instance layer;
+    for a statement routed to the schema layer it raises ValueError before
+    any term is interned.  A term field that cannot be hashed raises
+    ValueError with the term rule's message.
     """
     hg2.h._check_mutable()
-    _distinct((statement,))
+    if route_statement(statement) is not Layer.INSTANCE:
+        raise ValueError("route_statement sends this statement to the schema layer")
     return _map_instances(hg2.h, (statement,))
 
 
@@ -248,16 +253,18 @@ def validate_mapping(hg2: HG2) -> list[Violation]:
     is reported once, as the violation kind and message the rule gives
     (``UnknownPayloadKind``, ``NonStringField``, ``ForeignField``,
     ``IncompletePayload`` or ``LanguageTagOnTyped``), and a term of unknown
-    kind passes the slot rules.  Structures built purely through
-    map_statement from parsed statements satisfy all of these, and
-    :func:`statement_of` reads the same rules.
+    kind passes the slot rules.  The rule's messages are given only for the
+    hypernodes the node writer filed as malformed, so a structure with none
+    judges no term here.  Structures built purely through map_statement
+    from parsed statements satisfy all of these, and :func:`statement_of`
+    reads the same rules.
     """
-    return _placement_violations(hg2, range(hg2.h.node_count), range(hg2.h.edge_count))
+    return _placement_violations(hg2, hg2.h._malformed_nodes(), range(hg2.h.edge_count))
 
 
 def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[int]) -> list[Violation]:
-    """The placement rules over the given hypernodes, then the given
-    hyperedges, each in the order given."""
+    """The term rule over the given hypernodes, then the placement rules
+    over the given hyperedges, each in the order given."""
     nodes, edges = hg2.h.nodes, hg2.h.edges
     violations: list[Violation] = []
     for node_id in node_ids:

@@ -57,6 +57,7 @@ which path a line took first.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from enum import Enum
 from typing import NamedTuple
 
@@ -74,6 +75,18 @@ _LITERAL_ESCAPES = str.maketrans({
 _IRI_ESCAPES = str.maketrans({
     char: f"\\u{ord(char):04X}" for char in (*map(chr, range(0x21)), "<", ">", "\\")
 })
+
+
+def _escaper(table: dict[int, str]) -> Callable[[str], str]:
+    """Text written with ``table``'s escapes.  ``translate`` looks up every
+    character of its text, so it runs only on text where one search, built
+    from the table's keys, finds a character to escape."""
+    search = re.compile(f"[{''.join(map(re.escape, map(chr, table)))}]").search
+    return lambda text: text.translate(table) if search(text) else text
+
+
+_escape_literal = _escaper(_LITERAL_ESCAPES)
+_escape_iri = _escaper(_IRI_ESCAPES)
 
 _BLANK_LABEL = r"[A-Za-z][A-Za-z0-9]*"
 _LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
@@ -546,23 +559,31 @@ def format_term(term: NodePayload) -> str:
     """Render a term in canonical N-Triples syntax (re-parseable).
 
     Raises ValueError for a payload that is not a :class:`NodePayload`, and
-    with the message of ``_term_problem`` for a malformed term.
+    with the message of ``_term_problem`` for a malformed term.  Escapes
+    are applied only to text that holds a character to escape.  ``to_dot``
+    renders the hypernodes the node writer found well formed through
+    ``_format_term``, the same rendering without the judgment.
     """
     if not isinstance(term, NodePayload):
         raise ValueError(f"not a term: {type(term).__name__}")
     problem = _term_problem(term)
     if problem is not None:
         raise ValueError(problem[1])
+    return _format_term(term)
+
+
+def _format_term(term: NodePayload) -> str:
+    """:func:`format_term` for a term known to be well formed."""
     kind = term.kind
     if kind is PayloadKind.URI:
-        return f"<{term.iri.translate(_IRI_ESCAPES)}>"
+        return f"<{_escape_iri(term.iri)}>"
     if kind is PayloadKind.BLANK:
         return f"_:{term.blank_label}"
-    text = f'"{term.lexical_form.translate(_LITERAL_ESCAPES)}"'
+    text = f'"{_escape_literal(term.lexical_form)}"'
     if term.language_tag is not None:
         return f"{text}@{term.language_tag}"
     if term.datatype_iri is not None:
-        return f"{text}^^<{term.datatype_iri.translate(_IRI_ESCAPES)}>"
+        return f"{text}^^<{_escape_iri(term.datatype_iri)}>"
     return text
 
 

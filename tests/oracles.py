@@ -40,14 +40,13 @@ from hg2rdf import (
     SchemaViolation,
     Statement,
     UnknownKind,
+    format_term,
     generate_connectors,
     load_builtin_vocabulary,
     parse_line,
     route_statement,
     validate_mapping,
 )
-from hg2rdf.dot import _escape as _dot_escape
-from hg2rdf.dot import _node_label as _dot_label
 from hg2rdf.hypergraph import _check_id
 from hg2rdf.ntriples import _BLANK_LABEL_RE, _LANG_TAG_RE, BadEscape, _blank, _Halt, _parse_line, _uri
 from hg2rdf.schema import (
@@ -76,7 +75,8 @@ LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
                                 ("test_ntriples_fast_path.py",)),
     "loop_escape_literal": ("hg2rdf.ntriples.format_term", _FASTER, ("test_ntriples.py",)),
     "loop_escape_iri": ("hg2rdf.ntriples.format_term", _FASTER, ("test_ntriples.py",)),
-    "malformed_term": ("hg2rdf.ntriples._term_problem", _CHECKER, ("test_properties.py",)),
+    "malformed_term": ("hg2rdf.ntriples._term_problem", _CHECKER,
+                       ("test_properties.py", "test_term_verdicts.py")),
     "oracle_statement_of": ("hg2rdf.mapper.statement_of", _PIN, ("test_properties.py",)),
     "naive_reachable": ("hg2rdf.hypergraph.Hypergraph.forward_reachable", _FASTER,
                         ("test_acceptance.py", "test_hypergraph.py", "test_properties.py")),
@@ -104,9 +104,10 @@ LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
     "oracle_add_hyperedge": ("hg2rdf.mapper.map_statement", _FASTER, ("test_section_writers.py",)),
     "oracle_parse_document": ("hg2rdf.ntriples.parse_document", _FASTER, ("test_write_path.py",)),
     "oracle_integrate": ("hg2rdf.mapper.integrate", _FASTER, ("test_write_path.py",)),
-    "oracle_to_dot": ("hg2rdf.dot.to_dot", _FASTER, ("test_hg2_io.py", "test_streamed_output.py")),
+    "oracle_to_dot": ("hg2rdf.dot.to_dot", _FASTER,
+                      ("test_hg2_io.py", "test_streamed_output.py", "test_term_verdicts.py")),
     "oracle_serialize": ("hg2rdf.hg2.serialize", _FASTER,
-                         ("test_hg2_io.py", "test_streamed_output.py")),
+                         ("test_hg2_io.py", "test_streamed_output.py", "test_term_verdicts.py")),
     "oracle_deserialize": ("hg2rdf.hg2.deserialize", _FASTER,
                            ("test_hg2_io.py", "test_properties.py", "test_section_writers.py")),
     "check_dot": ("hg2rdf.dot.to_dot", _CHECKER,
@@ -119,7 +120,8 @@ LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
                          "test_write_path.py")),
     "random_structure": (None, _GENERATOR,
                          ("test_acceptance.py", "test_cli.py", "test_hg2.py", "test_hg2_io.py",
-                          "test_properties.py", "test_streamed_output.py")),
+                          "test_properties.py", "test_streamed_output.py",
+                          "test_term_verdicts.py")),
     "random_class_graph": (None, _GENERATOR,
                            ("test_acceptance.py", "test_properties.py", "test_schema.py")),
 }
@@ -769,14 +771,28 @@ def random_document(rng: random.Random, max_statements: int = 18) -> list[Statem
     return [_random_statement(rng) for _ in range(rng.randrange(0, max_statements))]
 
 
-def random_structure(rng: random.Random) -> HG2:
-    """An arbitrary valid two-layer structure (not necessarily mapper-shaped)."""
+# Malformed terms, one per failure of the term rule, and one that cannot be hashed.
+_MALFORMED_PAYLOADS = (
+    NodePayload("uri", iri="urn:x"),
+    NodePayload.uri(5),
+    NodePayload.uri(["a"]),
+    NodePayload(PayloadKind.URI, "urn:a", lexical_form="x"),
+    NodePayload(PayloadKind.BLANK),
+    NodePayload(PayloadKind.LITERAL, lexical_form="v", language_tag="en", datatype_iri="urn:dt"),
+)
+
+
+def random_structure(rng: random.Random, malformed: bool = False) -> HG2:
+    """An arbitrary valid two-layer structure (not necessarily mapper-shaped);
+    with ``malformed``, about one hypernode in six carries a malformed term."""
     hg2 = HG2()
     node_count = rng.randrange(0, 12)
     for i in range(node_count):
         roll = rng.random()
-        if roll < 0.40:
-            payload: object = NodePayload.uri(f"http://example.org/n{i}")
+        if malformed and rng.random() < 1 / 6:
+            payload: object = rng.choice(_MALFORMED_PAYLOADS)
+        elif roll < 0.40:
+            payload = NodePayload.uri(f"http://example.org/n{i}")
         elif roll < 0.55:
             payload = NodePayload.blank(f"b{i}")
         elif roll < 0.70:
@@ -909,9 +925,38 @@ def check_dot(text: str) -> list[str]:
     return problems
 
 
+def _dot_label(payload: object) -> str:
+    """A hypernode's label judged afresh: the public ``format_term``, or
+    ``str(payload)`` for a payload it refuses."""
+    try:
+        return format_term(payload)
+    except ValueError:
+        return str(payload)
+
+
+_DOT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
+
+
+def _dot_escape(text: str) -> str:
+    """A DOT label's text, one character at a time: a backslash, a quote
+    and a newline backslash-escaped, and any other control character as the
+    visible text ``\\uXXXX``."""
+    out: list[str] = []
+    for ch in text:
+        if ch in _DOT_ESCAPES:
+            out.append(_DOT_ESCAPES[ch])
+        elif ord(ch) < 0x20:
+            out.append(f"\\\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 def oracle_to_dot(hg2: HG2) -> str:
     """The DOT text as ``to_dot`` wrote it before it streamed: every line
-    collected in one list, then joined."""
+    collected in one list, then joined.  Each label is judged afresh by
+    ``format_term`` and escaped by a per-character loop, where ``to_dot``
+    reads the node writer's verdicts."""
     lines = ["digraph hg2 {", "  rankdir=LR;"]
     lines.append("  subgraph cluster_hypergraph {")
     lines.append('    label="hypergraph layer";')
@@ -945,6 +990,7 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
     """Every identity table and index of two structures agrees, key order
     included; ``HG2.__eq__`` compares only what ``serialize`` writes."""
     assert list(a.h._index.items()) == list(b.h._index.items())
+    assert a.h._malformed_nodes() == b.h._malformed_nodes()
     assert a.h._incidence == b.h._incidence
     assert [list(f.items()) for f in a.h._forward] == [list(f.items()) for f in b.h._forward]
     assert a.h._heads == b.h._heads

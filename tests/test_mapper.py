@@ -128,6 +128,17 @@ def test_map_schema_statement_refuses_a_statement_routed_to_the_instance_layer(s
     assert graph.iris == [] and not graph.edges
 
 
+@pytest.mark.parametrize("predicate", [RDF_TYPE, RDFS_SUBCLASSOF, RDFS_DOMAIN, RDFS_RANGE])
+def test_map_statement_refuses_a_statement_routed_to_the_schema_layer(predicate):
+    """It mapped ``rdf:type`` and the other schema statements into the
+    hypergraph layer, where ``integrate`` would put them in the graph layer."""
+    hg2 = fresh()
+    with pytest.raises(ValueError, match="^route_statement sends this statement to the schema layer$"):
+        map_statement(Statement(iri("urn:a"), iri(predicate), iri("urn:C")), hg2)
+    assert hg2.h.node_count == 0 and hg2.h.edge_count == 0
+    assert validate_mapping(hg2) == []
+
+
 # ------------------------------------------------------------- payloads
 
 def test_payload_round_trip_for_each_term_kind():

@@ -19,6 +19,7 @@ from hg2rdf import (
     parse_line,
     unescape_literal,
 )
+from hg2rdf.ntriples import _IRI_ESCAPES, _LITERAL_ESCAPES
 from oracles import loop_escape_iri, loop_escape_literal, scanner_parse_line
 
 
@@ -354,14 +355,39 @@ _ESCAPE_PROBES = (*map(chr, range(0x21)), "\x7f", "<", ">", '"', "\\", "é", "\u
                   "\uffff", "\U0001f600")
 
 
-@settings(max_examples=500)
-@given(st.text(st.one_of(st.characters(), st.sampled_from(_ESCAPE_PROBES)), max_size=12))
-def test_format_term_escapes_as_the_per_character_loops_did(text):
+# format_term translates only text in which a search finds a key of its
+# table: every key of either table, and long runs that hold none, which the
+# search scans to the end and leaves as they are.
+_TABLE_KEYS = sorted(map(chr, _IRI_ESCAPES.keys() | _LITERAL_ESCAPES.keys()))
+_CLEAN_RUNS = st.text(st.characters(exclude_characters=_TABLE_KEYS, exclude_categories=("Cs",)),
+                      min_size=40, max_size=200)
+_ESCAPE_TEXTS = st.one_of(
+    st.text(st.one_of(st.characters(), st.sampled_from(_ESCAPE_PROBES)), max_size=12),
+    st.text(st.sampled_from(_TABLE_KEYS), min_size=1, max_size=12),
+    _CLEAN_RUNS,
+    st.tuples(_CLEAN_RUNS, st.sampled_from(_TABLE_KEYS), _CLEAN_RUNS).map("".join),
+)
+
+
+def assert_escaped_as_the_loops_did(text: str) -> None:
     assert format_term(uri(text)) == f"<{loop_escape_iri(text)}>"
     assert format_term(literal(text)) == f'"{loop_escape_literal(text)}"'
     assert format_term(literal(text, datatype_iri=text)) == (
         f'"{loop_escape_literal(text)}"^^<{loop_escape_iri(text)}>'
     )
+
+
+@settings(max_examples=500)
+@given(_ESCAPE_TEXTS)
+def test_format_term_escapes_as_the_per_character_loops_did(text):
+    assert_escaped_as_the_loops_did(text)
+
+
+def test_format_term_escapes_every_key_of_either_table_inside_a_clean_run():
+    run = "http://example.org/" + "a" * 40
+    for key in _TABLE_KEYS:
+        for text in (key, run + key, key + run, run + key + run):
+            assert_escaped_as_the_loops_did(text)
 
 
 def test_format_term_escapes_iri_delimiters():

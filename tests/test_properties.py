@@ -317,6 +317,22 @@ def test_map_schema_statement_takes_exactly_what_routes_to_the_schema_layer(stat
     assert graph.iris == [] and not graph.edges
 
 
+@given(routed_statements)
+@settings(max_examples=300)
+def test_map_statement_takes_exactly_what_routes_to_the_instance_layer(statement):
+    hg2 = HG2(g=load_builtin_vocabulary())
+    refusal = _first_refusal([statement])
+    if refusal is None and route_statement(statement) is Layer.INSTANCE:
+        assert map_statement(statement, hg2) == 0
+        edge = hg2.h.edges[0]
+        assert [hg2.h.nodes[node] for node in (edge.tail[0], edge.head[0], edge.tail[1])] == list(statement)
+        return
+    message = refusal or "route_statement sends this statement to the schema layer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        map_statement(statement, hg2)
+    assert hg2.h.node_count == 0 and hg2.h.edge_count == 0
+
+
 @given(st.lists(routed_statements, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_malformed_terms_never_reach_the_schema_layer(statements):

@@ -41,12 +41,14 @@ from oracles import (
 )
 from test_hg2_io import assert_same_outcome, outcome
 
-# Few distinct values, so payloads repeat; lists are unhashable and never indexed.
+# Few distinct values, so payloads repeat; lists are unhashable and never
+# indexed; malformed terms are filed as such.
 section_payloads = st.one_of(
     st.builds(NodePayload.uri, st.sampled_from("abc")),
     st.builds(NodePayload.literal, st.sampled_from("xy")),
     st.sampled_from(("opaque", 1, None)),
     st.lists(st.integers(0, 2), max_size=2),
+    st.sampled_from((NodePayload.uri(5), NodePayload.uri(["a"]), NodePayload.blank(None))),
 )
 
 

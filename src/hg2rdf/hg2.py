@@ -1,8 +1,11 @@
 """The two-layer container: hypergraph + schema graph + connector sets.
 
 Connectors are directed dependency links and always point from the hypergraph
-layer into the graph layer; the two dataclasses make the opposite direction
-unrepresentable.  Each layer interns its own nodes (hypernode payloads in
+layer into the graph layer; their two kinds, :class:`NodeConnector` and
+:class:`EdgeConnector`, make the opposite direction unrepresentable.  The two
+dataclasses are the kind tokens ``HG2.add_connector(source, graph_node,
+kind)`` takes and the records of the read views; the write path builds none.
+Each layer interns its own nodes (hypernode payloads in
 :class:`Hypergraph`, IRIs in :class:`SchemaGraph`); the container owns only
 what crosses the layers: one insertion-ordered store of ``(source, graph
 node)`` int pairs per connector kind, and two node-connector indexes
@@ -33,8 +36,9 @@ the document), and ``deserialize`` refuses those tokens and, through the
 parser's ``_SURROGATE_RE``, lone surrogates.
 
 ``serialize`` writes each record from a fixed template (one ``%`` template
-for a hyperedge and one for a connector), with the string escaper of
-:mod:`json`, and gives the bytes ``json.dumps(..., indent=2)`` gives.  It
+per hyperedge shape ``(len(head), len(tail))``, made when the shape is first
+met, and one for a connector), with the string escaper of :mod:`json`, and
+gives the bytes ``json.dumps(..., indent=2)`` gives.  It
 returns the document as a string, or writes it to a text handle
 in chunks as the records are made, so that a large document is never held
 whole.  ``deserialize`` checks the ids, slots, endpoints and duplicates of
@@ -45,8 +49,9 @@ call to the private writer that the public mutators end in:
 hypernodes, hyperedges and their per-node indexes) and
 ``_append_connectors``.  Hypernodes are decoded one field at a time across
 the section.  A section that fails the check goes through the
-record-by-record decoder or the checked mutators, so a bad record raises
-the exception class and message they give.  Graph nodes and graph edges
+record-by-record decoder or the checked mutators (``add_connector`` with the
+record's ids and the section's kind), so a bad record raises the exception
+class and message they give.  Graph nodes and graph edges
 always load record by record, through ``SchemaGraph.intern`` and
 ``SchemaGraph.add_edge``.
 ``_all_ids`` is the id rule of ``_check_index`` over a whole section.
@@ -63,7 +68,7 @@ from json.encoder import encode_basestring as _quote
 from operator import contains
 from typing import Any, NamedTuple, TextIO
 
-from .hypergraph import Freezable, Hypergraph, _check_index
+from .hypergraph import Freezable, HyperEdge, Hypergraph, _check_index
 from .ntriples import _BOM, _KIND_FIELDS, _PAYLOAD_FIELDS, _SURROGATE_RE, NodePayload, PayloadKind
 from .ntriples import _term_kind, _term_problem
 from .schema import EdgeKind, SchemaGraph
@@ -124,8 +129,10 @@ class HG2(Freezable):
     ``(source, graph node)`` int pairs keyed in an insertion-ordered dict
     that is both the order ``serialize`` and ``to_dot`` replay and the
     duplicate check; the pairs hash in C and the collector does not track
-    them.  ``connectors_v`` and ``connectors_e`` build read-only tuples of
-    the connector dataclasses when called.  Node connectors also fill
+    them.  :meth:`add_connector` takes the two ids and the connector class
+    as the kind, as ``SchemaGraph.add_edge`` takes its edge kind, and builds
+    no record; ``connectors_v`` and ``connectors_e`` build read-only tuples
+    of the connector dataclasses when called.  Node connectors also fill
     hypernode → graph nodes (:meth:`anchors_of_node`) and its reverse
     (:meth:`nodes_anchored_in`).  Only ``_append_connectors``, behind
     :meth:`add_connector` and ``deserialize``, writes these.
@@ -155,19 +162,21 @@ class HG2(Freezable):
         self.h.freeze()
         self.g.freeze()
 
-    def add_connector(self, connector: Connector) -> bool:
-        """Record a connector of in-range int ids; False if it is a duplicate."""
+    def add_connector(self, source: int, graph_node: int, kind: type[Connector]) -> bool:
+        """Record a connector of ``kind`` (:class:`NodeConnector` or
+        :class:`EdgeConnector`) from hypernode or hyperedge ``source`` to
+        ``graph_node``, both in-range int ids; False if it is a duplicate."""
         self._check_mutable()
-        if isinstance(connector, NodeConnector):
-            kind, source, store = NodeConnector, connector.hypernode, self._connectors_v
+        if kind is NodeConnector:
+            store = self._connectors_v
             self.h._check_node(source)
-        elif isinstance(connector, EdgeConnector):
-            kind, source, store = EdgeConnector, connector.hyperedge, self._connectors_e
+        elif kind is EdgeConnector:
+            store = self._connectors_e
             _check_index(source, self.h.edge_count, "hyperedge", UnknownHyperEdgeError)
         else:
-            raise TypeError(f"not a connector: {connector!r}")
-        self.g._check_node(connector.graph_node)
-        pair = (source, connector.graph_node)
+            raise TypeError(f"not a connector kind: {kind!r}")
+        self.g._check_node(graph_node)
+        pair = (source, graph_node)
         if pair in store:
             return False
         self._append_connectors(kind, (pair,))
@@ -259,10 +268,11 @@ def _json(value: Any) -> str:
     return text.replace("\n", _FIELD)
 
 
-def _id_list(ids: list[int]) -> str:
-    if not ids:
+def _id_slots(count: int) -> str:
+    """A list of ``count`` ids as the document writes it, one ``%d`` per id."""
+    if not count:
         return "[]"
-    return "[\n        " + ",\n        ".join(map(str, ids)) + "\n      ]"
+    return "[\n        " + ",\n        ".join(["%d"] * count) + "\n      ]"
 
 
 def _record(*fields: str) -> str:
@@ -270,9 +280,23 @@ def _record(*fields: str) -> str:
     return "    {" + _FIELD + _NEXT_FIELD.join(fields) + "\n    }"
 
 
-# The records of a fixed shape, as the text ``_record`` makes of their fields.
-_EDGE_RECORD = _record('"id": %d', '"head": %s', '"tail": %s')
+# A connector record, as the text ``_record`` makes of its fields.
 _CONNECTOR_RECORD = _record('"from": %d', '"to": %d')
+
+
+def _edge_records(edges: list[HyperEdge]) -> Iterator[str]:
+    """The hyperedge records, each from the one template of its
+    ``(len(head), len(tail))`` shape, made when the shape is first met."""
+    templates: dict[tuple[int, int], str] = {}
+    for edge_id, edge in enumerate(edges):
+        head, tail = edge.head, edge.tail
+        shape = len(head), len(tail)
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = _record(
+                '"id": %d', f'"head": {_id_slots(shape[0])}', f'"tail": {_id_slots(shape[1])}'
+            )
+        yield template % (edge_id, *head, *tail)
 
 
 def _hypernode_record(node_id: int, payload: Any) -> str:
@@ -329,10 +353,7 @@ def _document(hg2: HG2) -> Iterator[str]:
     """The document's text in order, one chunk per batch of records."""
     yield f'{{\n  "meta": {{\n    "format": {_quote(FORMAT_VERSION)}\n  }}'
     yield from _section("hypernodes", starmap(_hypernode_record, enumerate(hg2.h.nodes)))
-    yield from _section("hyperedges", (
-        _EDGE_RECORD % (edge_id, _id_list(edge.head), _id_list(edge.tail))
-        for edge_id, edge in enumerate(hg2.h.edges)
-    ))
+    yield from _section("hyperedges", _edge_records(hg2.h.edges))
     yield from _section("graph_nodes", (
         _record(f'"id": {node_id}', f'"iri": {_quote(iri)}')
         for node_id, iri in enumerate(hg2.g.iris)
@@ -545,18 +566,18 @@ _EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
 
 
 def _load_connectors(
-    hg2: HG2, records: list[dict[str, Any]], section: str, factory: type, source_count: int
+    hg2: HG2, records: list[dict[str, Any]], section: str, kind: type[Connector], source_count: int
 ) -> None:
     sources = [record.get("from") for record in records]
     targets = [record.get("to") for record in records]
     if _all_ids(sources, source_count) and _all_ids(targets, hg2.g.node_count):
         pairs = list(zip(sources, targets))
         if len(set(pairs)) == len(pairs):
-            hg2._append_connectors(factory, pairs)
+            hg2._append_connectors(kind, pairs)
             return
-    for index, record in enumerate(records):
+    for index, (source, target) in enumerate(zip(sources, targets)):
         try:
-            added = hg2.add_connector(factory(record.get("from"), record.get("to")))
+            added = hg2.add_connector(source, target, kind)
         except (LookupError, TypeError) as exc:
             raise SchemaViolation(f"{section} entry {index} is malformed or dangling: {exc}") from exc
         _require(added, f"{section} entry {index} is a duplicate")

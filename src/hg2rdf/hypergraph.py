@@ -197,7 +197,8 @@ class Hypergraph(Freezable):
             for node in head:
                 star = forward[node]
                 for tail_node in tail:
-                    star.setdefault(tail_node, edge_id)
+                    if tail_node not in star:
+                        star[tail_node] = edge_id
             for node in {*head, *tail}:
                 incidence[node].append(edge_id)
         return start

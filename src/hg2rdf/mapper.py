@@ -204,8 +204,9 @@ def generate_connectors(hg2: HG2) -> None:
     0/1 to rdf:subject/rdf:object; a connector to rdf:datatype from every
     datatyped literal node; and a typing connector from every instance node
     whose IRI has a type edge in the graph layer to the class node it points
-    at.  Node connectors are collected first, in first-offer order, so each
-    distinct one reaches ``add_connector`` once.  Safe to run repeatedly: the
+    at.  Node connectors are collected first, as int pairs in first-offer
+    order, so each distinct one reaches ``add_connector`` once, as its ids
+    and kind; no connector record is built.  Safe to run repeatedly: the
     second run adds nothing.
     """
     anchors: dict[str, int] = {}
@@ -218,7 +219,7 @@ def generate_connectors(hg2: HG2) -> None:
     offers: dict[tuple[int, int], None] = {}
     tail_roles = (anchors[RDF_SUBJECT], anchors[RDF_OBJECT])
     for edge_id, edge in enumerate(hg2.h.edges):
-        hg2.add_connector(EdgeConnector(edge_id, anchors[RDF_STATEMENT]))
+        hg2.add_connector(edge_id, anchors[RDF_STATEMENT], EdgeConnector)
         for node in edge.head:
             offers[node, anchors[RDF_PREDICATE]] = None
         for node, role in zip(edge.tail, tail_roles):
@@ -240,7 +241,7 @@ def generate_connectors(hg2: HG2) -> None:
                     offers[node_id, class_node] = None
 
     for node_id, graph_node in offers:
-        hg2.add_connector(NodeConnector(node_id, graph_node))
+        hg2.add_connector(node_id, graph_node, NodeConnector)
 
 
 def validate_mapping(hg2: HG2) -> list[Violation]:

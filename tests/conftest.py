@@ -64,12 +64,12 @@ def build_demo_structure() -> tuple[HG2, dict[int, int], dict[str, int]]:
         hg2.h.add_hyperedge([node[5], node[6]], [node[7]]),
     ]
     graph = {letter: hg2.g.intern(letter) for letter in "abcdef"}
-    hg2.add_connector(NodeConnector(node[1], graph["a"]))
-    hg2.add_connector(NodeConnector(node[6], graph["b"]))
-    hg2.add_connector(NodeConnector(node[2], graph["d"]))
-    hg2.add_connector(EdgeConnector(edge[0], graph["c"]))
-    hg2.add_connector(EdgeConnector(edge[2], graph["e"]))
-    hg2.add_connector(EdgeConnector(edge[3], graph["f"]))
+    hg2.add_connector(node[1], graph["a"], NodeConnector)
+    hg2.add_connector(node[6], graph["b"], NodeConnector)
+    hg2.add_connector(node[2], graph["d"], NodeConnector)
+    hg2.add_connector(edge[0], graph["c"], EdgeConnector)
+    hg2.add_connector(edge[2], graph["e"], EdgeConnector)
+    hg2.add_connector(edge[3], graph["f"], EdgeConnector)
     return hg2, node, graph
 
 

@@ -541,14 +541,14 @@ def naive_generate_connectors(hg2: HG2) -> None:
     deduplication to ``add_connector``."""
     anchors = {iri: hg2.g.find(iri) for iri in ANCHOR_IRIS}
     for edge_id, edge in enumerate(hg2.h.edges):
-        hg2.add_connector(EdgeConnector(edge_id, anchors[RDF_STATEMENT]))
+        hg2.add_connector(edge_id, anchors[RDF_STATEMENT], EdgeConnector)
         for node in edge.head:
-            hg2.add_connector(NodeConnector(node, anchors[RDF_PREDICATE]))
+            hg2.add_connector(node, anchors[RDF_PREDICATE], NodeConnector)
         for position, node in enumerate(edge.tail):
             if position == 0:
-                hg2.add_connector(NodeConnector(node, anchors[RDF_SUBJECT]))
+                hg2.add_connector(node, anchors[RDF_SUBJECT], NodeConnector)
             elif position == 1:
-                hg2.add_connector(NodeConnector(node, anchors[RDF_OBJECT]))
+                hg2.add_connector(node, anchors[RDF_OBJECT], NodeConnector)
 
     class_nodes: dict[int, list[int]] = {}
     for graph_edge in hg2.g.edges:
@@ -559,12 +559,12 @@ def naive_generate_connectors(hg2: HG2) -> None:
         if not isinstance(payload, NodePayload):
             continue
         if payload.kind is PayloadKind.LITERAL and payload.datatype_iri is not None:
-            hg2.add_connector(NodeConnector(node_id, anchors[RDF_DATATYPE]))
+            hg2.add_connector(node_id, anchors[RDF_DATATYPE], NodeConnector)
         elif payload.kind is PayloadKind.URI and payload.iri is not None:
             graph_node = hg2.g.find(payload.iri)
             if graph_node is not None:
                 for class_node in class_nodes.get(graph_node, ()):
-                    hg2.add_connector(NodeConnector(node_id, class_node))
+                    hg2.add_connector(node_id, class_node, NodeConnector)
 
 
 def _naive_constraint_of(graph: SchemaGraph, node: int, kind: EdgeKind) -> int | None:
@@ -817,9 +817,9 @@ def random_structure(rng: random.Random, malformed: bool = False) -> HG2:
         for _ in range(rng.randrange(0, 12)):
             hg2.g.add_edge(rng.randrange(graph_count), rng.randrange(graph_count), rng.choice(kinds))
         for _ in range(rng.randrange(0, 6) if node_count else 0):
-            hg2.add_connector(NodeConnector(rng.randrange(node_count), rng.randrange(graph_count)))
+            hg2.add_connector(rng.randrange(node_count), rng.randrange(graph_count), NodeConnector)
         for _ in range(rng.randrange(0, 6) if edge_count else 0):
-            hg2.add_connector(EdgeConnector(rng.randrange(edge_count), rng.randrange(graph_count)))
+            hg2.add_connector(rng.randrange(edge_count), rng.randrange(graph_count), EdgeConnector)
     return hg2
 
 
@@ -1211,10 +1211,10 @@ def oracle_deserialize(text: str) -> HG2:
             raise SchemaViolation(f"graph edge {index} is malformed: {exc}") from exc
         _require(added, f"graph_edges entry {index} is a duplicate")
 
-    for section, factory in (("connectors_v", NodeConnector), ("connectors_e", EdgeConnector)):
+    for section, kind in (("connectors_v", NodeConnector), ("connectors_e", EdgeConnector)):
         for index, record in enumerate(_as_records(document, section)):
             try:
-                added = hg2.add_connector(factory(record.get("from"), record.get("to")))
+                added = hg2.add_connector(record.get("from"), record.get("to"), kind)
             except (LookupError, TypeError) as exc:
                 raise SchemaViolation(f"{section} entry {index} is malformed or dangling: {exc}") from exc
             _require(added, f"{section} entry {index} is a duplicate")

@@ -163,9 +163,10 @@ def test_08_connectors_can_only_originate_in_the_hypergraph_layer():
         assert hasattr(connector, "hypernode") and hasattr(connector, "graph_node")
     for connector in hg2.connectors_e:
         assert hasattr(connector, "hyperedge") and hasattr(connector, "graph_node")
+    # the two classes are the only kinds: a graph-to-hypergraph kind is refused
     try:
-        hg2.add_connector(("graph_node", 0, "hypernode", 0))
-        raise AssertionError("arbitrary objects must be rejected")
+        hg2.add_connector(0, 0, ("graph_node", "hypernode"))
+        raise AssertionError("a kind other than the two connector classes must be rejected")
     except TypeError:
         pass
     # the connector sets are read-only views: nothing bypasses add_connector

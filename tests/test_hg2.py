@@ -77,37 +77,52 @@ def test_interning_add_node_treats_an_unhashable_payload_as_absent():
 
 def test_connectors_validate_endpoints_and_deduplicate():
     hg2 = small()
-    assert hg2.add_connector(NodeConnector(0, 0)) is True
-    assert hg2.add_connector(NodeConnector(0, 0)) is False
-    assert hg2.add_connector(EdgeConnector(0, 0)) is True
+    assert hg2.add_connector(0, 0, NodeConnector) is True
+    assert hg2.add_connector(0, 0, NodeConnector) is False
+    assert hg2.add_connector(0, 0, EdgeConnector) is True
     assert hg2.connectors_v == (NodeConnector(0, 0),)
     assert hg2.connectors_e == (EdgeConnector(0, 0),)
     assert hg2.connector_count == 2
     with pytest.raises(UnknownNodeError, match="^hypernode 9 does not exist$"):
-        hg2.add_connector(NodeConnector(9, 0))
+        hg2.add_connector(9, 0, NodeConnector)
     with pytest.raises(UnknownHyperEdgeError):
-        hg2.add_connector(EdgeConnector(3, 0))
-    for bad, error, message in (
-        (0.5, TypeError, "ids must be int, got 0.5"),
-        (True, TypeError, "ids must be int, got True"),
-        (-1, UnknownHyperEdgeError, "hyperedge -1 does not exist"),
-        (1, UnknownHyperEdgeError, "hyperedge 1 does not exist"),  # the first absent id
-    ):
-        with pytest.raises(error) as excinfo:
-            hg2.add_connector(EdgeConnector(bad, 0))
-        assert str(excinfo.value) == message
-    with pytest.raises(UnknownNodeError, match="^graph node 7 does not exist$"):
-        hg2.add_connector(NodeConnector(0, 7))
-    with pytest.raises(TypeError):
-        hg2.add_connector(("node", 0, 0))
+        hg2.add_connector(3, 0, EdgeConnector)
+    # three hypernodes, one hyperedge and one graph node; the source is checked first
+    for kind, layer, error, count in ((NodeConnector, "hypernode", UnknownNodeError, 3),
+                                      (EdgeConnector, "hyperedge", UnknownHyperEdgeError, 1)):
+        for source, graph_node, expected, message in (
+            (0.5, 0, TypeError, "ids must be int, got 0.5"),
+            (True, 0, TypeError, "ids must be int, got True"),
+            (-1, 0, error, f"{layer} -1 does not exist"),
+            (count, 0, error, f"{layer} {count} does not exist"),  # the first absent id
+            (count, 1, error, f"{layer} {count} does not exist"),
+            (0, None, TypeError, "ids must be int, got None"),
+            (0, False, TypeError, "ids must be int, got False"),
+            (0, -1, UnknownNodeError, "graph node -1 does not exist"),
+            (0, 7, UnknownNodeError, "graph node 7 does not exist"),
+        ):
+            with pytest.raises(expected) as excinfo:
+                hg2.add_connector(source, graph_node, kind)
+            assert type(excinfo.value) is expected and str(excinfo.value) == message
+    assert hg2.connector_count == 2
+
+
+@pytest.mark.parametrize("kind", ["node", None, HG2, NodeConnector(0, 0), NodePayload])
+def test_add_connector_refuses_a_kind_that_is_neither_connector_class(kind):
+    hg2 = small()
+    # the kind is judged before either id, so a bad id does not change the error
+    for source, graph_node in ((0, 0), (9, 0), (0, 7), (0.5, None)):
+        with pytest.raises(TypeError, match=f"^not a connector kind: {re.escape(repr(kind))}$"):
+            hg2.add_connector(source, graph_node, kind)
+    assert hg2.connector_count == 0 and serialize(hg2) == serialize(small())
 
 
 def test_anchors_come_back_in_insertion_order():
     hg2 = small()
     extra = hg2.g.intern("urn:other")
-    hg2.add_connector(NodeConnector(0, extra))
-    hg2.add_connector(NodeConnector(0, 0))
-    hg2.add_connector(NodeConnector(1, 0))
+    hg2.add_connector(0, extra, NodeConnector)
+    hg2.add_connector(0, 0, NodeConnector)
+    hg2.add_connector(1, 0, NodeConnector)
     assert hg2.anchors_of_node(0) == [extra, 0]
     assert hg2.anchors_of_node(2) == []
     with pytest.raises(UnknownNodeError, match="^hypernode 42 does not exist$"):
@@ -117,14 +132,14 @@ def test_anchors_come_back_in_insertion_order():
 @pytest.mark.parametrize("bad", [True, False, 1.0, "0", None])
 def test_mutators_reject_ids_that_are_not_plain_ints(bad):
     hg2 = small()
-    hg2.add_connector(NodeConnector(0, 0))
+    hg2.add_connector(0, 0, NodeConnector)
     before = serialize(hg2)
     incidence = [hg2.h.incidence_of(node) for node in range(hg2.h.node_count)]
     for mutate in (
-        lambda: hg2.add_connector(NodeConnector(bad, 0)),
-        lambda: hg2.add_connector(NodeConnector(1, bad)),
-        lambda: hg2.add_connector(EdgeConnector(bad, 0)),
-        lambda: hg2.add_connector(EdgeConnector(0, bad)),
+        lambda: hg2.add_connector(bad, 0, NodeConnector),
+        lambda: hg2.add_connector(1, bad, NodeConnector),
+        lambda: hg2.add_connector(bad, 0, EdgeConnector),
+        lambda: hg2.add_connector(0, bad, EdgeConnector),
         lambda: hg2.h.add_hyperedge([bad], [0]),
         lambda: hg2.h.add_hyperedge([1], [0, bad]),
         lambda: hg2.g.add_edge(bad, 0, EdgeKind.TYPE),
@@ -141,7 +156,7 @@ def test_mutators_reject_ids_that_are_not_plain_ints(bad):
 @pytest.mark.parametrize("bad", [0.5, True])
 def test_readers_reject_ids_that_are_not_plain_ints(bad):
     hg2 = small()
-    hg2.add_connector(NodeConnector(0, 0))
+    hg2.add_connector(0, 0, NodeConnector)
     for read in (
         lambda: hg2.anchors_of_node(bad),
         lambda: hg2.h.incidence_of(bad),
@@ -181,13 +196,13 @@ def test_freeze_propagates_to_both_layers():
     with pytest.raises(RuntimeError):
         hg2.h.add_node(NodePayload.uri("urn:new"))
     with pytest.raises(RuntimeError):
-        hg2.add_connector(NodeConnector(0, 0))
+        hg2.add_connector(0, 0, NodeConnector)
 
 
 def test_validate_layering_is_empty_for_api_built_structures():
     hg2 = small()
-    hg2.add_connector(NodeConnector(0, 0))
-    hg2.add_connector(EdgeConnector(0, 0))
+    hg2.add_connector(0, 0, NodeConnector)
+    hg2.add_connector(0, 0, EdgeConnector)
     assert validate_layering(hg2) == []
 
 
@@ -206,8 +221,8 @@ def test_validate_layering_reports_dangling_endpoints():
 
 def test_serialized_document_layout():
     hg2 = small()
-    hg2.add_connector(NodeConnector(0, 0))
-    hg2.add_connector(EdgeConnector(0, 0))
+    hg2.add_connector(0, 0, NodeConnector)
+    hg2.add_connector(0, 0, EdgeConnector)
     text = serialize(hg2)
     assert text.endswith("\n")
     assert serialize(hg2) == text  # deterministic
@@ -230,8 +245,8 @@ def test_serialized_document_layout():
 
 def test_round_trip_identity_on_handmade_structures():
     hg2 = small()
-    hg2.add_connector(NodeConnector(0, 0))
-    hg2.add_connector(EdgeConnector(0, 0))
+    hg2.add_connector(0, 0, NodeConnector)
+    hg2.add_connector(0, 0, EdgeConnector)
     assert deserialize(serialize(hg2)) == hg2
 
 
@@ -282,8 +297,8 @@ def test_graph_edges_survive_round_trip():
 def test_deserialize_rejects_malformed_documents(mutate, exception):
     hg2 = small()
     hg2.g.add_edge(0, 0, EdgeKind.TYPE)
-    hg2.add_connector(NodeConnector(0, 0))
-    hg2.add_connector(EdgeConnector(0, 0))
+    hg2.add_connector(0, 0, NodeConnector)
+    hg2.add_connector(0, 0, EdgeConnector)
     document = json.loads(serialize(hg2))
     mutate(document)
     with pytest.raises(exception):
@@ -294,8 +309,8 @@ def test_deserialize_rejects_malformed_documents(mutate, exception):
 def test_deserialize_rejects_a_repeated_entry(section):
     hg2 = small()
     hg2.g.add_edge(0, 0, EdgeKind.TYPE)
-    hg2.add_connector(NodeConnector(0, 0))
-    hg2.add_connector(EdgeConnector(0, 0))
+    hg2.add_connector(0, 0, NodeConnector)
+    hg2.add_connector(0, 0, EdgeConnector)
     document = json.loads(serialize(hg2))
     document[section].append(dict(document[section][0]))
     with pytest.raises(SchemaViolation, match=f"{section} entry 1 is a duplicate"):
@@ -322,8 +337,8 @@ def test_deserialize_rejects_a_repeated_entry(section):
 def test_deserialize_names_the_missing_endpoint(mutate, message):
     hg2 = small()
     hg2.g.add_edge(0, 0, EdgeKind.TYPE)
-    hg2.add_connector(NodeConnector(0, 0))
-    hg2.add_connector(EdgeConnector(0, 0))
+    hg2.add_connector(0, 0, NodeConnector)
+    hg2.add_connector(0, 0, EdgeConnector)
     document = json.loads(serialize(hg2))
     mutate(document)
     with pytest.raises(SchemaViolation) as excinfo:
@@ -436,11 +451,11 @@ def test_structural_equality_of_containers():
     a = small()
     b = small()
     assert a == b
-    b.add_connector(NodeConnector(0, 0))
+    b.add_connector(0, 0, NodeConnector)
     assert a != b
     assert a != "something else"
     # connector order is part of the structure, since serialize replays it
-    a.add_connector(NodeConnector(1, 0))
-    a.add_connector(NodeConnector(0, 0))
-    b.add_connector(NodeConnector(1, 0))
+    a.add_connector(1, 0, NodeConnector)
+    a.add_connector(0, 0, NodeConnector)
+    b.add_connector(1, 0, NodeConnector)
     assert a != b and serialize(a) != serialize(b)

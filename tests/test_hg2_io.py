@@ -83,12 +83,12 @@ def structures(draw) -> HG2:
         for src, dst, kind in draw(st.lists(
                 st.tuples(graph_node, graph_node, st.sampled_from(EdgeKind)), max_size=5)):
             hg2.g.add_edge(src, dst, kind)
-        for count, factory in ((hg2.h.node_count, NodeConnector),
-                               (hg2.h.edge_count, EdgeConnector)):
+        for count, kind in ((hg2.h.node_count, NodeConnector),
+                            (hg2.h.edge_count, EdgeConnector)):
             if count:
                 pairs = st.tuples(st.integers(0, count - 1), graph_node)
                 for source, target in draw(st.lists(pairs, max_size=5)):
-                    hg2.add_connector(factory(source, target))
+                    hg2.add_connector(source, target, kind)
     return hg2
 
 
@@ -127,6 +127,19 @@ def test_serialize_writes_the_oracles_bytes_for_empty_sections_and_opaque_contai
     hg2.h.add_hyperedge([0, 1, 2], [2])
     assert serialize(hg2) == oracle_serialize(hg2)
     assert_same_outcome(serialize(hg2))
+
+
+def test_serialize_writes_the_oracles_bytes_for_every_hyperedge_shape():
+    # one template per (len(head), len(tail)); each shape is met twice, apart
+    rng = random.Random(7)
+    hg2 = HG2()
+    for node in range(12):
+        hg2.h.add_node(node)
+    shapes = [(heads, tails) for heads in range(1, 5) for tails in range(1, 7)]
+    for heads, tails in shapes + shapes[::-1]:
+        hg2.h.add_hyperedge(rng.choices(range(12), k=heads), rng.choices(range(12), k=tails))
+    assert serialize(hg2) == oracle_serialize(hg2)
+    assert deserialize(serialize(hg2)) == hg2
 
 
 @pytest.mark.parametrize("number", ["1e400", "-1e400"])

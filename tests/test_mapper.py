@@ -6,6 +6,7 @@ import pytest
 from hg2rdf import (
     HG2,
     ConstraintWarning,
+    EdgeConnector,
     EdgeKind,
     GraphEdge,
     Layer,
@@ -18,6 +19,7 @@ from hg2rdf import (
     UnknownNodeError,
     Violation,
     check_domain_range,
+    deserialize,
     format_statement,
     format_term,
     generate_connectors,
@@ -439,9 +441,9 @@ def test_integrate_offers_each_connector_once(monkeypatch):
     offered = []
     add_connector = HG2.add_connector
 
-    def counted(self, connector):
+    def counted(self, *connector):
         offered.append(connector)
-        return add_connector(self, connector)
+        return add_connector(self, *connector)
 
     monkeypatch.setattr(HG2, "add_connector", counted)
     # <urn:d> is typed as rdf:subject, the anchor its subject role also
@@ -457,6 +459,25 @@ def test_integrate_offers_each_connector_once(monkeypatch):
         offered.clear()
         hg2, _ = integrate(corpus)
         assert len(offered) == hg2.connector_count
+
+
+def test_integrate_builds_no_connector_record(monkeypatch, w3c_statements):
+    def refuse(self, *fields):
+        raise AssertionError(f"{type(self).__name__}{fields} was built")
+
+    for kind in (NodeConnector, EdgeConnector):
+        monkeypatch.setattr(kind, "__init__", refuse)
+    wired = 0
+    for corpus in (w3c_statements, *fuzz_corpus()):
+        hg2, report = integrate(corpus)
+        assert hg2.connector_count == report.connectors_v + report.connectors_e
+        wired += hg2.connector_count
+    assert wired > 10_000
+    # the writers and the loader read and store int pairs as well
+    hg2, _ = integrate(w3c_statements)
+    assert deserialize(serialize(hg2)) == hg2 and to_dot(hg2)
+    with pytest.raises(AssertionError, match="^NodeConnector"):
+        hg2.connectors_v  # the read view does build records
 
 
 def test_empty_build_has_no_connectors():

@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import replace
+from dataclasses import astuple
 from itertools import chain, starmap
 
 import pytest
@@ -369,7 +369,7 @@ def test_connector_stores_agree_with_a_dict_of_pairs_per_kind(offers):
     stores: dict[type, dict[tuple[int, int], None]] = {NodeConnector: {}, EdgeConnector: {}}
     for is_edge, source, target in offers:
         kind = EdgeConnector if is_edge else NodeConnector
-        assert hg2.add_connector(kind(source, target)) is ((source, target) not in stores[kind])
+        assert hg2.add_connector(source, target, kind) is ((source, target) not in stores[kind])
         stores[kind][source, target] = None
     connectors_v = tuple(starmap(NodeConnector, stores[NodeConnector]))
     assert hg2.connectors_v == connectors_v
@@ -394,7 +394,7 @@ def test_anchor_index_agrees_with_the_connector_scan(seed):
         for node in range(hg2.h.node_count):
             assert hg2.anchors_of_node(node) == naive_anchors(hg2.connectors_v, node)
         for connector in [*hg2.connectors_v, *hg2.connectors_e]:
-            assert hg2.add_connector(replace(connector)) is False
+            assert hg2.add_connector(*astuple(connector), type(connector)) is False
         assert hg2 == built
 
 

@@ -33,7 +33,7 @@ def nodes_without_edges() -> HG2:
     for i in range(3):
         hg2.g.intern(f"urn:class:{i}")
     for i in range(5):
-        hg2.add_connector(NodeConnector(i, i % 3))
+        hg2.add_connector(i, i % 3, NodeConnector)
     return hg2
 
 
@@ -76,7 +76,7 @@ def chain(length: int) -> HG2:
     for i in range(8):
         hg2.g.intern(f"urn:class:{i}")
     for i in range(length):
-        hg2.add_connector(NodeConnector(i, i % 8))
+        hg2.add_connector(i, i % 8, NodeConnector)
     return hg2
 
 

@@ -33,7 +33,7 @@ def _lines(hg2: HG2) -> Iterator[str]:
 
     yield "  subgraph cluster_hypergraph {"
     yield '    label="hypergraph layer";'
-    malformed = set(hg2.h._malformed_nodes())
+    malformed = set(hg2.h._malformed)
     for node_id, payload in enumerate(hg2.h.nodes):
         # str() labels an opaque payload and a term the node writer filed as malformed
         well_formed = isinstance(payload, NodePayload) and node_id not in malformed

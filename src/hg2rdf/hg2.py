@@ -157,7 +157,8 @@ class HG2(Freezable):
         )
 
     def freeze(self) -> None:
-        """Make the structure read-only; queries remain safe for concurrent use."""
+        """Make the structure read-only, both layers' containers included;
+        queries remain safe for concurrent use."""
         super().freeze()
         self.h.freeze()
         self.g.freeze()
@@ -384,7 +385,7 @@ def serialize(hg2: HG2, out: TextIO | None = None) -> str | None:
     non-finite float is found as its record is written, so with ``out`` the
     handle may then already hold part of the document.
     """
-    malformed = hg2.h._malformed_nodes()
+    malformed = hg2.h._malformed
     if malformed:
         node_id = malformed[0]
         raise ValueError(_term_problem(hg2.h.nodes[node_id], f"hypernode {node_id}")[1])

@@ -15,9 +15,9 @@ edge it heads has in its tail to the first such edge; the head index
 search over the forward stars is the only code that fires edges, and it
 queues heads only, so a query never visits a leaf on its own.  Two section
 writers, ``_append_nodes`` and ``_append_edges``, are the only code that
-appends nodes, edges and these indexes: the checked mutators end in
-one-element calls of them, and ``deserialize`` and ``integrate`` hand them
-whole sections, so that a section's indexes are allocated together.
+writes nodes, edges and these indexes (``freeze`` turns the two lists into
+tuples): the checked mutators end in one-element calls of them, and
+``deserialize`` and ``integrate`` hand them whole sections at once.
 :func:`_check_index` is the id-range rule of both layers and the connectors.
 """
 from __future__ import annotations
@@ -77,7 +77,8 @@ class Hypergraph(Freezable):
     an unhashable payload gets a new node each time and is never found.
     Payloads are interned by equality, and an RDF term is a tuple of its
     fields, so a plain tuple equal to a term names the term's node (a loaded
-    document cannot hold one: JSON has no tuples).
+    document cannot hold one: JSON has no tuples).  After :meth:`freeze`,
+    ``nodes`` and ``edges`` are tuples, which refuse every write.
     """
 
     def __init__(self) -> None:
@@ -88,12 +89,17 @@ class Hypergraph(Freezable):
         self._heads: set[int] = set()
         self._index: dict[Any, int] = {}
         self._malformed: list[int] = []
-        self._judged = 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
+        return tuple(self.nodes) == tuple(other.nodes) and tuple(self.edges) == tuple(other.edges)
+
+    def freeze(self) -> None:
+        """Make the node and edge lists tuples; a second call changes nothing."""
+        super().freeze()
+        self.nodes = tuple(self.nodes)
+        self.edges = tuple(self.edges)
 
     @property
     def node_count(self) -> int:
@@ -128,10 +134,10 @@ class Hypergraph(Freezable):
         wins).  A whole section's indexes are allocated in one run, next to
         each other, which is the memory the firing search walks.
 
-        Each new node is judged once by the term rule and the malformed ones
-        are filed (:meth:`_malformed_nodes`).  A caller that has already
-        refused every malformed payload, as ``deserialize`` has, passes
-        ``well_formed=True`` and nothing is judged again.
+        Each new node is judged once by the term rule and the malformed ids
+        are filed in ``_malformed``, ascending, the one store of the verdicts.
+        A caller that has already refused every malformed payload, as
+        ``deserialize`` has, passes ``well_formed=True`` and none is judged.
         """
         nodes, index = self.nodes, self._index
         start = len(nodes)
@@ -144,26 +150,9 @@ class Hypergraph(Freezable):
                 index.setdefault(nodes[node_id], node_id)
             except TypeError:
                 pass  # unhashable payloads stay unindexed
-        if well_formed and self._judged == start:
-            self._judged = len(nodes)
-        self._malformed_nodes()
+        if not well_formed:
+            self._malformed.extend(node_id for node_id in new if _term_problem(nodes[node_id]))
         return start
-
-    def _malformed_nodes(self) -> list[int]:
-        """Ids of the nodes whose payload the term rule refuses, ascending.
-
-        The node writer files them; a node appended to ``nodes`` by other
-        code is judged here, the first time the verdicts are read after it.
-        Through the API every node is judged by the writer, so reading the
-        verdicts of a frozen structure writes nothing.
-        """
-        nodes, start = self.nodes, self._judged
-        if start < len(nodes):
-            self._malformed.extend(
-                node_id for node_id in range(start, len(nodes)) if _term_problem(nodes[node_id])
-            )
-            self._judged = len(nodes)
-        return self._malformed
 
     def add_hyperedge(self, head: Iterable[int], tail: Iterable[int]) -> int:
         """Append an edge joining existing nodes; head and tail order is kept."""

@@ -260,7 +260,7 @@ def validate_mapping(hg2: HG2) -> list[Violation]:
     from parsed statements satisfy all of these, and :func:`statement_of`
     reads the same rules.
     """
-    return _placement_violations(hg2, hg2.h._malformed_nodes(), range(hg2.h.edge_count))
+    return _placement_violations(hg2, hg2.h._malformed, range(hg2.h.edge_count))
 
 
 def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[int]) -> list[Violation]:

@@ -8,6 +8,7 @@ dict keyed by :class:`GraphEdge`, which holds their order and uniqueness.
 from __future__ import annotations
 
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .hypergraph import Freezable, _check_index
@@ -83,7 +84,8 @@ class SchemaGraph(Freezable):
     and graphs are equal only with their edges in the same order.
     ``add_edge`` also fills two indexes that the lookups read instead of
     scanning ``edges``: the SubClassOf children of each class, and the first
-    Domain and the first Range target of each node.
+    Domain and the first Range target of each node.  After :meth:`freeze`,
+    ``iris`` and ``edges`` refuse every write.
     """
 
     def __init__(self) -> None:
@@ -96,7 +98,14 @@ class SchemaGraph(Freezable):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SchemaGraph):
             return NotImplemented
-        return self.iris == other.iris and list(self.edges) == list(other.edges)
+        return tuple(self.iris) == tuple(other.iris) and list(self.edges) == list(other.edges)
+
+    def freeze(self) -> None:
+        """Make ``iris`` a tuple and ``edges`` a read-only view of its dict, once."""
+        if not self.frozen:
+            self.iris = tuple(self.iris)
+            self.edges = MappingProxyType(self.edges)
+        super().freeze()
 
     @property
     def node_count(self) -> int:

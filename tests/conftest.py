@@ -12,7 +12,10 @@ from hg2rdf import (
     EdgeConnector,
     NodeConnector,
     Statement,
+    deserialize,
+    integrate,
     parse_document,
+    serialize,
 )
 
 # The three authorship triples from the W3C N-Triples page: one subject,
@@ -88,6 +91,19 @@ def w3c_statements() -> list[Statement]:
 @pytest.fixture
 def demo_structure() -> tuple[HG2, dict[int, int], dict[str, int]]:
     return build_demo_structure()
+
+
+@pytest.fixture
+def frozen_structures() -> list[HG2]:
+    """The two frozen structures the package hands out, over the constraint
+    example and the W3C sample: an ``integrate`` result and a ``deserialize``
+    of it after ``freeze``."""
+    statements, errors = parse_document(CONSTRAINT_SCHEMA + CONSTRAINT_TYPING + CONSTRAINT_DATA + W3C_SAMPLE)
+    assert not errors
+    built, _ = integrate(statements)
+    loaded = deserialize(serialize(built))
+    loaded.freeze()
+    return [built, loaded]
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 import re
 from collections import deque
@@ -28,6 +29,7 @@ from hg2rdf import (
     EdgeKind,
     EmptySlotError,
     ErrorCode,
+    GraphEdge,
     HyperEdge,
     Hypergraph,
     IntegrationReport,
@@ -45,6 +47,7 @@ from hg2rdf import (
     load_builtin_vocabulary,
     parse_line,
     route_statement,
+    serialize,
     validate_mapping,
 )
 from hg2rdf.hypergraph import _check_id
@@ -114,6 +117,8 @@ LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
                   ("test_cli.py", "test_dot.py", "test_streamed_output.py")),
     "assert_same_indexes": (None, _CHECKER,
                             ("test_hg2_io.py", "test_section_writers.py", "test_write_path.py")),
+    "assert_frozen_containers_refuse_writes": ("hg2rdf.hg2.HG2.freeze", _CHECKER,
+                                               ("test_hg2.py", "test_hypergraph.py", "test_schema.py")),
     "canonical_form": (None, _CHECKER, ("test_properties.py",)),
     "random_document": (None, _GENERATOR,
                         ("test_acceptance.py", "test_domain_range.py", "test_properties.py",
@@ -631,7 +636,9 @@ def naive_check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
 # The hypergraph writers as they were before whole sections were appended in
 # one call: one node, or one edge, per call, with the node list, the edge list
 # and the per-node indexes filled as each arrives.  ``oracle_add_node`` and
-# ``oracle_add_hyperedge`` are the checked mutators that ended in them.
+# ``oracle_add_hyperedge`` are the checked mutators that ended in them.  The
+# node writer files its verdict with ``malformed_term``, the test-side copy of
+# the term rule, so ``assert_same_indexes`` checks the writer's verdicts.
 
 def oracle_append_node(h: Hypergraph, payload: Any) -> int:
     node_id = len(h.nodes)
@@ -642,6 +649,8 @@ def oracle_append_node(h: Hypergraph, payload: Any) -> int:
         h._index.setdefault(payload, node_id)
     except TypeError:
         pass  # unhashable payloads stay unindexed
+    if malformed_term(payload):
+        h._malformed.append(node_id)
     return node_id
 
 
@@ -990,7 +999,7 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
     """Every identity table and index of two structures agrees, key order
     included; ``HG2.__eq__`` compares only what ``serialize`` writes."""
     assert list(a.h._index.items()) == list(b.h._index.items())
-    assert a.h._malformed_nodes() == b.h._malformed_nodes()
+    assert a.h._malformed == b.h._malformed
     assert a.h._incidence == b.h._incidence
     assert [list(f.items()) for f in a.h._forward] == [list(f.items()) for f in b.h._forward]
     assert a.h._heads == b.h._heads
@@ -1000,6 +1009,45 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
     assert list(a.g.edges) == list(b.g.edges)
     assert list(a.g._subclass_children.items()) == list(b.g._subclass_children.items())
     assert list(a.g._constraints.items()) == list(b.g._constraints.items())
+
+
+def assert_frozen_containers_refuse_writes(hg2: HG2, *layers: str) -> None:
+    """Every append and item assignment on the containers of a frozen
+    structure's named layers (``"h"``, ``"g"``) raises, and afterwards the
+    lookups of both layers, ``validate_mapping`` and ``serialize`` answer as
+    before; a second ``freeze`` keeps the same container objects."""
+    h, g = hg2.h, hg2.g
+    term, edge, iri = NodePayload.uri(5), HyperEdge([0], [0]), "urn:late"
+    writes = {
+        "h": [(lambda: h.nodes.append(term), AttributeError),
+              (lambda: operator.setitem(h.nodes, 0, term), TypeError),
+              (lambda: h.edges.append(edge), AttributeError),
+              (lambda: operator.setitem(h.edges, 0, edge), TypeError)],
+        "g": [(lambda: g.iris.append(iri), AttributeError),
+              (lambda: operator.setitem(g.iris, 0, iri), TypeError),
+              (lambda: operator.setitem(g.edges, GraphEdge(0, 0, EdgeKind.DOMAIN), None), TypeError)],
+    }
+
+    def answers() -> tuple[object, ...]:
+        kinds = (EdgeKind.DOMAIN, EdgeKind.RANGE)
+        return ([h.find(payload) for payload in (*h.nodes, term)],
+                [g.find(each) for each in (*g.iris, iri)],
+                [g.constraint_of(node, kind) for node in range(g.node_count) for kind in kinds],
+                validate_mapping(hg2), serialize(hg2))
+
+    before = answers()
+    for layer in layers:
+        for write, error in writes[layer]:
+            try:
+                write()
+            except error:
+                pass
+            else:
+                raise AssertionError(f"a frozen {layer} container took a write")
+            assert answers() == before
+    containers = [h.nodes, h.edges, g.iris, g.edges]
+    hg2.freeze()
+    assert all(map(operator.is_, [h.nodes, h.edges, g.iris, g.edges], containers))
 
 
 # The hg2/1 reader and writer as they were before they were rewritten for

@@ -30,7 +30,7 @@ from hg2rdf import (
     validate_layering,
     validate_mapping,
 )
-from oracles import random_structure
+from oracles import assert_frozen_containers_refuse_writes, random_structure
 
 
 def small() -> HG2:
@@ -189,7 +189,7 @@ def test_nodes_anchored_in_checks_each_graph_node_id():
         hg2.nodes_anchored_in([-1])
 
 
-def test_freeze_propagates_to_both_layers():
+def test_freeze_propagates_to_both_layers(frozen_structures):
     hg2 = small()
     hg2.freeze()
     assert hg2.h.frozen and hg2.g.frozen
@@ -197,6 +197,8 @@ def test_freeze_propagates_to_both_layers():
         hg2.h.add_node(NodePayload.uri("urn:new"))
     with pytest.raises(RuntimeError):
         hg2.add_connector(0, 0, NodeConnector)
+    for frozen in (hg2, *frozen_structures):
+        assert_frozen_containers_refuse_writes(frozen, "h", "g")
 
 
 def test_validate_layering_is_empty_for_api_built_structures():

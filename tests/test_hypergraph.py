@@ -9,6 +9,7 @@ import pytest
 from hg2rdf import (
     HG2,
     EmptySlotError,
+    HyperEdge,
     Hypergraph,
     UnknownNodeError,
     deserialize,
@@ -16,7 +17,7 @@ from hg2rdf import (
     parse_document,
     serialize,
 )
-from oracles import naive_path, naive_reachable, naive_search
+from oracles import assert_frozen_containers_refuse_writes, naive_path, naive_reachable, naive_search
 
 
 def build(n_nodes: int) -> Hypergraph:
@@ -260,7 +261,7 @@ def test_forward_stars_are_untracked_by_the_cyclic_collector():
         assert all(gc.is_tracked(star) is False for star in h._forward)
 
 
-def test_freeze_blocks_mutation_but_not_queries():
+def test_freeze_blocks_mutation_but_not_queries(frozen_structures):
     h = build(2)
     h.add_hyperedge([0], [1])
     h.freeze()
@@ -268,9 +269,16 @@ def test_freeze_blocks_mutation_but_not_queries():
         h.add_node("late")
     with pytest.raises(RuntimeError):
         h.add_hyperedge([0], [1])
+    with pytest.raises(AttributeError):
+        h.nodes.append("late")
+    with pytest.raises(TypeError):
+        h.edges[0] = HyperEdge([1], [0])
+    assert h.nodes == ("n0", "n1") and h.find("late") is None
     assert h.forward_reachable(0) == {1}
     assert h.forward_path(0, 1) == (0,)
     assert h.incidence_of(1) == [0]
+    for frozen in frozen_structures:
+        assert_frozen_containers_refuse_writes(frozen, "h")
 
 
 def test_equality_is_structural():

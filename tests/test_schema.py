@@ -20,7 +20,7 @@ from hg2rdf.schema import (
     RDFS_LITERAL,
     RDFS_RESOURCE,
 )
-from oracles import matrix_closure, random_class_graph
+from oracles import assert_frozen_containers_refuse_writes, matrix_closure, random_class_graph
 
 
 def chain(iris: list[str]) -> SchemaGraph:
@@ -48,7 +48,7 @@ def test_intern_refuses_an_iri_that_is_not_a_string(iri):
     assert graph.iris == [] and graph.find(iri) is None
 
 
-def test_freeze_blocks_mutation_but_not_lookups():
+def test_freeze_blocks_mutation_but_not_lookups(frozen_structures):
     graph = chain(["urn:a", "urn:b"])
     graph.freeze()
     assert graph.intern("urn:a") == 0  # an existing IRI is a lookup
@@ -57,6 +57,8 @@ def test_freeze_blocks_mutation_but_not_lookups():
     with pytest.raises(RuntimeError):
         graph.add_edge(1, 0, EdgeKind.SUBCLASS_OF)
     assert graph.subclass_closure(1) == {0, 1}
+    for frozen in frozen_structures:
+        assert_frozen_containers_refuse_writes(frozen, "g")
 
 
 def test_find_and_iri_of():
@@ -221,3 +223,12 @@ def test_freeze_blocks_mutation_but_not_queries():
         graph.add_edge(0, 1, EdgeKind.TYPE)
     assert graph.intern("urn:a") == 0  # existing IRIs still resolve
     assert graph.subclass_closure(1) == {0, 1}
+    iris, edges = graph.iris, graph.edges
+    with pytest.raises(AttributeError):
+        graph.iris.append("urn:new")
+    with pytest.raises(TypeError):
+        graph.edges[GraphEdge(1, 0, EdgeKind.DOMAIN)] = None
+    assert graph.iris == ("urn:a", "urn:b") and list(graph.edges) == [GraphEdge(0, 1, EdgeKind.SUBCLASS_OF)]
+    assert graph.find("urn:new") is None and graph.constraint_of(1, EdgeKind.DOMAIN) is None
+    graph.freeze()
+    assert graph.iris is iris and graph.edges is edges

@@ -4,9 +4,8 @@
 the malformed ones; ``validate_mapping``, ``serialize`` and ``to_dot`` read
 those verdicts instead of judging every node again.  Here each reader meets
 a model that judges every node afresh with ``oracles.malformed_term``, on
-random structures with opaque and malformed payloads; a count pins how often
-the write path asks the rule; and a node appended to ``h.nodes`` by other
-code than the writer is judged when the verdicts are next read.
+random structures with opaque and malformed payloads; and a count pins how
+often the write path asks the rule.
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ def judged_afresh(hg2: HG2) -> list[Violation]:
 
 def assert_readers_agree_with_the_model(hg2: HG2) -> None:
     expected = judged_afresh(hg2)
-    assert hg2.h._malformed_nodes() == [violation.node for violation in expected]
+    assert hg2.h._malformed == [violation.node for violation in expected]
     violations = validate_mapping(hg2)
     assert violations[:len(expected)] == expected
     assert all(violation.edge is not None for violation in violations[len(expected):])
@@ -61,24 +60,6 @@ def assert_readers_agree_with_the_model(hg2: HG2) -> None:
 @settings(max_examples=200, deadline=None)
 def test_each_reader_of_the_verdicts_agrees_with_judging_every_node(seed):
     assert_readers_agree_with_the_model(random_structure(random.Random(seed), malformed=True))
-
-
-def test_a_node_appended_to_the_node_list_by_other_code_is_judged_when_the_verdicts_are_read():
-    hg2 = HG2()
-    hg2.h.add_node(NodePayload.uri("urn:a"))
-    assert hg2.h._malformed_nodes() == []
-    hg2.h.nodes.append(NodePayload.uri(5))
-    assert validate_mapping(hg2) == [
-        Violation("NonStringField", "hypernode 1 field 'iri' must be a string", node=1)
-    ]
-    assert_readers_agree_with_the_model(hg2)
-
-    # the node writer files an earlier outside append along with its own nodes
-    hg2.h.nodes.append(NodePayload.blank(None))
-    hg2.h.add_node(NodePayload.uri(["b"]))
-    hg2.h._append_nodes([NodePayload.uri("urn:c")], well_formed=True)
-    assert hg2.h._malformed_nodes() == [1, 2, 3]
-    assert_readers_agree_with_the_model(hg2)
 
 
 def test_the_write_path_asks_the_term_rule_once_per_hypernode(bench_corpora, monkeypatch):

@@ -4,8 +4,9 @@
 the malformed ones; ``validate_mapping``, ``serialize`` and ``to_dot`` read
 those verdicts instead of judging every node again.  Here each reader meets
 a model that judges every node afresh with ``oracles.malformed_term``, on
-random structures with opaque and malformed payloads; and a count pins how
-often the write path asks the rule.
+random structures with opaque and malformed payloads; the writer files only
+its own new nodes, ascending, and none when its caller vouches for them; and
+a count pins how often the write path asks the rule.
 """
 from __future__ import annotations
 
@@ -60,6 +61,23 @@ def assert_readers_agree_with_the_model(hg2: HG2) -> None:
 @settings(max_examples=200, deadline=None)
 def test_each_reader_of_the_verdicts_agrees_with_judging_every_node(seed):
     assert_readers_agree_with_the_model(random_structure(random.Random(seed), malformed=True))
+
+
+def test_the_node_writer_files_the_verdicts_of_its_own_new_nodes_in_ascending_order():
+    hg2 = HG2()
+    hg2.h.add_node(NodePayload.uri("urn:a"))
+    assert hg2.h._malformed == []
+    hg2.h.add_node(NodePayload.uri(5))
+    assert hg2.h._malformed == [1]
+    hg2.h._append_nodes([NodePayload.blank(None), NodePayload.uri("urn:b"), NodePayload.uri(["b"])])
+    assert hg2.h._malformed == [1, 2, 4]
+    assert_readers_agree_with_the_model(hg2)
+    assert [violation.node for violation in validate_mapping(hg2)] == [1, 2, 4]
+
+    # a caller that passes well_formed=True has judged its payloads itself
+    assert hg2.h._append_nodes([NodePayload.uri("urn:c"), NodePayload.uri(7)], well_formed=True) == 5
+    assert hg2.h._malformed == [1, 2, 4]
+    assert [violation.node for violation in validate_mapping(hg2)] == [1, 2, 4]
 
 
 def test_the_write_path_asks_the_term_rule_once_per_hypernode(bench_corpora, monkeypatch):

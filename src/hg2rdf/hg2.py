@@ -27,8 +27,10 @@ malformed term is refused both ways with the message of the parser's one
 term rule, ``_term_problem`` (a ``ValueError`` from ``serialize``, for the
 first hypernode the node writer filed as malformed and before any text is
 written, a :class:`SchemaViolation` from ``deserialize``), so that one term
-cannot load as two nodes.  The hypernodes ``deserialize`` loads have all
-passed the rule, so the node writer judges none of them again.
+cannot load as two nodes.  ``deserialize`` does not judge the terms it
+decodes: the node writer judges the section once, as it judges every
+section, and a verdict it files sends the first malformed record through
+the per-record decoder, which raises the rule's message.
 ``_RECORD_KEYS`` lists the keys each section's records may hold, ``meta``
 included; any other key is refused.  A non-finite float cannot be written
 (``NaN`` and ``Infinity`` are not JSON, so other platforms could not read
@@ -41,19 +43,18 @@ met, and one for a connector), with the string escaper of :mod:`json`, and
 gives the bytes ``json.dumps(..., indent=2)`` gives.  It
 returns the document as a string, or writes it to a text handle
 in chunks as the records are made, so that a large document is never held
-whole.  ``deserialize`` checks the ids, slots, endpoints and duplicates of
-the hypernode, hyperedge and connector sections in one pass each before
-it stores any record of them, and then appends each whole section in one
-call to the private writer that the public mutators end in:
-``Hypergraph._append_nodes`` and ``_append_edges`` (the only writers of
-hypernodes, hyperedges and their per-node indexes) and
-``_append_connectors``.  Hypernodes are decoded one field at a time across
-the section.  A section that fails the check goes through the
-record-by-record decoder or the checked mutators (``add_connector`` with the
-record's ids and the section's kind), so a bad record raises the exception
-class and message they give.  Graph nodes and graph edges
-always load record by record, through ``SchemaGraph.intern`` and
-``SchemaGraph.add_edge``.
+whole.  ``deserialize`` checks every section whole, the ids, slots,
+endpoints and duplicates of its records in one pass each, before it stores
+any record of it, and then appends the section in one call to the private
+writer that the public mutators end in: ``Hypergraph._append_nodes`` and
+``_append_edges`` (the only writers of hypernodes, hyperedges and their
+per-node indexes), ``SchemaGraph._append_nodes`` and ``_append_edges`` (the
+same for graph nodes and graph edges) and ``_append_connectors``, so no
+section loads record by record.  Hypernodes are decoded one field at a
+time across the section.  A section that fails the check goes through the
+record-by-record decoder or the checked mutators (``intern``, ``add_edge``,
+``add_connector`` with the record's ids and the section's kind), so a bad
+record raises the exception class and message they give.
 ``_all_ids`` is the id rule of ``_check_index`` over a whole section.
 """
 from __future__ import annotations
@@ -65,13 +66,12 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring as _quote
-from operator import contains
 from typing import Any, NamedTuple, TextIO
 
 from .hypergraph import Freezable, HyperEdge, Hypergraph, _check_index
 from .ntriples import _BOM, _KIND_FIELDS, _PAYLOAD_FIELDS, _SURROGATE_RE, NodePayload, PayloadKind
 from .ntriples import _term_kind, _term_problem
-from .schema import EdgeKind, SchemaGraph
+from .schema import EdgeKind, GraphEdge, SchemaGraph
 
 FORMAT_VERSION = "hg2/1"
 
@@ -166,17 +166,19 @@ class HG2(Freezable):
     def add_connector(self, source: int, graph_node: int, kind: type[Connector]) -> bool:
         """Record a connector of ``kind`` (:class:`NodeConnector` or
         :class:`EdgeConnector`) from hypernode or hyperedge ``source`` to
-        ``graph_node``, both in-range int ids; False if it is a duplicate."""
-        self._check_mutable()
+        ``graph_node``, both in-range int ids; False if it is a duplicate.
+        Each id is checked by one direct ``_check_index`` call."""
+        if self.frozen:
+            self._check_mutable()
         if kind is NodeConnector:
             store = self._connectors_v
-            self.h._check_node(source)
+            _check_index(source, len(self.h.nodes), "hypernode")
         elif kind is EdgeConnector:
             store = self._connectors_e
-            _check_index(source, self.h.edge_count, "hyperedge", UnknownHyperEdgeError)
+            _check_index(source, len(self.h.edges), "hyperedge", UnknownHyperEdgeError)
         else:
             raise TypeError(f"not a connector kind: {kind!r}")
-        self.g._check_node(graph_node)
+        _check_index(graph_node, len(self.g.iris), "graph node")
         pair = (source, graph_node)
         if pair in store:
             return False
@@ -498,36 +500,19 @@ def _payload_from_json(record: dict[str, Any]) -> Any:
     return payload
 
 
-# The term rule over a column: per field, the (kind, value type) pairs a term
-# record may hold, a string where its kind carries the field and null where
-# the field is not its kind's required one.
-_FIELD_TYPES = {name: {(kind.value, str) for kind, fields in _KIND_FIELDS.items() if name in fields}
-                | {(kind.value, type(None)) for kind, fields in _KIND_FIELDS.items()
-                   if name != fields[0]}
-                for name in _PAYLOAD_FIELDS}
-
-
 def _payloads_from_json(records: list[dict[str, Any]]) -> list[Any]:
-    """The payloads of a hypernodes section, decoded one column at a time
-    while every column passes the term rule's column form: each kind a term
-    kind, each key a term's, each field as ``_FIELD_TYPES`` allows, and no
-    literal with both a tag and a datatype.  From the first column that
-    fails, every record goes through :func:`_payload_from_json`, so the
-    first bad record raises as it does there."""
+    """The payloads of a hypernodes section, unjudged, decoded one column
+    at a time when every record is a term record (each kind a term kind,
+    each key a term's); otherwise every record goes through
+    :func:`_payload_from_json`, so the first bad record raises as it does
+    there.  The node writer judges the decoded terms."""
     kinds = [record.get("kind") for record in records]
     keys = set().union(*records)
     if set(map(type, kinds)) <= {str} and set(kinds) <= _PAYLOAD_KINDS.keys() \
             and keys <= _RECORD_KEYS["hypernodes"] and "value" not in keys:
-        columns = [list(map(_PAYLOAD_KINDS.__getitem__, kinds))]
-        for name in _PAYLOAD_FIELDS:
-            column = [record.get(name) for record in records]
-            if not set(zip(kinds, map(type, column))) <= _FIELD_TYPES[name]:
-                break
-            columns.append(column)
-        else:
-            # and no literal has both a language tag and a datatype
-            if all(map(contains, zip(*columns[-2:]), repeat(None))):
-                return list(map(tuple.__new__, repeat(NodePayload), zip(*columns)))
+        columns = [map(_PAYLOAD_KINDS.__getitem__, kinds),
+                   *([record.get(name) for record in records] for name in _PAYLOAD_FIELDS)]
+        return list(map(tuple.__new__, repeat(NodePayload), zip(*columns)))
     return list(map(_payload_from_json, records))
 
 
@@ -582,6 +567,38 @@ def _load_connectors(
         except (LookupError, TypeError) as exc:
             raise SchemaViolation(f"{section} entry {index} is malformed or dangling: {exc}") from exc
         _require(added, f"{section} entry {index} is a duplicate")
+
+
+def _load_graph_nodes(g: SchemaGraph, records: list[dict[str, Any]]) -> None:
+    iris = [record.get("iri") for record in records]
+    if set(map(type, iris)) <= {str} and len(set(iris)) == len(iris):
+        g._append_nodes(iris)
+        return
+    for index, iri in enumerate(iris):
+        _require(isinstance(iri, str), f"graph node {index} needs a string iri")
+        if g.intern(iri) != index:
+            raise SchemaViolation(f"duplicate graph node iri {iri!r}")
+
+
+def _load_graph_edges(g: SchemaGraph, records: list[dict[str, Any]]) -> None:
+    sources = [record.get("from") for record in records]
+    targets = [record.get("to") for record in records]
+    kinds = [record.get("kind") for record in records]
+    if set(map(type, kinds)) <= {str} and set(kinds) <= _EDGE_KINDS.keys() \
+            and _all_ids(sources, g.node_count) and _all_ids(targets, g.node_count):
+        edges = list(map(GraphEdge, sources, targets, map(_EDGE_KINDS.__getitem__, kinds)))
+        if len(set(edges)) == len(edges):
+            g._append_edges(edges)
+            return
+    for index, (source, target, kind) in enumerate(zip(sources, targets, kinds)):
+        edge_kind = _EDGE_KINDS.get(kind) if type(kind) is str else None
+        if edge_kind is None:
+            raise UnknownKind(f"unknown graph edge kind {kind!r}")
+        try:
+            added = g.add_edge(source, target, edge_kind)
+        except (LookupError, TypeError) as exc:
+            raise SchemaViolation(f"graph edge {index} is malformed: {exc}") from exc
+        _require(added, f"graph_edges entry {index} is a duplicate")
 
 
 def _refuse_repeated_terms(h: Hypergraph) -> None:
@@ -643,7 +660,10 @@ def deserialize(text: str) -> HG2:
     hg2 = HG2()
     node_records = _as_records(document, "hypernodes")
     _check_dense_ids(node_records, "hypernodes")
-    hg2.h._append_nodes(_payloads_from_json(node_records), well_formed=True)
+    hg2.h._append_nodes(_payloads_from_json(node_records))
+    if hg2.h._malformed:
+        # raises with the term rule's message for the first malformed record
+        _payload_from_json(node_records[hg2.h._malformed[0]])
     if len(hg2.h._index) != hg2.h.node_count:
         _refuse_repeated_terms(hg2.h)
 
@@ -653,22 +673,8 @@ def deserialize(text: str) -> HG2:
 
     graph_node_records = _as_records(document, "graph_nodes")
     _check_dense_ids(graph_node_records, "graph_nodes")
-    for index, record in enumerate(graph_node_records):
-        iri = record.get("iri")
-        _require(isinstance(iri, str), f"graph node {index} needs a string iri")
-        if hg2.g.intern(iri) != index:
-            raise SchemaViolation(f"duplicate graph node iri {iri!r}")
-
-    for index, record in enumerate(_as_records(document, "graph_edges")):
-        kind = record.get("kind")
-        edge_kind = _EDGE_KINDS.get(kind) if type(kind) is str else None
-        if edge_kind is None:
-            raise UnknownKind(f"unknown graph edge kind {kind!r}")
-        try:
-            added = hg2.g.add_edge(record.get("from"), record.get("to"), edge_kind)
-        except (LookupError, TypeError) as exc:
-            raise SchemaViolation(f"graph edge {index} is malformed: {exc}") from exc
-        _require(added, f"graph_edges entry {index} is a duplicate")
+    _load_graph_nodes(hg2.g, graph_node_records)
+    _load_graph_edges(hg2.g, _as_records(document, "graph_edges"))
     _load_connectors(hg2, _as_records(document, "connectors_v"), "connectors_v",
                      NodeConnector, hg2.h.node_count)
     _load_connectors(hg2, _as_records(document, "connectors_e"), "connectors_e",

@@ -3,10 +3,11 @@
 A node's payload is any value; a node's or a hyperedge's id is its position
 in ``nodes`` or ``edges``, and a repeated hashable payload names its first
 node, as an IRI names one node of :class:`~hg2rdf.schema.SchemaGraph`.  The
-node writer asks the parser's term rule, ``_term_problem``, once per new
-node and files the ids of the malformed terms, so the readers that must
-refuse or report them (``validate_mapping``, ``serialize``, ``to_dot``) read
-that one verdict instead of judging every node again.
+node writer judges each section it appends with the column form of the
+parser's term rule, ``_malformed_terms``, and files the ids of the malformed
+terms, so the readers that must refuse or report them (``validate_mapping``,
+``serialize``, ``to_dot``) read that one verdict instead of judging every
+node again.
 Head and tail are ordered lists so callers can assign positional roles; the
 same node may appear on both sides of one edge.  Each node lists the ids of the edges
 it sits in and keeps its forward star: a map from each distinct node that an
@@ -26,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .ntriples import _term_problem
+from .ntriples import _malformed_terms
 
 
 class UnknownNodeError(LookupError):
@@ -127,17 +128,17 @@ class Hypergraph(Freezable):
         except TypeError:
             return None
 
-    def _append_nodes(self, payloads: Iterable[Any], well_formed: bool = False) -> int:
+    def _append_nodes(self, payloads: Sequence[Any]) -> int:
         """Append one node per payload, without interning; returns the first
         new id.  With :meth:`_append_edges`, the only writer of the node
         list, its per-node indexes and the payload index (the first node
         wins).  A whole section's indexes are allocated in one run, next to
         each other, which is the memory the firing search walks.
 
-        Each new node is judged once by the term rule and the malformed ids
-        are filed in ``_malformed``, ascending, the one store of the verdicts.
-        A caller that has already refused every malformed payload, as
-        ``deserialize`` has, passes ``well_formed=True`` and none is judged.
+        The section is judged by the term rule's column form,
+        ``_malformed_terms``, in one pass, and the ids of its malformed
+        terms are filed in ``_malformed``, ascending, the one store of the
+        verdicts.
         """
         nodes, index = self.nodes, self._index
         start = len(nodes)
@@ -150,8 +151,7 @@ class Hypergraph(Freezable):
                 index.setdefault(nodes[node_id], node_id)
             except TypeError:
                 pass  # unhashable payloads stay unindexed
-        if not well_formed:
-            self._malformed.extend(node_id for node_id in new if _term_problem(nodes[node_id]))
+        self._malformed.extend(map(start.__add__, _malformed_terms(payloads)))
         return start
 
     def add_hyperedge(self, head: Iterable[int], tail: Iterable[int]) -> int:

@@ -20,18 +20,21 @@ their class node.
 
 Every reader of a hypernode here asks the parser's rules: ``_term_kind``,
 whether the payload is a term and of which kind, and ``_term_problem``,
-whether a term is well formed.  :func:`validate_mapping` asks the latter
-only for the hypernodes the node writer already filed as malformed.
+whether a term is well formed; routing asks their column forms,
+``_term_kinds`` and ``_malformed_terms``, once for all statements.
+:func:`validate_mapping` asks the term rule only for the hypernodes the node
+writer already filed as malformed.
 """
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
+from itertools import chain, compress, filterfalse, repeat
+from operator import and_, attrgetter, is_, itemgetter, not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .hg2 import HG2, EdgeConnector, NodeConnector, Violation
 from .hypergraph import Hypergraph, _check_id
-from .ntriples import NodePayload, PayloadKind, Statement, _term_kind, _term_problem
+from .ntriples import NodePayload, PayloadKind, Statement, _malformed_terms, _term_kind, _term_kinds, _term_problem
 from .schema import (
     RDF_DATATYPE,
     RDF_OBJECT,
@@ -80,18 +83,35 @@ def route_statement(statement: Statement) -> Layer:
     the schema layer when the predicate is exactly a ``SCHEMA_PREDICATES``
     IRI term and the subject and object are IRI terms the term rule passes,
     the instance layer otherwise.  A term field that cannot be hashed (a
-    list, say) raises ValueError with the term rule's message.
+    list, say) raises ValueError with the term rule's message.  This is the
+    one-statement call of the rule that :func:`integrate` applies to all
+    of its statements at once.
     """
     _distinct((statement,))
-    return _route(statement)
+    return Layer.SCHEMA if _schema_routes((statement,))[0] else Layer.INSTANCE
 
 
-def _route(statement: Statement) -> Layer:
-    """:func:`route_statement` for a statement known to hash."""
-    subject, predicate, objekt = statement
-    schema = (predicate in _SCHEMA_TERMS and _term_kind(subject) is _term_kind(objekt) is PayloadKind.URI
-              and _term_problem(subject) is None and _term_problem(objekt) is None)
-    return Layer.SCHEMA if schema else Layer.INSTANCE
+_SUBJECT, _PREDICATE, _OBJECT = map(itemgetter, range(3))
+_ENDS = itemgetter(0, 2)
+_IRI = attrgetter("iri")
+
+
+def _schema_routes(statements: Sequence[Statement]) -> list[bool]:
+    """Whether :func:`route_statement` sends each statement, all known to
+    hash, to the schema layer.  The candidates are the statements whose
+    predicate is a schema term; their subjects and objects are judged as
+    one column, by the column forms of the term rule and of ``_term_kind``,
+    so no term is judged on its own unless the column fails."""
+    routes = list(map(_SCHEMA_TERMS.__contains__, map(_PREDICATE, statements)))
+    candidates = list(compress(range(len(routes)), routes))
+    ends = list(chain.from_iterable(map(_ENDS, compress(statements, routes))))
+    uris = list(map(is_, _term_kinds(ends), repeat(PayloadKind.URI)))
+    for position in _malformed_terms(ends):
+        uris[position] = False
+    for candidate, schema in zip(candidates, map(and_, uris[::2], uris[1::2])):
+        if not schema:
+            routes[candidate] = False
+    return routes
 
 
 def _distinct(statements: Sequence[Statement]) -> dict[Statement, None]:
@@ -181,19 +201,28 @@ def map_schema_statement(statement: Statement, graph: SchemaGraph) -> bool:
     graph._check_mutable()
     if route_statement(statement) is not Layer.SCHEMA:
         raise _refusal(statement) or ValueError("route_statement sends this statement to the instance layer")
-    return _map_schema(graph, statement)
+    return _map_schemas(graph, (statement,)) == 1
 
 
-def _map_schema(graph: SchemaGraph, statement: Statement) -> bool:
-    """:func:`map_schema_statement` on a mutable graph, for a statement
-    routed to the schema layer; both endpoints come from ``graph.intern``,
-    so neither needs a range check."""
-    subject, predicate, objekt = statement
-    edge = GraphEdge(graph.intern(subject.iri), graph.intern(objekt.iri), _SCHEMA_TERMS[predicate])
-    if edge in graph.edges:
-        return False
-    graph._append_edge(edge)
-    return True
+def _map_schemas(graph: SchemaGraph, statements: Sequence[Statement]) -> int:
+    """:func:`map_schema_statement` for each statement in turn, on a mutable
+    graph, for statements routed to the schema layer, as one append of the
+    new IRIs and one of the new edges; returns the number of new edges.
+    The IRIs are interned in the order a statement-by-statement mapping
+    meets them (subject, then object), so ids and edge order are the same,
+    and every endpoint comes from ``graph``'s own index, so none needs a
+    range check."""
+    ids = graph._ids
+    subjects = list(map(_IRI, map(_SUBJECT, statements)))
+    objects = list(map(_IRI, map(_OBJECT, statements)))
+    graph._append_nodes(list(filterfalse(ids.__contains__, dict.fromkeys(
+        chain.from_iterable(zip(subjects, objects))))))
+    edges = dict.fromkeys(map(tuple.__new__, repeat(GraphEdge), zip(
+        map(ids.__getitem__, subjects), map(ids.__getitem__, objects),
+        map(_SCHEMA_TERMS.__getitem__, map(_PREDICATE, statements)))))
+    new = list(filterfalse(graph.edges.__contains__, edges))
+    graph._append_edges(new)
+    return len(new)
 
 
 def generate_connectors(hg2: HG2) -> None:
@@ -396,32 +425,32 @@ class IntegrationReport(NamedTuple):
 def integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
     """Build a frozen two-layer structure from parsed statements.
 
-    Pipeline: load the built-in vocabulary, route each distinct statement to
-    its layer by :func:`route_statement`, map it, generate connectors, then
-    run the placement checks (their findings land in the report as
-    warnings).  An RDF graph is a set of triples, so a repeated statement is
-    mapped once; first-seen order is kept, which makes the result
-    deterministic for a given input.  Mapping is one pass over the distinct
-    statements: each schema statement goes through the body of
-    :func:`map_schema_statement`, and the instance statements go together
-    through the body of :func:`map_statement`, as one append of their new
-    terms and one of their hyperedges.  Each term is interned through its
-    layer's own index, and the ids that came from that interning are not
-    range-checked again.  The report is built once, from the finished
-    structure, which is frozen and safe to query concurrently.  A statement
-    that cannot be hashed (a term field such as a list) raises ValueError
-    with the term rule's message for the first malformed term; any other
-    malformed term goes to the instance layer, and is reported there.
+    Pipeline: load the built-in vocabulary, route the distinct statements
+    to their layers by the rule of :func:`route_statement`, map them,
+    generate connectors, then run the placement checks (their findings land
+    in the report as warnings).  An RDF graph is a set of triples, so a
+    repeated statement is mapped once; first-seen order is kept, which makes
+    the result deterministic for a given input.  Each step takes a whole
+    section: routing judges the subjects and objects of every statement with
+    a schema predicate as one column of the term rule; the schema statements
+    go together through the body of :func:`map_schema_statement`, as one
+    append of their new IRIs and one of their edges; and the instance
+    statements go together through the body of :func:`map_statement`, as
+    one append of their new terms and one of their hyperedges.  Each term
+    is interned through its layer's own index, and the ids that came from
+    that interning are not range-checked again.  The report is built once,
+    from the finished structure, which is frozen and safe to query
+    concurrently.  A statement that cannot be hashed (a term field such as
+    a list) raises ValueError with the term rule's message for the first
+    malformed term; any other malformed term goes to the instance layer,
+    and is reported there.
     """
     hg2 = HG2(g=load_builtin_vocabulary())
     builtin_edges = hg2.g.edge_count
-    instances: list[Statement] = []
-    for statement in _distinct(statements):
-        if _route(statement) is Layer.SCHEMA:
-            _map_schema(hg2.g, statement)
-        else:
-            instances.append(statement)
-    _map_instances(hg2.h, instances)
+    distinct = list(_distinct(statements))
+    schema = _schema_routes(distinct)
+    _map_schemas(hg2.g, list(compress(distinct, schema)))
+    _map_instances(hg2.h, list(compress(distinct, map(not_, schema))))
     generate_connectors(hg2)
     warnings = [str(violation) for violation in validate_mapping(hg2)]
     hg2.freeze()

@@ -21,8 +21,13 @@ whether a payload is a term and of which kind: a :class:`NodePayload` whose
 kind is a :class:`PayloadKind` is a term of that kind, and nothing else is a
 term.  ``_term_problem`` says why a :class:`NodePayload` is malformed (an
 unknown kind, a field that is not a string or belongs to another kind, a
-missing required field, a tag beside a datatype); the placement checks, the
-renderers, the writer and both readers of a document give its message.
+missing required field, a tag beside a datatype, an empty IRI or datatype
+IRI, a blank label or a language tag outside ``_BLANK_LABEL`` or
+``_LANG_TAG``), so every term it passes is one the parser can read back;
+the placement checks, the renderers, the writer and both readers of a
+document give its message.  Each rule has a column form that judges a whole
+batch in a few passes, ``_term_kinds`` and ``_malformed_terms``, with the
+per-term rule as its fallback; routing and the node writer ask those.
 :func:`parse_document` makes one term object per distinct IRI and per
 distinct blank label of the document, and every statement that names it
 holds that object, so the later set and index lookups of equal terms meet
@@ -57,8 +62,10 @@ which path a line took first.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from enum import Enum
+from functools import partial
+from operator import is_not, itemgetter
 from typing import NamedTuple
 
 _WS = " \t\r"
@@ -239,13 +246,25 @@ def _term_kind(payload: object) -> PayloadKind | None:
     return None
 
 
+#: The syntax a set field's string must have, where the parser reads one:
+#: an IRI is not empty, and a blank label and a language tag are matched
+#: by the parser's own patterns; each with the end of its message.
+_FIELD_SYNTAX = {
+    "iri": (bool, "is empty"),
+    "blank_label": (_BLANK_LABEL_RE.fullmatch, "is not a blank node label"),
+    "language_tag": (_LANG_TAG_RE.fullmatch, "is not a language tag"),
+    "datatype_iri": (bool, "is empty"),
+}
+
+
 def _term_problem(payload: object, name: str = "term") -> tuple[str, str] | None:
     """Why a :class:`NodePayload` is not a well-formed term, as a violation
     kind and a message that calls the term ``name``; ``None`` for a good
     term and for any other (opaque) payload.  The first check that fails
     answers: the kind is a :class:`PayloadKind`; each set field, in order,
     is a string its kind carries; the required field is set; a literal has
-    no tag beside a datatype."""
+    no tag beside a datatype; each set field has its ``_FIELD_SYNTAX``, so
+    every term the rule passes is one the parser can read back."""
     if not isinstance(payload, NodePayload):
         return None
     kind = payload.kind
@@ -262,7 +281,59 @@ def _term_problem(payload: object, name: str = "term") -> tuple[str, str] | None
         return "IncompletePayload", f"{kind.value} {name} has no {fields[0]}"
     if payload.language_tag is not None and payload.datatype_iri is not None:
         return "LanguageTagOnTyped", f"{name} carries both a language tag and a datatype"
+    for field, (syntax, what) in _FIELD_SYNTAX.items():
+        value = getattr(payload, field)
+        if value is not None and not syntax(value):
+            return "MalformedField", f"{kind.value} {name} field '{field}' {what}"
     return None
+
+
+#: The shape of each well-formed term: its kind, then the type of each
+#: field, ``str`` where the term carries it and ``NoneType`` elsewhere; a
+#: literal carries at most one of its two optional fields.
+_TERM_SHAPES = frozenset(
+    (kind, *(str if field in (fields[0], extra) else type(None) for field in _PAYLOAD_FIELDS))
+    for kind, fields in _KIND_FIELDS.items()
+    for extra in (None, *fields[1:])
+)
+_KIND_COLUMN = itemgetter(0)
+_FIELD_COLUMNS = tuple(map(itemgetter, range(1, len(NodePayload._fields))))
+_SYNTAX_COLUMNS = tuple((itemgetter(NodePayload._fields.index(field)), syntax)
+                        for field, (syntax, _) in _FIELD_SYNTAX.items())
+_is_set = partial(is_not, None)
+
+
+def _malformed_terms(payloads: Sequence[object]) -> list[int]:
+    """The column form of :func:`_term_problem`: the positions of the
+    payloads it refuses, ascending.
+
+    A batch of :class:`NodePayload` values is judged a column at a time:
+    its set of term shapes (kind, then each field's type) must lie in
+    ``_TERM_SHAPES``, and each column with a ``_FIELD_SYNTAX`` must pass it
+    wherever it is set.  Any other batch, and one that fails a column
+    check, is judged term by term, so the verdicts are always the rule's;
+    a caller asks :func:`_term_problem` for a flagged term's message.
+    """
+    if set(map(type, payloads)) <= {NodePayload}:
+        try:
+            shapes = set(zip(map(_KIND_COLUMN, payloads),
+                             *(map(type, map(column, payloads)) for column in _FIELD_COLUMNS)))
+        except TypeError:  # a kind that cannot be hashed
+            shapes = None
+        if shapes is not None and shapes <= _TERM_SHAPES and all(
+            all(map(syntax, filter(_is_set, map(column, payloads)))) for column, syntax in _SYNTAX_COLUMNS
+        ):
+            return []
+    return [position for position, payload in enumerate(payloads) if _term_problem(payload)]
+
+
+def _term_kinds(payloads: Sequence[object]) -> list[PayloadKind | None]:
+    """The column form of :func:`_term_kind`: each payload's term kind, in order."""
+    if set(map(type, payloads)) <= {NodePayload}:
+        kinds = list(map(_KIND_COLUMN, payloads))
+        if set(map(type, kinds)) <= {PayloadKind}:
+            return kinds
+    return list(map(_term_kind, payloads))
 
 
 class Statement(NamedTuple):

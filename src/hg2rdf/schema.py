@@ -4,10 +4,18 @@ Nodes are interned IRIs (one node per distinct IRI); edges carry one of four
 kinds, abbreviated s/t/d/r: SubClassOf, Type, Domain, Range.  SubClassOf edges
 point from the subclass to its parent.  The edges are one insertion-ordered
 dict keyed by :class:`GraphEdge`, which holds their order and uniqueness.
+
+Two section writers, ``SchemaGraph._append_nodes`` and
+``SchemaGraph._append_edges``, are the only code that writes the nodes, the
+edges and their indexes, as ``Hypergraph``'s two writers are for its layer:
+``intern``, ``add_edge`` and :func:`load_builtin_vocabulary` end in calls to
+them, and ``integrate`` and ``deserialize`` hand them whole sections.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from enum import Enum
+from itertools import count
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -81,10 +89,10 @@ class SchemaGraph(Freezable):
     """Interned IRI nodes plus deduplicated, insertion-ordered labeled edges.
 
     Edges are append-only; ``edges`` maps each to None in insertion order,
-    and graphs are equal only with their edges in the same order.
-    ``add_edge`` also fills two indexes that the lookups read instead of
-    scanning ``edges``: the SubClassOf children of each class, and the first
-    Domain and the first Range target of each node.  After :meth:`freeze`,
+    and graphs are equal only with their edges in the same order.  The edge
+    writer also fills two indexes that the lookups read instead of scanning
+    ``edges``: the SubClassOf children of each class, and the first Domain
+    and the first Range target of each node.  After :meth:`freeze`,
     ``iris`` and ``edges`` refuse every write.
     """
 
@@ -127,10 +135,16 @@ class SchemaGraph(Freezable):
         if not isinstance(iri, str):
             raise TypeError(f"a graph node's iri must be a string, not {type(iri).__name__}")
         self._check_mutable()
-        node_id = len(self.iris)
-        self.iris.append(iri)
-        self._ids[iri] = node_id
-        return node_id
+        return self._append_nodes((iri,))
+
+    def _append_nodes(self, iris: Sequence[str]) -> int:
+        """Append one node per IRI, each a string the graph does not hold
+        yet and none twice; returns the first new id.  The only writer of
+        ``iris`` and the IRI index."""
+        start = len(self.iris)
+        self.iris.extend(iris)
+        self._ids.update(zip(iris, count(start)))
+        return start
 
     def find(self, iri: str) -> int | None:
         """Id of the node for ``iri``, if any; ``None`` for an unhashable value."""
@@ -151,17 +165,21 @@ class SchemaGraph(Freezable):
         edge = GraphEdge(src, dst, kind)
         if edge in self.edges:
             return False
-        self._append_edge(edge)
+        self._append_edges((edge,))
         return True
 
-    def _append_edge(self, edge: GraphEdge) -> None:
-        """Store a new edge between existing nodes; the only writer of the
-        edge store and both lookup indexes."""
-        self.edges[edge] = None
-        if edge.kind is EdgeKind.SUBCLASS_OF:
-            self._subclass_children.setdefault(edge.dst, []).append(edge.src)
-        elif edge.kind in _CONSTRAINT_KINDS:
-            self._constraints.setdefault((edge.src, edge.kind), edge.dst)
+    def _append_edges(self, edges: Iterable[GraphEdge]) -> None:
+        """Store new edges between existing nodes, in order, none already
+        stored and none twice; the only writer of the edge store and both
+        lookup indexes."""
+        store, children, constraints = self.edges, self._subclass_children, self._constraints
+        for edge in edges:
+            store[edge] = None
+            src, dst, kind = edge
+            if kind is EdgeKind.SUBCLASS_OF:
+                children.setdefault(dst, []).append(src)
+            elif kind in _CONSTRAINT_KINDS:
+                constraints.setdefault((src, kind), dst)
 
     def subclass_closure(self, node: int) -> set[int]:
         """The class itself plus all its SubClassOf descendants; cycle-safe."""
@@ -179,7 +197,7 @@ class SchemaGraph(Freezable):
         """Target of the first Domain or Range edge out of ``node``, if any.
 
         "First" is in edge insertion order.  The answer is one lookup in the
-        index that ``add_edge`` fills, so the cost does not grow with the
+        index that ``_append_edges`` fills, so the cost does not grow with the
         number of edges.
         """
         if kind not in _CONSTRAINT_KINDS:
@@ -195,9 +213,8 @@ def load_builtin_vocabulary() -> SchemaGraph:
     four builtin classes are placed under the hierarchy root.
     """
     graph = SchemaGraph()
-    for iri in BUILTIN_VOCABULARY:
-        graph.intern(iri)
-    root = graph.intern(RDFS_RESOURCE)
-    for iri in _ROOTED_CLASSES:
-        graph.add_edge(graph.intern(iri), root, EdgeKind.SUBCLASS_OF)
+    graph._append_nodes(BUILTIN_VOCABULARY)
+    ids = graph._ids
+    graph._append_edges([GraphEdge(ids[iri], ids[RDFS_RESOURCE], EdgeKind.SUBCLASS_OF)
+                         for iri in _ROOTED_CLASSES])
     return graph

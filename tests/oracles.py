@@ -21,6 +21,7 @@ from typing import Any
 
 from hg2rdf import (
     ANCHOR_IRIS,
+    BUILTIN_VOCABULARY,
     FORMAT_VERSION,
     HG2,
     SCHEMA_PREDICATES,
@@ -45,23 +46,27 @@ from hg2rdf import (
     format_term,
     generate_connectors,
     load_builtin_vocabulary,
+    map_schema_statement,
     parse_line,
     route_statement,
     serialize,
     validate_mapping,
 )
 from hg2rdf.hypergraph import _check_id
-from hg2rdf.ntriples import _BLANK_LABEL_RE, _LANG_TAG_RE, BadEscape, _blank, _Halt, _parse_line, _uri
+from hg2rdf.ntriples import _BLANK_LABEL_RE, _LANG_TAG_RE, BadEscape, _blank, _Halt, _parse_line, _term_problem, _uri
 from hg2rdf.schema import (
     RDF_DATATYPE,
+    RDF_PROPERTY,
     RDF_OBJECT,
     RDF_PREDICATE,
     RDF_STATEMENT,
     RDF_SUBJECT,
     RDF_TYPE,
+    RDFS_CLASS,
     RDFS_DOMAIN,
     RDFS_LITERAL,
     RDFS_RANGE,
+    RDFS_RESOURCE,
     RDFS_SUBCLASSOF,
 )
 
@@ -105,6 +110,10 @@ LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
                            ("test_section_writers.py",)),
     "oracle_add_node": ("hg2rdf.mapper.map_statement", _FASTER, ("test_section_writers.py",)),
     "oracle_add_hyperedge": ("hg2rdf.mapper.map_statement", _FASTER, ("test_section_writers.py",)),
+    "oracle_malformed_terms": ("hg2rdf.ntriples._malformed_terms", _FASTER, ("test_term_verdicts.py",)),
+    "oracle_append_graph_edge": ("hg2rdf.schema.SchemaGraph._append_edges", _FASTER,
+                                 ("test_section_writers.py",)),
+    "oracle_schema_layer": ("hg2rdf.mapper._map_schemas", _FASTER, ("test_section_writers.py",)),
     "oracle_parse_document": ("hg2rdf.ntriples.parse_document", _FASTER, ("test_write_path.py",)),
     "oracle_integrate": ("hg2rdf.mapper.integrate", _FASTER, ("test_write_path.py",)),
     "oracle_to_dot": ("hg2rdf.dot.to_dot", _FASTER,
@@ -112,7 +121,8 @@ LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
     "oracle_serialize": ("hg2rdf.hg2.serialize", _FASTER,
                          ("test_hg2_io.py", "test_streamed_output.py", "test_term_verdicts.py")),
     "oracle_deserialize": ("hg2rdf.hg2.deserialize", _FASTER,
-                           ("test_hg2_io.py", "test_properties.py", "test_section_writers.py")),
+                           ("test_hg2_io.py", "test_properties.py", "test_section_writers.py",
+                            "test_term_verdicts.py")),
     "check_dot": ("hg2rdf.dot.to_dot", _CHECKER,
                   ("test_cli.py", "test_dot.py", "test_streamed_output.py")),
     "assert_same_indexes": (None, _CHECKER,
@@ -122,7 +132,7 @@ LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
     "canonical_form": (None, _CHECKER, ("test_properties.py",)),
     "random_document": (None, _GENERATOR,
                         ("test_acceptance.py", "test_domain_range.py", "test_properties.py",
-                         "test_write_path.py")),
+                         "test_section_writers.py", "test_write_path.py")),
     "random_structure": (None, _GENERATOR,
                          ("test_acceptance.py", "test_cli.py", "test_hg2.py", "test_hg2_io.py",
                           "test_properties.py", "test_streamed_output.py",
@@ -386,7 +396,9 @@ _OWN_FIELDS = {
 
 def malformed_term(payload: object, name: str = "term") -> tuple[str, str] | None:
     """The violation kind and the message, about ``name``, for a malformed
-    term, and None for a well-formed term or an opaque payload."""
+    term, and None for a well-formed term or an opaque payload.  A term the
+    parser could not read back is malformed: an empty IRI or datatype IRI,
+    and a blank label or a language tag outside the parser's patterns."""
     if not isinstance(payload, NodePayload):
         return None
     if not isinstance(payload.kind, PayloadKind):
@@ -402,7 +414,23 @@ def malformed_term(payload: object, name: str = "term") -> tuple[str, str] | Non
         return "IncompletePayload", f"{payload.kind.value} {name} has no {own[0]}"
     if payload.language_tag is not None and payload.datatype_iri is not None:
         return "LanguageTagOnTyped", f"{name} carries both a language tag and a datatype"
+    kind = payload.kind.value
+    if payload.iri == "":
+        return "MalformedField", f"{kind} {name} field 'iri' is empty"
+    if payload.blank_label is not None and not _BLANK_LABEL_RE.fullmatch(payload.blank_label):
+        return "MalformedField", f"{kind} {name} field 'blank_label' is not a blank node label"
+    if payload.language_tag is not None and not _LANG_TAG_RE.fullmatch(payload.language_tag):
+        return "MalformedField", f"{kind} {name} field 'language_tag' is not a language tag"
+    if payload.datatype_iri == "":
+        return "MalformedField", f"{kind} {name} field 'datatype_iri' is empty"
     return None
+
+
+def oracle_malformed_terms(payloads: list[Any]) -> list[tuple[int, tuple[str, str]]]:
+    """Each malformed term's position and the term rule's verdict, the rule
+    asked term by term."""
+    return [(position, problem) for position, payload in enumerate(payloads)
+            if (problem := _term_problem(payload)) is not None]
 
 
 # statement_of as it was before it read the placement rules of
@@ -665,6 +693,31 @@ def oracle_append_edge(h: Hypergraph, head: list[int], tail: list[int]) -> int:
     for node in {*head, *tail}:
         h._incidence[node].append(edge_id)
     return edge_id
+
+
+def oracle_append_graph_edge(graph: SchemaGraph, edge: GraphEdge) -> None:
+    """The one-edge writer the graph layer's section writer replaced."""
+    graph.edges[edge] = None
+    if edge.kind is EdgeKind.SUBCLASS_OF:
+        graph._subclass_children.setdefault(edge.dst, []).append(edge.src)
+    elif edge.kind in (EdgeKind.DOMAIN, EdgeKind.RANGE):
+        graph._constraints.setdefault((edge.src, edge.kind), edge.dst)
+
+
+def oracle_schema_layer(statements: list[Statement]) -> SchemaGraph:
+    """The graph layer ``integrate`` builds, one statement at a time: the
+    built-in vocabulary through ``intern`` and ``add_edge``, then each
+    distinct statement that ``route_statement`` sends to the schema layer
+    through ``map_schema_statement``."""
+    graph = SchemaGraph()
+    for iri in BUILTIN_VOCABULARY:
+        graph.intern(iri)
+    for iri in (RDFS_CLASS, RDFS_LITERAL, RDF_PROPERTY, RDF_STATEMENT):
+        graph.add_edge(graph.intern(iri), graph.intern(RDFS_RESOURCE), EdgeKind.SUBCLASS_OF)
+    for statement in dict.fromkeys(statements):
+        if route_statement(statement) is Layer.SCHEMA:
+            map_schema_statement(statement, graph)
+    return graph
 
 
 def oracle_add_node(h: Hypergraph, payload: Any) -> int:

@@ -34,6 +34,7 @@ from hg2rdf import (
     statements_about,
     to_dot,
 )
+from hg2rdf.ntriples import _BLANK_LABEL, _LANG_TAG
 from conftest import FOREIGN_FIELD_DOCUMENT
 from oracles import (
     assert_same_indexes,
@@ -53,11 +54,14 @@ opaque_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
     max_leaves=8,
 )
+# Well-formed terms: an IRI is not empty, and a blank label and a language
+# tag have the parser's syntax.
+iris = texts.filter(bool)
 payloads = st.one_of(
-    st.builds(NodePayload.uri, texts),
-    st.builds(NodePayload.blank, texts),
-    st.builds(NodePayload.literal, texts, st.none() | texts),
-    st.builds(lambda form, datatype: NodePayload.literal(form, datatype_iri=datatype), texts, texts),
+    st.builds(NodePayload.uri, iris),
+    st.builds(NodePayload.blank, st.from_regex(_BLANK_LABEL, fullmatch=True)),
+    st.builds(NodePayload.literal, texts, st.none() | st.from_regex(_LANG_TAG, fullmatch=True)),
+    st.builds(lambda form, datatype: NodePayload.literal(form, datatype_iri=datatype), texts, iris),
     opaque_values,
 )
 

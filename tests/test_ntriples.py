@@ -370,8 +370,13 @@ _ESCAPE_TEXTS = st.one_of(
 
 
 def assert_escaped_as_the_loops_did(text: str) -> None:
-    assert format_term(uri(text)) == f"<{loop_escape_iri(text)}>"
     assert format_term(literal(text)) == f'"{loop_escape_literal(text)}"'
+    if not text:  # an empty IRI is no term the parser reads
+        for term in (uri(text), literal(text, datatype_iri=text)):
+            with pytest.raises(ValueError, match="is empty$"):
+                format_term(term)
+        return
+    assert format_term(uri(text)) == f"<{loop_escape_iri(text)}>"
     assert format_term(literal(text, datatype_iri=text)) == (
         f'"{loop_escape_literal(text)}"^^<{loop_escape_iri(text)}>'
     )

@@ -22,7 +22,10 @@ FASTER_PATHS = {
     "hg2rdf.ntriples._LINE_RE",
     "hg2rdf.ntriples.parse_document",
     "hg2rdf.ntriples.format_term",
+    "hg2rdf.ntriples._malformed_terms",
     "hg2rdf.mapper.integrate",
+    "hg2rdf.mapper._map_schemas",
+    "hg2rdf.schema.SchemaGraph._append_edges",
     "hg2rdf.hypergraph.Hypergraph._append_nodes",
     "hg2rdf.hypergraph.Hypergraph._append_edges",
     "hg2rdf.hg2.serialize",

@@ -28,9 +28,9 @@ term rule, ``_term_problem`` (a ``ValueError`` from ``serialize``, for the
 first hypernode the node writer filed as malformed and before any text is
 written, a :class:`SchemaViolation` from ``deserialize``), so that one term
 cannot load as two nodes.  ``deserialize`` does not judge the terms it
-decodes: the node writer judges the section once, as it judges every
-section, and a verdict it files sends the first malformed record through
-the per-record decoder, which raises the rule's message.
+decodes, not even in the per-record decoder, which checks kinds and keys
+only: the node writer judges the section once, as it judges every section,
+and the first malformed node it files raises the rule's message.
 ``_RECORD_KEYS`` lists the keys each section's records may hold, ``meta``
 included; any other key is refused.  A non-finite float cannot be written
 (``NaN`` and ``Infinity`` are not JSON, so other platforms could not read
@@ -482,6 +482,8 @@ def _check_dense_ids(records: list[dict[str, Any]], section: str) -> None:
 
 
 def _payload_from_json(record: dict[str, Any]) -> Any:
+    """One hypernode record's payload, unjudged; raises for a kind or a key
+    the record cannot have."""
     kind = record.get("kind")
     payload_kind = _PAYLOAD_KINDS.get(kind) if type(kind) is str else None
     if payload_kind is None and kind != "opaque":
@@ -493,19 +495,21 @@ def _payload_from_json(record: dict[str, Any]) -> Any:
     if payload_kind is None:
         _require("value" in record, "opaque hypernode has no value")
         return record["value"]
-    payload = tuple.__new__(NodePayload, (payload_kind, *map(record.get, _PAYLOAD_FIELDS)))
-    problem = _term_problem(payload, "hypernode")
-    if problem is not None:
-        raise SchemaViolation(problem[1])
-    return payload
+    return tuple.__new__(NodePayload, (payload_kind, *map(record.get, _PAYLOAD_FIELDS)))
+
+
+def _term_violation(payload: Any) -> SchemaViolation:
+    """The refusal of a term the term rule flags, with the rule's message."""
+    return SchemaViolation(_term_problem(payload, "hypernode")[1])
 
 
 def _payloads_from_json(records: list[dict[str, Any]]) -> list[Any]:
     """The payloads of a hypernodes section, unjudged, decoded one column
     at a time when every record is a term record (each kind a term kind,
     each key a term's); otherwise every record goes through
-    :func:`_payload_from_json`, so the first bad record raises as it does
-    there.  The node writer judges the decoded terms."""
+    :func:`_payload_from_json`.  The node writer judges the decoded terms;
+    only when a record is refused are the terms before it judged, so that
+    the first bad record raises."""
     kinds = [record.get("kind") for record in records]
     keys = set().union(*records)
     if set(map(type, kinds)) <= {str} and set(kinds) <= _PAYLOAD_KINDS.keys() \
@@ -513,7 +517,15 @@ def _payloads_from_json(records: list[dict[str, Any]]) -> list[Any]:
         columns = [map(_PAYLOAD_KINDS.__getitem__, kinds),
                    *([record.get(name) for record in records] for name in _PAYLOAD_FIELDS)]
         return list(map(tuple.__new__, repeat(NodePayload), zip(*columns)))
-    return list(map(_payload_from_json, records))
+    payloads: list[Any] = []
+    for record in records:
+        try:
+            payloads.append(_payload_from_json(record))
+        except SerializationError:
+            for payload in filter(_term_problem, payloads):
+                raise _term_violation(payload) from None
+            raise
+    return payloads
 
 
 # Each section below is checked whole first, with passes that run in C where
@@ -662,8 +674,7 @@ def deserialize(text: str) -> HG2:
     _check_dense_ids(node_records, "hypernodes")
     hg2.h._append_nodes(_payloads_from_json(node_records))
     if hg2.h._malformed:
-        # raises with the term rule's message for the first malformed record
-        _payload_from_json(node_records[hg2.h._malformed[0]])
+        raise _term_violation(hg2.h.nodes[hg2.h._malformed[0]])
     if len(hg2.h._index) != hg2.h.node_count:
         _refuse_repeated_terms(hg2.h)
 

@@ -19,6 +19,11 @@ writers, ``_append_nodes`` and ``_append_edges``, are the only code that
 writes nodes, edges and these indexes (``freeze`` turns the two lists into
 tuples): the checked mutators end in one-element calls of them, and
 ``deserialize`` and ``integrate`` hand them whole sections at once.
+A frozen hypergraph searches from each head at most once: it keeps the
+search of every head queried and the ascending answer of every head whose
+reach is asked for, and ``forward_path`` reads its witness from the kept
+search.  The writers refuse after ``freeze``, so no kept entry goes stale;
+an unfrozen hypergraph keeps nothing.
 :func:`_check_index` is the id-range rule of both layers and the connectors.
 """
 from __future__ import annotations
@@ -90,6 +95,8 @@ class Hypergraph(Freezable):
         self._heads: set[int] = set()
         self._index: dict[Any, int] = {}
         self._malformed: list[int] = []
+        self._searches: dict[int, dict[int, int]] = {}
+        self._answers: dict[int, tuple[int, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -97,7 +104,17 @@ class Hypergraph(Freezable):
         return tuple(self.nodes) == tuple(other.nodes) and tuple(self.edges) == tuple(other.edges)
 
     def freeze(self) -> None:
-        """Make the node and edge lists tuples; a second call changes nothing."""
+        """Make the node and edge lists tuples; a second call changes nothing.
+
+        From then on each head's firing search (:meth:`_search`) and its
+        ascending reach (:meth:`sorted_reachable`) are computed on the first
+        query and kept: the writers refuse, so the indexes they derive from
+        never change.  A queried head keeps one search map, at most one
+        entry per head, and one answer, at most one id per node; a start
+        that heads nothing keeps neither.  An edit of a frozen edge's
+        ``head`` or ``tail`` list goes around the writers and reaches
+        neither the indexes nor what is kept from them.
+        """
         super().freeze()
         self.nodes = tuple(self.nodes)
         self.edges = tuple(self.edges)
@@ -197,10 +214,9 @@ class Hypergraph(Freezable):
         self._check_node(node)
         return list(self._incidence[node])
 
-    def _search(self, start: int, target: int | None = None) -> dict[int, int]:
+    def _search(self, start: int) -> dict[int, int]:
         """Map each head node reached from ``start`` to the node whose edge
-        reached it, in the order reached; stop at the first node whose star
-        holds ``target``, and map ``target`` to that node.
+        reached it, in the order reached.
 
         An edge fires as soon as any one of its head nodes is reached; firing
         reaches every tail node.  A node that heads no edge fires nothing, so
@@ -209,21 +225,29 @@ class Hypergraph(Freezable):
         id, then tail position).  Heads thus fire in the order, and from the
         parents, of a search that queued every node, and the witness edge of
         ``node`` reached from ``previous`` is ``self._forward[previous][node]``.
+        The nodes are popped in the order ``[start, *reached]``.
+
+        A frozen hypergraph keeps the map of each head in ``_searches`` and
+        returns that one map to every later call; callers only read it.  A
+        map is kept only once it is whole, so threads that miss together
+        each search and all get the first map kept.
         """
         self._check_node(start)
+        reached = self._searches.get(start)
+        if reached is not None:
+            return reached
         forward, heads, edges = self._forward, self._heads, self.edges
-        reached: dict[int, int] = {}
+        reached = {}
         queue = deque([start])
         while queue:
             node = queue.popleft()
             star = forward[node]
-            if target in star:
-                reached[target] = node
-                return reached
             children = sorted((star.keys() & heads).difference(reached),
                               key=lambda child: (star[child], edges[star[child]].tail.index(child)))
             reached.update(dict.fromkeys(children, node))
             queue.extend(children)
+        if self.frozen and start in heads:
+            reached = self._searches.setdefault(start, reached)
         return reached
 
     def forward_reachable(self, start: int) -> set[int]:
@@ -235,22 +259,38 @@ class Hypergraph(Freezable):
         """
         return set().union(*map(self._forward.__getitem__, [start, *self._search(start)]))
 
+    def sorted_reachable(self, start: int) -> tuple[int, ...]:
+        """:meth:`forward_reachable` as an ascending tuple.  A frozen
+        hypergraph keeps the tuple of each head in ``_answers`` and returns
+        that one tuple to every later call."""
+        self._check_node(start)
+        answer = self._answers.get(start)
+        if answer is None:
+            answer = tuple(sorted(self.forward_reachable(start)))
+            if self.frozen and start in self._heads:
+                answer = self._answers.setdefault(start, answer)
+        return answer
+
     def forward_path(self, start: int, target: int) -> tuple[int, ...] | None:
         """Edge ids of a firing path from ``start`` to ``target``, or None.
 
         A node reaches itself through the empty path ``()``.  The path is the
-        breadth-first one, so it is deterministic and shortest in edge count.
+        breadth-first one, so it is deterministic and shortest in edge count:
+        its last edge leaves the first node popped by :meth:`_search` whose
+        star holds ``target``, and the parents the search recorded lead back
+        from there to ``start``.
         """
+        self._check_node(start)
         self._check_node(target)
         if start == target:
             return ()
-        reached = self._search(start, target)
-        if target not in reached:
+        forward, reached = self._forward, self._search(start)
+        node = next((node for node in (start, *reached) if target in forward[node]), None)
+        if node is None:
             return None
-        path: list[int] = []
-        node = target
+        path = [forward[node][target]]
         while node != start:
             previous = reached[node]
-            path.append(self._forward[previous][node])
+            path.append(forward[previous][node])
             node = previous
         return tuple(reversed(path))

@@ -21,9 +21,11 @@ their class node.
 Every reader of a hypernode here asks the parser's rules: ``_term_kind``,
 whether the payload is a term and of which kind, and ``_term_problem``,
 whether a term is well formed; routing asks their column forms,
-``_term_kinds`` and ``_malformed_terms``, once for all statements.
-:func:`validate_mapping` asks the term rule only for the hypernodes the node
-writer already filed as malformed.
+``_term_kinds`` and ``_malformed_terms``, once for all statements, and
+:func:`generate_connectors` and the placement rules read the kinds from one
+``_term_kinds`` pass each (over every hypernode, or over one hyperedge's
+for :func:`statement_of`).  :func:`validate_mapping` asks the term rule
+only for the hypernodes the node writer already filed as malformed.
 """
 from __future__ import annotations
 
@@ -181,12 +183,14 @@ def statement_of(hg2: HG2, edge_id: int) -> Statement | None:
     if not 0 <= edge_id < hg2.h.edge_count:
         return None
     edge = hg2.h.edges[edge_id]
-    if _placement_violations(hg2, {*edge.head, *edge.tail}, (edge_id,)):
+    node_ids = {*edge.head, *edge.tail}
+    kinds = dict(zip(node_ids, _term_kinds([hg2.h.nodes[node] for node in node_ids])))
+    if _placement_violations(hg2, node_ids, (edge_id,), kinds):
         return None
-    payloads = [hg2.h.nodes[n] for n in (edge.tail[0], edge.head[0], edge.tail[1])]
-    if None in map(_term_kind, payloads):
+    ends = (edge.tail[0], edge.head[0], edge.tail[1])
+    if None in map(kinds.__getitem__, ends):
         return None
-    return Statement(*payloads)
+    return Statement(*map(hg2.h.nodes.__getitem__, ends))
 
 
 def map_schema_statement(statement: Statement, graph: SchemaGraph) -> bool:
@@ -259,8 +263,8 @@ def generate_connectors(hg2: HG2) -> None:
         if graph_edge.kind is EdgeKind.TYPE:
             class_nodes.setdefault(graph_edge.src, []).append(graph_edge.dst)
 
-    for node_id, payload in enumerate(hg2.h.nodes):
-        kind = _term_kind(payload)
+    nodes = hg2.h.nodes
+    for node_id, (payload, kind) in enumerate(zip(nodes, _term_kinds(nodes))):
         if kind is PayloadKind.LITERAL and payload.datatype_iri is not None:
             offers[node_id, anchors[RDF_DATATYPE]] = None
         elif kind is PayloadKind.URI:
@@ -289,12 +293,14 @@ def validate_mapping(hg2: HG2) -> list[Violation]:
     from parsed statements satisfy all of these, and :func:`statement_of`
     reads the same rules.
     """
-    return _placement_violations(hg2, hg2.h._malformed, range(hg2.h.edge_count))
+    return _placement_violations(hg2, hg2.h._malformed, range(hg2.h.edge_count), _term_kinds(hg2.h.nodes))
 
 
-def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[int]) -> list[Violation]:
+def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[int],
+                          kinds: Sequence[PayloadKind | None] | dict[int, PayloadKind | None]) -> list[Violation]:
     """The term rule over the given hypernodes, then the placement rules
-    over the given hyperedges, each in the order given."""
+    over the given hyperedges, each in the order given; ``kinds`` gives the
+    term kind of each hypernode in a checked slot, by id."""
     nodes, edges = hg2.h.nodes, hg2.h.edges
     violations: list[Violation] = []
     for node_id in node_ids:
@@ -312,14 +318,14 @@ def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[
                 edge=edge_id,
             ))
         for node in edge.head:
-            kind = _term_kind(nodes[node])
+            kind = kinds[node]
             if kind in _HEAD_VIOLATIONS:
                 violations.append(Violation(
                     _HEAD_VIOLATIONS[kind],
                     f"{kind.value} hypernode {node} occupies a head slot of hyperedge {edge_id}",
                     node=node, edge=edge_id,
                 ))
-        if edge.tail and _term_kind(nodes[edge.tail[0]]) is PayloadKind.LITERAL:
+        if edge.tail and kinds[edge.tail[0]] is PayloadKind.LITERAL:
             violations.append(Violation(
                 "LiteralAsSubject",
                 f"literal hypernode {edge.tail[0]} occupies tail position 0 of hyperedge {edge_id}",

@@ -3,8 +3,9 @@
 Every query takes IRIs as plain strings, resolves them to hypernodes through
 ``Hypergraph.find``, returns ids in a deterministic order, and never mutates:
 a structure serialized before and after any of these calls is byte-identical.
-The searches themselves live in :class:`~hg2rdf.hypergraph.Hypergraph`; this
-module resolves IRIs and shapes the answers.
+The searches themselves live in :class:`~hg2rdf.hypergraph.Hypergraph`, and
+so do the ascending reach answers a frozen structure keeps per head; this
+module resolves IRIs and wraps the answers.
 """
 from __future__ import annotations
 
@@ -54,11 +55,15 @@ def instances_of(hg2: HG2, class_iri: str) -> QueryResult:
 
 
 def reachable_from(hg2: HG2, iri: str) -> QueryResult:
-    """Hypernodes reachable from the IRI's node by firing hyperedges forward."""
+    """Hypernodes reachable from the IRI's node by firing hyperedges forward.
+
+    The ids come from :meth:`~hg2rdf.hypergraph.Hypergraph.sorted_reachable`,
+    so on a frozen structure a repeated start is answered without a search.
+    """
     node = _node_of(hg2, iri)
     if node is None:
         return QueryResult(())
-    return QueryResult(tuple(sorted(hg2.h.forward_reachable(node))))
+    return QueryResult(hg2.h.sorted_reachable(node))
 
 
 def path_exists(hg2: HG2, from_iri: str, to_iri: str) -> PathResult:

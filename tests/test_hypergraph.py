@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import threading
 
 import pytest
 
@@ -225,7 +227,6 @@ def test_leaves_never_enter_the_search():
     assert h.forward_path(0, 0) == ()
     record = naive_search(h, 0)
     for target in (1, 9, 10_000, 10_003):
-        assert h._search(0, target).keys() <= {0, target, *h._heads}
         assert h.forward_path(0, target) == naive_path(record, 0, target)
     assert h.forward_path(10_002, 10_000) == (2, 3, 0)
 
@@ -247,6 +248,105 @@ def test_searches_from_every_head_of_the_query_corpus_agree_with_the_breadth_fir
         # target has reached the same nodes from the same parents
         for target in [*heads, *list(expected)[::97], *range(0, h.node_count, 997)]:
             assert h.forward_path(start, target) == naive_path(expected, start, target)
+
+
+def chain() -> Hypergraph:
+    """Node 0 heads an edge to head 1 and leaf 4; 1 -> 2 -> 3; node 5 is
+    out of reach."""
+    h = build(6)
+    h.add_hyperedge([0], [1, 4])
+    h.add_hyperedge([1], [2])
+    h.add_hyperedge([2], [3])
+    return h
+
+
+def test_a_frozen_hypergraph_searches_each_head_once(monkeypatch):
+    h = chain()
+    h.freeze()
+    answer = h.sorted_reachable(0)
+    reached = h._search(0)
+    assert (answer, reached) == ((1, 2, 3, 4), {1: 0, 2: 1})
+    assert h.sorted_reachable(4) == () and h.forward_path(4, 1) is None
+    assert h._searches.keys() == h._answers.keys() == {0}  # a leaf keeps nothing
+
+    def no_search(*args):
+        raise AssertionError("searched again")
+
+    # a repeated start, and every path from it, reads what the first call kept
+    monkeypatch.setattr("hg2rdf.hypergraph.deque", no_search)
+    monkeypatch.setattr(h, "forward_reachable", no_search)
+    assert h.sorted_reachable(0) is answer
+    assert h._search(0) is reached
+    assert [h.forward_path(0, target) for target in range(6)] == [(), (0,), (0, 1), (0, 1, 2), (0,), None]
+
+
+def test_an_unfrozen_hypergraph_keeps_nothing_and_answers_the_new_reach():
+    h = chain()
+    assert h.sorted_reachable(0) == (1, 2, 3, 4)
+    assert h.forward_path(0, 5) is None
+    h.add_hyperedge([3], [5])
+    assert h.sorted_reachable(0) == (1, 2, 3, 4, 5)
+    assert h.forward_reachable(0) == {1, 2, 3, 4, 5}
+    assert h.forward_path(0, 5) == (0, 1, 2, 3)
+    assert h._searches == {} and h._answers == {}
+
+
+def test_ids_are_checked_before_a_kept_answer_is_read():
+    h = chain()
+    h.freeze()
+    assert h.sorted_reachable(1) == (2, 3) and h.forward_path(1, 3) == (1, 2)
+    assert 1 in h._answers and 1 in h._searches  # True == 1 would find these
+    for bad, error, message in ((True, TypeError, "ids must be int, got True"),
+                                (-1, UnknownNodeError, "hypernode -1 does not exist")):
+        for read in (h._search, h.forward_reachable, h.sorted_reachable,
+                     lambda node: h.forward_path(node, 1), lambda node: h.forward_path(1, node)):
+            with pytest.raises(error) as excinfo:
+                read(bad)
+            assert str(excinfo.value) == message
+
+
+def test_threads_querying_one_frozen_hypergraph_get_the_oracle_answers():
+    rng = random.Random(31)
+    n = 80
+    h = build(n)
+    for _ in range(100):
+        head = [rng.randrange(n) for _ in range(rng.randrange(1, 3))]
+        tail = [rng.randrange(n) for _ in range(rng.randrange(1, 4))]
+        h.add_hyperedge(head, tail)
+    h.freeze()
+    expected = {}
+    for start in range(n):
+        record = naive_search(h, start)
+        expected[start] = (tuple(sorted(naive_reachable(h, start))),
+                           [naive_path(record, start, target) for target in range(n)])
+    barrier = threading.Barrier(4, timeout=60)
+    failures: list[int] = []
+    finished: list[int] = []
+
+    def query(seed: int) -> None:
+        starts = list(range(n))
+        random.Random(seed).shuffle(starts)
+        barrier.wait()
+        for start in starts:
+            answer = (h.sorted_reachable(start), [h.forward_path(start, target) for target in range(n)])
+            if answer != expected[start] or h.forward_reachable(start) != set(answer[0]):
+                failures.append(start)
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [0, 1, 2, 3] and failures == []
+    assert h._answers.keys() <= h._heads and h._searches.keys() <= h._heads
+    assert all(h._answers[start] == expected[start][0] for start in h._answers)
 
 
 def test_forward_stars_are_untracked_by_the_cyclic_collector():

@@ -35,6 +35,7 @@ from hg2rdf import (
     map_schema_statement,
     map_statement,
     parse_line,
+    reachable_from,
     route_statement,
     serialize,
     statement_of,
@@ -408,13 +409,31 @@ def test_instances_of_agrees_with_the_connector_scan(seed):
             assert items == tuple(sorted(naive_instances(hg2, iri)))
 
 
-@given(st.integers(0, 2**32))
+@given(st.integers(0, 2**32), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_reachability_agrees_with_the_fixpoint_oracle(seed):
-    rng = random.Random(seed)
-    hg2 = random_structure(rng)
-    for start in range(hg2.h.node_count):
-        assert hg2.h.forward_reachable(start) == naive_reachable(hg2.h, start)
+def test_reachability_agrees_with_the_fixpoint_oracle(seed, frozen):
+    """Every start and target, on the first call and on a repeat, which a
+    frozen structure answers from what the first call kept."""
+    hg2 = random_structure(random.Random(seed))
+    if frozen:
+        hg2.freeze()
+    h = hg2.h
+    uris = [payload.iri for payload in h.nodes
+            if isinstance(payload, NodePayload) and payload.kind is PayloadKind.URI]
+    for _ in range(2):
+        for start in range(h.node_count):
+            expected = naive_reachable(h, start)
+            assert h.forward_reachable(start) == expected
+            assert h.sorted_reachable(start) == tuple(sorted(expected))
+            record = naive_search(h, start)
+            for target in range(h.node_count):
+                assert h.forward_path(start, target) == naive_path(record, start, target)
+        for iri in uris:
+            expected = naive_reachable(h, h.find(NodePayload.uri(iri)))
+            assert reachable_from(hg2, iri).items == tuple(sorted(expected))
+    assert h._answers.keys() <= h._heads and h._searches.keys() <= h._heads
+    if not frozen:
+        assert h._answers == {} and h._searches == {}
 
 
 # Few nodes, so ids repeat within a slot, across head and tail, and across edges.

@@ -140,6 +140,34 @@ def test_the_write_path_judges_each_section_as_one_column(bench_corpora, monkeyp
     assert (passes, calls) == ([9_192], [])
 
 
+def test_a_section_with_an_opaque_record_is_judged_once_on_load(monkeypatch):
+    """An opaque record sends a hypernodes section through the per-record
+    decoder, which checks kinds and keys only: the node writer's one pass
+    judges each record once, and only a malformed term costs one more call,
+    for its message."""
+    hg2 = HG2()
+    for i in range(5):
+        hg2.h.add_node(NodePayload.uri(f"urn:n{i}"))
+    hg2.h.add_node(["opaque"])
+    text = serialize(hg2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _term_problem(*args)
+
+    for holder in ("ntriples", "hg2"):
+        monkeypatch.setattr(f"hg2rdf.{holder}._term_problem", counted)
+    assert deserialize(text) == hg2
+    assert len(calls) == 6
+    calls.clear()
+    document = json.loads(text)
+    document["hypernodes"][2]["iri"] = ""
+    with pytest.raises(SchemaViolation, match="^uri hypernode field 'iri' is empty$"):
+        deserialize(json.dumps(document))
+    assert len(calls) == 7
+
+
 # Terms of every sort: well formed, malformed (each failure of the rule,
 # the syntax of a label, a tag and an IRI among them), terms of no known
 # kind, opaque payloads, and plain tuples that equal a term or look like one.

@@ -161,6 +161,22 @@ def test_reachable_from_matches_forward_reachable():
     assert reachable_from(hg2, "urn:nowhere").items == ()
 
 
+def test_a_frozen_structure_answers_a_repeated_start_without_a_search(monkeypatch):
+    hg2 = build(
+        "<urn:s> <urn:p> <urn:o> .\n"
+        "<urn:o2> <urn:o> <urn:z> .\n"
+    )
+    assert hg2.frozen
+    first = reachable_from(hg2, "urn:p")
+
+    def no_search(*args):
+        raise AssertionError("searched again")
+
+    monkeypatch.setattr(hg2.h, "_search", no_search)
+    monkeypatch.setattr(hg2.h, "forward_reachable", no_search)
+    assert reachable_from(hg2, "urn:p").items is first.items
+
+
 def test_queries_leave_the_structure_untouched(w3c_sample_text):
     hg2 = build(w3c_sample_text)
     before = serialize(hg2)

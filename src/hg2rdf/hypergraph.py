@@ -107,7 +107,7 @@ class Hypergraph(Freezable):
         """Make the node and edge lists tuples; a second call changes nothing.
 
         From then on each head's firing search (:meth:`_search`) and its
-        ascending reach (:meth:`sorted_reachable`) are computed on the first
+        ascending reach (:meth:`_sorted_reachable`) are computed on the first
         query and kept: the writers refuse, so the indexes they derive from
         never change.  A queried head keeps one search map, at most one
         entry per head, and one answer, at most one id per node; a start
@@ -259,7 +259,7 @@ class Hypergraph(Freezable):
         """
         return set().union(*map(self._forward.__getitem__, [start, *self._search(start)]))
 
-    def sorted_reachable(self, start: int) -> tuple[int, ...]:
+    def _sorted_reachable(self, start: int) -> tuple[int, ...]:
         """:meth:`forward_reachable` as an ascending tuple.  A frozen
         hypergraph keeps the tuple of each head in ``_answers`` and returns
         that one tuple to every later call."""

@@ -22,10 +22,9 @@ Every reader of a hypernode here asks the parser's rules: ``_term_kind``,
 whether the payload is a term and of which kind, and ``_term_problem``,
 whether a term is well formed; routing asks their column forms,
 ``_term_kinds`` and ``_malformed_terms``, once for all statements, and
-:func:`generate_connectors` and the placement rules read the kinds from one
-``_term_kinds`` pass each (over every hypernode, or over one hyperedge's
-for :func:`statement_of`).  :func:`validate_mapping` asks the term rule
-only for the hypernodes the node writer already filed as malformed.
+:func:`generate_connectors` and :func:`validate_mapping` read the kinds
+from one ``_term_kinds`` pass each.  :func:`validate_mapping` asks the term
+rule only for the hypernodes the node writer already filed as malformed.
 """
 from __future__ import annotations
 
@@ -184,7 +183,7 @@ def statement_of(hg2: HG2, edge_id: int) -> Statement | None:
         return None
     edge = hg2.h.edges[edge_id]
     node_ids = {*edge.head, *edge.tail}
-    kinds = dict(zip(node_ids, _term_kinds([hg2.h.nodes[node] for node in node_ids])))
+    kinds = {node: _term_kind(hg2.h.nodes[node]) for node in node_ids}
     if _placement_violations(hg2, node_ids, (edge_id,), kinds):
         return None
     ends = (edge.tail[0], edge.head[0], edge.tail[1])

@@ -57,13 +57,13 @@ def instances_of(hg2: HG2, class_iri: str) -> QueryResult:
 def reachable_from(hg2: HG2, iri: str) -> QueryResult:
     """Hypernodes reachable from the IRI's node by firing hyperedges forward.
 
-    The ids come from :meth:`~hg2rdf.hypergraph.Hypergraph.sorted_reachable`,
+    The ids come from :meth:`~hg2rdf.hypergraph.Hypergraph._sorted_reachable`,
     so on a frozen structure a repeated start is answered without a search.
     """
     node = _node_of(hg2, iri)
     if node is None:
         return QueryResult(())
-    return QueryResult(hg2.h.sorted_reachable(node))
+    return QueryResult(hg2.h._sorted_reachable(node))
 
 
 def path_exists(hg2: HG2, from_iri: str, to_iri: str) -> PathResult:

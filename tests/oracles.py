@@ -86,7 +86,7 @@ LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
     "malformed_term": ("hg2rdf.ntriples._term_problem", _CHECKER,
                        ("test_properties.py", "test_term_verdicts.py")),
     "oracle_statement_of": ("hg2rdf.mapper.statement_of", _PIN, ("test_properties.py",)),
-    "naive_reachable": ("hg2rdf.hypergraph.Hypergraph.sorted_reachable", _FASTER,
+    "naive_reachable": ("hg2rdf.hypergraph.Hypergraph._sorted_reachable", _FASTER,
                         ("test_acceptance.py", "test_hypergraph.py", "test_properties.py")),
     "naive_search": ("hg2rdf.hypergraph.Hypergraph._search", _FASTER,
                      ("test_hypergraph.py", "test_properties.py")),

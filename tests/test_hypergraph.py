@@ -263,10 +263,10 @@ def chain() -> Hypergraph:
 def test_a_frozen_hypergraph_searches_each_head_once(monkeypatch):
     h = chain()
     h.freeze()
-    answer = h.sorted_reachable(0)
+    answer = h._sorted_reachable(0)
     reached = h._search(0)
     assert (answer, reached) == ((1, 2, 3, 4), {1: 0, 2: 1})
-    assert h.sorted_reachable(4) == () and h.forward_path(4, 1) is None
+    assert h._sorted_reachable(4) == () and h.forward_path(4, 1) is None
     assert h._searches.keys() == h._answers.keys() == {0}  # a leaf keeps nothing
 
     def no_search(*args):
@@ -275,17 +275,17 @@ def test_a_frozen_hypergraph_searches_each_head_once(monkeypatch):
     # a repeated start, and every path from it, reads what the first call kept
     monkeypatch.setattr("hg2rdf.hypergraph.deque", no_search)
     monkeypatch.setattr(h, "forward_reachable", no_search)
-    assert h.sorted_reachable(0) is answer
+    assert h._sorted_reachable(0) is answer
     assert h._search(0) is reached
     assert [h.forward_path(0, target) for target in range(6)] == [(), (0,), (0, 1), (0, 1, 2), (0,), None]
 
 
 def test_an_unfrozen_hypergraph_keeps_nothing_and_answers_the_new_reach():
     h = chain()
-    assert h.sorted_reachable(0) == (1, 2, 3, 4)
+    assert h._sorted_reachable(0) == (1, 2, 3, 4)
     assert h.forward_path(0, 5) is None
     h.add_hyperedge([3], [5])
-    assert h.sorted_reachable(0) == (1, 2, 3, 4, 5)
+    assert h._sorted_reachable(0) == (1, 2, 3, 4, 5)
     assert h.forward_reachable(0) == {1, 2, 3, 4, 5}
     assert h.forward_path(0, 5) == (0, 1, 2, 3)
     assert h._searches == {} and h._answers == {}
@@ -294,11 +294,11 @@ def test_an_unfrozen_hypergraph_keeps_nothing_and_answers_the_new_reach():
 def test_ids_are_checked_before_a_kept_answer_is_read():
     h = chain()
     h.freeze()
-    assert h.sorted_reachable(1) == (2, 3) and h.forward_path(1, 3) == (1, 2)
+    assert h._sorted_reachable(1) == (2, 3) and h.forward_path(1, 3) == (1, 2)
     assert 1 in h._answers and 1 in h._searches  # True == 1 would find these
     for bad, error, message in ((True, TypeError, "ids must be int, got True"),
                                 (-1, UnknownNodeError, "hypernode -1 does not exist")):
-        for read in (h._search, h.forward_reachable, h.sorted_reachable,
+        for read in (h._search, h.forward_reachable, h._sorted_reachable,
                      lambda node: h.forward_path(node, 1), lambda node: h.forward_path(1, node)):
             with pytest.raises(error) as excinfo:
                 read(bad)
@@ -328,7 +328,7 @@ def test_threads_querying_one_frozen_hypergraph_get_the_oracle_answers():
         random.Random(seed).shuffle(starts)
         barrier.wait()
         for start in starts:
-            answer = (h.sorted_reachable(start), [h.forward_path(start, target) for target in range(n)])
+            answer = (h._sorted_reachable(start), [h.forward_path(start, target) for target in range(n)])
             if answer != expected[start] or h.forward_reachable(start) != set(answer[0]):
                 failures.append(start)
         finished.append(seed)

@@ -33,7 +33,7 @@ FASTER_PATHS = {
     "hg2rdf.dot.to_dot",
     "hg2rdf.mapper.check_domain_range",
     "hg2rdf.hypergraph.Hypergraph._search",
-    "hg2rdf.hypergraph.Hypergraph.sorted_reachable",
+    "hg2rdf.hypergraph.Hypergraph._sorted_reachable",
     "hg2rdf.hypergraph.Hypergraph.forward_path",
     "hg2rdf.schema.SchemaGraph.subclass_closure",
     "hg2rdf.traversal.instances_of",

@@ -40,8 +40,6 @@ from .mapper import (
     check_domain_range,
     generate_connectors,
     integrate,
-    map_schema_statement,
-    map_statement,
     route_statement,
     statement_of,
     validate_mapping,
@@ -119,8 +117,6 @@ __all__ = [
     "instances_of",
     "integrate",
     "load_builtin_vocabulary",
-    "map_schema_statement",
-    "map_statement",
     "parse_document",
     "parse_line",
     "path_exists",

@@ -9,9 +9,10 @@ participant too — stays in the instance layer.  Instance statements become
 hyperedges with the predicate as the single head node and subject/object as
 tail positions 0/1; schema statements become labeled edges in the graph
 layer.  The parser's terms are :class:`NodePayload` values and become
-hypernode payloads unconverted.  Each distinct statement is mapped once, and
-hypernodes are interned by the hypergraph layer alone, so one term is one
-hypernode and one statement is one hyperedge.
+hypernode payloads unconverted.  :func:`integrate` is the one public way to
+build a structure from statements: each distinct statement is mapped once,
+and hypernodes are interned by the hypergraph layer alone, so one term is
+one hypernode and one statement is one hyperedge.
 
 Connector generation then ties the layers together: every hyperedge anchors to
 rdf:Statement, role occurrences anchor to rdf:subject / rdf:predicate /
@@ -116,46 +117,24 @@ def _schema_routes(statements: Sequence[Statement]) -> list[bool]:
 
 
 def _distinct(statements: Sequence[Statement]) -> dict[Statement, None]:
-    """The distinct statements in first-seen order; an unhashable one raises :func:`_refusal`."""
+    """The distinct statements in first-seen order; an unhashable one raises
+    ValueError with the term rule's message for the first malformed term."""
     try:
         return dict.fromkeys(statements)
     except TypeError as error:  # an unhashable field
-        raise _refusal(chain.from_iterable(statements)) or error from None
-
-
-def _refusal(terms: Iterable[object]) -> ValueError | None:
-    """ValueError with the term rule's message for the first malformed term."""
-    problem = next(filter(None, map(_term_problem, terms)), None)
-    return None if problem is None else ValueError(problem[1])
-
-
-def map_statement(statement: Statement, hg2: HG2) -> int:
-    """Record an instance statement as a new hyperedge; returns its id.
-
-    The predicate becomes the sole head node; the subject and object become
-    tail positions 0 and 1.  The statement's terms become the payloads as
-    they are, interned through the hypergraph's own index, so a repeated
-    term reuses its hypernode; repeated statements are dropped by
-    :func:`integrate` before they get here.  :func:`integrate` maps all of
-    its instance statements through the same body.  It maps exactly the
-    statements that :func:`route_statement` sends to the instance layer;
-    for a statement routed to the schema layer it raises ValueError before
-    any term is interned.  A term field that cannot be hashed raises
-    ValueError with the term rule's message.
-    """
-    hg2.h._check_mutable()
-    if route_statement(statement) is not Layer.INSTANCE:
-        raise ValueError("route_statement sends this statement to the schema layer")
-    return _map_instances(hg2.h, (statement,))
+        problem = next(filter(None, map(_term_problem, chain.from_iterable(statements))), None)
+        raise error if problem is None else ValueError(problem[1]) from None
 
 
 def _map_instances(h: Hypergraph, statements: Sequence[Statement]) -> int:
-    """:func:`map_statement` for each statement in turn, on a mutable
-    hypergraph, as one append of the new terms and one of the edges; returns
-    the first edge id.  The new terms are appended in the order a
-    statement-by-statement interning would meet them (subject, predicate,
-    object), and every id comes from ``h``'s own index, so none needs a
-    range check."""
+    """Record instance statements in a mutable hypergraph, each as a new
+    hyperedge with the predicate as its sole head node and the subject and
+    object as tail positions 0 and 1, as one append of the new terms and one
+    of the edges; returns the first edge id.  The terms become the payloads
+    as they are; a repeated term reuses its hypernode, and the new ones are
+    appended in the order a statement-by-statement interning would meet
+    them (subject, predicate, object).  Every id comes from ``h``'s own
+    index, so none needs a range check."""
     index = h._index
     h._append_nodes([
         term for term in dict.fromkeys(chain.from_iterable(statements)) if term not in index
@@ -192,29 +171,14 @@ def statement_of(hg2: HG2, edge_id: int) -> Statement | None:
     return Statement(*map(hg2.h.nodes.__getitem__, ends))
 
 
-def map_schema_statement(statement: Statement, graph: SchemaGraph) -> bool:
-    """Record a schema statement as a labeled graph edge (subject → object).
-
-    For rdfs:subClassOf this realizes the child → parent direction.  Returns
-    True when a new edge was added, False on an exact duplicate.  It maps
-    exactly the statements that :func:`route_statement` sends to the schema
-    layer; for any other it raises ValueError, with the term rule's message
-    when a term is malformed, before either endpoint is interned.
-    """
-    graph._check_mutable()
-    if route_statement(statement) is not Layer.SCHEMA:
-        raise _refusal(statement) or ValueError("route_statement sends this statement to the instance layer")
-    return _map_schemas(graph, (statement,)) == 1
-
-
 def _map_schemas(graph: SchemaGraph, statements: Sequence[Statement]) -> int:
-    """:func:`map_schema_statement` for each statement in turn, on a mutable
-    graph, for statements routed to the schema layer, as one append of the
-    new IRIs and one of the new edges; returns the number of new edges.
-    The IRIs are interned in the order a statement-by-statement mapping
-    meets them (subject, then object), so ids and edge order are the same,
-    and every endpoint comes from ``graph``'s own index, so none needs a
-    range check."""
+    """Record statements routed to the schema layer in a mutable graph, each
+    as a labeled edge subject → object (child → parent for
+    rdfs:subClassOf), as one append of the new IRIs and one of the new
+    edges; an exact duplicate adds nothing.  Returns the number of new
+    edges.  The IRIs are interned in the order a statement-by-statement
+    mapping meets them (subject, then object), and every endpoint comes
+    from ``graph``'s own index, so none needs a range check."""
     ids = graph._ids
     subjects = list(map(_IRI, map(_SUBJECT, statements)))
     objects = list(map(_IRI, map(_OBJECT, statements)))
@@ -288,9 +252,9 @@ def validate_mapping(hg2: HG2) -> list[Violation]:
     ``IncompletePayload`` or ``LanguageTagOnTyped``), and a term of unknown
     kind passes the slot rules.  The rule's messages are given only for the
     hypernodes the node writer filed as malformed, so a structure with none
-    judges no term here.  Structures built purely through map_statement
-    from parsed statements satisfy all of these, and :func:`statement_of`
-    reads the same rules.
+    judges no term here.  Structures that :func:`integrate` builds from
+    parsed statements satisfy all of these, and :func:`statement_of` reads
+    the same rules.
     """
     return _placement_violations(hg2, hg2.h._malformed, range(hg2.h.edge_count), _term_kinds(hg2.h.nodes))
 
@@ -438,12 +402,11 @@ def integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
     the result deterministic for a given input.  Each step takes a whole
     section: routing judges the subjects and objects of every statement with
     a schema predicate as one column of the term rule; the schema statements
-    go together through the body of :func:`map_schema_statement`, as one
-    append of their new IRIs and one of their edges; and the instance
-    statements go together through the body of :func:`map_statement`, as
-    one append of their new terms and one of their hyperedges.  Each term
-    is interned through its layer's own index, and the ids that came from
-    that interning are not range-checked again.  The report is built once,
+    become graph edges as one append of their new IRIs and one of their
+    edges; and the instance statements become hyperedges as one append of
+    their new terms and one of their hyperedges.  Each term is interned
+    through its layer's own index, and the ids that came from that
+    interning are not range-checked again.  The report is built once,
     from the finished structure, which is frozen and safe to query
     concurrently.  A statement that cannot be hashed (a term field such as
     a list) raises ValueError with the term rule's message for the first

@@ -46,7 +46,6 @@ from hg2rdf import (
     format_term,
     generate_connectors,
     load_builtin_vocabulary,
-    map_schema_statement,
     parse_line,
     route_statement,
     serialize,
@@ -108,12 +107,13 @@ LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
                            ("test_section_writers.py",)),
     "oracle_append_edge": ("hg2rdf.hypergraph.Hypergraph._append_edges", _FASTER,
                            ("test_section_writers.py",)),
-    "oracle_add_node": ("hg2rdf.mapper.map_statement", _FASTER, ("test_section_writers.py",)),
-    "oracle_add_hyperedge": ("hg2rdf.mapper.map_statement", _FASTER, ("test_section_writers.py",)),
+    "oracle_add_node": ("hg2rdf.mapper._map_instances", _FASTER, ("test_section_writers.py",)),
+    "oracle_add_hyperedge": ("hg2rdf.mapper._map_instances", _FASTER, ("test_section_writers.py",)),
     "oracle_malformed_terms": ("hg2rdf.ntriples._malformed_terms", _FASTER, ("test_term_verdicts.py",)),
     "oracle_append_graph_edge": ("hg2rdf.schema.SchemaGraph._append_edges", _FASTER,
                                  ("test_section_writers.py",)),
     "oracle_schema_layer": ("hg2rdf.mapper._map_schemas", _FASTER, ("test_section_writers.py",)),
+    "oracle_layers": ("hg2rdf.mapper._map_instances", _FASTER, ("test_mapper.py", "test_properties.py")),
     "oracle_parse_document": ("hg2rdf.ntriples.parse_document", _FASTER, ("test_write_path.py",)),
     "oracle_integrate": ("hg2rdf.mapper.integrate", _FASTER, ("test_write_path.py",)),
     "oracle_to_dot": ("hg2rdf.dot.to_dot", _FASTER,
@@ -706,9 +706,9 @@ def oracle_append_graph_edge(graph: SchemaGraph, edge: GraphEdge) -> None:
 
 def oracle_schema_layer(statements: list[Statement]) -> SchemaGraph:
     """The graph layer ``integrate`` builds, one statement at a time: the
-    built-in vocabulary through ``intern`` and ``add_edge``, then each
-    distinct statement that ``route_statement`` sends to the schema layer
-    through ``map_schema_statement``."""
+    built-in vocabulary, then each distinct statement that
+    ``route_statement`` sends to the schema layer, all through ``intern``
+    and ``add_edge``."""
     graph = SchemaGraph()
     for iri in BUILTIN_VOCABULARY:
         graph.intern(iri)
@@ -716,8 +716,24 @@ def oracle_schema_layer(statements: list[Statement]) -> SchemaGraph:
         graph.add_edge(graph.intern(iri), graph.intern(RDFS_RESOURCE), EdgeKind.SUBCLASS_OF)
     for statement in dict.fromkeys(statements):
         if route_statement(statement) is Layer.SCHEMA:
-            map_schema_statement(statement, graph)
+            subject, predicate, objekt = statement
+            graph.add_edge(graph.intern(subject.iri), graph.intern(objekt.iri),
+                           SCHEMA_PREDICATES[predicate.iri])
     return graph
+
+
+def oracle_layers(statements: list[Statement]) -> HG2:
+    """Both layers ``integrate`` builds, unfrozen and without connectors,
+    one statement at a time: the graph layer of ``oracle_schema_layer``,
+    then each distinct statement that ``route_statement`` sends to the
+    instance layer through ``add_node`` per term (subject, predicate,
+    object) and ``add_hyperedge``."""
+    hg2 = HG2(g=oracle_schema_layer(statements))
+    for statement in dict.fromkeys(statements):
+        if route_statement(statement) is Layer.INSTANCE:
+            subject, predicate, objekt = map(hg2.h.add_node, statement)
+            hg2.h.add_hyperedge([predicate], [subject, objekt])
+    return hg2
 
 
 def oracle_add_node(h: Hypergraph, payload: Any) -> int:

@@ -25,8 +25,6 @@ from hg2rdf import (
     generate_connectors,
     integrate,
     load_builtin_vocabulary,
-    map_schema_statement,
-    map_statement,
     parse_document,
     parse_line,
     route_statement,
@@ -47,6 +45,7 @@ from hg2rdf.schema import (
     RDFS_SUBCLASSOF,
 )
 from conftest import CONSTRAINT_DATA, CONSTRAINT_SCHEMA, CONSTRAINT_TYPING
+from oracles import oracle_layers
 from test_acceptance import fuzz_corpus
 
 
@@ -112,33 +111,6 @@ def test_a_malformed_term_keeps_a_schema_predicate_statement_in_the_instance_lay
     with pytest.raises(ValueError, match=f"^{message}$"):
         serialize(hg2)
     assert f"h{node} [label=" in to_dot(hg2)
-    graph = SchemaGraph()
-    with pytest.raises(ValueError, match=f"^{message.replace(f'hypernode {node}', 'term')}$"):
-        map_schema_statement(statement, graph)
-    assert graph.iris == [] and not graph.edges
-
-
-@pytest.mark.parametrize("statement", [
-    Statement(iri("urn:s"), iri(RDF_TYPE), NodePayload.literal("C")),
-    Statement(NodePayload.blank("b"), iri(RDF_TYPE), iri("urn:C")),
-    Statement(iri("urn:s"), iri("urn:p"), iri("urn:o")),
-], ids=["literal-object", "blank-subject", "other-predicate"])
-def test_map_schema_statement_refuses_a_statement_routed_to_the_instance_layer(statement):
-    graph = SchemaGraph()
-    with pytest.raises(ValueError, match="^route_statement sends this statement to the instance layer$"):
-        map_schema_statement(statement, graph)
-    assert graph.iris == [] and not graph.edges
-
-
-@pytest.mark.parametrize("predicate", [RDF_TYPE, RDFS_SUBCLASSOF, RDFS_DOMAIN, RDFS_RANGE])
-def test_map_statement_refuses_a_statement_routed_to_the_schema_layer(predicate):
-    """It mapped ``rdf:type`` and the other schema statements into the
-    hypergraph layer, where ``integrate`` would put them in the graph layer."""
-    hg2 = fresh()
-    with pytest.raises(ValueError, match="^route_statement sends this statement to the schema layer$"):
-        map_statement(Statement(iri("urn:a"), iri(predicate), iri("urn:C")), hg2)
-    assert hg2.h.node_count == 0 and hg2.h.edge_count == 0
-    assert validate_mapping(hg2) == []
 
 
 # ------------------------------------------------------------- payloads
@@ -179,13 +151,12 @@ def test_format_term_rejects_incomplete_payloads():
             format_term(payload)
 
 
-# ------------------------------------------------------------ map_statement
+# ------------------------------------------------------- instance mapping
 
-def test_map_statement_builds_head_predicate_tail_subject_object():
-    hg2 = fresh()
+def test_an_instance_statement_maps_to_head_predicate_tail_subject_object():
     statement = Statement(iri("urn:s"), iri("urn:p"), NodePayload.literal("Dave Beckett"))
-    edge_id = map_statement(statement, hg2)
-    edge = hg2.h.edges[edge_id]
+    hg2, _ = integrate([statement])
+    edge = hg2.h.edges[0]
     assert hg2.h.nodes[edge.head[0]] == NodePayload.uri("urn:p")
     assert hg2.h.nodes[edge.tail[0]] == NodePayload.uri("urn:s")
     assert hg2.h.nodes[edge.tail[1]] == NodePayload.literal("Dave Beckett")
@@ -193,20 +164,16 @@ def test_map_statement_builds_head_predicate_tail_subject_object():
 
 
 def test_interning_shares_nodes_across_statements(w3c_statements):
-    hg2 = fresh()
-    for statement in w3c_statements:
-        map_statement(statement, hg2)
+    hg2, _ = integrate(w3c_statements)
     assert hg2.h.edge_count == 3
     # 1 shared subject + 2 predicates + 3 objects
     assert hg2.h.node_count == 6
 
 
 def test_self_triple_uses_one_node_in_all_three_slots():
-    hg2 = fresh()
-    statement = Statement(iri("urn:a"), iri("urn:a"), iri("urn:a"))
-    edge_id = map_statement(statement, hg2)
+    hg2, _ = integrate([Statement(iri("urn:a"), iri("urn:a"), iri("urn:a"))])
     assert hg2.h.node_count == 1
-    edge = hg2.h.edges[edge_id]
+    edge = hg2.h.edges[0]
     assert edge.head == [0] and edge.tail == [0, 0]
 
 
@@ -227,10 +194,8 @@ def test_mapping_twice_adds_no_new_hypernodes(w3c_statements):
 
 
 def test_statement_of_refuses_ids_that_are_not_plain_ints():
-    hg2 = fresh()
     statement = Statement(iri("urn:s"), iri("urn:p"), iri("urn:o"))
-    map_statement(statement, hg2)
-    map_statement(Statement(iri("urn:t"), iri("urn:p"), iri("urn:o")), hg2)
+    hg2, _ = integrate([statement, Statement(iri("urn:t"), iri("urn:p"), iri("urn:o"))])
     assert statement_of(hg2, 0) == statement
     for bad in (0.5, True):
         with pytest.raises(TypeError, match=f"^ids must be int, got {bad!r}$"):
@@ -239,15 +204,12 @@ def test_statement_of_refuses_ids_that_are_not_plain_ints():
     assert statement_of(hg2, -1) is None and statement_of(hg2, hg2.h.edge_count) is None
 
 
-def test_statement_of_inverts_map_statement():
-    hg2 = fresh()
+def test_statement_of_inverts_the_instance_mapping():
     statements = [
         Statement(iri("urn:s"), iri("urn:p"), iri("urn:o")),
         Statement(NodePayload.blank("b"), iri("urn:p"), NodePayload.literal("x", language_tag="en")),
         Statement(iri("urn:s"), iri("urn:q"), NodePayload.literal("5", datatype_iri="urn:int")),
     ]
-    for statement in statements:
-        assert statement_of(hg2, map_statement(statement, hg2)) == statement
     unrecoverable = [
         Statement(NodePayload.literal("x"), iri("urn:p"), iri("urn:o")),
         Statement(iri("urn:s"), NodePayload.blank("b"), iri("urn:o")),
@@ -258,8 +220,9 @@ def test_statement_of_inverts_map_statement():
             NodePayload(PayloadKind.LITERAL, lexical_form="x", language_tag="en", datatype_iri="urn:t"),
         ),
     ]
-    for statement in unrecoverable:
-        assert statement_of(hg2, map_statement(statement, hg2)) is None
+    hg2 = oracle_layers(statements + unrecoverable)
+    assert [statement_of(hg2, edge_id) for edge_id in range(hg2.h.edge_count)] == [
+        *statements, *[None] * len(unrecoverable)]
     assert statement_of(hg2, 999) is None
     hg2.h.add_hyperedge([0], [0, 0, 0])
     assert statement_of(hg2, hg2.h.edge_count - 1) is None
@@ -304,9 +267,8 @@ def test_connectors_and_constraints_skip_an_unhashable_iri_as_an_opaque_payload(
     statements, _ = parse_document(CONSTRAINT_SCHEMA + CONSTRAINT_TYPING)
     found = []
     for subject in (NodePayload.uri(["http://example.org/d"]), ["http://example.org/d"]):
-        hg2 = fresh()
-        for statement in statements:
-            map_schema_statement(statement, hg2.g)
+        hg2 = oracle_layers(statements)
+        assert hg2.h.edge_count == 0
         creator = hg2.h.add_node(iri("http://example.org/creator"))
         hg2.h.add_hyperedge([creator], [hg2.h.add_node(subject), hg2.h.add_node(iri("urn:x"))])
         generate_connectors(hg2)
@@ -323,32 +285,9 @@ def test_integrate_refuses_an_unhashable_term_with_the_rules_text():
         integrate(statements)
 
 
-UNHASHABLE = NodePayload.uri(["a"])
-UNHASHABLE_MESSAGE = "^term field 'iri' must be a string$"
-
-
-def test_map_statement_refuses_an_unhashable_term_with_the_rules_text():
-    hg2 = fresh()
-    with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
-        map_statement(Statement(UNHASHABLE, iri("urn:p"), iri("urn:o")), hg2)
-    assert hg2.h.node_count == 0 and hg2.h.edge_count == 0
-
-
-def test_map_schema_statement_refuses_an_unhashable_term_with_the_rules_text():
-    with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
-        map_schema_statement(Statement(UNHASHABLE, iri(RDF_TYPE), iri("urn:C")), SchemaGraph())
-
-
-def test_map_schema_statement_interns_nothing_for_a_statement_it_refuses():
-    graph = SchemaGraph()
-    with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
-        map_schema_statement(Statement(iri("urn:s"), iri(RDF_TYPE), UNHASHABLE), graph)
-    assert graph.iris == [] and not graph.edges
-
-
 def test_route_statement_refuses_an_unhashable_term_with_the_rules_text():
-    with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
-        route_statement(Statement(iri("urn:s"), UNHASHABLE, iri("urn:o")))
+    with pytest.raises(ValueError, match="^term field 'iri' must be a string$"):
+        route_statement(Statement(iri("urn:s"), NodePayload.uri(["a"]), iri("urn:o")))
 
 
 def test_integrate_reports_a_term_with_a_foreign_field():
@@ -378,41 +317,35 @@ def test_statement_of_recovers_every_parsed_statement_of_the_acceptance_corpus()
     assert edges == 7893
 
 
-# ----------------------------------------------------- map_schema_statement
+# --------------------------------------------------------- schema mapping
 
 def test_subclass_edge_points_child_to_parent():
-    graph = SchemaGraph()
-    added = map_schema_statement(
-        Statement(iri("urn:Dog"), iri(RDFS_SUBCLASSOF), iri("urn:Animal")), graph
-    )
-    assert added is True
+    hg2, report = integrate([Statement(iri("urn:Dog"), iri(RDFS_SUBCLASSOF), iri("urn:Animal"))])
+    assert report.schema_edges_created == 1
+    graph = hg2.g
     dog, animal = graph.find("urn:Dog"), graph.find("urn:Animal")
     assert GraphEdge(dog, animal, EdgeKind.SUBCLASS_OF) in graph.edges
 
 
 def test_range_edge_is_findable_through_constraint_of():
-    graph = SchemaGraph()
-    map_schema_statement(
-        Statement(iri("urn:creator"), iri(RDFS_RANGE), iri(RDFS_LITERAL)), graph
-    )
+    graph = integrate([Statement(iri("urn:creator"), iri(RDFS_RANGE), iri(RDFS_LITERAL))])[0].g
     creator = graph.find("urn:creator")
     assert graph.constraint_of(creator, EdgeKind.RANGE) == graph.find(RDFS_LITERAL)
 
 
 def test_duplicate_schema_statement_adds_nothing():
-    graph = SchemaGraph()
     statement = Statement(iri("urn:a"), iri(RDFS_DOMAIN), iri("urn:b"))
-    assert map_schema_statement(statement, graph) is True
-    assert map_schema_statement(statement, graph) is False
-    assert graph.edge_count == 1
+    repeated = Statement(iri("urn:a"), iri(RDFS_DOMAIN), iri("urn:b"))
+    once, report_once = integrate([statement])
+    twice, report_twice = integrate([statement, repeated])
+    assert report_once.schema_edges_created == report_twice.schema_edges_created == 1
+    assert twice.g == once.g
 
 
 # -------------------------------------------------------------- connectors
 
 def test_connector_generation_on_the_w3c_sample(w3c_statements):
-    hg2 = fresh()
-    for statement in w3c_statements:
-        map_statement(statement, hg2)
+    hg2 = oracle_layers(w3c_statements)
     generate_connectors(hg2)
     assert len(hg2.connectors_e) == 3
     statement_anchor = hg2.g.find(RDF_STATEMENT)
@@ -428,9 +361,7 @@ def test_connector_generation_on_the_w3c_sample(w3c_statements):
 
 
 def test_connector_generation_is_idempotent(w3c_statements):
-    hg2 = fresh()
-    for statement in w3c_statements:
-        map_statement(statement, hg2)
+    hg2 = oracle_layers(w3c_statements)
     generate_connectors(hg2)
     before = (hg2.connectors_v, hg2.connectors_e)
     generate_connectors(hg2)
@@ -528,9 +459,7 @@ def positions(hg2: HG2, node: int) -> set[tuple[str, int]]:
 
 
 def test_incidence_and_payload_kind_place_a_node(w3c_statements):
-    hg2 = fresh()
-    for statement in w3c_statements:
-        map_statement(statement, hg2)
+    hg2, _ = integrate(w3c_statements)
     predicate = hg2.h.find(NodePayload.uri("http://purl.org/dc/elements/1.1/creator"))
     assert hg2.h.nodes[predicate].kind is PayloadKind.URI
     assert positions(hg2, predicate) == {("head", 0)}
@@ -542,8 +471,7 @@ def test_incidence_and_payload_kind_place_a_node(w3c_statements):
 
 
 def test_classify_blank_subject():
-    hg2 = fresh()
-    map_statement(Statement(NodePayload.blank("b"), iri("urn:p"), iri("urn:o")), hg2)
+    hg2, _ = integrate([Statement(NodePayload.blank("b"), iri("urn:p"), iri("urn:o"))])
     blank = hg2.h.find(NodePayload.blank("b"))
     assert hg2.h.nodes[blank].kind is PayloadKind.BLANK
     assert positions(hg2, blank) == {("tail", 0)}
@@ -552,10 +480,7 @@ def test_classify_blank_subject():
 # ---------------------------------------------------------- validate_mapping
 
 def test_mapper_output_always_validates_clean(w3c_statements):
-    hg2 = fresh()
-    for statement in w3c_statements:
-        map_statement(statement, hg2)
-    assert validate_mapping(hg2) == []
+    assert validate_mapping(integrate(w3c_statements)[0]) == []
     assert validate_mapping(HG2()) == []
 
 

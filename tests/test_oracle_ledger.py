@@ -25,6 +25,7 @@ FASTER_PATHS = {
     "hg2rdf.ntriples._malformed_terms",
     "hg2rdf.mapper.integrate",
     "hg2rdf.mapper._map_schemas",
+    "hg2rdf.mapper._map_instances",
     "hg2rdf.schema.SchemaGraph._append_edges",
     "hg2rdf.hypergraph.Hypergraph._append_nodes",
     "hg2rdf.hypergraph.Hypergraph._append_edges",

@@ -20,7 +20,6 @@ from hg2rdf import (
     NodePayload,
     ParseError,
     PayloadKind,
-    SchemaGraph,
     SchemaViolation,
     Statement,
     Violation,
@@ -32,8 +31,6 @@ from hg2rdf import (
     instances_of,
     integrate,
     load_builtin_vocabulary,
-    map_schema_statement,
-    map_statement,
     parse_line,
     reachable_from,
     route_statement,
@@ -58,6 +55,7 @@ from oracles import (
     naive_reachable,
     naive_search,
     oracle_deserialize,
+    oracle_layers,
     oracle_statement_of,
     random_class_graph,
     random_document,
@@ -304,34 +302,27 @@ def test_routing_is_total_and_matches_the_rule(statement):
 
 @given(routed_statements)
 @settings(max_examples=300)
-def test_map_schema_statement_takes_exactly_what_routes_to_the_schema_layer(statement):
-    graph = SchemaGraph()
+def test_integrate_maps_one_statement_into_the_layer_it_routes_to(statement):
     refusal = _first_refusal([statement])
-    if refusal is None and route_statement(statement) is Layer.SCHEMA:
-        assert map_schema_statement(statement, graph) is True
-        assert graph.iris == list(dict.fromkeys([statement.subject.iri, statement.object.iri]))
+    if refusal is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            integrate([statement])
         return
-    problem = refusal or next(filter(None, map(malformed_term, statement)), (None, None))[1]
-    message = problem or "route_statement sends this statement to the instance layer"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        map_schema_statement(statement, graph)
-    assert graph.iris == [] and not graph.edges
-
-
-@given(routed_statements)
-@settings(max_examples=300)
-def test_map_statement_takes_exactly_what_routes_to_the_instance_layer(statement):
-    hg2 = HG2(g=load_builtin_vocabulary())
-    refusal = _first_refusal([statement])
-    if refusal is None and route_statement(statement) is Layer.INSTANCE:
-        assert map_statement(statement, hg2) == 0
-        edge = hg2.h.edges[0]
-        assert [hg2.h.nodes[node] for node in (edge.tail[0], edge.head[0], edge.tail[1])] == list(statement)
+    hg2, report = integrate([statement])
+    vocabulary = load_builtin_vocabulary()
+    subject, predicate, objekt = statement
+    if route_statement(statement) is Layer.SCHEMA:
+        assert report.schema_edges_created == 1 and hg2.h.edge_count == 0
+        edge = list(hg2.g.edges)[-1]
+        assert (hg2.g.iri_of(edge.src), hg2.g.iri_of(edge.dst), edge.kind) == (
+            subject.iri, objekt.iri, SCHEMA_PREDICATES[predicate.iri])
+        new_iris = [iri for iri in dict.fromkeys([subject.iri, objekt.iri]) if vocabulary.find(iri) is None]
+        assert list(hg2.g.iris) == vocabulary.iris + new_iris
         return
-    message = refusal or "route_statement sends this statement to the schema layer"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        map_statement(statement, hg2)
-    assert hg2.h.node_count == 0 and hg2.h.edge_count == 0
+    assert report.schema_edges_created == 0 and hg2.g == vocabulary
+    assert hg2.h.edge_count == 1
+    edge = hg2.h.edges[0]
+    assert [hg2.h.nodes[node] for node in (edge.tail[0], edge.head[0], edge.tail[1])] == list(statement)
 
 
 @given(st.lists(routed_statements, max_size=6))
@@ -513,24 +504,14 @@ def test_integration_is_order_stable(seed):
     assert canonical_form(first) == canonical_form(second)
 
 
-def mapped(corpus: list[Statement]) -> HG2:
-    """The structure ``integrate`` builds from ``corpus``, before connectors."""
-    hg2 = HG2(g=load_builtin_vocabulary())
-    for statement in dict.fromkeys(corpus):
-        if route_statement(statement) is Layer.SCHEMA:
-            map_schema_statement(statement, hg2.g)
-        else:
-            map_statement(statement, hg2)
-    return hg2
-
-
 @given(st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_connector_generation_agrees_with_the_per_occurrence_oracle(seed):
     corpus = random_document(random.Random(seed), max_statements=40)
     built, _ = integrate(corpus)
-    oracle = mapped(corpus)
+    oracle = oracle_layers(corpus)
     naive_generate_connectors(oracle)
+    assert (built.h, built.g) == (oracle.h, oracle.g)
     assert built.connectors_v == oracle.connectors_v
     assert built.connectors_e == oracle.connectors_e
 
@@ -538,7 +519,7 @@ def test_connector_generation_agrees_with_the_per_occurrence_oracle(seed):
 @given(st.integers(0, 2**32))
 @settings(max_examples=30, deadline=None)
 def test_connector_generation_is_idempotent_on_random_builds(seed):
-    hg2 = mapped(random_document(random.Random(seed)))
+    hg2 = oracle_layers(random_document(random.Random(seed)))
     generate_connectors(hg2)
     snapshot = (hg2.connectors_v, hg2.connectors_e)
     generate_connectors(hg2)

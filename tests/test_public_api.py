@@ -51,8 +51,6 @@ PUBLIC_NAMES = (
     "instances_of",
     "integrate",
     "load_builtin_vocabulary",
-    "map_schema_statement",
-    "map_statement",
     "parse_document",
     "parse_line",
     "path_exists",
@@ -71,7 +69,7 @@ PUBLIC_NAMES = (
 def test_the_exported_names_are_pinned():
     assert PUBLIC_NAMES == tuple(sorted(PUBLIC_NAMES))
     assert tuple(sorted(hg2rdf.__all__)) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 56
+    assert len(PUBLIC_NAMES) == 54
 
 
 def test_hypernode_identity_belongs_to_the_hypergraph_layer():

@@ -8,13 +8,14 @@ payload index, the incidence lists and each forward star's items in order,
 none of which ``HG2.__eq__`` compares.  ``integrate`` and ``deserialize``
 are checked against ``oracle_integrate`` and ``oracle_deserialize`` (which
 write through the oracles) on hypothesis inputs and the seed-1 corpora in
-``test_write_path.py`` and ``test_hg2_io.py``; here ``map_statement`` meets
-the one-at-a-time oracles, and the column-at-a-time decoding of the
-hypernodes section meets the documents its per-record fallback has to
-catch.  ``SchemaGraph._append_edges`` meets ``oracle_append_graph_edge``,
-the schema section of ``integrate`` meets ``oracle_schema_layer`` (one
-``map_schema_statement`` per statement), and the graph sections of a
-document load whole, or raise as the oracle's reader raises.
+``test_write_path.py`` and ``test_hg2_io.py``; here the instance section of
+``integrate``, ``_map_instances``, meets the one-at-a-time oracles, and the
+column-at-a-time decoding of the hypernodes section meets the documents its
+per-record fallback has to catch.  ``SchemaGraph._append_edges`` meets
+``oracle_append_graph_edge``, the schema section of ``integrate`` meets
+``oracle_schema_layer`` (one ``intern`` per endpoint and one ``add_edge``
+per statement), and the graph sections of a document load whole, or raise
+as the oracle's reader raises.
 """
 from __future__ import annotations
 
@@ -39,10 +40,10 @@ from hg2rdf import (
     deserialize,
     integrate,
     load_builtin_vocabulary,
-    map_statement,
     parse_document,
     serialize,
 )
+from hg2rdf.mapper import _map_instances
 from hg2rdf.schema import RDF_PROPERTY
 from oracles import (
     assert_same_indexes,
@@ -109,16 +110,16 @@ statements = st.builds(
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(statements, max_size=12))
-def test_map_statement_interns_as_the_one_at_a_time_writers_did(drawn):
-    one_at_a_time, old = HG2(), HG2()
+def test_map_instances_interns_as_the_one_at_a_time_writers_did(drawn):
+    whole, old = HG2(), HG2()
+    assert _map_instances(whole.h, drawn) == 0
     for statement in drawn:
-        map_statement(statement, one_at_a_time)
         subject = oracle_add_node(old.h, statement.subject)
         predicate = oracle_add_node(old.h, statement.predicate)
         objekt = oracle_add_node(old.h, statement.object)
         oracle_add_hyperedge(old.h, [predicate], [subject, objekt])
-    assert one_at_a_time == old
-    assert_same_indexes(one_at_a_time, old)
+    assert whole == old
+    assert_same_indexes(whole, old)
 
 
 def three_terms() -> dict:
@@ -234,19 +235,19 @@ schema_statements = st.builds(Statement, _ends, _predicates, _ends)
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(schema_statements, max_size=16))
-def test_integrate_maps_the_schema_layer_as_map_schema_statement_does(drawn):
+def test_integrate_maps_the_schema_layer_as_oracle_schema_layer_does(drawn):
     assert_same_graph(integrate(drawn)[0].g, oracle_schema_layer(drawn))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32))
-def test_integrate_maps_the_schema_layer_of_random_documents_as_map_schema_statement_does(seed):
+def test_integrate_maps_the_schema_layer_of_random_documents_as_oracle_schema_layer_does(seed):
     statements = random_document(random.Random(seed), max_statements=40)
     assert_same_graph(integrate(statements)[0].g, oracle_schema_layer(statements))
 
 
 @pytest.mark.parametrize("workload", ["ingest", "validate"])
-def test_integrate_maps_the_schema_layer_of_the_bench_corpora_as_map_schema_statement_does(
+def test_integrate_maps_the_schema_layer_of_the_bench_corpora_as_oracle_schema_layer_does(
         bench_corpora, workload):
     corpus = bench_corpora[workload]
     statements = [statement for name in (*corpus.schema_inputs, *corpus.inputs)

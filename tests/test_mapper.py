@@ -33,6 +33,7 @@ from hg2rdf import (
     to_dot,
     validate_mapping,
 )
+from hg2rdf.mapper import SCHEMA_PREDICATES
 from hg2rdf.schema import (
     RDF_OBJECT,
     RDF_PREDICATE,
@@ -111,6 +112,31 @@ def test_a_malformed_term_keeps_a_schema_predicate_statement_in_the_instance_lay
     with pytest.raises(ValueError, match=f"^{message}$"):
         serialize(hg2)
     assert f"h{node} [label=" in to_dot(hg2)
+
+
+@pytest.mark.parametrize("predicate", [RDF_TYPE, RDFS_SUBCLASSOF, RDFS_DOMAIN, RDFS_RANGE])
+def test_integrate_puts_a_statement_routed_to_the_schema_layer_in_the_graph_layer(predicate):
+    """A schema statement becomes one graph edge, never a hyperedge."""
+    hg2, report = integrate([Statement(iri("urn:a"), iri(predicate), iri("urn:C"))])
+    assert report.schema_edges_created == 1
+    assert hg2.h.node_count == 0 and hg2.h.edge_count == 0
+    assert GraphEdge(hg2.g.find("urn:a"), hg2.g.find("urn:C"), SCHEMA_PREDICATES[predicate]) in hg2.g.edges
+    assert validate_mapping(hg2) == [] and report.warnings == []
+
+
+@pytest.mark.parametrize("statement", [
+    Statement(iri("urn:s"), iri(RDF_TYPE), NodePayload.literal("C")),
+    Statement(NodePayload.blank("b"), iri(RDF_TYPE), iri("urn:C")),
+    Statement(iri("urn:s"), iri("urn:p"), iri("urn:o")),
+], ids=["literal-object", "blank-subject", "other-predicate"])
+def test_integrate_puts_a_statement_routed_to_the_instance_layer_in_the_hypergraph(statement):
+    """An instance statement becomes hyperedge 0 and leaves the graph layer
+    as the built-in vocabulary."""
+    hg2, report = integrate([statement])
+    assert report.hyperedges_created == 1 and report.schema_edges_created == 0
+    assert hg2.g == load_builtin_vocabulary()
+    assert statement_of(hg2, 0) == statement
+    assert validate_mapping(hg2) == [] and report.warnings == []
 
 
 # ------------------------------------------------------------- payloads
@@ -283,6 +309,34 @@ def test_integrate_refuses_an_unhashable_term_with_the_rules_text():
                   Statement(iri("urn:s"), iri("urn:p"), NodePayload.literal("x", language_tag=["en"]))]
     with pytest.raises(ValueError, match="^term field 'language_tag' must be a string$"):
         integrate(statements)
+
+
+UNHASHABLE = NodePayload.uri(["a"])
+UNHASHABLE_MESSAGE = "^term field 'iri' must be a string$"
+
+
+@pytest.mark.parametrize("statement", [
+    Statement(UNHASHABLE, iri("urn:p"), iri("urn:o")),
+    Statement(UNHASHABLE, iri(RDF_TYPE), iri("urn:C")),
+    Statement(iri("urn:s"), iri(RDF_TYPE), UNHASHABLE),
+], ids=["instance-subject", "schema-subject", "schema-object"])
+def test_integrate_refuses_an_unhashable_term_in_either_layer(statement):
+    """The refusal comes before routing, so a statement with a schema
+    predicate is refused with the same text as an instance statement."""
+    with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
+        integrate([Statement(iri("urn:x"), iri(RDFS_SUBCLASSOF), iri("urn:Y")), statement])
+
+
+def test_a_refused_batch_leaves_no_trace_in_the_next_one():
+    good = [Statement(iri("urn:x"), iri(RDFS_SUBCLASSOF), iri("urn:Y")),
+            Statement(iri("urn:x"), iri("urn:p"), iri("urn:o"))]
+    before, _ = integrate(good)
+    with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
+        integrate([*good, Statement(iri("urn:s"), iri(RDF_TYPE), UNHASHABLE)])
+    after, _ = integrate(good)
+    assert load_builtin_vocabulary().find("urn:x") is None
+    assert after.g == before.g and after.h.nodes == before.h.nodes
+    assert [(edge.head, edge.tail) for edge in after.h.edges] == [(edge.head, edge.tail) for edge in before.h.edges]
 
 
 def test_route_statement_refuses_an_unhashable_term_with_the_rules_text():

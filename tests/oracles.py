@@ -45,7 +45,6 @@ from hg2rdf import (
     UnknownKind,
     format_term,
     generate_connectors,
-    load_builtin_vocabulary,
     parse_line,
     route_statement,
     serialize,
@@ -704,36 +703,32 @@ def oracle_append_graph_edge(graph: SchemaGraph, edge: GraphEdge) -> None:
         graph._constraints.setdefault((edge.src, edge.kind), edge.dst)
 
 
-def oracle_schema_layer(statements: list[Statement]) -> SchemaGraph:
-    """The graph layer ``integrate`` builds, one statement at a time: the
-    built-in vocabulary, then each distinct statement that
-    ``route_statement`` sends to the schema layer, all through ``intern``
-    and ``add_edge``."""
-    graph = SchemaGraph()
+def oracle_layers(statements: list[Statement]) -> HG2:
+    """Both layers ``integrate`` builds, unfrozen and without connectors,
+    one statement at a time: the built-in vocabulary through ``intern`` and
+    ``add_edge``, then each distinct statement where ``route_statement``
+    sends it, through ``intern`` per endpoint and ``add_edge``, or
+    ``oracle_add_node`` per term (subject, predicate, object) and
+    ``oracle_add_hyperedge``."""
+    hg2 = HG2()
+    graph = hg2.g
     for iri in BUILTIN_VOCABULARY:
         graph.intern(iri)
     for iri in (RDFS_CLASS, RDFS_LITERAL, RDF_PROPERTY, RDF_STATEMENT):
         graph.add_edge(graph.intern(iri), graph.intern(RDFS_RESOURCE), EdgeKind.SUBCLASS_OF)
     for statement in dict.fromkeys(statements):
         if route_statement(statement) is Layer.SCHEMA:
-            subject, predicate, objekt = statement
-            graph.add_edge(graph.intern(subject.iri), graph.intern(objekt.iri),
-                           SCHEMA_PREDICATES[predicate.iri])
-    return graph
-
-
-def oracle_layers(statements: list[Statement]) -> HG2:
-    """Both layers ``integrate`` builds, unfrozen and without connectors,
-    one statement at a time: the graph layer of ``oracle_schema_layer``,
-    then each distinct statement that ``route_statement`` sends to the
-    instance layer through ``add_node`` per term (subject, predicate,
-    object) and ``add_hyperedge``."""
-    hg2 = HG2(g=oracle_schema_layer(statements))
-    for statement in dict.fromkeys(statements):
-        if route_statement(statement) is Layer.INSTANCE:
-            subject, predicate, objekt = map(hg2.h.add_node, statement)
-            hg2.h.add_hyperedge([predicate], [subject, objekt])
+            graph.add_edge(graph.intern(statement.subject.iri), graph.intern(statement.object.iri),
+                           SCHEMA_PREDICATES[statement.predicate.iri])
+        else:
+            subject, predicate, objekt = (oracle_add_node(hg2.h, term) for term in statement)
+            oracle_add_hyperedge(hg2.h, [predicate], [subject, objekt])
     return hg2
+
+
+def oracle_schema_layer(statements: list[Statement]) -> SchemaGraph:
+    """The graph layer of ``oracle_layers``."""
+    return oracle_layers(statements).g
 
 
 def oracle_add_node(h: Hypergraph, payload: Any) -> int:
@@ -786,22 +781,10 @@ def oracle_parse_document(text: str | bytes) -> tuple[list[Statement], list[Pars
 
 
 def oracle_integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
-    """integrate with each distinct statement mapped through the checked
-    mutators: ``add_node`` per term and ``add_hyperedge`` (their old bodies,
-    one node or edge per call), or ``intern`` per endpoint and ``add_edge``."""
-    hg2 = HG2(g=load_builtin_vocabulary())
-    schema_edges = 0
-    for statement in dict.fromkeys(statements):
-        if route_statement(statement) is Layer.SCHEMA:
-            kind = SCHEMA_PREDICATES[statement.predicate.iri]
-            src = hg2.g.intern(statement.subject.iri)
-            dst = hg2.g.intern(statement.object.iri)
-            schema_edges += hg2.g.add_edge(src, dst, kind)
-        else:
-            subject = oracle_add_node(hg2.h, statement.subject)
-            predicate = oracle_add_node(hg2.h, statement.predicate)
-            objekt = oracle_add_node(hg2.h, statement.object)
-            oracle_add_hyperedge(hg2.h, [predicate], [subject, objekt])
+    """integrate as ``oracle_layers``, then ``generate_connectors``,
+    ``validate_mapping`` and ``freeze``."""
+    hg2 = oracle_layers(statements)
+    schema_edges = hg2.g.edge_count - oracle_layers([]).g.edge_count
     generate_connectors(hg2)
     warnings = [str(violation) for violation in validate_mapping(hg2)]
     hg2.freeze()

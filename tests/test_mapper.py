@@ -33,7 +33,7 @@ from hg2rdf import (
     to_dot,
     validate_mapping,
 )
-from hg2rdf.mapper import SCHEMA_PREDICATES
+from hg2rdf.mapper import SCHEMA_PREDICATES, _map_schemas
 from hg2rdf.schema import (
     RDF_OBJECT,
     RDF_PREDICATE,
@@ -43,6 +43,7 @@ from hg2rdf.schema import (
     RDFS_DOMAIN,
     RDFS_LITERAL,
     RDFS_RANGE,
+    RDFS_RESOURCE,
     RDFS_SUBCLASSOF,
 )
 from conftest import CONSTRAINT_DATA, CONSTRAINT_SCHEMA, CONSTRAINT_TYPING
@@ -340,8 +341,8 @@ def test_a_refused_batch_leaves_no_trace_in_the_next_one():
 
 
 def test_route_statement_refuses_an_unhashable_term_with_the_rules_text():
-    with pytest.raises(ValueError, match="^term field 'iri' must be a string$"):
-        route_statement(Statement(iri("urn:s"), NodePayload.uri(["a"]), iri("urn:o")))
+    with pytest.raises(ValueError, match=UNHASHABLE_MESSAGE):
+        route_statement(Statement(iri("urn:s"), UNHASHABLE, iri("urn:o")))
 
 
 def test_integrate_reports_a_term_with_a_foreign_field():
@@ -388,12 +389,19 @@ def test_range_edge_is_findable_through_constraint_of():
 
 
 def test_duplicate_schema_statement_adds_nothing():
+    graph = SchemaGraph()
     statement = Statement(iri("urn:a"), iri(RDFS_DOMAIN), iri("urn:b"))
-    repeated = Statement(iri("urn:a"), iri(RDFS_DOMAIN), iri("urn:b"))
-    once, report_once = integrate([statement])
-    twice, report_twice = integrate([statement, repeated])
-    assert report_once.schema_edges_created == report_twice.schema_edges_created == 1
-    assert twice.g == once.g
+    assert _map_schemas(graph, [statement]) == 1
+    assert _map_schemas(graph, [statement]) == 0
+    assert graph.edge_count == 1
+
+
+def test_a_statement_that_repeats_a_builtin_edge_adds_nothing():
+    hg2, report = integrate([Statement(iri(RDFS_LITERAL), iri(RDFS_SUBCLASSOF), iri(RDFS_RESOURCE))])
+    builtin = load_builtin_vocabulary()
+    assert report.schema_edges_created == 0
+    assert hg2.g == builtin
+    assert list(hg2.g._subclass_children.items()) == list(builtin._subclass_children.items())
 
 
 # -------------------------------------------------------------- connectors

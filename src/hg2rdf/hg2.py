@@ -547,9 +547,7 @@ def _load_hyperedges(hg2: HG2, records: list[dict[str, Any]]) -> None:
         # them from one packed run, not from the ints json.loads left among
         # the records; queries use head ids only as list indexes.
         ids = list(range(hg2.h.node_count))
-        for tail in tails:
-            tail[:] = map(ids.__getitem__, tail)
-        hg2.h._append_edges(heads, tails)
+        hg2.h._append_edges(heads, [tuple(map(ids.__getitem__, tail)) for tail in tails])
         return
     for index, (head, tail) in enumerate(zip(heads, tails)):
         _require(isinstance(head, list) and isinstance(tail, list),

@@ -8,8 +8,9 @@ parser's term rule, ``_malformed_terms``, and files the ids of the malformed
 terms, so the readers that must refuse or report them (``validate_mapping``,
 ``serialize``, ``to_dot``) read that one verdict instead of judging every
 node again.
-Head and tail are ordered lists so callers can assign positional roles; the
-same node may appear on both sides of one edge.  Each node lists the ids of the edges
+Head and tail are ordered tuples so callers can assign positional roles; the
+same node may appear on both sides of one edge.  A hyperedge is frozen,
+slots included, so no edit of one goes around the writers.  Each node lists the ids of the edges
 it sits in and keeps its forward star: a map from each distinct node that an
 edge it heads has in its tail to the first such edge; the head index
 ``_heads`` is the set of nodes whose star is not empty.  One breadth-first
@@ -43,10 +44,10 @@ class EmptySlotError(ValueError):
     """A hyperedge needs at least one head node and one tail node."""
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class HyperEdge:
-    head: list[int]
-    tail: list[int]
+    head: tuple[int, ...]
+    tail: tuple[int, ...]
 
 
 def _check_id(value: object) -> None:
@@ -111,9 +112,7 @@ class Hypergraph(Freezable):
         query and kept: the writers refuse, so the indexes they derive from
         never change.  A queried head keeps one search map, at most one
         entry per head, and one answer, at most one id per node; a start
-        that heads nothing keeps neither.  An edit of a frozen edge's
-        ``head`` or ``tail`` list goes around the writers and reaches
-        neither the indexes nor what is kept from them.
+        that heads nothing keeps neither.
         """
         super().freeze()
         self.nodes = tuple(self.nodes)
@@ -174,8 +173,8 @@ class Hypergraph(Freezable):
     def add_hyperedge(self, head: Iterable[int], tail: Iterable[int]) -> int:
         """Append an edge joining existing nodes; head and tail order is kept."""
         self._check_mutable()
-        head = list(head)
-        tail = list(tail)
+        head = tuple(head)
+        tail = tuple(tail)
         if not head or not tail:
             raise EmptySlotError("head and tail must each name at least one node")
         for node in head:
@@ -184,11 +183,13 @@ class Hypergraph(Freezable):
             self._check_node(node, "tail hypernode")
         return self._append_edges((head,), (tail,))
 
-    def _append_edges(self, heads: Sequence[list[int]], tails: Sequence[list[int]]) -> int:
+    def _append_edges(self, heads: Sequence[Sequence[int]], tails: Sequence[Sequence[int]]) -> int:
         """Store edges whose slots are already checked, one per head and
         tail pair; returns the first new id.  The only code that appends to
         the edge list and files edge ids in the per-node indexes and the
-        head index.
+        head index.  Each edge holds its slots as tuples (a tuple passed in
+        is kept as it is, with no copy), so no later edit of the caller's
+        sequences reaches the edge or the indexes filed from it.
 
         Edges arrive in id order, so each forward star keeps, for every tail
         node, the lowest-id edge that reaches it, and its keys in the order a
@@ -197,7 +198,7 @@ class Hypergraph(Freezable):
         """
         forward, incidence = self._forward, self._incidence
         start = len(self.edges)
-        self.edges.extend(map(HyperEdge, heads, tails))
+        self.edges.extend(map(HyperEdge, map(tuple, heads), map(tuple, tails)))
         self._heads.update(*heads)
         for edge_id, (head, tail) in enumerate(zip(heads, tails), start):
             for node in head:

@@ -140,8 +140,8 @@ def _map_instances(h: Hypergraph, statements: Sequence[Statement]) -> int:
         term for term in dict.fromkeys(chain.from_iterable(statements)) if term not in index
     ])
     return h._append_edges(
-        [[index[predicate]] for _, predicate, _ in statements],
-        [[index[subject], index[objekt]] for subject, _, objekt in statements],
+        [(index[predicate],) for _, predicate, _ in statements],
+        [(index[subject], index[objekt]) for subject, _, objekt in statements],
     )
 
 

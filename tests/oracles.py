@@ -17,7 +17,7 @@ import operator
 import random
 import re
 from collections import deque
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from hg2rdf import (
     ANCHOR_IRIS,
@@ -681,9 +681,9 @@ def oracle_append_node(h: Hypergraph, payload: Any) -> int:
     return node_id
 
 
-def oracle_append_edge(h: Hypergraph, head: list[int], tail: list[int]) -> int:
+def oracle_append_edge(h: Hypergraph, head: Sequence[int], tail: Sequence[int]) -> int:
     edge_id = len(h.edges)
-    h.edges.append(HyperEdge(head, tail))
+    h.edges.append(HyperEdge(tuple(head), tuple(tail)))
     h._heads.update(head)
     for node in head:
         forward = h._forward[node]
@@ -736,9 +736,9 @@ def oracle_add_node(h: Hypergraph, payload: Any) -> int:
     return oracle_append_node(h, payload) if existing is None else existing
 
 
-def oracle_add_hyperedge(h: Hypergraph, head: list[int], tail: list[int]) -> int:
-    head = list(head)
-    tail = list(tail)
+def oracle_add_hyperedge(h: Hypergraph, head: Iterable[int], tail: Iterable[int]) -> int:
+    head = tuple(head)
+    tail = tuple(tail)
     if not head or not tail:
         raise EmptySlotError("head and tail must each name at least one node")
     for node in head:
@@ -1069,7 +1069,7 @@ def assert_frozen_containers_refuse_writes(hg2: HG2, *layers: str) -> None:
     lookups of both layers, ``validate_mapping`` and ``serialize`` answer as
     before; a second ``freeze`` keeps the same container objects."""
     h, g = hg2.h, hg2.g
-    term, edge, iri = NodePayload.uri(5), HyperEdge([0], [0]), "urn:late"
+    term, edge, iri = NodePayload.uri(5), HyperEdge((0,), (0,)), "urn:late"
     writes = {
         "h": [(lambda: h.nodes.append(term), AttributeError),
               (lambda: operator.setitem(h.nodes, 0, term), TypeError),

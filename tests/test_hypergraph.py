@@ -1,6 +1,7 @@
 """Hypergraph store: ids, incidence, firing semantics, freeze discipline."""
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import sys
@@ -41,8 +42,8 @@ def test_add_hyperedge_keeps_order_and_returns_dense_ids():
     e0 = h.add_hyperedge([2], [0, 1])
     e1 = h.add_hyperedge([3, 2], [1])
     assert (e0, e1) == (0, 1)
-    assert h.edges[1].head == [3, 2]
-    assert h.edges[0].tail == [0, 1]
+    assert h.edges[1].head == (3, 2)
+    assert h.edges[0].tail == (0, 1)
 
 
 def test_add_hyperedge_copies_input_lists():
@@ -51,8 +52,8 @@ def test_add_hyperedge_copies_input_lists():
     h.add_hyperedge(head, tail)
     head.append(1)
     tail.clear()
-    assert h.edges[0].head == [0]
-    assert h.edges[0].tail == [1, 0]
+    assert h.edges[0].head == (0,)
+    assert h.edges[0].tail == (1, 0)
 
 
 def test_incidence_records_every_occurrence():
@@ -77,7 +78,7 @@ def test_same_node_may_sit_in_head_and_both_tail_slots():
     h = build(1)
     h.add_hyperedge([0], [0, 0])
     assert h.incidence_of(0) == [0]
-    assert (h.edges[0].head, h.edges[0].tail) == ([0], [0, 0])
+    assert (h.edges[0].head, h.edges[0].tail) == ((0,), (0, 0))
     assert h.forward_reachable(0) == {0}
 
 
@@ -361,6 +362,42 @@ def test_forward_stars_are_untracked_by_the_cyclic_collector():
         assert all(gc.is_tracked(star) is False for star in h._forward)
 
 
+def test_hyperedge_slots_refuse_writes_frozen_or_not():
+    # A writable slot once went around the writers: on a frozen integrate
+    # result, moving the literal into edge 0's tail left incidence_of and the
+    # forward stars as they were, and serialize wrote the edited edge.
+    statements, errors = parse_document('<urn:s> <urn:p> <urn:o> .\n<urn:o> <urn:q> "x" .\n')
+    assert not errors
+    built, _ = integrate(statements)
+    text = serialize(built)
+    loaded = deserialize(text)
+    added = build(3)
+    added.add_hyperedge([0], [1, 2])
+    added.add_hyperedge([1, 2], [2, 0])
+
+    def answers(h: Hypergraph) -> tuple[list, list]:
+        nodes = range(h.node_count)
+        return ([h.incidence_of(node) for node in nodes],
+                [h.forward_path(start, target) for start in nodes for target in nodes])
+
+    for h in (built.h, added, loaded.h):
+        before = answers(h)
+        last = h.node_count - 1
+        for edge in h.edges:
+            assert type(edge.head) is tuple and type(edge.tail) is tuple
+            with pytest.raises(TypeError):
+                edge.tail[1] = last
+            with pytest.raises(TypeError):
+                edge.head[0] = last
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                edge.tail = (edge.tail[0], last)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                edge.head = (last,)
+        assert answers(h) == before
+    assert built.frozen and not loaded.h.frozen and not added.frozen
+    assert serialize(built) == serialize(loaded) == text
+
+
 def test_freeze_blocks_mutation_but_not_queries(frozen_structures):
     h = build(2)
     h.add_hyperedge([0], [1])
@@ -372,7 +409,7 @@ def test_freeze_blocks_mutation_but_not_queries(frozen_structures):
     with pytest.raises(AttributeError):
         h.nodes.append("late")
     with pytest.raises(TypeError):
-        h.edges[0] = HyperEdge([1], [0])
+        h.edges[0] = HyperEdge((1,), (0,))
     assert h.nodes == ("n0", "n1") and h.find("late") is None
     assert h.forward_reachable(0) == {1}
     assert h.forward_path(0, 1) == (0,)

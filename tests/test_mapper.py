@@ -201,7 +201,7 @@ def test_self_triple_uses_one_node_in_all_three_slots():
     hg2, _ = integrate([Statement(iri("urn:a"), iri("urn:a"), iri("urn:a"))])
     assert hg2.h.node_count == 1
     edge = hg2.h.edges[0]
-    assert edge.head == [0] and edge.tail == [0, 0]
+    assert edge.head == (0,) and edge.tail == (0, 0)
 
 
 def test_duplicate_statements_reuse_the_hyperedge():

@@ -20,6 +20,7 @@ from hg2rdf import (
     EdgeKind,
     ErrorCode,
     GraphEdge,
+    HyperEdge,
     IntegrationReport,
     ParseError,
     PathResult,
@@ -90,6 +91,14 @@ def test_exactly_three_exported_classes_are_dataclasses():
     found = {name for name, value in classes.items()
              if inspect.isclass(value) and dataclasses.is_dataclass(value)}
     assert found == {"NodeConnector", "EdgeConnector", "HyperEdge"}
+
+
+def test_hyperedge_is_a_frozen_slotted_dataclass():
+    # Frozen, so no edit of a hyperedge goes around the writers that index
+    # it; slotted, so each of the many hyperedges carries no __dict__.
+    assert HyperEdge.__dataclass_params__.frozen
+    assert HyperEdge.__slots__ == ("head", "tail")
+    assert not hasattr(HyperEdge((0,), (1, 2)), "__dict__")
 
 
 def test_the_integration_report_is_a_named_tuple_with_its_dataclass_text():

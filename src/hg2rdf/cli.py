@@ -189,7 +189,7 @@ def _node_line(hg2: HG2, node_id: int) -> str:
     payload = hg2.h.nodes[node_id]
     try:
         return format_term(payload)
-    except ValueError:  # an opaque payload, or a term that cannot be written
+    except ValueError:  # an opaque payload
         return f"hypernode {node_id}"
 
 

@@ -33,11 +33,8 @@ def _lines(hg2: HG2) -> Iterator[str]:
 
     yield "  subgraph cluster_hypergraph {"
     yield '    label="hypergraph layer";'
-    malformed = set(hg2.h._malformed)
     for node_id, payload in enumerate(hg2.h.nodes):
-        # str() labels an opaque payload and a term the node writer filed as malformed
-        well_formed = isinstance(payload, NodePayload) and node_id not in malformed
-        label = _format_term(payload) if well_formed else str(payload)
+        label = _format_term(payload) if isinstance(payload, NodePayload) else str(payload)
         yield f'    h{node_id} [label="{_escape(label)}"];'
     for edge_id, edge in enumerate(hg2.h.edges):
         yield f'    e{edge_id} [shape=box, label="E{edge_id}"];'
@@ -64,8 +61,8 @@ def _lines(hg2: HG2) -> Iterator[str]:
 def to_dot(hg2: HG2, out: TextIO | None = None) -> str | None:
     """Render the structure as a DOT digraph (deterministic output).
 
-    A hypernode is labelled with its term in N-Triples syntax; an opaque
-    payload, and a term the node writer filed as malformed, with
+    A hypernode is labelled with its term in N-Triples syntax (the node
+    writer admits only well-formed terms), and an opaque payload with
     ``str(payload)``.  Without ``out`` the digraph is returned as one
     string.  With ``out``, a text handle, it is written there in chunks of
     about a thousand lines as they are made, and ``None`` is returned; the

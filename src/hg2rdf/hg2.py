@@ -22,15 +22,13 @@ Hypernode payloads serialize in two shapes, told apart by the parser's
 kind and the string fields of that kind (the parser's ``_KIND_FIELDS``), and
 the loader builds them back positionally; any other payload is written as
 kind ``opaque`` with its JSON value, so payloads that are not
-JSON-representable (e.g. tuples) will not round-trip identically.  A
-malformed term is refused both ways with the message of the parser's one
-term rule, ``_term_problem`` (a ``ValueError`` from ``serialize``, for the
-first hypernode the node writer filed as malformed and before any text is
-written, a :class:`SchemaViolation` from ``deserialize``), so that one term
-cannot load as two nodes.  ``deserialize`` does not judge the terms it
-decodes, not even in the per-record decoder, which checks kinds and keys
-only: the node writer judges the section once, as it judges every section,
-and the first malformed node it files raises the rule's message.
+JSON-representable (e.g. tuples) will not round-trip identically.  The node
+writer refuses a malformed term, so no structure holds one to write, and
+``deserialize`` turns the writer's refusal into a :class:`SchemaViolation`
+with the message of the parser's one term rule, ``_term_problem``, so that
+one term cannot load as two nodes.  ``deserialize`` does not judge the terms
+it decodes, not even in the per-record decoder, which checks kinds and keys
+only: the node writer judges the section once, as it judges every section.
 ``_RECORD_KEYS`` lists the keys each section's records may hold, ``meta``
 included; any other key is refused.  A non-finite float cannot be written
 (``NaN`` and ``Infinity`` are not JSON, so other platforms could not read
@@ -303,7 +301,8 @@ def _edge_records(edges: list[HyperEdge]) -> Iterator[str]:
 
 
 def _hypernode_record(node_id: int, payload: Any) -> str:
-    """A node the writer did not file as malformed: a term or an opaque payload."""
+    """A hypernode's record: a well-formed term, as the writer admits only
+    those, or an opaque payload."""
     kind = _term_kind(payload)
     if kind is None:
         return _record(f'"id": {node_id}', '"kind": "opaque"', f'"value": {_json(payload)}')
@@ -381,16 +380,9 @@ def serialize(hg2: HG2, out: TextIO | None = None) -> str | None:
     held at once, and ``None`` is returned; the bytes are the same.  A non-finite
     float anywhere in a payload is a ``ValueError``: ``NaN`` and
     ``Infinity`` are not JSON, and parsers other than Python's refuse them.
-    So is a malformed term, with the message of the parser's
-    ``_term_problem`` for the first hypernode the node writer filed as
-    malformed; that is raised before anything is written to ``out``.  A
-    non-finite float is found as its record is written, so with ``out`` the
-    handle may then already hold part of the document.
+    A non-finite float is found as its record is written, so with ``out``
+    the handle may then already hold part of the document.
     """
-    malformed = hg2.h._malformed
-    if malformed:
-        node_id = malformed[0]
-        raise ValueError(_term_problem(hg2.h.nodes[node_id], f"hypernode {node_id}")[1])
     return _emit(_document(hg2), out)
 
 
@@ -581,11 +573,12 @@ def _load_connectors(
 
 def _load_graph_nodes(g: SchemaGraph, records: list[dict[str, Any]]) -> None:
     iris = [record.get("iri") for record in records]
-    if set(map(type, iris)) <= {str} and len(set(iris)) == len(iris):
+    if set(map(type, iris)) <= {str} and all(iris) and len(set(iris)) == len(iris):
         g._append_nodes(iris)
         return
     for index, iri in enumerate(iris):
         _require(isinstance(iri, str), f"graph node {index} needs a string iri")
+        _require(iri != "", f"graph node {index} has an empty iri")
         if g.intern(iri) != index:
             raise SchemaViolation(f"duplicate graph node iri {iri!r}")
 
@@ -670,9 +663,11 @@ def deserialize(text: str) -> HG2:
     hg2 = HG2()
     node_records = _as_records(document, "hypernodes")
     _check_dense_ids(node_records, "hypernodes")
-    hg2.h._append_nodes(_payloads_from_json(node_records))
-    if hg2.h._malformed:
-        raise _term_violation(hg2.h.nodes[hg2.h._malformed[0]])
+    payloads = _payloads_from_json(node_records)
+    try:
+        hg2.h._append_nodes(payloads)
+    except ValueError:  # the writer refused a malformed term
+        raise _term_violation(next(filter(_term_problem, payloads))) from None
     if len(hg2.h._index) != hg2.h.node_count:
         _refuse_repeated_terms(hg2.h)
 

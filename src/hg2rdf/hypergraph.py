@@ -4,10 +4,8 @@ A node's payload is any value; a node's or a hyperedge's id is its position
 in ``nodes`` or ``edges``, and a repeated hashable payload names its first
 node, as an IRI names one node of :class:`~hg2rdf.schema.SchemaGraph`.  The
 node writer judges each section it appends with the column form of the
-parser's term rule, ``_malformed_terms``, and files the ids of the malformed
-terms, so the readers that must refuse or report them (``validate_mapping``,
-``serialize``, ``to_dot``) read that one verdict instead of judging every
-node again.
+parser's term rule, ``_malformed_terms``, and refuses a section that holds a
+malformed term, so no hypergraph holds one and no reader handles one.
 Head and tail are ordered tuples so callers can assign positional roles; the
 same node may appear on both sides of one edge.  A hyperedge is frozen,
 slots included, so no edit of one goes around the writers.  Each node lists the ids of the edges
@@ -33,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .ntriples import _malformed_terms
+from .ntriples import _malformed_terms, _term_problem
 
 
 class UnknownNodeError(LookupError):
@@ -95,7 +93,6 @@ class Hypergraph(Freezable):
         self._forward: list[dict[int, int]] = []
         self._heads: set[int] = set()
         self._index: dict[Any, int] = {}
-        self._malformed: list[int] = []
         self._searches: dict[int, dict[int, int]] = {}
         self._answers: dict[int, tuple[int, ...]] = {}
 
@@ -130,7 +127,8 @@ class Hypergraph(Freezable):
         _check_index(node, len(self.nodes), role)
 
     def add_node(self, payload: Any) -> int:
-        """Return the node carrying ``payload``, appending it on first sight."""
+        """Return the node carrying ``payload``, appending it on first sight;
+        a malformed term raises the writer's ValueError."""
         existing = self.find(payload)
         if existing is not None:
             return existing
@@ -151,11 +149,14 @@ class Hypergraph(Freezable):
         wins).  A whole section's indexes are allocated in one run, next to
         each other, which is the memory the firing search walks.
 
-        The section is judged by the term rule's column form,
-        ``_malformed_terms``, in one pass, and the ids of its malformed
-        terms are filed in ``_malformed``, ascending, the one store of the
-        verdicts.
+        The section is judged first by the term rule's column form,
+        ``_malformed_terms``, in one pass; a section that holds a malformed
+        term raises ValueError with the rule's message for the first one,
+        and nothing is written.
         """
+        malformed = _malformed_terms(payloads)
+        if malformed:
+            raise ValueError(_term_problem(payloads[malformed[0]])[1])
         nodes, index = self.nodes, self._index
         start = len(nodes)
         nodes.extend(payloads)
@@ -167,7 +168,6 @@ class Hypergraph(Freezable):
                 index.setdefault(nodes[node_id], node_id)
             except TypeError:
                 pass  # unhashable payloads stay unindexed
-        self._malformed.extend(map(start.__add__, _malformed_terms(payloads)))
         return start
 
     def add_hyperedge(self, head: Iterable[int], tail: Iterable[int]) -> int:
@@ -189,7 +189,9 @@ class Hypergraph(Freezable):
         the edge list and files edge ids in the per-node indexes and the
         head index.  Each edge holds its slots as tuples (a tuple passed in
         is kept as it is, with no copy), so no later edit of the caller's
-        sequences reaches the edge or the indexes filed from it.
+        sequences reaches the edge or the indexes filed from it.  Heads
+        repeat (a statement's head is its predicate), so the edges of a
+        section with equal heads share one head tuple, the first one met.
 
         Edges arrive in id order, so each forward star keeps, for every tail
         node, the lowest-id edge that reaches it, and its keys in the order a
@@ -198,8 +200,10 @@ class Hypergraph(Freezable):
         """
         forward, incidence = self._forward, self._incidence
         start = len(self.edges)
-        self.edges.extend(map(HyperEdge, map(tuple, heads), map(tuple, tails)))
-        self._heads.update(*heads)
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        heads = [shared.setdefault(head, head) for head in map(tuple, heads)]
+        self.edges.extend(map(HyperEdge, heads, map(tuple, tails)))
+        self._heads.update(*shared)
         for edge_id, (head, tail) in enumerate(zip(heads, tails), start):
             for node in head:
                 star = forward[node]

@@ -24,8 +24,8 @@ whether the payload is a term and of which kind, and ``_term_problem``,
 whether a term is well formed; routing asks their column forms,
 ``_term_kinds`` and ``_malformed_terms``, once for all statements, and
 :func:`generate_connectors` and :func:`validate_mapping` read the kinds
-from one ``_term_kinds`` pass each.  :func:`validate_mapping` asks the term
-rule only for the hypernodes the node writer already filed as malformed.
+from one ``_term_kinds`` pass each.  The node writer refuses a malformed
+term, so no hypernode here is one.
 """
 from __future__ import annotations
 
@@ -152,18 +152,17 @@ _HEAD_VIOLATIONS = {PayloadKind.LITERAL: "LiteralInHead", PayloadKind.BLANK: "Bl
 def statement_of(hg2: HG2, edge_id: int) -> Statement | None:
     """Reconstruct the statement a hyperedge encodes, if it is statement-shaped.
 
-    Returns None for an absent edge id, for a hyperedge or one of its nodes
-    that breaks a placement rule of :func:`validate_mapping`, and for a
-    hyperedge with an opaque payload, so exactly the hyperedges that those
-    rules pass come back.  An id that is not a plain int raises TypeError.
+    Returns None for an absent edge id, for a hyperedge that breaks a
+    placement rule of :func:`validate_mapping`, and for a hyperedge with an
+    opaque payload, so exactly the hyperedges that those rules pass come
+    back.  An id that is not a plain int raises TypeError.
     """
     _check_id(edge_id)
     if not 0 <= edge_id < hg2.h.edge_count:
         return None
     edge = hg2.h.edges[edge_id]
-    node_ids = {*edge.head, *edge.tail}
-    kinds = {node: _term_kind(hg2.h.nodes[node]) for node in node_ids}
-    if _placement_violations(hg2, node_ids, (edge_id,), kinds):
+    kinds = {node: _term_kind(hg2.h.nodes[node]) for node in {*edge.head, *edge.tail}}
+    if _placement_violations(hg2, (edge_id,), kinds):
         return None
     ends = (edge.tail[0], edge.head[0], edge.tail[1])
     if None in map(kinds.__getitem__, ends):
@@ -244,33 +243,21 @@ def validate_mapping(hg2: HG2) -> list[Violation]:
     """Check the placement rules; reports violations without mutating.
 
     A literal node may never sit in a head slot or in tail position 0, a
-    blank node may never sit in a head slot, every statement-shaped hyperedge
-    has exactly one head and two tails, and every term payload is well
-    formed by the parser's one term rule, ``_term_problem``: a malformed term
-    is reported once, as the violation kind and message the rule gives
-    (``UnknownPayloadKind``, ``NonStringField``, ``ForeignField``,
-    ``IncompletePayload`` or ``LanguageTagOnTyped``), and a term of unknown
-    kind passes the slot rules.  The rule's messages are given only for the
-    hypernodes the node writer filed as malformed, so a structure with none
-    judges no term here.  Structures that :func:`integrate` builds from
-    parsed statements satisfy all of these, and :func:`statement_of` reads
-    the same rules.
+    blank node may never sit in a head slot, and every statement-shaped
+    hyperedge has exactly one head and two tails.  Terms are not judged
+    here: the node writer refuses a malformed one.  Structures that
+    :func:`integrate` builds from parsed statements satisfy all of these,
+    and :func:`statement_of` reads the same rules.
     """
-    return _placement_violations(hg2, hg2.h._malformed, range(hg2.h.edge_count), _term_kinds(hg2.h.nodes))
+    return _placement_violations(hg2, range(hg2.h.edge_count), _term_kinds(hg2.h.nodes))
 
 
-def _placement_violations(hg2: HG2, node_ids: Iterable[int], edge_ids: Iterable[int],
+def _placement_violations(hg2: HG2, edge_ids: Iterable[int],
                           kinds: Sequence[PayloadKind | None] | dict[int, PayloadKind | None]) -> list[Violation]:
-    """The term rule over the given hypernodes, then the placement rules
-    over the given hyperedges, each in the order given; ``kinds`` gives the
-    term kind of each hypernode in a checked slot, by id."""
-    nodes, edges = hg2.h.nodes, hg2.h.edges
+    """The placement rules over the given hyperedges, in the order given;
+    ``kinds`` gives the term kind of each hypernode in a checked slot, by id."""
+    edges = hg2.h.edges
     violations: list[Violation] = []
-    for node_id in node_ids:
-        problem = _term_problem(nodes[node_id], f"hypernode {node_id}")
-        if problem is not None:
-            violations.append(Violation(*problem, node=node_id))
-
     for edge_id in edge_ids:
         edge = edges[edge_id]
         if len(edge.head) != 1 or len(edge.tail) != 2:
@@ -408,10 +395,10 @@ def integrate(statements: list[Statement]) -> tuple[HG2, IntegrationReport]:
     through its layer's own index, and the ids that came from that
     interning are not range-checked again.  The report is built once,
     from the finished structure, which is frozen and safe to query
-    concurrently.  A statement that cannot be hashed (a term field such as
-    a list) raises ValueError with the term rule's message for the first
-    malformed term; any other malformed term goes to the instance layer,
-    and is reported there.
+    concurrently.  A malformed term, hashable or not, raises ValueError
+    with the term rule's message for the first malformed term in statement
+    order: an unhashable statement is refused before routing, and any other
+    malformed term goes to the instance layer, whose node writer refuses it.
     """
     hg2 = HG2(g=load_builtin_vocabulary())
     builtin_edges = hg2.g.edge_count

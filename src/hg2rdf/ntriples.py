@@ -24,8 +24,8 @@ unknown kind, a field that is not a string or belongs to another kind, a
 missing required field, a tag beside a datatype, an empty IRI or datatype
 IRI, a blank label or a language tag outside ``_BLANK_LABEL`` or
 ``_LANG_TAG``), so every term it passes is one the parser can read back;
-the placement checks, the renderers, the writer and both readers of a
-document give its message.  Each rule has a column form that judges a whole
+the node writer, ``format_term``, routing and the reader of a document
+give its message.  Each rule has a column form that judges a whole
 batch in a few passes, ``_term_kinds`` and ``_malformed_terms``, with the
 per-term rule as its fallback; routing and the node writer ask those.
 :func:`parse_document` makes one term object per distinct IRI and per
@@ -200,8 +200,8 @@ class NodePayload(NamedTuple):
     populate exactly the fields of one kind and build the tuple positionally
     (``tuple.__new__``), skipping the keyword handling of the generated
     constructor.  Direct construction is unchecked, so a hand-built term
-    can be malformed; ``deserialize`` refuses every malformed term, so only
-    such hand-built terms reach ``validate_mapping``.
+    can be malformed; the hypergraph's node writer refuses every malformed
+    term, so no structure holds one.
     """
 
     kind: PayloadKind
@@ -632,8 +632,9 @@ def format_term(term: NodePayload) -> str:
     Raises ValueError for a payload that is not a :class:`NodePayload`, and
     with the message of ``_term_problem`` for a malformed term.  Escapes
     are applied only to text that holds a character to escape.  ``to_dot``
-    renders the hypernodes the node writer found well formed through
-    ``_format_term``, the same rendering without the judgment.
+    renders every hypernode term, which the node writer has judged well
+    formed, through ``_format_term``, the same rendering without the
+    judgment.
     """
     if not isinstance(term, NodePayload):
         raise ValueError(f"not a term: {type(term).__name__}")

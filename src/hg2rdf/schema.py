@@ -128,12 +128,15 @@ class SchemaGraph(Freezable):
 
     def intern(self, iri: str) -> int:
         """Return the node id for ``iri``, creating it on first sight; a new
-        ``iri`` that is not a string raises TypeError."""
+        ``iri`` that is not a string raises TypeError, and an empty one
+        ValueError, as no IRI term can carry it."""
         existing = self._ids.get(iri)
         if existing is not None:
             return existing
         if not isinstance(iri, str):
             raise TypeError(f"a graph node's iri must be a string, not {type(iri).__name__}")
+        if not iri:
+            raise ValueError("a graph node's iri must not be empty")
         self._check_mutable()
         return self._append_nodes((iri,))
 

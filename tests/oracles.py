@@ -11,13 +11,14 @@ explicit random.Random so corpora are reproducible from a seed.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 import operator
 import random
 import re
 from collections import deque
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from hg2rdf import (
     ANCHOR_IRIS,
@@ -82,7 +83,8 @@ LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
     "loop_escape_literal": ("hg2rdf.ntriples.format_term", _FASTER, ("test_ntriples.py",)),
     "loop_escape_iri": ("hg2rdf.ntriples.format_term", _FASTER, ("test_ntriples.py",)),
     "malformed_term": ("hg2rdf.ntriples._term_problem", _CHECKER,
-                       ("test_properties.py", "test_term_verdicts.py")),
+                       ("test_cli.py", "test_properties.py", "test_section_writers.py",
+                        "test_term_verdicts.py")),
     "oracle_statement_of": ("hg2rdf.mapper.statement_of", _PIN, ("test_properties.py",)),
     "naive_reachable": ("hg2rdf.hypergraph.Hypergraph._sorted_reachable", _FASTER,
                         ("test_acceptance.py", "test_hypergraph.py", "test_properties.py")),
@@ -126,6 +128,9 @@ LEDGER: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
                   ("test_cli.py", "test_dot.py", "test_streamed_output.py")),
     "assert_same_indexes": (None, _CHECKER,
                             ("test_hg2_io.py", "test_section_writers.py", "test_write_path.py")),
+    "assert_refused_unchanged": ("hg2rdf.hypergraph.Hypergraph._append_nodes", _CHECKER,
+                                 ("test_cli.py", "test_hg2.py", "test_mapper.py", "test_properties.py",
+                                  "test_term_verdicts.py")),
     "assert_frozen_containers_refuse_writes": ("hg2rdf.hg2.HG2.freeze", _CHECKER,
                                                ("test_hg2.py", "test_hypergraph.py", "test_schema.py")),
     "canonical_form": (None, _CHECKER, ("test_properties.py",)),
@@ -664,10 +669,13 @@ def naive_check_domain_range(hg2: HG2) -> list[ConstraintWarning]:
 # one call: one node, or one edge, per call, with the node list, the edge list
 # and the per-node indexes filled as each arrives.  ``oracle_add_node`` and
 # ``oracle_add_hyperedge`` are the checked mutators that ended in them.  The
-# node writer files its verdict with ``malformed_term``, the test-side copy of
-# the term rule, so ``assert_same_indexes`` checks the writer's verdicts.
+# node writer refuses a malformed term by ``malformed_term``, the test-side
+# copy of the term rule, with the rule's message, before it writes anything.
 
 def oracle_append_node(h: Hypergraph, payload: Any) -> int:
+    problem = malformed_term(payload)
+    if problem is not None:
+        raise ValueError(problem[1])
     node_id = len(h.nodes)
     h.nodes.append(payload)
     h._incidence.append([])
@@ -676,8 +684,6 @@ def oracle_append_node(h: Hypergraph, payload: Any) -> int:
         h._index.setdefault(payload, node_id)
     except TypeError:
         pass  # unhashable payloads stay unindexed
-    if malformed_term(payload):
-        h._malformed.append(node_id)
     return node_id
 
 
@@ -832,28 +838,14 @@ def random_document(rng: random.Random, max_statements: int = 18) -> list[Statem
     return [_random_statement(rng) for _ in range(rng.randrange(0, max_statements))]
 
 
-# Malformed terms, one per failure of the term rule, and one that cannot be hashed.
-_MALFORMED_PAYLOADS = (
-    NodePayload("uri", iri="urn:x"),
-    NodePayload.uri(5),
-    NodePayload.uri(["a"]),
-    NodePayload(PayloadKind.URI, "urn:a", lexical_form="x"),
-    NodePayload(PayloadKind.BLANK),
-    NodePayload(PayloadKind.LITERAL, lexical_form="v", language_tag="en", datatype_iri="urn:dt"),
-)
-
-
-def random_structure(rng: random.Random, malformed: bool = False) -> HG2:
-    """An arbitrary valid two-layer structure (not necessarily mapper-shaped);
-    with ``malformed``, about one hypernode in six carries a malformed term."""
+def random_structure(rng: random.Random) -> HG2:
+    """An arbitrary valid two-layer structure (not necessarily mapper-shaped)."""
     hg2 = HG2()
     node_count = rng.randrange(0, 12)
     for i in range(node_count):
         roll = rng.random()
-        if malformed and rng.random() < 1 / 6:
-            payload: object = rng.choice(_MALFORMED_PAYLOADS)
-        elif roll < 0.40:
-            payload = NodePayload.uri(f"http://example.org/n{i}")
+        if roll < 0.40:
+            payload: object = NodePayload.uri(f"http://example.org/n{i}")
         elif roll < 0.55:
             payload = NodePayload.blank(f"b{i}")
         elif roll < 0.70:
@@ -1017,7 +1009,8 @@ def oracle_to_dot(hg2: HG2) -> str:
     """The DOT text as ``to_dot`` wrote it before it streamed: every line
     collected in one list, then joined.  Each label is judged afresh by
     ``format_term`` and escaped by a per-character loop, where ``to_dot``
-    reads the node writer's verdicts."""
+    renders every term, as the node writer admits only well-formed ones,
+    without judging it."""
     lines = ["digraph hg2 {", "  rankdir=LR;"]
     lines.append("  subgraph cluster_hypergraph {")
     lines.append('    label="hypergraph layer";')
@@ -1051,7 +1044,6 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
     """Every identity table and index of two structures agrees, key order
     included; ``HG2.__eq__`` compares only what ``serialize`` writes."""
     assert list(a.h._index.items()) == list(b.h._index.items())
-    assert a.h._malformed == b.h._malformed
     assert a.h._incidence == b.h._incidence
     assert [list(f.items()) for f in a.h._forward] == [list(f.items()) for f in b.h._forward]
     assert a.h._heads == b.h._heads
@@ -1061,6 +1053,20 @@ def assert_same_indexes(a: HG2, b: HG2) -> None:
     assert list(a.g.edges) == list(b.g.edges)
     assert list(a.g._subclass_children.items()) == list(b.g._subclass_children.items())
     assert list(a.g._constraints.items()) == list(b.g._constraints.items())
+
+
+def assert_refused_unchanged(hg2: HG2, message: str, write: Callable[[], object]) -> None:
+    """``write`` raises ValueError with exactly ``message`` and leaves
+    ``hg2`` as it was: its nodes, edges and every index."""
+    before = copy.deepcopy(hg2)
+    try:
+        write()
+    except ValueError as refusal:
+        assert str(refusal) == message
+    else:
+        raise AssertionError(f"not refused: {message}")
+    assert hg2 == before
+    assert_same_indexes(hg2, before)
 
 
 def assert_frozen_containers_refuse_writes(hg2: HG2, *layers: str) -> None:
@@ -1297,6 +1303,7 @@ def oracle_deserialize(text: str) -> HG2:
     for index, record in enumerate(graph_node_records):
         iri = record.get("iri")
         _require(isinstance(iri, str), f"graph node {index} needs a string iri")
+        _require(iri != "", f"graph node {index} has an empty iri")
         if hg2.g.intern(iri) != index:
             raise SchemaViolation(f"duplicate graph node iri {iri!r}")
 

@@ -38,7 +38,7 @@ from conftest import (
     FOREIGN_FIELD_DOCUMENT,
     W3C_SAMPLE,
 )
-from oracles import check_dot, random_structure
+from oracles import assert_refused_unchanged, check_dot, malformed_term, random_structure
 
 
 @pytest.fixture
@@ -166,7 +166,7 @@ def test_query_reachable(sample_file, capsys):
     assert len(lines) == 3  # subject and the two creator literals
 
 
-def test_query_names_a_node_it_cannot_write_by_its_id(tmp_path, capsys):
+def test_query_names_an_opaque_node_by_its_id(tmp_path, capsys):
     hg2 = HG2()
     start = hg2.h.add_node(NodePayload.uri("urn:a"))
     for payload in ("opaque", [1, 2], {"k": 1}, None, NodePayload.literal("x", "en")):
@@ -177,12 +177,11 @@ def test_query_names_a_node_it_cannot_write_by_its_id(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         *(f"hypernode {node}" for node in range(1, 5)), '"x"@en'
     ]
-    # No document holds a malformed term; built through the API, one is
-    # named as an opaque payload is.
+    # No structure holds a malformed term: the node writer refuses it, so
+    # no node line has to name one.
     for payload in (NodePayload(PayloadKind.URI), NodePayload.uri(5), NodePayload.uri(["a"]),
                     NodePayload(PayloadKind.URI, iri="urn:b", lexical_form="x")):
-        node = hg2.h.add_node(payload)
-        assert hg2rdf.cli._node_line(hg2, node) == f"hypernode {node}"
+        assert_refused_unchanged(hg2, malformed_term(payload)[1], lambda: hg2.h.add_node(payload))
 
 
 def test_query_without_a_selector_is_a_usage_error(sample_file, capsys):

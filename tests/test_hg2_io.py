@@ -80,7 +80,7 @@ def structures(draw) -> HG2:
         slot = st.lists(st.integers(0, hg2.h.node_count - 1), min_size=1, max_size=3)
         for head, tail in draw(st.lists(st.tuples(slot, slot), max_size=5)):
             hg2.h.add_hyperedge(head, tail)
-    for iri in draw(st.lists(texts, max_size=5, unique=True)):
+    for iri in draw(st.lists(iris, max_size=5, unique=True)):
         hg2.g.intern(iri)
     if hg2.g.node_count:
         graph_node = st.integers(0, hg2.g.node_count - 1)

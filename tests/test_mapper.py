@@ -1,6 +1,8 @@
 """Integration engine: routing, mapping, connectors, checks, pipeline."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from hg2rdf import (
@@ -47,7 +49,7 @@ from hg2rdf.schema import (
     RDFS_SUBCLASSOF,
 )
 from conftest import CONSTRAINT_DATA, CONSTRAINT_SCHEMA, CONSTRAINT_TYPING
-from oracles import oracle_layers
+from oracles import assert_refused_unchanged, oracle_layers
 from test_acceptance import fuzz_corpus
 
 
@@ -83,36 +85,31 @@ def test_every_vocabulary_predicate_routes_when_both_ends_are_iris():
         assert route_statement(statement) is Layer.SCHEMA
 
 
-#: A schema-predicate statement with one malformed term, the violation its
-#: term gives as hypernode 0, 1 or 2 of ``integrate``, and that hypernode.
+#: A schema-predicate statement with one malformed term, and the term
+#: rule's message for that term.
 MALFORMED_SCHEMA_STATEMENTS = [
-    (Statement(iri("urn:s"), iri(RDF_TYPE), NodePayload.uri(5)),
-     "NonStringField: hypernode 2 field 'iri' must be a string", 2),
-    (Statement(NodePayload(PayloadKind.URI), iri(RDF_TYPE), iri("urn:C")),
-     "IncompletePayload: uri hypernode 0 has no iri", 0),
+    (Statement(iri("urn:s"), iri(RDF_TYPE), NodePayload.uri(5)), "term field 'iri' must be a string"),
+    (Statement(NodePayload(PayloadKind.URI), iri(RDF_TYPE), iri("urn:C")), "uri term has no iri"),
     (Statement(NodePayload(PayloadKind.URI, "urn:a", lexical_form="x"), iri(RDF_TYPE), iri("urn:a")),
-     "ForeignField: uri hypernode 0 cannot carry 'lexical_form'", 0),
+     "uri term cannot carry 'lexical_form'"),
     (Statement(iri("urn:s"), NodePayload(PayloadKind.URI, RDF_TYPE, blank_label="b"), iri("urn:C")),
-     "ForeignField: uri hypernode 1 cannot carry 'blank_label'", 1),
+     "uri term cannot carry 'blank_label'"),
     (Statement(iri("urn:s"), NodePayload("uri", RDFS_SUBCLASSOF), iri("urn:C")),
-     "UnknownPayloadKind: hypernode 1 has unknown kind 'uri'", 1),
+     "term has unknown kind 'uri'"),
 ]
 MALFORMED_IDS = ["non-string-object", "incomplete-subject", "foreign-subject", "foreign-predicate",
                  "unknown-kind-predicate"]
 
 
-@pytest.mark.parametrize("statement, warning, node", MALFORMED_SCHEMA_STATEMENTS, ids=MALFORMED_IDS)
-def test_a_malformed_term_keeps_a_schema_predicate_statement_in_the_instance_layer(statement, warning, node):
+@pytest.mark.parametrize("statement, message", MALFORMED_SCHEMA_STATEMENTS, ids=MALFORMED_IDS)
+def test_a_malformed_term_keeps_a_schema_predicate_statement_in_the_instance_layer_which_refuses_it(
+        statement, message):
+    """The statement is routed to the instance layer, whose node writer
+    refuses it, so neither layer ever holds the term."""
     assert route_statement(statement) is Layer.INSTANCE
-    hg2, report = integrate([statement])
-    assert report.warnings == [warning]
-    assert report.hyperedges_created == 1 and report.schema_edges_created == 0
-    assert hg2.g == load_builtin_vocabulary() and hg2.g.find("urn:a") is None
-    assert statement_of(hg2, 0) is None
-    message = warning.split(": ", 1)[1]
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        serialize(hg2)
-    assert f"h{node} [label=" in to_dot(hg2)
+    for build in (integrate, oracle_layers):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build([Statement(iri("urn:x"), iri(RDFS_SUBCLASSOF), iri("urn:Y")), statement])
 
 
 @pytest.mark.parametrize("predicate", [RDF_TYPE, RDFS_SUBCLASSOF, RDFS_DOMAIN, RDFS_RANGE])
@@ -240,12 +237,6 @@ def test_statement_of_inverts_the_instance_mapping():
     unrecoverable = [
         Statement(NodePayload.literal("x"), iri("urn:p"), iri("urn:o")),
         Statement(iri("urn:s"), NodePayload.blank("b"), iri("urn:o")),
-        Statement(iri("urn:s"), iri("urn:p"), NodePayload(PayloadKind.URI)),
-        Statement(
-            iri("urn:s"),
-            iri("urn:p"),
-            NodePayload(PayloadKind.LITERAL, lexical_form="x", language_tag="en", datatype_iri="urn:t"),
-        ),
     ]
     hg2 = oracle_layers(statements + unrecoverable)
     assert [statement_of(hg2, edge_id) for edge_id in range(hg2.h.edge_count)] == [
@@ -255,53 +246,46 @@ def test_statement_of_inverts_the_instance_mapping():
     assert statement_of(hg2, hg2.h.edge_count - 1) is None
 
 
-def test_a_term_of_unknown_kind_is_one_violation_and_passes_the_slot_rules():
+def test_add_node_refuses_a_term_of_unknown_kind_and_writes_nothing():
     hg2 = HG2()
-    odd = hg2.h.add_node(NodePayload("literal", lexical_form="x"))  # a str, not a PayloadKind
     p = hg2.h.add_node(iri("urn:p"))
     o = hg2.h.add_node(iri("urn:o"))
-    hg2.h.add_hyperedge([odd], [odd, o])  # head and subject slots
     hg2.h.add_hyperedge([p], [p, o])
-    assert validate_mapping(hg2) == [
-        Violation("UnknownPayloadKind", "hypernode 0 has unknown kind 'literal'", node=odd)
-    ]
-    assert statement_of(hg2, 0) is None
-    assert statement_of(hg2, 1) == Statement(iri("urn:p"), iri("urn:p"), iri("urn:o"))
+    odd = NodePayload("literal", lexical_form="x")  # a str, not a PayloadKind
+    assert_refused_unchanged(hg2, "term has unknown kind 'literal'", lambda: hg2.h.add_node(odd))
+    assert validate_mapping(hg2) == []
+    assert statement_of(hg2, 0) == Statement(iri("urn:p"), iri("urn:p"), iri("urn:o"))
 
 
-def test_integrate_reports_a_term_of_unknown_kind():
+def test_integrate_refuses_a_term_of_unknown_kind():
     statement = Statement(NodePayload("uri", iri="urn:x"), iri("urn:p"), iri("urn:o"))
-    hg2, report = integrate([statement])
-    assert report.warnings == ["UnknownPayloadKind: hypernode 0 has unknown kind 'uri'"]
-    assert statement_of(hg2, 0) is None
-    assert check_domain_range(hg2) == []
+    with pytest.raises(ValueError, match="^term has unknown kind 'uri'$"):
+        integrate([statement])
 
 
-def test_a_term_with_a_non_string_field_is_refused_alike_by_every_reader():
+@pytest.mark.parametrize("odd", [NodePayload.uri(5), NodePayload.uri(["a"])], ids=["hashable", "unhashable"])
+def test_a_term_with_a_non_string_field_is_refused_alike_hashable_or_not(odd):
+    message = "term field 'iri' must be a string"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        integrate([Statement(iri("urn:s"), iri("urn:p"), iri("urn:o")), Statement(iri("urn:s"), iri("urn:p"), odd)])
     hg2 = fresh()
     p, o = hg2.h.add_node(iri("urn:p")), hg2.h.add_node(iri("urn:o"))
-    odd = hg2.h.add_node(NodePayload.uri(5))
-    hg2.h.add_hyperedge([p], [odd, o])
-    message = f"hypernode {odd} field 'iri' must be a string"
-    assert validate_mapping(hg2) == [Violation("NonStringField", message, node=odd)]
-    assert statement_of(hg2, 0) is None
-    assert f'h{odd} [label="{NodePayload.uri(5)}"];' in to_dot(hg2)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        serialize(hg2)
+    hg2.h.add_hyperedge([p], [o, o])
+    assert_refused_unchanged(hg2, message, lambda: hg2.h.add_node(odd))
+    assert deserialize(serialize(hg2)) == hg2
 
 
-def test_connectors_and_constraints_skip_an_unhashable_iri_as_an_opaque_payload():
+def test_connectors_and_constraints_skip_an_opaque_payload_and_an_unhashable_iri_is_refused():
     statements, _ = parse_document(CONSTRAINT_SCHEMA + CONSTRAINT_TYPING)
-    found = []
-    for subject in (NodePayload.uri(["http://example.org/d"]), ["http://example.org/d"]):
-        hg2 = oracle_layers(statements)
-        assert hg2.h.edge_count == 0
-        creator = hg2.h.add_node(iri("http://example.org/creator"))
-        hg2.h.add_hyperedge([creator], [hg2.h.add_node(subject), hg2.h.add_node(iri("urn:x"))])
-        generate_connectors(hg2)
-        found.append((hg2.connectors_v, check_domain_range(hg2)))
-    assert found[0] == found[1]
-    assert [warning.kind for warning in found[0][1]] == ["DomainUnsatisfied"]
+    hg2 = oracle_layers(statements)
+    assert hg2.h.edge_count == 0
+    creator = hg2.h.add_node(iri("http://example.org/creator"))
+    assert_refused_unchanged(hg2, "term field 'iri' must be a string",
+                             lambda: hg2.h.add_node(NodePayload.uri(["http://example.org/d"])))
+    hg2.h.add_hyperedge([creator], [hg2.h.add_node(["http://example.org/d"]), hg2.h.add_node(iri("urn:x"))])
+    generate_connectors(hg2)
+    assert hg2.anchors_of_node(1) == [hg2.g.find(RDF_SUBJECT)]
+    assert [warning.kind for warning in check_domain_range(hg2)] == ["DomainUnsatisfied"]
     assert SchemaGraph().find(["http://example.org/d"]) is None
 
 
@@ -345,13 +329,11 @@ def test_route_statement_refuses_an_unhashable_term_with_the_rules_text():
         route_statement(Statement(iri("urn:s"), UNHASHABLE, iri("urn:o")))
 
 
-def test_integrate_reports_a_term_with_a_foreign_field():
+def test_integrate_refuses_a_term_with_a_foreign_field():
     foreign = NodePayload(PayloadKind.URI, iri="urn:a", lexical_form="x")
-    hg2, report = integrate([Statement(iri("urn:a"), iri("urn:p"), iri("urn:o")),
-                             Statement(foreign, iri("urn:p"), iri("urn:o"))])
-    assert report.warnings == ["ForeignField: uri hypernode 3 cannot carry 'lexical_form'"]
-    assert statement_of(hg2, 0) == Statement(iri("urn:a"), iri("urn:p"), iri("urn:o"))
-    assert statement_of(hg2, 1) is None
+    with pytest.raises(ValueError, match="^uri term cannot carry 'lexical_form'$"):
+        integrate([Statement(iri("urn:a"), iri("urn:p"), iri("urn:o")),
+                   Statement(foreign, iri("urn:p"), iri("urn:o"))])
 
 
 def test_edge_kinds_hash_by_identity():
@@ -604,28 +586,21 @@ def test_wrong_arity_is_reported():
     assert kinds == ["EdgeArityViolation", "EdgeArityViolation"]
 
 
-def test_contradictory_literal_payload_is_reported():
+def test_add_node_refuses_a_contradictory_literal():
     hg2 = HG2()
-    node = hg2.h.add_node(
-        NodePayload(PayloadKind.LITERAL, lexical_form="x", language_tag="en", datatype_iri="urn:dt"),
-    )
-    violations = validate_mapping(hg2)
-    assert [v.kind for v in violations] == ["LanguageTagOnTyped"]
-    assert violations[0].node == node
+    contradictory = NodePayload(PayloadKind.LITERAL, lexical_form="x", language_tag="en", datatype_iri="urn:dt")
+    assert_refused_unchanged(hg2, "term carries both a language tag and a datatype",
+                             lambda: hg2.h.add_node(contradictory))
 
 
-def test_incomplete_payloads_are_reported():
+def test_add_node_refuses_incomplete_payloads():
     hg2 = HG2()
-    for kind in (PayloadKind.URI, PayloadKind.BLANK, PayloadKind.LITERAL):
-        hg2.h.add_node(NodePayload(kind))
-    hg2.h.add_node("opaque payloads have no required field")
-    violations = validate_mapping(hg2)
-    assert [(v.kind, v.node) for v in violations] == [
-        ("IncompletePayload", 0),
-        ("IncompletePayload", 1),
-        ("IncompletePayload", 2),
-    ]
-    assert str(violations[1]) == "IncompletePayload: blank hypernode 1 has no blank_label"
+    for kind, field in ((PayloadKind.URI, "iri"), (PayloadKind.BLANK, "blank_label"),
+                        (PayloadKind.LITERAL, "lexical_form")):
+        assert_refused_unchanged(hg2, f"{kind.value} term has no {field}",
+                                 lambda: hg2.h.add_node(NodePayload(kind)))
+    assert hg2.h.add_node("opaque payloads have no required field") == 0
+    assert validate_mapping(hg2) == []
 
 
 # --------------------------------------------------------- check_domain_range
@@ -701,13 +676,18 @@ def test_untyped_iri_object_fails_a_class_range():
     assert [w.kind for w in warnings_of(hg2)] == ["RangeUnsatisfied"]
 
 
-def test_predicate_without_an_iri_is_skipped():
-    hg2 = HG2(g=load_builtin_vocabulary())
-    predicate = hg2.h.add_node(NodePayload(PayloadKind.URI))
-    subject = hg2.h.add_node(NodePayload.uri("urn:s"))
-    hg2.h.add_hyperedge([predicate], [subject, subject])
-    assert check_domain_range(hg2) == []
-    assert [v.kind for v in validate_mapping(hg2)] == ["IncompletePayload"]
+def test_a_predicate_that_is_no_iri_term_is_skipped():
+    """An opaque head that spells a constrained predicate's IRI checks
+    nothing; the IRI term does."""
+    statements, _ = parse_document(CONSTRAINT_SCHEMA)
+    found = []
+    for predicate in ("http://example.org/creator", iri("http://example.org/creator")):
+        hg2 = oracle_layers(statements)
+        head, subject = hg2.h.add_node(predicate), hg2.h.add_node(iri("urn:s"))
+        hg2.h.add_hyperedge([head], [subject, subject])
+        assert validate_mapping(hg2) == []
+        found.append([warning.kind for warning in check_domain_range(hg2)])
+    assert found == [[], ["DomainUnsatisfied"]]
 
 
 def warnings_of(hg2: HG2) -> list[ConstraintWarning]:

@@ -8,7 +8,7 @@ from dataclasses import astuple
 from itertools import chain, starmap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hg2rdf import (
@@ -22,7 +22,6 @@ from hg2rdf import (
     PayloadKind,
     SchemaViolation,
     Statement,
-    Violation,
     check_domain_range,
     deserialize,
     format_statement,
@@ -44,6 +43,7 @@ from hg2rdf.cli import _node_line
 from hg2rdf.mapper import SCHEMA_PREDICATES
 from hg2rdf.schema import RDFS_LITERAL
 from oracles import (
+    assert_refused_unchanged,
     canonical_form,
     malformed_term,
     matrix_closure,
@@ -116,11 +116,11 @@ def test_terms_compare_and_hash_by_their_fields(pair):
         assert (hash(a) == hash(other)) is (a == other)
 
 
-# Complete and incomplete terms, tag-plus-datatype literals and opaque
-# payloads, joined by hyperedges with one to three nodes per slot.  Half the
-# payloads are IRIs and half the edges statement-shaped, so that statements
-# and each reason for None occur often.
-_other_payloads = st.one_of(blank_terms, literal_terms, _terms, st.sampled_from(["opaque", 7, None]))
+# Well-formed terms and opaque payloads (the node writer refuses any other),
+# joined by hyperedges with one to three nodes per slot.  Half the payloads
+# are IRIs and half the edges statement-shaped, so that statements and each
+# reason for None occur often.
+_other_payloads = st.one_of(blank_terms, literal_terms, st.sampled_from(["opaque", 7, None]))
 _payloads = st.booleans().flatmap(lambda iri: iri_terms if iri else _other_payloads)
 
 
@@ -167,29 +167,36 @@ _drawn_payloads = st.integers(0, 15).flatmap(
     else _unknown_kind_terms
 )
 @st.composite
-def checked_structures(draw) -> HG2:
-    """A structure with connectors."""
+def checked_structures(draw) -> tuple[HG2, list[NodePayload]]:
+    """A structure with connectors, built from the drawn payloads that the
+    term rule passes, and the malformed terms drawn, which ``add_node``
+    refuses."""
     hg2 = HG2(g=load_builtin_vocabulary())
     for source, kind, target in draw(st.lists(st.tuples(_iris, st.sampled_from(EdgeKind), _iris),
                                               max_size=8)):
         hg2.g.add_edge(hg2.g.intern(source), hg2.g.intern(target), kind)
+    refused = []
     for payload in draw(st.lists(_drawn_payloads, min_size=1, max_size=8)):
-        hg2.h.add_node(payload)
-    node = st.integers(0, hg2.h.node_count - 1)
-    slot = st.lists(node, min_size=1, max_size=3)
-    shaped = st.tuples(st.lists(node, min_size=1, max_size=1), st.lists(node, min_size=2, max_size=2))
-    for head, tail in draw(st.lists(st.one_of(shaped, st.tuples(slot, slot)), max_size=8)):
-        hg2.h.add_hyperedge(head, tail)
+        if malformed_term(payload) is None:
+            hg2.h.add_node(payload)
+        else:
+            refused.append(payload)
+    if hg2.h.node_count:
+        node = st.integers(0, hg2.h.node_count - 1)
+        slot = st.lists(node, min_size=1, max_size=3)
+        shaped = st.tuples(st.lists(node, min_size=1, max_size=1), st.lists(node, min_size=2, max_size=2))
+        for head, tail in draw(st.lists(st.one_of(shaped, st.tuples(slot, slot)), max_size=8)):
+            hg2.h.add_hyperedge(head, tail)
     generate_connectors(hg2)
-    return hg2
+    return hg2, refused
 
 
-def _hypernodes_document(hg2: HG2) -> str:
-    """A document of the structure's hypernodes alone, each term written
-    with its kind and set fields as they are, however malformed; terms of
-    unknown kind are left out (a document's unknown kind is UnknownKind)."""
+def _hypernodes_document(payloads: list[object]) -> str:
+    """A document of hypernodes alone, each term written with its kind and
+    set fields as they are, however malformed; terms of unknown kind are
+    left out (a document's unknown kind is UnknownKind)."""
     records = []
-    for payload in hg2.h.nodes:
+    for payload in payloads:
         record = {"id": len(records)}
         if not isinstance(payload, NodePayload):
             record.update(kind="opaque", value=payload)
@@ -207,47 +214,40 @@ def _hypernodes_document(hg2: HG2) -> str:
 
 @given(checked_structures())
 @settings(max_examples=300, deadline=None)
-def test_every_reader_of_a_hypernode_takes_every_payload(hg2):
+def test_every_door_takes_every_payload_the_node_writer_admits_and_refuses_the_rest(drawn):
     """Every door that reads a hypernode accepts a well-formed term or an
-    opaque payload and refuses a malformed term with the term rule's text;
-    no AttributeError, KeyError or TypeError escapes any of them."""
+    opaque payload, and every door that writes one refuses a malformed term
+    with the term rule's text and writes nothing; no AttributeError,
+    KeyError or TypeError escapes any of them."""
+    hg2, refused = drawn
     nodes = hg2.h.nodes
-    problems = [malformed_term(payload, f"hypernode {node}") for node, payload in enumerate(nodes)]
-    assert [violation for violation in validate_mapping(hg2) if violation.edge is None] == [
-        Violation(*problem, node=node) for node, problem in enumerate(problems) if problem
-    ]
-    for edge_id, edge in enumerate(hg2.h.edges):
-        if any(problems[node] for node in (*edge.head, *edge.tail)):
-            assert statement_of(hg2, edge_id) is None
-        else:
-            statement_of(hg2, edge_id)
+    for payload in refused:
+        message = malformed_term(payload)[1]
+        assert_refused_unchanged(hg2, message, lambda: hg2.h.add_node(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            format_term(payload)
+    assert all(violation.edge is not None for violation in validate_mapping(hg2))
+    for edge_id in range(hg2.h.edge_count):
+        statement_of(hg2, edge_id)
     for node, payload in enumerate(nodes):
-        problem = malformed_term(payload)
-        if problem is not None or not isinstance(payload, NodePayload):
-            message = problem[1] if problem else f"not a term: {type(payload).__name__}"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if not isinstance(payload, NodePayload):
+            with pytest.raises(ValueError, match=f"^not a term: {type(payload).__name__}$"):
                 format_term(payload)
             assert _node_line(hg2, node) == f"hypernode {node}"
         else:
             assert _node_line(hg2, node) == format_term(payload)
     to_dot(hg2)
     assert check_domain_range(hg2) == naive_check_domain_range(hg2)
-    refusal = next(filter(None, problems), None)
-    if refusal is not None:
-        with pytest.raises(ValueError, match=f"^{re.escape(refusal[1])}$"):
-            serialize(hg2)
-    else:
-        text = serialize(hg2)
-        assert serialize(deserialize(text)) == text
-    written = [payload for payload in nodes
-               if not isinstance(payload, NodePayload) or isinstance(payload.kind, PayloadKind)]
+    text = serialize(hg2)
+    assert serialize(deserialize(text)) == text
+    written = [*nodes, *(payload for payload in refused if isinstance(payload.kind, PayloadKind))]
     refusal = next(filter(None, (malformed_term(payload, "hypernode") for payload in written)), None)
     for load in (deserialize, oracle_deserialize):
         if refusal is not None:
             with pytest.raises(SchemaViolation, match=f"^{re.escape(refusal[1])}$"):
-                load(_hypernodes_document(hg2))
+                load(_hypernodes_document(written))
         else:
-            assert load(_hypernodes_document(hg2)).h.nodes == written
+            assert load(_hypernodes_document(written)).h.nodes == written
 
 
 # Statements for the routing rule: each slot holds an IRI term, another
@@ -271,13 +271,20 @@ routed_statements = st.builds(
 )
 
 
+def _first_malformed(statements: list[Statement]) -> str | None:
+    """The term rule's message for the first malformed term of statements,
+    in statement order, and None when every term is well formed."""
+    problem = next(filter(None, map(malformed_term, chain.from_iterable(statements))), None)
+    return None if problem is None else problem[1]
+
+
 def _first_refusal(statements: list[Statement]) -> str | None:
-    """The term rule's message for the first malformed term of statements
-    that cannot be hashed, and None when they can be."""
+    """:func:`_first_malformed` of statements that cannot be hashed, and
+    None when they can be."""
     try:
         hash(tuple(statements))
     except TypeError:
-        return next(filter(None, map(malformed_term, chain.from_iterable(statements))))[1]
+        return _first_malformed(statements)
     return None
 
 
@@ -303,7 +310,7 @@ def test_routing_is_total_and_matches_the_rule(statement):
 @given(routed_statements)
 @settings(max_examples=300)
 def test_integrate_maps_one_statement_into_the_layer_it_routes_to(statement):
-    refusal = _first_refusal([statement])
+    refusal = _first_malformed([statement])
     if refusal is not None:
         with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             integrate([statement])
@@ -326,27 +333,24 @@ def test_integrate_maps_one_statement_into_the_layer_it_routes_to(statement):
 
 
 @given(st.lists(routed_statements, max_size=6))
+@example([Statement(NodePayload.uri("urn:s"), NodePayload.uri("urn:p"), NodePayload.uri(5))])
 @settings(max_examples=200, deadline=None)
-def test_malformed_terms_never_reach_the_schema_layer(statements):
-    """integrate refuses an unhashable term with the rule's text, or keeps
-    every malformed term in the instance layer, so the graph layer holds
-    string IRIs only, serialize writes the structure or refuses its first
-    malformed hypernode with the rule's text, and to_dot renders it."""
-    refusal = _first_refusal(statements)
+def test_every_structure_integrate_builds_can_be_written(statements):
+    """integrate refuses a malformed term, hashable or not, with the rule's
+    text for the first one in statement order; so neither layer of what it
+    builds holds one, and serialize writes a document that loads back as
+    the same structure."""
+    refusal = _first_malformed(statements)
     if refusal is not None:
         with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             integrate(statements)
         return
     hg2, report = integrate(statements)
     assert all(isinstance(iri, str) for iri in hg2.g.iris)
-    problems = [malformed_term(payload, f"hypernode {node}") for node, payload in enumerate(hg2.h.nodes)]
-    problems = [problem for problem in problems if problem]
-    assert report.warnings[:len(problems)] == [f"{kind}: {message}" for kind, message in problems]
-    if problems:
-        with pytest.raises(ValueError, match=f"^{re.escape(problems[0][1])}$"):
-            serialize(hg2)
-    else:
-        assert deserialize(serialize(hg2)) == hg2
+    assert not any(map(malformed_term, hg2.h.nodes))
+    assert report.warnings == [str(violation) for violation in validate_mapping(hg2)]
+    assert all(violation.edge is not None for violation in validate_mapping(hg2))
+    assert deserialize(serialize(hg2)) == hg2
     to_dot(hg2)
 
 

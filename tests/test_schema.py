@@ -48,6 +48,16 @@ def test_intern_refuses_an_iri_that_is_not_a_string(iri):
     assert graph.iris == [] and graph.find(iri) is None
 
 
+def test_intern_refuses_an_empty_iri():
+    """No IRI term can carry it: the parser refuses ``<>`` and the term
+    rule ``NodePayload.uri("")``."""
+    graph = SchemaGraph()
+    graph.intern("urn:a")
+    with pytest.raises(ValueError, match="^a graph node's iri must not be empty$"):
+        graph.intern("")
+    assert graph.iris == ["urn:a"] and graph.find("") is None
+
+
 def test_freeze_blocks_mutation_but_not_lookups(frozen_structures):
     graph = chain(["urn:a", "urn:b"])
     graph.freeze()

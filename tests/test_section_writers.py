@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from itertools import filterfalse
 
 import pytest
@@ -47,6 +48,7 @@ from hg2rdf.mapper import _map_instances
 from hg2rdf.schema import RDF_PROPERTY
 from oracles import (
     assert_same_indexes,
+    malformed_term,
     oracle_add_hyperedge,
     oracle_add_node,
     oracle_append_edge,
@@ -59,7 +61,7 @@ from oracles import (
 from test_hg2_io import assert_same_outcome, outcome
 
 # Few distinct values, so payloads repeat; lists are unhashable and never
-# indexed; malformed terms are filed as such.
+# indexed; a section with a malformed term is refused whole.
 section_payloads = st.one_of(
     st.builds(NodePayload.uri, st.sampled_from("abc")),
     st.builds(NodePayload.literal, st.sampled_from("xy")),
@@ -71,9 +73,10 @@ section_payloads = st.one_of(
 
 @st.composite
 def sections(draw) -> tuple[list[list], list[list[tuple[list[int], list[int]]]]]:
-    """Node sections, then edge sections over the nodes they hold."""
+    """Node sections, then edge sections over the nodes of the sections
+    that hold no malformed term."""
     node_sections = draw(st.lists(st.lists(section_payloads, max_size=5), min_size=1, max_size=3))
-    count = sum(map(len, node_sections))
+    count = sum(len(section) for section in node_sections if not any(map(malformed_term, section)))
     if not count:
         return node_sections, []
     slot = st.lists(st.integers(0, count - 1), min_size=1, max_size=3)
@@ -86,6 +89,14 @@ def test_section_writers_leave_what_one_at_a_time_writes_leave(drawn):
     node_sections, edge_sections = drawn
     new, old = HG2(), HG2()
     for section in node_sections:
+        problem = next(filter(None, map(malformed_term, section)), None)
+        if problem is not None:
+            # refused with the first malformed term's message; nothing is written
+            with pytest.raises(ValueError, match=f"^{re.escape(problem[1])}$"):
+                new.h._append_nodes(section)
+            assert new == old
+            assert_same_indexes(new, old)
+            continue
         start = new.h.node_count
         assert new.h._append_nodes(section) == start
         for payload in section:
@@ -236,7 +247,15 @@ schema_statements = st.builds(Statement, _ends, _predicates, _ends)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(schema_statements, max_size=16))
 def test_integrate_maps_the_schema_layer_as_oracle_schema_layer_does(drawn):
-    assert_same_graph(integrate(drawn)[0].g, oracle_schema_layer(drawn))
+    """Or refuses a malformed end with the message the oracle's
+    statement-by-statement mapping raises."""
+    try:
+        expected = oracle_schema_layer(drawn)
+    except ValueError as refusal:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refusal))}$"):
+            integrate(drawn)
+        return
+    assert_same_graph(integrate(drawn)[0].g, expected)
 
 
 @settings(max_examples=50, deadline=None)
@@ -287,6 +306,7 @@ def _set(section: str, index: int, **fields):
      (SchemaViolation, "duplicate graph node iri 'http://www.w3.org/2000/01/rdf-schema#Class'")),
     (_set("graph_nodes", 2, iri=5), (SchemaViolation, "graph node 2 needs a string iri")),
     (_set("graph_nodes", 2, iri=None), (SchemaViolation, "graph node 2 needs a string iri")),
+    (_set("graph_nodes", 2, iri=""), (SchemaViolation, "graph node 2 has an empty iri")),
     (_set("graph_edges", 1, kind="x"), (UnknownKind, "unknown graph edge kind 'x'")),
     (_set("graph_edges", 1, kind=None), (UnknownKind, "unknown graph edge kind None")),
     (_set("graph_edges", 2, to="0"),
